@@ -25,24 +25,6 @@ def mat_vec(field, matrix, vec):
     return out
 
 
-def mat_mul(field, a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = a[i][l]
-            if x.is_zero():
-                continue
-            brow = b[l]
-            orow = out[i]
-            for j in range(m):
-                if not brow[j].is_zero():
-                    orow[j] = orow[j] + x * brow[j]
-    return out
-
-
 def transpose(matrix):
     return [list(col) for col in zip(*matrix)] if matrix else []
 

@@ -1,15 +1,19 @@
 """The spectral-sequence engine.
 
 Pages E^r_{-s,t} of the J-adic filtration on C_*(X, kG) are computed exactly
-by truncating the filtered complex at F^M with M = S_max + R_max and running
-kernel/sum/quotient dimension arithmetic over the coefficient field.  This is
+on the filtered complex truncated at F^M with M = S_max + R_max.  This is
 sound on the window: quotienting by F^M changes no entry E^r_{-s} with
 s + r <= M, because d preserves F^M and F^M lies inside every denominator in
 that range (checked as the window-stability invariant in the test suite, not
 assumed).
 
+Over a field the truncated complex splits into interval pieces, so every page
+is read off the pairs of one persistence column reduction per degree
+(Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).
+
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
-boundary once, read the gr^1 component), and the Reznikov-case full collapse.
+boundary once, read the gr^1 component), and the Reznikov-case full collapse,
+whose E^oo totals are checked over the whole filtration.
 """
 
 from __future__ import annotations
@@ -19,9 +23,10 @@ import math
 
 from . import linalg
 from .coeffs import FieldDescriptor
+from .complexes import betti_numbers
 from .errors import CrossCheckError, UnsupportedCoefficients, ValidationError
-from .groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration,
-                        monomials_of_degree)
+from .groupring import (GroupDescriptor, GroupRingElem, _binomial,
+                        cyclic_filtration, gr_dimension, monomials_of_degree)
 
 INF = math.inf
 
@@ -90,7 +95,7 @@ class FiltrationModel:
                 for i, beta in enumerate(self.monomials):
                     c = 1
                     for a, b in zip(key, beta):
-                        c *= _binom(a, b)
+                        c *= _binomial(a, b)
                         if c == 0:
                             break
                     if c:
@@ -131,26 +136,6 @@ class FiltrationModel:
                 out[i][col] = img[i]
         return out
 
-    def label(self, i: int) -> str:
-        if self.group.kind == "free_abelian":
-            mono = self.monomials[i]
-            if not any(mono):
-                return "1"
-            names = (
-                ["x"] if self.group.n == 1 else [f"x{j + 1}" for j in range(self.group.n)]
-            )
-            return "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e
-            )
-        return f"v{i}"
-
-
-def _binom(a: int, k: int) -> int:
-    num = 1
-    for j in range(k):
-        num *= a - j
-    return num // math.factorial(k)
-
 
 class PageTable:
     """Dimensions and d^r ranks of one page over a window of (s, q)."""
@@ -163,6 +148,13 @@ class PageTable:
 
     def dim(self, s, q):
         return self.entries.get((s, q), 0)
+
+    def cut(self, S_max):
+        """The same page over the window s <= S_max."""
+        def keep(table):
+            return {k: v for k, v in table.items() if k[0] <= S_max}
+        return PageTable(self.r, keep(self.entries), keep(self.d_ranks),
+                         (S_max, self.window[1]))
 
     def row(self, q):
         return [self.dim(s, q) for s in range(self.window[0] + 1)]
@@ -212,7 +204,7 @@ class PageComputation:
         self.model = FiltrationModel(C.group, C.field, self.M)
         self.Q = C.top
         self._bt = {}
-        self._z = {}
+        self._bars = None
 
     # -- truncated complex ----------------------------------------------------
 
@@ -256,85 +248,99 @@ class PageComputation:
             return []
         return linalg.mat_vec(self.field, self.boundary_matrix(q), vec)
 
-    def z_space(self, q: int, s: int, r: int):
-        """Basis of Z^r_{-s}[q] = {z in F^s V_q : dz in F^{s+r} V_{q-1}}.
+    # -- persistence pairs -----------------------------------------------------
 
-        The filtration is bounded above by F^0 = C, so a negative index s
-        means F^0 while the target index s + r stays absolute.
+    def _pairs(self, q: int):
+        """Persistence pairs (i, j) of the boundary V_q -> V_{q-1}: column j
+        reduces to pivot row i.
+
+        Both bases are ordered by descending valuation, ties by index, so every
+        F^s is a prefix; a column's pivot is its nonzero row that comes last.
         """
-        src = max(s, 0)
-        tgt = s + r
-        key = (q, src, tgt)
-        if key in self._z:
-            return self._z[key]
-        field = self.field
-        n = self.vdim(q)
-        if n == 0:
-            basis = []
-        elif tgt <= src:
-            # d preserves the filtration, so the condition is vacuous
-            basis = [linalg.unit_vector(field, n, g) for g in self._suffix_indices(q, src)]
-        else:
-            cols = list(self._suffix_indices(q, src))
-            if not cols:
-                basis = []
-            else:
-                constraint = []
-                if self.vdim(q - 1):
-                    bt = self.boundary_matrix(q)
-                    row_stop = self.model.offset(tgt) * self.C.dims[q - 1]
-                    constraint = [[bt[i][g] for g in cols] for i in range(row_stop)]
-                small = linalg.kernel_basis(field, constraint, ncols=len(cols))
-                basis = []
-                for sv in small:
-                    v = linalg.zeros(field, n)
-                    for g, x in zip(cols, sv):
-                        v[g] = x
-                    basis.append(v)
-        self._z[key] = basis
-        return basis
+        vals = self.model.vals
+        nsrc, ndst = self.C.dims[q], self.C.dims[q - 1]
+        rows, cols = self.vdim(q - 1), self.vdim(q)
+        if not rows or not cols:
+            return []
+        row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
+        col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
+        pos = {i: k for k, i in enumerate(row_order)}
+        columns = [{} for _ in range(cols)]  # row position -> entry
+        for i, row in enumerate(self.boundary_matrix(q)):
+            for j, x in enumerate(row):
+                if not x.is_zero():
+                    columns[j][pos[i]] = x
+        owner = {}  # pivot position -> reduced column with pivot entry 1
+        pairs = []
+        for j in col_order:
+            col = columns[j]
+            while col:
+                low = max(col)
+                other = owner.get(low)
+                if other is None:
+                    break
+                f = col[low]
+                for k, y in other.items():
+                    z = col[k] - f * y if k in col else -(f * y)
+                    if z.is_zero():
+                        del col[k]
+                    else:
+                        col[k] = z
+            if col:
+                inv = col[low].inverse()
+                owner[low] = {k: y * inv for k, y in col.items()}
+                pairs.append((row_order[low], j))
+        return pairs
 
-    def _denominator(self, q: int, s: int, r: int):
-        """Spanning set of Z^{r-1}_{-(s+1)}[q] + d Z^{r-1}_{-(s+1-r)}[q+1]."""
-        out = list(self.z_space(q, s + 1, r - 1))
-        for w in self.z_space(q + 1, s + 1 - r, r - 1):
-            out.append(self.apply_boundary(q + 1, w))
-        return out
+    def _barcode(self):
+        """(bars, ranks) of the window s <= S_max: bars[(s, q, life)] counts
+        classes at (s, q) alive on pages 1..life (INF if never killed), and
+        ranks[(r, s, q)] is the rank of d^r out of (s, q)."""
+        vals = self.model.vals
+        S = self.S_max
+        bars = {}
+        ranks = {}
 
-    def entry_dim(self, r: int, s: int, q: int) -> int:
-        if q < 0 or q > self.Q or s < 0:
-            return 0
-        num = self.z_space(q, s, r)
-        if not num:
-            return 0
-        den = self._denominator(q, s, r)
-        return len(num) - linalg.span_rank(self.field, den)
+        def add(table, key):
+            table[key] = table.get(key, 0) + 1
 
-    def d_rank(self, r: int, s: int, q: int) -> int:
-        """Rank of d^r out of position (-s, s+q)."""
-        if q <= 0 or q > self.Q or s < 0:
-            return 0
-        src = self.z_space(q, s, r)
-        if not src:
-            return 0
-        imgs = [self.apply_boundary(q, v) for v in src]
-        den = self._denominator(q - 1, s + r, r)
-        base = linalg.span_rank(self.field, den)
-        return linalg.span_rank(self.field, den + imgs) - base
+        paired = [set() for _ in range(self.Q + 1)]
+        for q in range(1, self.Q + 1):
+            for i, j in self._pairs(q):
+                paired[q].add(j)
+                paired[q - 1].add(i)
+                # the interval piece x -> dx, column at b and pivot row at
+                # a >= b, lives on pages r <= a - b at both ends and carries
+                # rank 1 of d^{a-b}; a vector in no pair lives on every page
+                b = vals[j // self.C.dims[q]]
+                a = vals[i // self.C.dims[q - 1]]
+                if a > b:
+                    if b <= S:
+                        add(bars, (b, q, a - b))
+                        if a < INF:
+                            add(ranks, (a - b, b, q))
+                    if a <= S:
+                        add(bars, (a, q - 1, a - b))
+        for q in range(self.Q + 1):
+            ncells = self.C.dims[q]
+            for g in range(self.vdim(q)):
+                v = vals[g // ncells]
+                if v <= S and g not in paired[q]:
+                    add(bars, (v, q, INF))
+        return bars, ranks
 
     # -- pages -----------------------------------------------------------------
 
     def page(self, r: int) -> PageTable:
+        """E^r over the window; the pairs are computed on the first call."""
+        if self._bars is None:
+            self._bars = self._barcode()
+        bars, ranks = self._bars
         entries = {}
-        d_ranks = {}
-        for q in range(self.Q + 1):
-            for s in range(self.S_max + 1):
-                d = self.entry_dim(r, s, q)
-                if d:
-                    entries[(s, q)] = d
-                rk = self.d_rank(r, s, q)
-                if rk:
-                    d_ranks[(s, q)] = rk
+        for (s, q, life), n in bars.items():
+            if life >= r:
+                entries[(s, q)] = entries.get((s, q), 0) + n
+        d_ranks = {(s, q): n for (rr, s, q), n in ranks.items() if rr == r}
         return PageTable(r, entries, d_ranks, (self.S_max, self.Q))
 
     def pages(self) -> list[PageTable]:
@@ -343,20 +349,19 @@ class PageComputation:
         return tables
 
     def _check_bookkeeping(self, tables):
-        # dim E^{r+1} = dim E^r - rank(in) - rank(out) on the window interior
-        for idx in range(len(tables) - 1):
-            cur, nxt = tables[idx], tables[idx + 1]
-            r = cur.r
+        """E^1 against the closed form dim E^1_{-s,s+q} = dim gr^s(kG) * b_q(X, k)."""
+        e1 = tables[0]
+        betti = betti_numbers(self.C)
+        for s in range(self.S_max + 1):
+            gr = gr_dimension(self.C.group, self.field, s)
             for q in range(self.Q + 1):
-                for s in range(self.S_max + 1):
-                    out_rk = cur.d_ranks.get((s, q), 0)
-                    in_rk = cur.d_ranks.get((s - r, q + 1), 0) if s - r >= 0 else 0
-                    expect = cur.dim(s, q) - out_rk - in_rk
-                    if nxt.dim(s, q) != expect:
-                        raise CrossCheckError(
-                            f"page bookkeeping failed at r={r}, s={s}, q={q}: "
-                            f"{nxt.dim(s, q)} != {expect}"
-                        )
+                if e1.dim(s, q) != gr * betti[q]:
+                    raise CrossCheckError(
+                        f"E^1 at s={s}, q={q} has dim {e1.dim(s, q)}, but "
+                        f"dim gr^{s} * b_{q} = {gr} * {betti[q]} "
+                        f"(field {self.field}, group {self.C.group}, "
+                        f"window R={self.R_max} S={self.S_max})"
+                    )
 
     # -- canonical d^1 ----------------------------------------------------------
 
@@ -385,31 +390,17 @@ class PageComputation:
         htgt, _ = homology_data(self.C, q - 1)
         src = self.canonical_e1_vectors(q, s, hsrc)
         tgt = self.canonical_e1_vectors(q - 1, s + 1, htgt)
-        den = self._denominator(q - 1, s + 1, 1)
+        # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
+        den = [linalg.unit_vector(self.field, self.vdim(q - 1), g)
+               for g in self._suffix_indices(q - 1, s + 2)]
+        bt = self.boundary_matrix(q)
+        den += [[row[g] for row in bt] for g in self._suffix_indices(q, s + 1)]
         cols = []
         for v in src:
             w = self.apply_boundary(q, v)
             coords = linalg.solve_mod_subspace(self.field, tgt, den, w)
             cols.append(coords)
         return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt))]
-
-    def entry_basis(self, r: int, s: int, q: int):
-        """Representative vectors (in V_q coordinates) for a basis of
-        E^r_{-s, s+q}: numerator basis vectors extending the denominator."""
-        num = self.z_space(q, s, r)
-        den = self._denominator(q, s, r)
-        span = list(den)
-        out = []
-        for v in num:
-            if not linalg.in_span(self.field, span, v):
-                span.append(v)
-                out.append(v)
-        return out
-
-    def einf_row_dims(self, q: int) -> list[int]:
-        """Window dims of the last computed page in degree q."""
-        last = self.page(self.R_max)
-        return [last.dim(s, q) for s in range(self.S_max + 1)]
 
 
 def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
@@ -517,6 +508,9 @@ def reznikov_collapse(C, S_max: int | None = None):
     with total graded dimensions checked against dim_k H_q(X, kZ_{p^r})
     computed independently by plain k-linear rank arithmetic.
 
+    The totals are checked over the whole filtration s < p^r; the returned
+    tables are then cut down to s <= S_max (default p^r - 1).
+
     Returns (tables, homology_dims).
     """
     group = C.group
@@ -530,7 +524,9 @@ def reznikov_collapse(C, S_max: int | None = None):
     n = group.m  # p^r; J^n = 0
     if S_max is None:
         S_max = n - 1
-    comp = PageComputation(C, R_max=n, S_max=S_max)
+    if S_max < 0:
+        raise ValidationError("window needs S_max >= 0")
+    comp = PageComputation(C, R_max=n, S_max=n - 1)
     tables = comp.pages()
     hom_dims = []
     for q in range(C.top + 1):
@@ -539,12 +535,12 @@ def reznikov_collapse(C, S_max: int | None = None):
         hom_dims.append(comp.vdim(q) - rk_q - rk_q1)
     last = tables[-1]
     for q in range(C.top + 1):
-        total = sum(last.dim(s, q) for s in range(S_max + 1))
+        total = sum(last.dim(s, q) for s in range(n))
         if total != hom_dims[q]:
             raise CrossCheckError(
                 f"E^infinity total {total} != dim H_{q} = {hom_dims[q]}"
             )
-    return tables, hom_dims
+    return [t.cut(S_max) for t in tables], hom_dims
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:

@@ -61,6 +61,22 @@ def test_pages_circle_mod3(capsys):
     assert survivors[(2, 1)] == 1 and (1, 1) not in survivors
 
 
+def test_reznikov_totals_cover_the_whole_filtration(capsys):
+    # the default --S 3 window stops short of s = p^r - 1; the E^infinity
+    # totals must still be checked over every s, not only inside the window
+    for name, m, p, hom in (("circle", 9, 3, [1, 1]), ("comm-p:5", 5, 5, [1, 6, 5]),
+                            ("comm-p:7", 7, 7, [1, 8, 7])):
+        code, out, _ = run(
+            ["pages", "--builtin", name, "--group-quotient", f"Zmod:{m}",
+             "--field", f"Fp:{p}", "--json"],
+            capsys,
+        )
+        assert code == 0, name
+        doc = json.loads(out)
+        assert doc["homology_dims"] == hom, name
+        assert max(e["s"] for e in doc["pages"][0]["entries"]) == 3
+
+
 def test_pages_needs_field(capsys):
     code, _, err = run(["pages", "--builtin", "trefoil"], capsys)
     assert code == cli.EXIT_INPUT

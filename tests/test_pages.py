@@ -3,7 +3,7 @@ import pytest
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
-from ess.errors import UnsupportedCoefficients, ValidationError
+from ess.errors import CrossCheckError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupDescriptor, parse_element
 from ess.modz import einf_gr_module, homology_decomposition
 from ess.pages import (PageComputation, compute_pages, d1_closed_form,
@@ -61,6 +61,17 @@ def test_zxf2_einfinity_row():
     assert window_collapse_page(tables) == 2
     dec = homology_decomposition(C, 1)
     assert einf_gr_module(dec).dims(3) == [2, 0, 0, 0]
+
+
+def test_e1_check_against_gr_times_betti():
+    # E^1_{-s,s+q} = gr^s(kZ^2) x H_q(T^2): dims (s+1) * (1, 2, 1)
+    C = change_field(builtin_complex("torus2"), Q)
+    comp = PageComputation(C, R_max=2, S_max=2)
+    tables = comp.pages()
+    assert [tables[0].row(q) for q in range(3)] == [[1, 2, 3], [2, 4, 6], [1, 2, 3]]
+    tables[0].entries[(2, 1)] = 5
+    with pytest.raises(CrossCheckError, match="s=2, q=1"):
+        comp._check_bookkeeping(tables)
 
 
 def test_second_quadrant_support():
