@@ -188,13 +188,3 @@ def _eval_linear(elem: GroupRingElem, zvals, field) -> FieldElem:
                 term = term * v
         acc = acc + term
     return acc
-
-
-def monomial_variables(n: int, field) -> list[GroupRingElem]:
-    """The generators e_1..e_n of S as ring elements (for tests)."""
-    sym = GroupDescriptor.free_abelian(n)
-    out = []
-    for i in range(n):
-        key = tuple(1 if j == i else 0 for j in range(n))
-        out.append(GroupRingElem.monomial(sym, field, key))
-    return out

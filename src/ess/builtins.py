@@ -78,10 +78,14 @@ def load_builtin_document(name: str) -> dict:
     if name in _FILES:
         data = resources.files("ess.data").joinpath(_FILES[name]).read_text()
         return json.loads(data)
-    if name.startswith("lyndon:"):
-        return lyndon_document(int(name.split(":", 1)[1]))
-    if name.startswith("comm-p:"):
-        return comm_p_document(int(name.split(":", 1)[1]))
+    family, _, arg = name.partition(":")
+    make = {"lyndon": lyndon_document, "comm-p": comm_p_document}.get(family)
+    if make:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise InputError(f"{family}:<n> needs an integer, got {arg!r}") from None
+        return make(n)
     raise InputError(
         f"unknown built-in {name!r}; available: {', '.join(builtin_names())}"
     )

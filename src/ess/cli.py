@@ -59,8 +59,13 @@ def load_complex(args) -> EquivariantComplex:
     if args.builtin:
         doc = corpus.load_builtin_document(args.builtin)
     elif args.input:
-        with open(args.input) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.input) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise InputError(f"cannot read {args.input}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise InputError(f"{args.input} is not valid JSON: {exc}") from None
     else:
         raise InputError("an input path or --builtin is required")
     C = parse_document(doc)
@@ -122,14 +127,17 @@ def cmd_betti(args):
 
 
 def cmd_pages(args):
+    if args.R is not None and args.R < 1:
+        raise InputError("--R must be >= 1")
     C = require_field(load_complex(args))
     if C.group.kind == "cyclic" and C.group.prime_power and \
             C.field.characteristic == C.group.prime_power[0]:
         tables, hom = reznikov_collapse(C, S_max=args.S)
+        tables = tables[:args.R]  # all pages through E^{p^r} unless --R is given
         collapse = window_collapse_page(tables)
         extra = {"homology_dims": hom}
     else:
-        comp = PageComputation(C, R_max=args.R, S_max=args.S)
+        comp = PageComputation(C, R_max=3 if args.R is None else args.R, S_max=args.S)
         tables = comp.pages()
         collapse = window_collapse_page(tables)
         extra = {}
@@ -304,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when a requested hypothesis is not met")
         if verb == "pages":
-            p.add_argument("--R", type=int, default=3, help="last page (default 3)")
+            p.add_argument("--R", type=int,
+                           help="last page (default 3; E^{p^r} for Z_{p^r} in characteristic p)")
             p.add_argument("--S", type=int, default=3, help="max filtration degree (default 3)")
         if verb in ("decompose",):
             p.add_argument("--q-range", help="degree range lo:hi (default all)")

@@ -206,10 +206,6 @@ def cyclotomic_polynomial(d: int) -> IntPoly:
     return num.exact_div(den)
 
 
-def euler_phi(d: int) -> int:
-    return cyclotomic_polynomial(d).degree
-
-
 # ---------------------------------------------------------------------------
 # Field descriptors and elements
 # ---------------------------------------------------------------------------

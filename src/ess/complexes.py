@@ -569,11 +569,11 @@ def parse_document(doc: dict) -> EquivariantComplex:
         nu = Epimorphism(group, images)
         C = presentation_complex(presentation, nu, field)
         for cell_spec in doc.get("extra_cells", []):
-            degree = cell_spec["degree"]
-            rows = [
-                [parse_element(s, group, field) for s in row]
-                for row in cell_spec["matrix"]
-            ]
+            try:
+                degree, matrix = cell_spec["degree"], cell_spec["matrix"]
+            except (KeyError, TypeError):
+                raise InputError('each "extra_cells" entry needs "degree" and "matrix"') from None
+            rows = [[parse_element(s, group, field) for s in row] for row in matrix]
             C = extend_with_cells(C, degree, rows)
         return C
 

@@ -22,8 +22,8 @@ INFINITY = math.inf
 class GroupDescriptor:
     """Either FreeAbelian(n), n >= 0, or Cyclic(m), m >= 2.
 
-    Cyclic descriptors record whether m is a prime power (used by the
-    Reznikov-case shortcuts).
+    Cyclic descriptors record whether m is a prime power, which with char
+    k = p marks the Reznikov case G = Z_{p^r} of the spectral sequence.
     """
 
     __slots__ = ("kind", "n", "m", "prime_power")
@@ -385,99 +385,63 @@ def _expansion_coefficient(a: GroupRingElem, beta: tuple) -> FieldElem:
 
 
 class _CyclicFiltration:
-    """The chain J^0 >= J^1 >= ... inside kZ_m, as explicit subspaces of k^m.
+    """The chain J^0 >= J^1 >= ... inside kZ_m = k[t]/(t^m - 1), in closed form.
 
-    Computed until stabilization (dimension can only drop m times).  Exposes
-    an adapted basis: vectors listed val-ascending, where the tail from
-    offset(s) on spans J^s.
+    With u = t - 1, J^s = (u^min(s, e)), where e is the multiplicity of u in
+    t^m - 1: e = p^a when char k = p and p^a exactly divides m, else e = 1.
+    The adapted basis, listed val-ascending so that the tail from offset(s) on
+    spans J^s, is u^s with valuation s for s < e, followed by the core
+    t^j u^e for j < m - e, which spans J^e = J^{e+1} = ... and has valuation
+    INFINITY.  The core is empty in the Reznikov case e = m, where J^m = 0.
     """
 
     def __init__(self, m: int, field: FieldDescriptor):
         self.m = m
         self.field = field
-        # J^1 spanned by (t-1) t^j
-        spaces = [[linalg.unit_vector(field, m, j) for j in range(m)]]
-        current = []
-        for j in range(m):
-            v = linalg.zeros(field, m)
-            v[(j + 1) % m] = v[(j + 1) % m] + field.one()
-            v[j] = v[j] - field.one()
-            current.append(v)
-        while True:
-            basis = self._reduce(current)
-            spaces.append(basis)
-            if len(basis) == len(spaces[-2]):
-                spaces.pop()  # stabilized: J^s = J^{s-1}
-                break
-            if not basis:
-                break
-            current = [self._mult_by_tminus1(v) for v in basis]
-        self.spaces = spaces  # spaces[s] = basis of J^s, s <= stab
-        self.stab = len(spaces) - 1
-        self._build_adapted()
+        p = field.characteristic
+        e = 1
+        while p and m % (e * p) == 0:
+            e *= p
+        self.e = e
+        self.vals = list(range(e)) + [INFINITY] * (m - e)
+        self.adapted = [self._shifted_power(0, s) for s in range(e)]
+        self.adapted += [self._shifted_power(j, e) for j in range(m - e)]
 
-    def _is_stable(self) -> bool:
-        # loop exits either by reaching zero or by two equal dimensions;
-        # a nonzero deepest space means the chain stabilized there.
-        return bool(self.spaces[self.stab])
-
-    def _mult_by_tminus1(self, v):
-        out = linalg.zeros(self.field, self.m)
-        for j in range(self.m):
-            if not v[j].is_zero():
-                out[(j + 1) % self.m] = out[(j + 1) % self.m] + v[j]
-                out[j] = out[j] - v[j]
-        return out
-
-    def _reduce(self, vectors):
-        reduced, pivots = linalg.rref(self.field, vectors)
-        return [row for row in reduced if any(not x.is_zero() for x in row)]
-
-    def _build_adapted(self):
-        # Extend a basis of the deepest space upward through the chain; the
-        # vectors added at stage s get valuation s (INFINITY for a stabilized
-        # nonzero core).  Sorted val-ascending so J^s is a suffix.
-        field = self.field
-        adapted = list(self.spaces[self.stab])
-        vals = [INFINITY if self._is_stable() else self.stab] * len(adapted)
-        for s in range(self.stab - 1, -1, -1):
-            for v in self.spaces[s]:
-                if not linalg.in_span(field, adapted, v):
-                    adapted.append(v)
-                    vals.append(s)
-        pairs = sorted(zip(vals, range(len(adapted))), key=lambda p: (p[0], p[1]))
-        self.adapted = [adapted[i] for _, i in pairs]
-        self.vals = [v for v, _ in pairs]
-        # normalize the unique val-0 vector to augmentation 1, so its class
-        # in gr^0 = kG/J is the unit
-        if self.vals and self.vals[0] == 0:
-            aug = self.adapted[0][0]
-            for x in self.adapted[0][1:]:
-                aug = aug + x
-            scale = aug.inverse()
-            self.adapted[0] = [x * scale for x in self.adapted[0]]
+    def _shifted_power(self, j: int, s: int):
+        """Monomial coordinates of t^j (t - 1)^s, a polynomial of degree j + s < m."""
+        v = linalg.zeros(self.field, self.m)
+        for k in range(s + 1):
+            v[j + k] = self.field.from_int((-1) ** (s - k) * math.comb(s, k))
+        return v
 
     def dim(self, s: int) -> int:
-        s = min(s, self.stab)
-        return len(self.spaces[s])
+        return self.m - min(s, self.e)
 
     def offset(self, s: int) -> int:
         """Index into the adapted basis where J^s starts."""
-        target = self.dim(s)
-        return len(self.adapted) - target
+        return min(s, self.e)
+
+    def coords(self, vec):
+        """Adapted coordinates of a vector of monomial coordinates: e synthetic
+        divisions by t - 1 leave the Taylor coefficients at 1 as remainders,
+        and the last quotient holds the core coordinates."""
+        rest = list(vec)
+        taylor = []
+        for _ in range(self.e):
+            acc = self.field.zero()
+            quotient = [None] * (len(rest) - 1)
+            for k in range(len(rest) - 1, 0, -1):
+                acc = acc + rest[k]
+                quotient[k - 1] = acc
+            taylor.append(acc + rest[0])
+            rest = quotient
+        return taylor + rest
 
     def membership_val(self, vec) -> float:
-        if all(x.is_zero() for x in vec):
-            return INFINITY
-        lo = 0
-        for s in range(1, self.stab + 1):
-            if linalg.in_span(self.field, self.spaces[s], vec):
-                lo = s
-            else:
-                return lo
-        if self._is_stable():
-            return INFINITY
-        return lo
+        for val, c in zip(self.vals, self.coords(vec)):
+            if not c.is_zero():
+                return val
+        return INFINITY
 
 
 @lru_cache(maxsize=None)
@@ -524,9 +488,6 @@ def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:
         if n == 0:
             return 1 if s == 0 else 0
         return math.comb(s + n - 1, n - 1)
-    pp = group.prime_power
-    if pp and field.characteristic == pp[0]:
-        return 1 if s < group.m else 0
     filt = cyclic_filtration(group.m, field)
     return filt.dim(s) - filt.dim(s + 1)
 

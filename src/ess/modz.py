@@ -540,12 +540,6 @@ class LaurentModuleDecomp:
         """The J-adic filtration is separated iff there is no f(1) != 0 part."""
         return not self.other_primary
 
-    def einf_dims(self, s_max: int) -> list[int]:
-        return [
-            self.free_rank + sum(1 for b in self.tminus1_blocks if b > s)
-            for s in range(s_max + 1)
-        ]
-
     def to_json(self, q=None):
         doc = {
             "free_rank": self.free_rank,

@@ -37,7 +37,9 @@ class FiltrationModel:
     The basis is ordered with valuations nondecreasing, so J^s corresponds to
     a suffix of the coordinates.  For Z^n this is kG/J^M with monomial basis
     x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M; for Z_m it is all of kG with
-    the adapted basis of the (stabilized) subspace chain.
+    the closed-form adapted basis (t - 1)^s, s < e, then the valuation-INF
+    core t^j (t - 1)^e (see groupring._CyclicFiltration); coordinates in it
+    come from synthetic division by t - 1.
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
@@ -56,22 +58,6 @@ class FiltrationModel:
             self._filt = cyclic_filtration(group.m, field)
             self.vals = list(self._filt.vals)
             self.dim = group.m
-            self._adapted_cols = [
-                [self._filt.adapted[b][j] for b in range(self.dim)]
-                for j in range(self.dim)
-            ]  # row j of change-of-basis: monomial coord j of each adapted vec
-            self._adapted_inv = self._invert_adapted()
-
-    def _invert_adapted(self):
-        # solve P X = I where columns of P are the adapted vectors
-        field = self.field
-        m = self.dim
-        P = [[self._filt.adapted[b][i] for b in range(m)] for i in range(m)]
-        aug = [P[i] + linalg.unit_vector(field, m, i) for i in range(m)]
-        red, pivots = linalg.rref(field, aug)
-        if len(pivots) != m:
-            raise CrossCheckError("adapted basis is singular")
-        return [row[m:] for row in red]
 
     def offset(self, s: int) -> int:
         """First basis index with valuation >= s."""
@@ -104,7 +90,7 @@ class FiltrationModel:
         mono = linalg.zeros(field, self.dim)
         for key, coeff in elem.terms.items():
             mono[key] = mono[key] + coeff
-        return linalg.mat_vec(field, self._adapted_inv, mono)
+        return self._filt.coords(mono)
 
     def mult_matrix(self, elem: GroupRingElem):
         """Matrix of v -> v * elem in adapted coordinates (columns = images
@@ -122,16 +108,16 @@ class FiltrationModel:
                     gamma = tuple(a + b for a, b in zip(alpha, beta))
                     out[self.index[gamma]][col] = red[i]
             return out
-        # cyclic: multiply in monomial coordinates, conjugate by the basis
+        # cyclic: multiply in monomial coordinates, read adapted coordinates
         m = self.group.m
         for col in range(n):
-            vec_mono = [self._filt.adapted[col][j] for j in range(m)]
+            vec_mono = self._filt.adapted[col]
             prod = linalg.zeros(field, m)
             for key, coeff in elem.terms.items():
                 for j in range(m):
                     if not vec_mono[j].is_zero():
                         prod[(j + key) % m] = prod[(j + key) % m] + vec_mono[j] * coeff
-            img = linalg.mat_vec(field, self._adapted_inv, prod)
+            img = self._filt.coords(prod)
             for i in range(n):
                 out[i][col] = img[i]
         return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ess import cli
 from ess.builtins import builtin_names
 
@@ -75,6 +77,49 @@ def test_reznikov_totals_cover_the_whole_filtration(capsys):
         doc = json.loads(out)
         assert doc["homology_dims"] == hom, name
         assert max(e["s"] for e in doc["pages"][0]["entries"]) == 3
+
+
+def test_pages_honours_R_on_the_reznikov_path(capsys):
+    def pages(argv):
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 0, argv
+        return [p["page"] for p in json.loads(out)["pages"]]
+
+    z3 = ["pages", "--builtin", "circle", "--group-quotient", "Zmod:3",
+          "--field", "Fp:3", "--S", "1"]
+    assert pages(z3 + ["--R", "1"]) == [1]
+    assert pages(z3 + ["--R", "2"]) == [1, 2]
+    assert pages(z3 + ["--R", "7"]) == [1, 2, 3]  # E^3 = E^infinity for Z_3
+    assert pages(z3) == [1, 2, 3]
+    assert pages(["pages", "--builtin", "circle", "--field", "Q"]) == [1, 2, 3]
+    for argv in (z3 + ["--R", "0"], ["pages", "--builtin", "circle", "--field", "Q", "--R", "0"]):
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_INPUT and not out, argv
+        assert err.startswith("error: ")
+
+
+_EXTRA_CELL_WITHOUT_DEGREE = json.dumps({
+    "field": "Z", "group": "Z",
+    "presentation": {"generators": ["x", "y"], "relators": ["xyXY"], "nu": {"x": 1, "y": 1}},
+    "extra_cells": [{"matrix": [["t - 1"]]}],
+})
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"field": "Q",', ["betti", "{path}"]),
+    (None, ["betti", "{path}"]),
+    (None, ["validate", "--builtin", "lyndon:abc"]),
+    (_EXTRA_CELL_WITHOUT_DEGREE, ["validate", "{path}"]),
+], ids=["malformed-json", "missing-path", "non-integer-family-argument",
+        "extra-cell-without-degree"])
+def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run([a.replace("{path}", str(path)) for a in argv], capsys)
+    assert code == cli.EXIT_INPUT
+    assert not out
+    assert err.startswith("error: ") and err[len("error: "):].strip()
 
 
 def test_pages_needs_field(capsys):

@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ess import linalg
 from ess.coeffs import FieldDescriptor
 from ess.errors import InputError
 from ess.groupring import (GroupDescriptor, GroupRingElem, GrPiece,
-                           augmentation, format_element, gr_dimension,
-                           j_valuation, parse_element)
+                           augmentation, cyclic_filtration, format_element,
+                           gr_dimension, j_valuation, parse_element)
 
 Q = FieldDescriptor.rationals()
 GZ = GroupDescriptor.free_abelian(1)
@@ -160,6 +163,84 @@ def test_cyclic_j_stabilizes_when_characteristic_coprime():
     t = GroupRingElem.monomial(C6, Q, 1)
     one = GroupRingElem.one(C6, Q)
     assert j_valuation(t - one) == math.inf  # epsilon-kernel element in the core
+
+
+FILTRATION_FIELDS = [Q] + [FieldDescriptor.prime_field(p) for p in (2, 3, 5)]
+
+
+def _power_spans(m, field):
+    """Row-reduced spanning sets {t^j (t-1)^s mod t^m - 1 : j < m} of J^s
+    inside k^m, for s = 0, 1, ... until two consecutive ranks agree (the chain
+    is then stable), by multiplication in kZ_m; with their ranks."""
+    G = GroupDescriptor.cyclic(m)
+    one = GroupRingElem.one(G, field)
+    u = GroupRingElem.monomial(G, field, 1) - one
+    power = one
+    spans, dims = [], []
+    while True:
+        span = []
+        for j in range(m):
+            elem = power * GroupRingElem.monomial(G, field, j)
+            span.append([elem.terms.get(k, field.zero()) for k in range(m)])
+        dims.append(linalg.rank_of(field, span))
+        spans.append(linalg.rref(field, span)[0][:dims[-1]])  # cheap rank tests
+        if len(dims) > 1 and dims[-1] == dims[-2]:
+            return spans, dims
+        power = power * u
+
+
+def _brute_valuation(field, spans, dims, vec):
+    """Largest s with vec in J^s by rank tests; INF inside the stable end of
+    the chain (a nonzero J^s equal to all deeper powers)."""
+    if all(x.is_zero() for x in vec):
+        return math.inf
+    s = 0
+    while s + 1 < len(spans) and linalg.rank_of(field, spans[s + 1] + [vec]) == dims[s + 1]:
+        s += 1
+    return math.inf if s == len(spans) - 1 else s
+
+
+@pytest.mark.parametrize("field", FILTRATION_FIELDS, ids=str)
+def test_cyclic_filtration_against_spanning_sets(field):
+    # reference: dim J^s as the rank of its spanning set, membership by rank
+    # tests; nothing here uses the closed form for J^s
+    rng = random.Random(field.characteristic)
+    for m in range(2, 17):
+        G = GroupDescriptor.cyclic(m)
+        spans, dims = _power_spans(m, field)
+        for s in range(m + 2):
+            dim_s = dims[min(s, len(dims) - 1)]
+            dim_next = dims[min(s + 1, len(dims) - 1)]
+            assert gr_dimension(G, field, s) == dim_s - dim_next, (m, s)
+        filt = cyclic_filtration(m, field)
+        vecs = list(filt.adapted)
+        vecs += [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(4)]
+        for i, vec in enumerate(vecs):
+            expected = _brute_valuation(field, spans, dims, vec)
+            if i < m:
+                assert filt.vals[i] == expected, (m, i)
+            elem = GroupRingElem(G, field, {j: x for j, x in enumerate(vec)})
+            assert j_valuation(elem) == expected, (m, vec)
+
+
+@st.composite
+def _cyclic_pairs(draw):
+    m = draw(st.integers(2, 16))
+    field = draw(st.sampled_from(FILTRATION_FIELDS))
+    G = GroupDescriptor.cyclic(m)
+
+    def elem():
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+        return GroupRingElem(G, field, {j: field.from_int(c) for j, c in enumerate(coeffs)})
+
+    return elem(), elem()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_cyclic_pairs())
+def test_cyclic_j_valuation_superadditive(pair):
+    a, b = pair
+    assert j_valuation(a * b) >= j_valuation(a) + j_valuation(b)
 
 
 def test_gr_piece_sizes_match():
