@@ -33,15 +33,21 @@ def emit_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _int(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{option} expects integers, got {text!r}") from None
+
+
+def _nu_values(text: str) -> list[int]:
+    """Inline images: either "a=2,b=1,c=1" (the names before '=' are
+    decorative; images go by position) or plain "2,1,1"."""
+    return [_int(p.split("=", 1)[-1].strip(), "--nu") for p in text.split(",") if p.strip()]
+
+
 def _parse_nu(text: str, group: GroupDescriptor, target: GroupDescriptor):
-    """Inline images: either "a=2,b=1,c=1" (by position of '=' names being
-    decorative) or plain "2,1,1"."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    values = []
-    for p in parts:
-        if "=" in p:
-            p = p.split("=", 1)[1]
-        values.append(int(p))
+    values = _nu_values(text)
     if len(values) != group.num_generators:
         raise InputError(
             f"--nu needs {group.num_generators} images for {group}, got {len(values)}"
@@ -94,7 +100,7 @@ def require_field(C: EquivariantComplex) -> EquivariantComplex:
 def _q_range(args, C):
     if args.q_range:
         lo, _, hi = args.q_range.partition(":")
-        return range(int(lo), int(hi or lo) + 1)
+        return range(_int(lo, "--q-range"), _int(hi or lo, "--q-range") + 1)
     return range(C.top + 1)
 
 
@@ -208,7 +214,7 @@ def cmd_universal_aomoto(args):
     U = universal_aomoto(C)
     doc = U.to_json()
     if args.spec_at:
-        z = [int(x) for x in args.spec_at.split(",")]
+        z = [_int(x, "--spec-at") for x in args.spec_at.split(",")]
         doc["specialization"] = {"z": z, "beta": aomoto_specialize(U, z).beta}
     if args.json:
         sys.stdout.write(emit_json(doc))
@@ -253,7 +259,7 @@ def cmd_bounds(args):
     if args.p is None:
         raise InputError("--p <prime> is required")
     if args.nu:
-        images = [int(p.split("=", 1)[-1]) for p in args.nu.split(",") if p.strip()]
+        images = _nu_values(args.nu)
     else:
         images = [1] * C.group.num_generators
     rep = bounds_report(C, images, args.p, args.r)

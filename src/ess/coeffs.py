@@ -1,30 +1,54 @@
 """Exact coefficient arithmetic over Q, F_p, cyclotomic fields Q(zeta_d), and Z.
 
 Cyclotomic fields are realized as Q[s]/(Phi_d(s)), so all ranks computed at
-roots of unity are exact and Galois-invariant.  No floating point anywhere.
+roots of unity are exact and Galois-invariant.  `rank_exact` never computes
+with FieldElem: over Q it runs fraction-free Bareiss on integer rows, over
+F_p it eliminates residues, and over Q(zeta_d) it takes ranks at a d-th root
+of unity modulo primes ell = 1 (mod d) until a norm bound certifies the
+largest one.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CoefficientError, DescriptorMismatch, InputError
 
 
+# Miller-Rabin on the first 12 primes as bases is exact for every n below
+# this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below _MR_EXACT_BELOW,
+    trial division above it."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        return all(n % f for f in range(41, math.isqrt(n) + 1, 2))
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -596,12 +620,87 @@ def _rank_bareiss_int(rows: list[list[int]]) -> int:
     return rank
 
 
+def _rank_mod(rows: list[list[int]], ell: int) -> int:
+    """Rank over F_ell of a matrix of residues mod the prime ell."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for pc in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][pc]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        inv = pow(top[pc], -1, ell)
+        for i in range(rank + 1, len(m)):
+            f = m[i][pc] * inv % ell
+            if f:
+                m[i] = [(x - f * y) % ell for x, y in zip(m[i], top)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _root_of_unity(d: int, ell: int) -> int:
+    """A primitive d-th root of unity mod the prime ell = 1 (mod d)."""
+    factors = [q for q in divisors(d) if q > 1 and is_prime(q)]
+    for g in itertools.count(2):
+        w = pow(g, (ell - 1) // d, ell)
+        if all(pow(w, d // q, ell) != 1 for q in factors):
+            return w
+
+
+@lru_cache(maxsize=None)
+def _modulus(d: int, i: int) -> tuple[int, int]:
+    """(ell, omega): the i-th prime ell = 1 (mod d) below 2^62, counting down,
+    and a primitive d-th root of unity omega mod ell."""
+    ell = _modulus(d, i - 1)[0] - d if i else (2**62 - 2) // d * d + 1
+    while not is_prime(ell):
+        ell -= d
+    return ell, _root_of_unity(d, ell)
+
+
+def _cyclotomic_rank(field: FieldDescriptor, rows) -> int:
+    """Rank over Q(zeta_d), certified from ranks at omega modulo primes ell.
+
+    Each row is scaled to integer coefficient tuples, i.e. into Z[zeta].
+    Reduction modulo the degree-one prime ideal (ell, s - omega) is a ring
+    map, so the rank over F_ell is at most the true rank r.  If it is lower,
+    a fixed nonzero r-minor M lies in that ideal, and ell divides the norm
+    N(M).  Hadamard's bound in each complex embedding, with
+    |sigma(a)| <= ||a||_1, gives 0 < |N(M)| <= H^phi(d), where H is the
+    product of the min(m, n) largest row bounds
+    ceil((sum_j ||a_ij||_1^2)^(1/2)).  So once the product of the primes used
+    exceeds H^phi(d), some prime gave rank r, and the largest rank seen is r.
+    """
+    ints = []
+    for r in rows:
+        den = math.lcm(*(c.denominator for x in r for c in x.value))
+        ints.append([tuple(c.numerator * (den // c.denominator) for c in x.value) for x in r])
+    full = min(len(ints), len(ints[0]))
+    squares = sorted((sum(sum(map(abs, a)) ** 2 for a in r) for r in ints), reverse=True)
+    # Every factor is at least 1, so H also bounds the smaller minors.
+    H = math.prod(math.isqrt(n - 1) + 1 if n else 1 for n in squares[:full])
+    bound = H**field.degree
+    best, covered = 0, 1
+    for i in itertools.count():
+        ell, omega = _modulus(field.d, i)
+        powers = [pow(omega, k, ell) for k in range(field.degree)]
+        residues = [[sum(map(operator.mul, a, powers)) % ell for a in r] for r in ints]
+        best = max(best, _rank_mod(residues, ell))
+        covered *= ell
+        if best == full or covered > bound:
+            return best
+
+
 def rank_exact(matrix) -> int:
     """Exact rank of a matrix of FieldElem sharing one descriptor.
 
     Over Q (and Z, via the fraction field) rows are scaled to integers and
-    eliminated fraction-free; over F_p and Q(zeta_d), ordinary exact Gaussian
-    elimination with the deterministic first-nonzero pivot rule.
+    eliminated fraction-free; over F_p the residues are eliminated directly;
+    over Q(zeta_d) the rank is the certified multimodular rank of
+    `_cyclotomic_rank`.  No branch computes with FieldElem arithmetic.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
@@ -620,6 +719,6 @@ def rank_exact(matrix) -> int:
                 den = den * x.denominator // math.gcd(den, x.denominator)
             int_rows.append([int(x * den) for x in fr])
         return _rank_bareiss_int(int_rows)
-    from . import linalg
-
-    return linalg.rank_of(field, rows)
+    if field.kind == _FP:
+        return _rank_mod([[x.value for x in r] for r in rows], field.p)
+    return _cyclotomic_rank(field, rows)

@@ -561,11 +561,13 @@ def parse_document(doc: dict) -> EquivariantComplex:
         for g in gens:
             if g not in nu_spec:
                 raise InputError(f"nu missing image for generator {g!r}")
-            images.append(nu_spec[g])
-        if group.kind == "free_abelian":
-            images = [img if isinstance(img, (list, tuple)) else [img] for img in images]
-        else:
-            images = [img if isinstance(img, int) else img[0] for img in images]
+            img = nu_spec[g]
+            vec = list(img) if isinstance(img, (list, tuple)) else [img]
+            if not vec or not all(type(x) is int for x in vec):
+                raise InputError(
+                    f"nu image of {g!r} must be an integer or a list of integers, got {img!r}"
+                )
+            images.append(vec if group.kind == "free_abelian" else vec[0])
         nu = Epimorphism(group, images)
         C = presentation_complex(presentation, nu, field)
         for cell_spec in doc.get("extra_cells", []):
@@ -573,13 +575,22 @@ def parse_document(doc: dict) -> EquivariantComplex:
                 degree, matrix = cell_spec["degree"], cell_spec["matrix"]
             except (KeyError, TypeError):
                 raise InputError('each "extra_cells" entry needs "degree" and "matrix"') from None
-            rows = [[parse_element(s, group, field) for s in row] for row in matrix]
-            C = extend_with_cells(C, degree, rows)
+            C = extend_with_cells(C, degree, _parse_matrix(matrix, group, field))
         return C
 
-    mats = doc["matrices"]
-    dims = [int(x) for x in mats["dims"]]
-    boundaries = []
-    for mat in mats["boundaries"]:
-        boundaries.append([[parse_element(s, group, field) for s in row] for row in mat])
+    try:
+        dims, mats = doc["matrices"]["dims"], doc["matrices"]["boundaries"]
+    except (KeyError, TypeError):
+        raise InputError('"matrices" needs "dims" and "boundaries"') from None
+    if not isinstance(dims, list) or not all(type(x) is int for x in dims):
+        raise InputError(f'"dims" must be a list of integers, got {dims!r}')
+    if not isinstance(mats, list):
+        raise InputError(f'"boundaries" must be a list of matrices, got {mats!r}')
+    boundaries = [_parse_matrix(mat, group, field) for mat in mats]
     return complex_from_matrices(field, group, dims, boundaries)
+
+
+def _parse_matrix(matrix, group: GroupDescriptor, field: FieldDescriptor):
+    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
+        raise InputError(f"each matrix row must be a list of entry strings, got {matrix!r}")
+    return [[parse_element(s, group, field) for s in row] for row in matrix]

@@ -3,16 +3,20 @@ machine-checked instances of the modular bound theorems.
 
 b_q(X, nu/d) is computed by evaluating the equivariant boundary matrices at
 the distinguished primitive d-th root of unity inside Q(zeta_d) and taking
-exact ranks; no floating point, no choice of embedding.
+exact ranks; no floating point, no choice of embedding.  Evaluation is in
+closed form: an entry sum_k c_k t^k becomes sum_k c_k (s^(k*power) mod Phi_d),
+read from an integer table of the powers of s built once per d.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .aomoto import aomoto_betti
-from .coeffs import FieldDescriptor, IntPoly, rank_exact
+from .coeffs import (FieldDescriptor, FieldElem, IntPoly, cyclotomic_polynomial,
+                     rank_exact)
 from .complexes import EquivariantComplex, GroupHom, betti_numbers, change_field
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
@@ -22,34 +26,44 @@ from .modz import integral_torsion_check
 _Z1 = GroupDescriptor.free_abelian(1)
 
 
-def _zeta_powers(d: int):
-    field = FieldDescriptor.cyclotomic(d)
-    zeta = field.zeta()
-    powers = [field.one()]
+@lru_cache(maxsize=None)
+def _zeta_power_table(d: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of s^k mod Phi_d(s) for k < d.  Phi_d is monic,
+    so each next power is a shift plus one multiple of Phi_d."""
+    phi = cyclotomic_polynomial(d).coeffs
+    deg = len(phi) - 1
+    cur = (1,) + (0,) * (deg - 1)
+    table = [cur]
     for _ in range(d - 1):
-        powers.append(powers[-1] * zeta)
-    return field, powers
+        top = cur[-1]
+        cur = tuple(a - top * c for a, c in zip((0,) + cur[:-1], phi))
+        table.append(cur)
+    return tuple(table)
 
 
-def _evaluate_at_zeta(elem: GroupRingElem, powers, field):
-    d = len(powers)
-    acc = field.zero()
+def _evaluate_at_zeta(elem: GroupRingElem, table, power: int) -> tuple:
+    """sum_k c_k zeta^(k*power) as a payload of Q[s]/(Phi_d)."""
+    d = len(table)
+    acc = [0] * len(table[0])
     for key, coeff in elem.terms.items():
-        acc = acc + powers[key[0] % d] * field.from_fraction(coeff.as_fraction())
-    return acc
+        c = coeff.as_fraction()
+        if c.denominator == 1:
+            c = c.numerator
+        for i, x in enumerate(table[key[0] * power % d]):
+            if x:
+                acc[i] += c * x
+    return tuple(Fraction(x) for x in acc)
 
 
 def evaluated_boundary(C: EquivariantComplex, q: int, d: int, power: int = 1):
     """The boundary matrix with t -> zeta_d^power, over Q(zeta_d)."""
-    field, powers = _zeta_powers(d)
-    if power != 1:
-        powers = [powers[(j * power) % d] for j in range(d)]
-    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    if 1 <= q <= C.top:
-        mat = mats[q - 1]
-    else:
+    field = FieldDescriptor.cyclotomic(d)
+    if not 1 <= q <= C.top:
         return []
-    return [[_evaluate_at_zeta(e, powers, field) for e in row] for row in mat]
+    table = _zeta_power_table(d)
+    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
+    return [[FieldElem(field, _evaluate_at_zeta(e, table, power)) for e in row]
+            for row in mats[q - 1]]
 
 
 def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:

@@ -105,13 +105,30 @@ _EXTRA_CELL_WITHOUT_DEGREE = json.dumps({
 })
 
 
+_ONE_CELL = {"generators": ["x"], "relators": []}
+
+
 @pytest.mark.parametrize("text, argv", [
     ('{"field": "Q",', ["betti", "{path}"]),
     (None, ["betti", "{path}"]),
     (None, ["validate", "--builtin", "lyndon:abc"]),
     (_EXTRA_CELL_WITHOUT_DEGREE, ["validate", "{path}"]),
+    (None, ["betti", "--builtin", "torus2", "--group-quotient", "Z", "--nu", "a=x",
+            "--field", "Q"]),
+    (None, ["bounds", "--builtin", "torus2", "--p", "2", "--nu", "a=x"]),
+    (None, ["decompose", "--builtin", "zxf2", "--field", "Q", "--q-range", "a:b"]),
+    (None, ["universal-aomoto", "--builtin", "torus2", "--field", "Q", "--spec-at", "a"]),
+    (json.dumps({"field": "Z", "group": "Z",
+                 "presentation": dict(_ONE_CELL, nu={"x": "a"})}), ["validate", "{path}"]),
+    (json.dumps({"field": "Z", "group": "Z", "matrices": {"boundaries": [[["t - 1"]]]}}),
+     ["validate", "{path}"]),
+    (json.dumps({"field": "Z", "group": "Z",
+                 "matrices": {"dims": [1, "a"], "boundaries": [[["t - 1"]]]}}),
+     ["validate", "{path}"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
-        "extra-cell-without-degree"])
+        "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
+        "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
+        "matrices-without-dims", "non-integer-dims"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:

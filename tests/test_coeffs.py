@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ess.coeffs import (FieldDescriptor, IntPoly, cyclotomic_polynomial,
-                        divisors, field_inverse, prime_power, rank_exact)
+from ess import linalg
+from ess.coeffs import (FieldDescriptor, IntPoly, _modulus,
+                        cyclotomic_polynomial, divisors, field_inverse,
+                        prime_power, rank_exact)
 from ess.errors import CoefficientError, DescriptorMismatch
 
 Q = FieldDescriptor.rationals()
@@ -166,3 +170,63 @@ def test_minor_congruence_property():
             zmat.append(zrow)
             pmat.append(prow)
         assert rank_exact(zmat) >= rank_exact(pmat), trial
+
+
+# An entry of Q(zeta_d): terms (exponent, numerator, denominator).
+_ENTRY = st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3), st.integers(1, 3)),
+                  max_size=3)
+
+
+@st.composite
+def cyclotomic_matrices(draw):
+    """Random matrices over Q(zeta_d), d <= 30, and products B*C through an
+    inner dimension k, whose rank is at most k < min(m, n) when min(m, n) > 1."""
+    F = FieldDescriptor.cyclotomic(draw(st.integers(1, 30)))
+    z = F.zeta()
+
+    def matrix(rows, cols):
+        spec = draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return [[sum((z**e * Fraction(c, den) for e, c, den in entry), F.zero())
+                 for entry in row] for row in spec]
+
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return matrix(m, n)
+    k = draw(st.integers(1, max(1, min(m, n) - 1)))
+    B, C = matrix(m, k), matrix(k, n)
+    return [[sum((B[i][l] * C[l][j] for l in range(k)), F.zero()) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat=cyclotomic_matrices())
+def test_cyclotomic_rank_matches_rref(mat):
+    assert rank_exact(mat) == linalg.rank_of(mat[0][0].field, mat)
+
+
+def test_cyclotomic_rank_survives_unlucky_primes():
+    # Each matrix has full rank over Q(zeta_d) but loses rank modulo the
+    # first prime(s) of the stream, so one prime alone would certify too little.
+    for d in (1, 2, 3, 4, 6, 7, 30):
+        F = FieldDescriptor.cyclotomic(d)
+        (l1, w1), (l2, _) = _modulus(d, 0), _modulus(d, 1)
+        assert (l1 - 1) % d == 0 and pow(w1, d, l1) == 1
+        unlucky = [
+            [[F.from_int(l1)]],
+            [[F.from_int(l1 * l2), F.zero()], [F.zero(), F.one()]],
+            [[F.one(), F.one()], [F.one(), F.from_int(1 + l1)]],
+        ]
+        if F.degree > 1:  # zeta - omega_1 lies in the prime (l1, s - omega_1)
+            unlucky.append([[F.zeta() - w1]])
+        for mat in unlucky:
+            assert rank_exact(mat) == len(mat), (d, mat)
+
+
+def test_rank_over_fp_matches_rref():
+    rng = random.Random(23)
+    for _ in range(40):
+        F = FieldDescriptor.prime_field(rng.choice([2, 3, 5, 7, 2**61 - 1]))
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[F.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
+        assert rank_exact(mat) == linalg.rank_of(F, mat)

@@ -233,6 +233,14 @@ def test_document_schema_errors():
         parse_document({"group": "Z", "matrices": {"dims": [1], "boundaries": []}})
 
 
+def test_boundary_row_written_as_a_string():
+    doc = {"field": "Z", "group": "Z", "matrices": {"dims": [1, 1], "boundaries": [["t-1"]]}}
+    with pytest.raises(InputError, match="each matrix row must be a list"):
+        parse_document(doc)
+    doc["matrices"]["boundaries"] = [[["t-1"]]]
+    assert parse_document(doc).dims == [1, 1]
+
+
 def test_every_builtin_is_valid():
     for name in ("circle", "wedge2", "torus2", "torus3", "trefoil", "figure8",
                  "zxf2", "torsfree", "minimal-check", "lyndon:6", "comm-p:3"):

@@ -1,13 +1,17 @@
+import math
+import random
+from functools import lru_cache
+
 import pytest
 
-from ess.builtins import builtin_complex, lyndon_document
-from ess.coeffs import FieldDescriptor, IntPoly, cyclotomic_polynomial
+from ess.builtins import builtin_complex, builtin_names, lyndon_document
+from ess.coeffs import FieldDescriptor, FieldElem, IntPoly, cyclotomic_polynomial
 from ess.complexes import (Epimorphism, FreeWord, GroupHom, Presentation,
                            base_change, change_field, parse_document,
                            presentation_complex)
 from ess.errors import InputError, ValidationError
 from ess.groupring import GroupDescriptor
-from ess.twisted import (alexander_polynomial, bounds_report,
+from ess.twisted import (alexander_polynomial, bounds_report, evaluated_boundary,
                          minors_inequality, reduce_direction, twisted_betti)
 
 Q = FieldDescriptor.rationals()
@@ -167,3 +171,54 @@ def test_lyndon_beta_vanishes_but_twisted_does_not():
     from ess.aomoto import aomoto_betti
 
     assert aomoto_betti(change_field(Cz, Q)).beta[1] == 0
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers_by_multiplication(d):
+    F = FieldDescriptor.cyclotomic(d)
+    powers = [F.one()]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * F.zeta())
+    return powers
+
+
+def _evaluate_by_multiplication(C, q, d, power):
+    """t -> zeta^power through the powers zeta^0..zeta^(d-1) built by repeated
+    field multiplication, each scaled by its rational coefficient."""
+    F = FieldDescriptor.cyclotomic(d)
+    powers = _zeta_powers_by_multiplication(d)
+    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
+    out = []
+    for row in mats[q - 1]:
+        out.append([])
+        for e in row:
+            acc = F.zero()
+            for key, c in e.terms.items():
+                zk = powers[key[0] * power % d].value
+                acc = acc + FieldElem(F, tuple(c.as_fraction() * x for x in zk))
+            out[-1].append(acc)
+    return out
+
+
+def _seeded_five_generator_complex(seed):
+    """Five generators onto Z by the all-ones character; each relator has three
+    positive and three negative letters, so it lies in the kernel."""
+    rng = random.Random(seed)
+    gens = list("abcde")
+    rels = []
+    for _ in range(4):
+        letters = [rng.choice(gens) for _ in range(3)] + [rng.choice(gens).upper() for _ in range(3)]
+        rng.shuffle(letters)
+        rels.append(FreeWord.parse("".join(letters), gens))
+    return presentation_complex(Presentation(gens, rels), Epimorphism(GZ, [[1]] * 5), ZZ)
+
+
+def test_evaluated_boundary_matches_repeated_multiplication():
+    names = [n for n in builtin_names() if "<" not in n] + ["lyndon:6", "comm-p:3"]
+    spaces = [to_z(n) for n in names] + [_seeded_five_generator_complex(7)]
+    for d in (1, 2, 6, 12, 30, 210):
+        for power in (a for a in range(1, d + 1) if math.gcd(a, d) == 1):
+            for C in spaces:
+                for q in range(1, C.top + 1):
+                    expected = _evaluate_by_multiplication(C, q, d, power)
+                    assert evaluated_boundary(C, q, d, power) == expected, (d, power, q)
