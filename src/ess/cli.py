@@ -100,7 +100,10 @@ def require_field(C: EquivariantComplex) -> EquivariantComplex:
 def _q_range(args, C):
     if args.q_range:
         lo, _, hi = args.q_range.partition(":")
-        return range(_int(lo, "--q-range"), _int(hi or lo, "--q-range") + 1)
+        lo, hi = _int(lo, "--q-range"), _int(hi or lo, "--q-range")
+        if min(lo, hi) < 0:
+            raise InputError(f"--q-range needs degrees >= 0, got {args.q_range!r}")
+        return range(lo, hi + 1)
     return range(C.top + 1)
 
 
@@ -164,8 +167,9 @@ def cmd_pages(args):
 def cmd_decompose(args):
     C = require_field(load_complex(args))
     rows = []
+    snfs = {}  # d_q serves H_{q-1} and H_q
     for q in _q_range(args, C):
-        dec = homology_decomposition(C, q)
+        dec = homology_decomposition(C, q, snfs)
         rows.append(dec.to_json(q=q))
     if args.json:
         sys.stdout.write(emit_json({"decompositions": rows}))
@@ -184,6 +188,8 @@ def cmd_decompose(args):
 
 
 def cmd_monodromy(args):
+    if args.k_max is not None and args.k_max < 0:
+        raise InputError("--k-max must be >= 0")
     C = require_field(load_complex(args))
     rep = monodromy_report(C, args.k_max if args.k_max is not None else C.top)
     if args.json:

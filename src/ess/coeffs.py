@@ -286,10 +286,13 @@ class FieldDescriptor:
             return _RATIONALS
         if text == "Z":
             return _INTEGERS
-        if text.startswith("Fp:"):
-            return cls.prime_field(int(text[3:]))
-        if text.startswith("cyclotomic:"):
-            return cls.cyclotomic(int(text[11:]))
+        for prefix, make in (("Fp:", cls.prime_field), ("cyclotomic:", cls.cyclotomic)):
+            if isinstance(text, str) and text.startswith(prefix):
+                try:
+                    n = int(text[len(prefix):])
+                except ValueError:
+                    raise InputError(f"{prefix}<n> needs an integer, got {text!r}") from None
+                return make(n)
         raise InputError(f"unknown field descriptor {text!r}")
 
     def __str__(self):

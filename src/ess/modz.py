@@ -2,6 +2,14 @@
 form, decomposition of H_q(X, kZ_nu) into free and primary parts, the
 associated-graded module of the (t-1)-adic filtration, and the
 monodromy-triviality report.
+
+The decomposition needs no presentation of ker d_q.  Over a PID the image
+of d_q is free, so ker d_q is a direct summand of C_q, and
+
+    H_q = Lambda^{n_q - rk d_q - rk d_{q+1}} + sum Lambda/(e_i)
+
+with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
+come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ _Z1 = GroupDescriptor.free_abelian(1)
 
 class _IntCtx:
     """Z as a Euclidean domain for the SNF engine (plain Python ints)."""
+
+    name = "Z"
 
     @staticmethod
     def is_zero(a):
@@ -118,6 +128,7 @@ class _LaurentCtx:
         if not field.is_field:
             raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
         self.field = field
+        self.name = f"{field}[t^+-1]"
         self.zero = GroupRingElem.zero(_Z1, field)
         self.one = GroupRingElem.one(_Z1, field)
 
@@ -403,6 +414,9 @@ def _snf_engine(ctx, matrix):
                     row_dirty = True
             if not row_dirty:
                 break
+        if ctx.is_unit(A[t][t]):
+            t += 1  # a unit pivot divides every remaining entry
+            continue
         # enforce divisibility: pivot must divide every remaining entry
         fixed = False
         for i in range(t + 1, nrows):
@@ -459,65 +473,29 @@ def _verify_snf(ctx, original, result: SNFResult):
     A = [list(r) for r in original]
     prod = _mat_mul_ctx(ctx, _mat_mul_ctx(ctx, result.U, A), result.V)
     nrows, ncols = result.shape
+    where = f"over {ctx.name} on a {nrows}x{ncols} matrix"
     for i in range(nrows):
         for j in range(ncols):
             expect = result.diagonal[i] if i == j and i < len(result.diagonal) else ctx.zero
             if not ctx.is_zero(ctx.sub(prod[i][j], expect)):
-                raise CrossCheckError("SNF verification failed: U A V != D")
+                raise CrossCheckError(
+                    f"SNF verification failed {where}: (U A V)[{i}][{j}] = "
+                    f"{prod[i][j]}, expected D[{i}][{j}] = {expect}"
+                )
     nz = [d for d in result.diagonal if not ctx.is_zero(d)]
-    for a, b in zip(nz, nz[1:]):
+    for k, (a, b) in enumerate(zip(nz, nz[1:])):
         try:
             ctx.exact_div(b, a)
         except CoefficientError:
-            raise CrossCheckError("SNF divisibility chain violated") from None
+            raise CrossCheckError(
+                f"SNF divisibility chain violated {where}: diagonal entry {k} "
+                f"({a}) does not divide entry {k + 1} ({b})"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
-# Kernels, presentation matrices, homology decomposition
+# Homology decomposition
 # ---------------------------------------------------------------------------
-
-
-def _kernel_basis_pid(matrix, ctx, ncols: int) -> list[list]:
-    """Basis of the kernel of `matrix` over the PID, via the SNF transforms:
-    the columns of V matching zero diagonal entries."""
-    nrows = len(matrix)
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[ctx.one if i == j else ctx.zero for i in range(ncols)] for j in range(ncols)]
-    diag, U, V, _ = _snf_engine(ctx, matrix)
-    kernel_cols = [j for j in range(ncols) if j >= len(diag) or ctx.is_zero(diag[j])]
-    return [[V[i][j] for i in range(ncols)] for j in kernel_cols]
-
-
-def _solve_in_column_span(K_cols, target, ctx):
-    """Solve K y = target where the columns K_cols are independent; exact
-    divisions must succeed (target must lie in the span)."""
-    n = len(target)
-    k = len(K_cols)
-    if k == 0:
-        if any(not ctx.is_zero(x) for x in target):
-            raise CoefficientError("target outside zero span")
-        return []
-    matrix = [[K_cols[j][i] for j in range(k)] for i in range(n)]
-    diag, U, V, _ = _snf_engine(ctx, matrix)
-    rhs = [_dot(ctx, U[i], target) for i in range(n)]
-    z = []
-    for i in range(n):
-        if i < len(diag) and not ctx.is_zero(diag[i]):
-            z.append(ctx.exact_div(rhs[i], diag[i]))
-        elif not ctx.is_zero(rhs[i]):
-            raise CoefficientError("target outside column span")
-    z += [ctx.zero] * (k - len(z))
-    return [_dot(ctx, V[i], z) for i in range(k)]
-
-
-def _dot(ctx, row, vec):
-    acc = ctx.zero
-    for a, b in zip(row, vec):
-        if not ctx.is_zero(a) and not ctx.is_zero(b):
-            acc = ctx.add(acc, ctx.mul(a, b))
-    return acc
 
 
 class LaurentModuleDecomp:
@@ -560,73 +538,70 @@ class LaurentModuleDecomp:
         )
 
 
-def presentation_matrix(C, q: int):
-    """Presentation matrix of H_q = ker d_q / im d_{q+1} over Lambda: kernel
-    basis via SNF transforms, then the image expressed in that basis."""
+def _boundary_invariants(C, q: int, ctx, memo: dict):
+    """(rank, canonical non-unit invariant factors) of d_q over Lambda, from
+    one verified SNF kept in `memo`; (0, []) for a boundary without rows or
+    columns."""
+    if q not in memo:
+        rank, factors = 0, []
+        if 1 <= q <= C.top and C.dims[q - 1] and C.dims[q]:
+            for d in smith_normal_form(C.boundary(q)).nonzero():
+                rank += 1
+                _, canon = ctx.unit_normalize(d)
+                if not ctx.is_unit(canon):
+                    factors.append(canon)
+        memo[q] = rank, factors
+    return memo[q]
+
+
+def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModuleDecomp:
+    """Structure data of H_q(X, kZ_nu) from the SNFs of the boundaries: the
+    free rank and the invariant factors, each split into its (t-1)-adic part
+    and an f(1) != 0 cofactor.
+
+    Over the PID Lambda, C_q / ker d_q = im d_q is a submodule of the free
+    C_{q-1}, hence free of rank rk d_q, so ker d_q is a direct summand:
+    C_q = ker d_q + K' with K' free of rank rk d_q.  Since im d_{q+1} lies in
+    ker d_q, coker d_{q+1} = H_q + K'.  The SNF of d_{q+1} gives
+    coker d_{q+1} = Lambda^{n_q - rk d_{q+1}} + sum Lambda/(e_i), so
+
+        H_q = Lambda^{n_q - rk d_q - rk d_{q+1}} + sum Lambda/(e_i)
+
+    with e_i the non-unit invariant factors of d_{q+1}.  No presentation of
+    ker d_q is built; H_q = 0 outside degrees 0..top.
+
+    `snfs` maps a degree to the data read off the SNF of that boundary;
+    callers that decompose several degrees of C pass one dict to all of
+    them, so d_q is reduced once for H_{q-1} and H_q.
+    """
     if C.group != _Z1:
         raise ValidationError("homology decomposition requires group Z")
     if not C.field.is_field:
         raise UnsupportedCoefficients("field coefficients required")
     ctx = _LaurentCtx(C.field)
-    dq = C.boundary(q)
-    K = _kernel_basis_pid(dq, ctx, C.dims[q] if q <= C.top else 0)
-    if q >= C.top:
-        image_cols = []
-    else:
-        dq1 = C.boundary(q + 1)
-        image_cols = [[dq1[i][j] for i in range(len(dq1))] for j in range(C.dims[q + 1])]
-    Y = [
-        _solve_in_column_span(K, col, ctx) for col in image_cols
-    ]  # rows of Y = coordinates of each image column
-    # presentation matrix: len(K) x #image-columns
-    return [[Y[j][i] for j in range(len(Y))] for i in range(len(K))], len(K)
-
-
-def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
-    """Eq-style structure data of H_q(X, kZ_nu): run SNF on a presentation
-    matrix, strip units, and split each invariant factor into its (t-1)-adic
-    part and an f(1) != 0 cofactor."""
-    P, k = presentation_matrix(C, q)
-    ctx = _LaurentCtx(C.field)
     field = C.field
-    if not P or not P[0]:
-        diag = []
-    else:
-        diag = smith_normal_form(P).diagonal
+    snfs = {} if snfs is None else snfs
+    rank_q, _ = _boundary_invariants(C, q, ctx, snfs)
+    rank_q1, invariant_factors = _boundary_invariants(C, q + 1, ctx, snfs)
     tm1 = GroupRingElem.monomial(_Z1, field, (1,)) - GroupRingElem.one(_Z1, field)
-    invariant_factors = []
     blocks = []
     others = {}
-    nonzero = 0
-    for d in diag:
-        if ctx.is_zero(d):
-            continue
-        nonzero += 1
-        _, canon = ctx.unit_normalize(d)
-        if ctx.is_unit(canon):
-            continue
-        invariant_factors.append(canon)
+    for rem in invariant_factors:
         e = 0
-        rem = canon
-        while True:
-            if rem.augmentation().is_zero():  # (t-1) | rem  iff  rem(1) = 0
-                rem = ctx.exact_div(rem, tm1)
-                e += 1
-            else:
-                break
+        while rem.augmentation().is_zero():  # (t-1) | rem  iff  rem(1) = 0
+            rem = ctx.exact_div(rem, tm1)
+            e += 1
         if e:
             blocks.append(e)
         _, rem = ctx.unit_normalize(rem)
         if not ctx.is_unit(rem):
-            key = str(rem)
-            if key in others:
-                f, exp, mult = others[key]
-                others[key] = (f, exp, mult + 1)
-            else:
-                others[key] = (rem, 1, 1)
-    free_rank = k - nonzero
+            f, exp, mult = others.get(str(rem), (rem, 1, 0))
+            others[str(rem)] = (f, exp, mult + 1)
+    n_q = C.dims[q] if 0 <= q <= C.top else 0
+    free_rank = n_q - rank_q - rank_q1
     return LaurentModuleDecomp(
-        free_rank, invariant_factors, blocks, sorted(others.values(), key=lambda t: str(t[0])), field
+        free_rank, list(invariant_factors), blocks,
+        sorted(others.values(), key=lambda t: str(t[0])), field
     )
 
 
@@ -694,13 +669,14 @@ def monodromy_report(C, k_max: int) -> MonodromyReport:
     if C.group != _Z1:
         raise ValidationError("monodromy report requires group Z")
     betti = aomoto_betti(C).beta
+    snfs = {}
     rows = []
     cond1_all = True
     cond2_all = True
     verdicts = []
     for q in range(k_max + 1):
         if q <= C.top:
-            decomp = homology_decomposition(C, q)
+            decomp = homology_decomposition(C, q, snfs)
             gr = einf_gr_module(decomp)
             cond1 = decomp.free_rank == 0 and all(b <= 1 for b in decomp.tminus1_blocks)
             cond2 = gr.dims(1)[1] == 0  # J-action trivial iff gr^1 vanishes

@@ -125,10 +125,25 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (json.dumps({"field": "Z", "group": "Z",
                  "matrices": {"dims": [1, "a"], "boundaries": [[["t - 1"]]]}}),
      ["validate", "{path}"]),
+    (None, ["betti", "--builtin", "trefoil", "--field", "Fp:x"]),
+    (None, ["betti", "--builtin", "trefoil", "--field", "cyclotomic:x"]),
+    (json.dumps({"field": "Fp:x", "group": "Z", "presentation": _ONE_CELL}),
+     ["validate", "{path}"]),
+    (json.dumps({"field": "cyclotomic:x", "group": "Z", "presentation": _ONE_CELL}),
+     ["validate", "{path}"]),
+    (json.dumps({"field": 5, "group": "Z", "presentation": _ONE_CELL}),
+     ["validate", "{path}"]),
+    (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=-1:1"]),
+    (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=0:-1"]),
+    (None, ["monodromy", "--builtin", "circle", "--field", "Q", "--k-max", "-1"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
-        "matrices-without-dims", "non-integer-dims"])
+        "matrices-without-dims", "non-integer-dims", "field-fp-not-integer",
+        "field-cyclotomic-not-integer", "json-field-fp-not-integer",
+        "json-field-cyclotomic-not-integer", "json-field-not-a-string",
+        "q-range-negative-low",
+        "q-range-negative-high", "k-max-negative"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:

@@ -5,10 +5,10 @@ import pytest
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor, rank_exact
 from ess.complexes import GroupHom, base_change, change_field
-from ess.errors import ValidationError
+from ess.errors import CrossCheckError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
-from ess.modz import (einf_gr_module, homology_decomposition,
-                      integral_torsion_check, monodromy_report,
+from ess.modz import (SNFResult, _IntCtx, _LaurentCtx, _verify_snf, einf_gr_module,
+                      homology_decomposition, integral_torsion_check, monodromy_report,
                       smith_normal_form)
 
 Q = FieldDescriptor.rationals()
@@ -47,8 +47,8 @@ def test_snf_int_examples():
     assert res2.diagonal == [1, 0]
 
 
-def test_snf_zxf2_presentation_matrix():
-    # the invariant factors realize (L/(1-t))^2 + L/(1+t)
+def test_snf_zxf2_invariant_factors():
+    # the invariant factors of d_2 realize (L/(1-t))^2 + L/(1+t) as H_1
     dec = homology_decomposition(change_field(builtin_complex("zxf2"), Q), 1)
     assert [str(f) for f in dec.invariant_factors] == ["-1 + t", "-1 + t^2"]
 
@@ -191,3 +191,20 @@ def test_snf_postconditions_random_small():
             for _ in range(n)
         ]
         smith_normal_form(mat)  # verification is built in
+
+
+def test_snf_cross_check_names_ring_shape_and_cell():
+    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    res = smith_normal_form(A)
+    res.diagonal[2] += 1
+    with pytest.raises(CrossCheckError,
+                       match=r"over Z on a 3x3 matrix: \(U A V\)\[2\]\[2\] = 156, "
+                             r"expected D\[2\]\[2\] = 157"):
+        _verify_snf(_IntCtx(), A, res)
+    one, zero = L("1"), L("0")
+    ident = [[one, zero], [zero, one]]
+    D = [[L("1 + t"), zero], [zero, L("t - 1")]]
+    with pytest.raises(CrossCheckError,
+                       match=r"over Q\[t\^\+-1\] on a 2x2 matrix: diagonal entry 0 "
+                             r"\(1 \+ t\) does not divide entry 1 \(-1 \+ t\)"):
+        _verify_snf(_LaurentCtx(Q), D, SNFResult([D[0][0], D[1][1]], ident, ident, (2, 2)))
