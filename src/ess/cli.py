@@ -103,6 +103,8 @@ def _q_range(args, C):
         lo, hi = _int(lo, "--q-range"), _int(hi or lo, "--q-range")
         if min(lo, hi) < 0:
             raise InputError(f"--q-range needs degrees >= 0, got {args.q_range!r}")
+        if lo > hi:
+            raise InputError(f"--q-range needs lo <= hi, got {args.q_range!r}")
         return range(lo, hi + 1)
     return range(C.top + 1)
 
@@ -302,15 +304,21 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When argv starts with a known verb only that
+    verb's subparser is built: argparse setup is most of a small command's
+    time.  Otherwise (``ess --help``, an unknown verb) every verb is built."""
     ap = argparse.ArgumentParser(
         prog="ess",
         description="Equivariant spectral sequences of finite complexes, "
         "exactly: pages, module decompositions, Aomoto and twisted Betti "
         "numbers, and the modular bound reports.",
     )
-    sub = ap.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
+    lazy = bool(argv) and argv[0] in _VERBS
+    # the usage line of a top-level error still lists every verb
+    sub = ap.add_subparsers(dest="verb", required=True,
+                            metavar="{" + ",".join(_VERBS) + "}" if lazy else None)
+    for verb in argv[:1] if lazy else _VERBS:
         p = sub.add_parser(verb)
         p.add_argument("input", nargs="?", help="path to a JSON space description")
         p.add_argument("--builtin", help="named built-in input (see README)")
@@ -342,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return _VERBS[args.verb](args)
     except CrossCheckError as exc:

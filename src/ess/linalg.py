@@ -11,18 +11,7 @@ from .errors import CoefficientError
 
 
 def zeros(field, n):
-    return [field.zero() for _ in range(n)]
-
-
-def mat_vec(field, matrix, vec):
-    out = []
-    for row in matrix:
-        acc = field.zero()
-        for a, x in zip(row, vec):
-            if not a.is_zero() and not x.is_zero():
-                acc = acc + a * x
-        out.append(acc)
-    return out
+    return [field.zero()] * n  # FieldElem is immutable, so one zero can be shared
 
 
 def transpose(matrix):

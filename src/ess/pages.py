@@ -9,7 +9,10 @@ assumed).
 
 Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
-(Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).
+(Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).  The
+truncated boundary is assembled as sparse columns straight from the sparse
+multiplication of FiltrationModel; no dense matrix is stored, and the few
+callers that hand a boundary to `linalg` densify it themselves.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -18,15 +21,16 @@ whose E^oo totals are checked over the whole filtration.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 
 from . import linalg
-from .coeffs import FieldDescriptor
+from .coeffs import FieldDescriptor, rank_exact
 from .complexes import betti_numbers
 from .errors import CrossCheckError, UnsupportedCoefficients, ValidationError
-from .groupring import (GroupDescriptor, GroupRingElem, _binomial,
-                        cyclic_filtration, gr_dimension, monomials_of_degree)
+from .groupring import (GroupDescriptor, GroupRingElem, _cyclic_vector,
+                        _expansion_coefficient, cyclic_filtration, gr_dimension,
+                        monomials_of_degree)
 
 INF = math.inf
 
@@ -40,6 +44,13 @@ class FiltrationModel:
     the closed-form adapted basis (t - 1)^s, s < e, then the valuation-INF
     core t^j (t - 1)^e (see groupring._CyclicFiltration); coordinates in it
     come from synthetic division by t - 1.
+
+    `mult_columns` gives multiplication by an element as sparse columns,
+    with one reduction of the element on Z^n (column alpha is its
+    coordinates shifted by alpha, cut at degree M) and on Z_{p^r} in
+    characteristic p, where e = m and the matrix is lower-triangular Toeplitz
+    in the basis (t - 1)^s; for other Z_m (e < m) it takes one coordinate
+    reading per basis column.
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
@@ -74,53 +85,36 @@ class FiltrationModel:
 
     def reduce(self, elem: GroupRingElem):
         """Adapted coordinates of the image of elem in the model."""
-        field = self.field
         if self.group.kind == "free_abelian":
-            out = linalg.zeros(field, self.dim)
-            for key, coeff in elem.terms.items():
-                for i, beta in enumerate(self.monomials):
-                    c = 1
-                    for a, b in zip(key, beta):
-                        c *= _binomial(a, b)
-                        if c == 0:
-                            break
-                    if c:
-                        out[i] = out[i] + coeff * field.from_int(c)
-            return out
-        mono = linalg.zeros(field, self.dim)
-        for key, coeff in elem.terms.items():
-            mono[key] = mono[key] + coeff
-        return self._filt.coords(mono)
+            return [_expansion_coefficient(elem, beta) for beta in self.monomials]
+        return self._filt.coords(_cyclic_vector(elem))
 
-    def mult_matrix(self, elem: GroupRingElem):
-        """Matrix of v -> v * elem in adapted coordinates (columns = images
-        of basis vectors)."""
-        field = self.field
-        n = self.dim
-        out = [[field.zero() for _ in range(n)] for _ in range(n)]
+    def mult_columns(self, elem: GroupRingElem):
+        """Sparse matrix of v -> v * elem in adapted coordinates: one
+        {row: nonzero entry} dict per basis vector."""
         if self.group.kind == "free_abelian":
-            red = self.reduce(elem)
-            for col, alpha in enumerate(self.monomials):
-                da = sum(alpha)
-                for i, beta in enumerate(self.monomials):
-                    if self.vals[i] + da >= self.M:
-                        continue
-                    gamma = tuple(a + b for a, b in zip(alpha, beta))
-                    out[self.index[gamma]][col] = red[i]
-            return out
-        # cyclic: multiply in monomial coordinates, read adapted coordinates
+            # x^alpha * x^beta = x^(alpha + beta), cut at degree M
+            nonzero = [(beta, v, x) for beta, v, x in
+                       zip(self.monomials, self.vals, self.reduce(elem)) if not x.is_zero()]
+            return [{self.index[tuple(map(operator.add, alpha, beta))]: x
+                     for beta, v, x in nonzero if v + da < self.M}
+                    for alpha, da in zip(self.monomials, self.vals)]
         m = self.group.m
-        for col in range(n):
-            vec_mono = self._filt.adapted[col]
-            prod = linalg.zeros(field, m)
+        if self._filt.e == m:
+            # kZ_m = k[u]/(u^m), u = t - 1: u^s * elem = sum_k c_k u^(s+k), with
+            # c_k the Taylor coefficients of elem at 1 (lower-triangular Toeplitz)
+            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if not x.is_zero()]
+            return [{s + k: x for k, x in taylor if s + k < m} for s in range(m)]
+        # multiply each basis vector in monomial coordinates, read adapted ones
+        cols = []
+        for vec in self._filt.adapted:
+            prod = linalg.zeros(self.field, m)
             for key, coeff in elem.terms.items():
-                for j in range(m):
-                    if not vec_mono[j].is_zero():
-                        prod[(j + key) % m] = prod[(j + key) % m] + vec_mono[j] * coeff
-            img = self._filt.coords(prod)
-            for i in range(n):
-                out[i][col] = img[i]
-        return out
+                for j, y in enumerate(vec):
+                    if not y.is_zero():
+                        prod[(j + key) % m] = prod[(j + key) % m] + y * coeff
+            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if not x.is_zero()})
+        return cols
 
 
 class PageTable:
@@ -200,39 +194,35 @@ class PageComputation:
         return 0
 
     def boundary_matrix(self, q: int):
-        """Truncated boundary V_q -> V_{q-1}; global index b * ncells + c."""
+        """Truncated boundary V_q -> V_{q-1} as sparse columns: one
+        {global row: nonzero entry} dict per column, global index
+        b * ncells + c for model basis vector b and cell c."""
         if q in self._bt:
             return self._bt[q]
-        field = self.field
-        rows, cols = self.vdim(q - 1), self.vdim(q)
-        mat = [[field.zero() for _ in range(cols)] for _ in range(rows)]
-        if rows and cols:
-            nsrc = self.C.dims[q]
-            ndst = self.C.dims[q - 1]
+        cols = [{} for _ in range(self.vdim(q))]
+        if cols and self.vdim(q - 1):
+            nsrc, ndst = self.C.dims[q], self.C.dims[q - 1]
             bd = self.C.boundary(q)
             for i in range(ndst):
                 for j in range(nsrc):
-                    a = bd[i][j]
-                    if a.is_zero():
+                    if bd[i][j].is_zero():
                         continue
-                    mult = self.model.mult_matrix(a)
-                    for bp in range(self.model.dim):
-                        for b in range(self.model.dim):
-                            x = mult[bp][b]
-                            if not x.is_zero():
-                                mat[bp * ndst + i][b * nsrc + j] = x
-        self._bt[q] = mat
-        return mat
+                    for b, col in enumerate(self.model.mult_columns(bd[i][j])):
+                        target = cols[b * nsrc + j]
+                        for bp, x in col.items():
+                            target[bp * ndst + i] = x
+        self._bt[q] = cols
+        return cols
+
+    def dense_columns(self, q: int):
+        """boundary_matrix(q) as dense column vectors, for the linalg routines."""
+        n = self.vdim(q - 1)
+        return [dense_vector(self.field, col, n) for col in self.boundary_matrix(q)]
 
     def _suffix_indices(self, q: int, s: int):
         ncells = self.C.dims[q] if 0 <= q <= self.Q else 0
         start = self.model.offset(s) * ncells
         return range(start, self.model.dim * ncells)
-
-    def apply_boundary(self, q: int, vec):
-        if self.vdim(q - 1) == 0:
-            return []
-        return linalg.mat_vec(self.field, self.boundary_matrix(q), vec)
 
     # -- persistence pairs -----------------------------------------------------
 
@@ -251,11 +241,8 @@ class PageComputation:
         row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
         col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
         pos = {i: k for k, i in enumerate(row_order)}
-        columns = [{} for _ in range(cols)]  # row position -> entry
-        for i, row in enumerate(self.boundary_matrix(q)):
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    columns[j][pos[i]] = x
+        # row position -> entry
+        columns = [{pos[i]: x for i, x in col.items()} for col in self.boundary_matrix(q)]
         owner = {}  # pivot position -> reduced column with pivot entry 1
         pairs = []
         for j in col_order:
@@ -376,17 +363,28 @@ class PageComputation:
         htgt, _ = homology_data(self.C, q - 1)
         src = self.canonical_e1_vectors(q, s, hsrc)
         tgt = self.canonical_e1_vectors(q - 1, s + 1, htgt)
-        # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
-        den = [linalg.unit_vector(self.field, self.vdim(q - 1), g)
-               for g in self._suffix_indices(q - 1, s + 2)]
+        field, n = self.field, self.vdim(q - 1)
         bt = self.boundary_matrix(q)
-        den += [[row[g] for row in bt] for g in self._suffix_indices(q, s + 1)]
+        # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
+        den = [linalg.unit_vector(field, n, g) for g in self._suffix_indices(q - 1, s + 2)]
+        den += [dense_vector(field, bt[g], n) for g in self._suffix_indices(q, s + 1)]
         cols = []
         for v in src:
-            w = self.apply_boundary(q, v)
-            coords = linalg.solve_mod_subspace(self.field, tgt, den, w)
-            cols.append(coords)
+            w = linalg.zeros(field, n)
+            for x, col in zip(v, bt):
+                if not x.is_zero():
+                    for i, y in col.items():
+                        w[i] = w[i] + y * x
+            cols.append(linalg.solve_mod_subspace(field, tgt, den, w))
         return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt))]
+
+
+def dense_vector(field, col, n: int):
+    """A sparse column {index: entry} as a dense vector of length n."""
+    v = linalg.zeros(field, n)
+    for i, x in col.items():
+        v[i] = x
+    return v
 
 
 def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
@@ -514,11 +512,8 @@ def reznikov_collapse(C, S_max: int | None = None):
         raise ValidationError("window needs S_max >= 0")
     comp = PageComputation(C, R_max=n, S_max=n - 1)
     tables = comp.pages()
-    hom_dims = []
-    for q in range(C.top + 1):
-        rk_q = _k_rank(comp, q)
-        rk_q1 = _k_rank(comp, q + 1)
-        hom_dims.append(comp.vdim(q) - rk_q - rk_q1)
+    ranks = [_k_rank(comp, q) for q in range(C.top + 2)]
+    hom_dims = [comp.vdim(q) - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
     last = tables[-1]
     for q in range(C.top + 1):
         total = sum(last.dim(s, q) for s in range(n))
@@ -530,12 +525,12 @@ def reznikov_collapse(C, S_max: int | None = None):
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:
-    if q < 1 or q > comp.Q:
+    """Rank over k of the truncated boundary d_q, by an elimination of its own
+    (coeffs.rank_exact on the columns as rows), so that the E^oo totals are
+    checked against something the pairs of _pairs do not decide."""
+    if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
-    mat = comp.boundary_matrix(q)
-    if not mat or not mat[0]:
-        return 0
-    return linalg.rank_of(comp.field, mat)
+    return rank_exact(comp.dense_columns(q))
 
 
 def jordan_square_annihilates(C, q: int) -> bool:
@@ -546,28 +541,20 @@ def jordan_square_annihilates(C, q: int) -> bool:
         raise ValidationError("J^2 check is for cyclic groups")
     comp = PageComputation(C, R_max=2, S_max=max(group.m - 1, 1))
     field = C.field
-    bt_q = comp.boundary_matrix(q)
-    cycles = linalg.kernel_basis(field, bt_q if comp.vdim(q - 1) else [], ncols=comp.vdim(q))
-    boundary_vecs = []
-    if q + 1 <= comp.Q:
-        bt_q1 = comp.boundary_matrix(q + 1)
-        for j in range(comp.vdim(q + 1)):
-            boundary_vecs.append([bt_q1[i][j] for i in range(comp.vdim(q))])
+    n, ncells = comp.vdim(q), C.dims[q]
+    cycles = linalg.kernel_basis(field, linalg.transpose(comp.dense_columns(q)), ncols=n)
+    boundary_vecs = comp.dense_columns(q + 1)
     t = GroupRingElem.monomial(group, field, 1)
     one = GroupRingElem.one(group, field)
-    sq = (t - one) * (t - one)
-    mult = comp.model.mult_matrix(sq)
-    ncells = C.dims[q]
+    mult = comp.model.mult_columns((t - one) * (t - one))
     for v in cycles:
-        w = linalg.zeros(field, comp.vdim(q))
-        for b in range(comp.model.dim):
-            for c in range(ncells):
-                x = v[b * ncells + c]
-                if x.is_zero():
-                    continue
-                for bp in range(comp.model.dim):
-                    if not mult[bp][b].is_zero():
-                        w[bp * ncells + c] = w[bp * ncells + c] + mult[bp][b] * x
+        w = linalg.zeros(field, n)
+        for g, x in enumerate(v):
+            if x.is_zero():
+                continue
+            b, c = divmod(g, ncells)
+            for bp, y in mult[b].items():
+                w[bp * ncells + c] = w[bp * ncells + c] + y * x
         if not linalg.in_span(field, boundary_vecs, w):
             return False
     return True

@@ -99,7 +99,8 @@ def check_c3_reznikov() -> str:
         assert ((t - one) * norm).is_zero(), "J H_1 != 0"
         # kernel of the truncated boundary is spanned by the norm element
         comp = PageComputation(circ, R_max=p, S_max=p - 1)
-        kernel = linalg.kernel_basis(Fp, comp.boundary_matrix(1), ncols=comp.vdim(1))
+        kernel = linalg.kernel_basis(Fp, linalg.transpose(comp.dense_columns(1)),
+                                     ncols=comp.vdim(1))
         assert len(kernel) == 1, "H_1 not 1-dimensional"
         nvec = comp.model.reduce(norm)
         assert linalg.in_span(Fp, kernel, nvec), "kernel generator is not the norm"

@@ -8,11 +8,71 @@ every (r, s, q) it builds a basis of
 and the denominator Z^{r-1}_{-(s+1)} + d Z^{r-1}_{-(s+1-r)}, and reads
 dim E^r and rank d^r off ranks of spanning sets.  It is slow but shares no
 logic with the pair reading, so the two are compared on small windows.
+
+The oracle also keeps its own dense assembly of the truncated boundary: the
+dense multiplication matrix `mult_matrix` and `boundary_matrix` are the ones
+`ess.pages` used before it built sparse columns.
 """
 
 from __future__ import annotations
 
 from ess import linalg
+
+
+def mult_matrix(model, elem):
+    """Dense matrix of v -> v * elem in the adapted coordinates of a
+    FiltrationModel (columns = images of basis vectors)."""
+    field = model.field
+    n = model.dim
+    out = [[field.zero() for _ in range(n)] for _ in range(n)]
+    if model.group.kind == "free_abelian":
+        red = model.reduce(elem)
+        for col, alpha in enumerate(model.monomials):
+            da = sum(alpha)
+            for i, beta in enumerate(model.monomials):
+                if model.vals[i] + da >= model.M:
+                    continue
+                gamma = tuple(a + b for a, b in zip(alpha, beta))
+                out[model.index[gamma]][col] = red[i]
+        return out
+    # cyclic: multiply in monomial coordinates, read adapted coordinates
+    m = model.group.m
+    filt = model._filt
+    for col in range(n):
+        vec_mono = filt.adapted[col]
+        prod = linalg.zeros(field, m)
+        for key, coeff in elem.terms.items():
+            for j in range(m):
+                if not vec_mono[j].is_zero():
+                    prod[(j + key) % m] = prod[(j + key) % m] + vec_mono[j] * coeff
+        img = filt.coords(prod)
+        for i in range(n):
+            out[i][col] = img[i]
+    return out
+
+
+def boundary_matrix(comp, q: int):
+    """Dense truncated boundary V_q -> V_{q-1} of a PageComputation; global
+    index b * ncells + c."""
+    field = comp.field
+    rows, cols = comp.vdim(q - 1), comp.vdim(q)
+    mat = [[field.zero() for _ in range(cols)] for _ in range(rows)]
+    if rows and cols:
+        nsrc = comp.C.dims[q]
+        ndst = comp.C.dims[q - 1]
+        bd = comp.C.boundary(q)
+        for i in range(ndst):
+            for j in range(nsrc):
+                a = bd[i][j]
+                if a.is_zero():
+                    continue
+                mult = mult_matrix(comp.model, a)
+                for bp in range(comp.model.dim):
+                    for b in range(comp.model.dim):
+                        x = mult[bp][b]
+                        if not x.is_zero():
+                            mat[bp * ndst + i][b * nsrc + j] = x
+    return mat
 
 
 class OraclePages:
@@ -23,6 +83,24 @@ class OraclePages:
         self.comp = comp
         self.field = comp.field
         self._z = {}
+        self._bt = {}
+
+    def boundary(self, q: int):
+        if q not in self._bt:
+            self._bt[q] = boundary_matrix(self.comp, q)
+        return self._bt[q]
+
+    def apply_boundary(self, q: int, vec):
+        if self.comp.vdim(q - 1) == 0:
+            return []
+        out = []
+        for row in self.boundary(q):
+            acc = self.field.zero()
+            for a, x in zip(row, vec):
+                if not a.is_zero() and not x.is_zero():
+                    acc = acc + a * x
+            out.append(acc)
+        return out
 
     def z_space(self, q: int, s: int, r: int):
         """Basis of Z^r_{-s}[q] = {z in F^s V_q : dz in F^{s+r} V_{q-1}}.
@@ -50,7 +128,7 @@ class OraclePages:
             else:
                 constraint = []
                 if comp.vdim(q - 1):
-                    bt = comp.boundary_matrix(q)
+                    bt = self.boundary(q)
                     row_stop = comp.model.offset(tgt) * comp.C.dims[q - 1]
                     constraint = [[bt[i][g] for g in cols] for i in range(row_stop)]
                 small = linalg.kernel_basis(field, constraint, ncols=len(cols))
@@ -67,7 +145,7 @@ class OraclePages:
         """Spanning set of Z^{r-1}_{-(s+1)}[q] + d Z^{r-1}_{-(s+1-r)}[q+1]."""
         out = list(self.z_space(q, s + 1, r - 1))
         for w in self.z_space(q + 1, s + 1 - r, r - 1):
-            out.append(self.comp.apply_boundary(q + 1, w))
+            out.append(self.apply_boundary(q + 1, w))
         return out
 
     def entry_dim(self, r: int, s: int, q: int) -> int:
@@ -86,7 +164,7 @@ class OraclePages:
         src = self.z_space(q, s, r)
         if not src:
             return 0
-        imgs = [self.comp.apply_boundary(q, v) for v in src]
+        imgs = [self.apply_boundary(q, v) for v in src]
         den = self._denominator(q - 1, s + r, r)
         base = linalg.span_rank(self.field, den)
         return linalg.span_rank(self.field, den + imgs) - base

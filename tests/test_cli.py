@@ -136,6 +136,7 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=-1:1"]),
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=0:-1"]),
     (None, ["monodromy", "--builtin", "circle", "--field", "Q", "--k-max", "-1"]),
+    (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range", "3:1"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -143,7 +144,7 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "field-cyclotomic-not-integer", "json-field-fp-not-integer",
         "json-field-cyclotomic-not-integer", "json-field-not-a-string",
         "q-range-negative-low",
-        "q-range-negative-high", "k-max-negative"])
+        "q-range-negative-high", "k-max-negative", "q-range-inverted"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -282,3 +283,21 @@ def test_shipped_samples_match_generators():
                        ("comm-p-3.json", comm_p_document(3))):
         shipped = json.loads(resources.files("ess.data").joinpath(fname).read_text())
         assert shipped == doc, fname
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "--help"] for verb in cli._VERBS]
+                         + [["pages", "--builtin", "circle", "--bogus"]],
+                         ids=lambda argv: " ".join(argv))
+def test_parser_for_one_verb_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the requested verb's subparser; help and usage errors
+    # must not show it
+    monkeypatch.setenv("COLUMNS", "100")
+
+    def exit_and_output(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return exc.value.code, capsys.readouterr()
+
+    full = exit_and_output(lambda: cli.build_parser().parse_args(argv))
+    assert exit_and_output(lambda: cli.main(argv)) == full
+    assert full[1].out or full[1].err

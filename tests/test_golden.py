@@ -4,8 +4,10 @@ Each file under ``tests/golden/`` is the stdout of
 ``python -m ess.cli <verb> --builtin <space> <options> --json``; the name
 spells the command (``twisted-trefoil-d6.json`` is
 ``twisted --builtin trefoil --d 6``, ``decompose-zxf2-Fp2.json`` is
-``decompose --builtin zxf2 --field Fp:2`` and ``monodromy-torus2-Z-Q.json``
-is ``monodromy --builtin torus2 --group-quotient Z --field Q``).  A refactor
+``decompose --builtin zxf2 --field Fp:2``, ``monodromy-torus2-Z-Q.json``
+is ``monodromy --builtin torus2 --group-quotient Z --field Q`` and
+``pages-torus2-Z12-Fp2.json`` is
+``pages --builtin torus2 --group-quotient Zmod:12 --field Fp:2``).  A refactor
 must leave every file unchanged; a change of behaviour re-records the
 affected files.
 """
@@ -20,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SPACES = ("trefoil", "figure8", "zxf2")
 MODULE_VERBS = ("decompose", "monodromy")
+PAGE_SPACES = ("torus2", "torus3", "wedge2")
+WINDOWS = {"R2S2": ["--R", "2", "--S", "2"], "R3S4": ["--R", "3", "--S", "4"]}
 CASES = {
     **{f"twisted-{space}-d{d}": ["twisted", "--builtin", space, "--d", str(d)]
        for space in SPACES for d in (2, 6, 30, 210)},
@@ -32,6 +36,24 @@ CASES = {
     **{f"{verb}-torus2-Z-Q": [verb, "--builtin", "torus2", "--group-quotient", "Z",
                               "--field", "Q"]
        for verb in MODULE_VERBS},
+    **{f"pages-{space}-{label}-{window}": ["pages", "--builtin", space, "--field", field]
+       + WINDOWS[window]
+       for space in PAGE_SPACES for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))
+       for window in WINDOWS},
+    "pages-torus3-Q-R5S5": ["pages", "--builtin", "torus3", "--field", "Q",
+                            "--R", "5", "--S", "5"],
+    "pages-zxf2-Z-Q-R4S4": ["pages", "--builtin", "zxf2", "--group-quotient", "Z",
+                            "--field", "Q", "--R", "4", "--S", "4"],
+    # the Reznikov path over its whole filtration, and Z_12 in characteristic
+    # 2, where J^2 = J^3 = ... is not zero
+    "pages-circle-Z9-Fp3": ["pages", "--builtin", "circle", "--group-quotient", "Zmod:9",
+                            "--field", "Fp:3", "--S", "8"],
+    "pages-comm-p3-Z27-Fp3": ["pages", "--builtin", "comm-p:3", "--group-quotient",
+                              "Zmod:27", "--field", "Fp:3", "--S", "26"],
+    "pages-comm-p5-Z25-Fp5": ["pages", "--builtin", "comm-p:5", "--group-quotient",
+                              "Zmod:25", "--field", "Fp:5", "--S", "24"],
+    "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
+                             "--field", "Fp:2"],
 }
 
 

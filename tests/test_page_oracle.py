@@ -1,19 +1,21 @@
 """The persistence-pair page engine against the kernel/quotient reference.
 
 Both engines run on the same truncated complex, so every windowed entry and
-every windowed d^r rank must agree exactly.
+every windowed d^r rank must agree exactly.  The sparse boundary columns are
+also checked against the reference's dense assembly.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ess import linalg
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
 from ess.groupring import GroupDescriptor, GroupRingElem
-from ess.pages import PageComputation
-from page_oracle import OraclePages
+from ess.pages import FiltrationModel, PageComputation, _k_rank
+from page_oracle import OraclePages, boundary_matrix, mult_matrix
 
 FIELDS = {
     "Q": FieldDescriptor.rationals(),
@@ -109,3 +111,50 @@ def small_complexes(draw):
 @given(C=small_complexes(), R=st.integers(1, 3), S=st.integers(0, 2))
 def test_random_complex_pages_match_oracle(C, R, S):
     assert_engines_agree(C, R, S)
+
+
+def _nonzero_columns(dense, ncols):
+    """The nonzero entries of a dense row-major matrix as {row: entry} columns."""
+    return [{i: row[j] for i, row in enumerate(dense) if not row[j].is_zero()}
+            for j in range(ncols)]
+
+
+# Z_{p^r} in characteristic p (e = m, the Toeplitz branch) and Z_m with e < m
+_REZNIKOV = [(2, "F2"), (4, "F2"), (8, "F2"), (3, "F3"), (9, "F3")]
+_NOT_NILPOTENT = [(6, "F2"), (12, "F2"), (6, "F3"), (3, "F2"), (4, "Q"), (6, "Q")]
+
+
+@st.composite
+def models_and_elements(draw):
+    kind = draw(st.sampled_from(["free_abelian", "reznikov", "not_nilpotent"]))
+    if kind == "free_abelian":
+        n = draw(st.integers(1, 3))
+        group = GroupDescriptor.free_abelian(n)
+        field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+        M = draw(st.integers(1, 6))
+    else:
+        m, fname = draw(st.sampled_from(_REZNIKOV if kind == "reznikov" else _NOT_NILPOTENT))
+        group, field, M = GroupDescriptor.cyclic(m), FIELDS[fname], draw(st.integers(1, 6))
+        n = 1
+    terms = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n),
+                                    st.integers(-2, 2)), max_size=4))
+    return FiltrationModel(group, field, M), _element(group, field, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=models_and_elements())
+def test_sparse_multiplication_matches_dense_oracle(case):
+    model, elem = case
+    cols = model.mult_columns(elem)
+    assert not any(x.is_zero() for col in cols for x in col.values())
+    assert cols == _nonzero_columns(mult_matrix(model, elem), model.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_complexes(), R=st.integers(1, 3), S=st.integers(0, 2))
+def test_sparse_boundary_and_rank_match_dense_oracle(C, R, S):
+    comp = PageComputation(C, R_max=R, S_max=S)
+    for q in range(comp.Q + 2):
+        dense = boundary_matrix(comp, q)
+        assert comp.boundary_matrix(q) == _nonzero_columns(dense, comp.vdim(q))
+        assert _k_rank(comp, q) == linalg.rank_of(C.field, dense)
