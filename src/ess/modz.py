@@ -10,14 +10,20 @@ of d_q is free, so ker d_q is a direct summand of C_q, and
 
 with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
 come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
+
+The SNF over Lambda runs on raw Laurent polynomials (shift, coefficients,
+denominator), never on FieldElem: ints with gcd(coefficients, denominator) = 1
+over Q, residues over F_p, payload tuples over Q(zeta_d) (`_LaurentCtx`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
-from .coeffs import FieldDescriptor
+from .coeffs import FieldDescriptor, FieldElem
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -34,33 +40,15 @@ class _IntCtx:
     """Z as a Euclidean domain for the SNF engine (plain Python ints)."""
 
     name = "Z"
-
-    @staticmethod
-    def is_zero(a):
-        return a == 0
-
-    @staticmethod
-    def norm(a):
-        return abs(a)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
     one = 1
     zero = 0
+    is_zero = staticmethod(operator.not_)
+    norm = staticmethod(abs)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    raw = lift = staticmethod(operator.pos)  # ints are their own raw form
 
     @staticmethod
     def divstep(pivot, entry):
@@ -121,88 +109,147 @@ class _IntCtx:
 
 
 class _LaurentCtx:
-    """Lambda = k[t^{+-1}] with degree span as Euclidean norm after stripping
-    the unit part t^{lowest exponent}."""
+    """Lambda = k[t^{+-1}] on raw Laurent polynomials, with the degree span as
+    Euclidean norm.
+
+    An element is a tuple (shift, coeffs, den) standing for
+    t^shift (coeffs[0] + coeffs[1] t + ...) / den.  It is canonical: coeffs
+    has no zero at either end (0 is (0, (), 1)), den > 0, and over Q the
+    coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
+    equal tuples.  Over F_p the coefficients are ints in [0, p) and over
+    Q(zeta_d) the descriptor's payload tuples; there den is 1.  Coefficients
+    combine through a per-field table: int operators over Q, the descriptor's
+    _add/_mul/_neg/_inv otherwise.
+    """
 
     def __init__(self, field: FieldDescriptor):
         if not field.is_field:
             raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
         self.field = field
         self.name = f"{field}[t^+-1]"
-        self.zero = GroupRingElem.zero(_Z1, field)
-        self.one = GroupRingElem.one(_Z1, field)
+        self._q = field.kind == "Q"
+        if self._q:
+            self._add, self._mul, self._neg = operator.add, operator.mul, operator.neg
+            self._c0, c1 = 0, 1
+        else:
+            self._add, self._mul, self._neg = field._add, field._mul, field._neg
+            self._c0, c1 = field.zero().value, field.one().value
+        self.zero = (0, (), 1)
+        self.one = (0, (c1,), 1)
+
+    def _make(self, shift, cs, den=1):
+        """The canonical element t^shift * cs / den: content shared with den
+        cancelled, zeros trimmed at both ends."""
+        if den != 1:
+            g = math.gcd(den, *cs)
+            if g != 1:
+                cs = [c // g for c in cs]
+                den //= g
+        zero, lo, hi = self._c0, 0, len(cs)
+        while hi and cs[hi - 1] == zero:
+            hi -= 1
+        while lo < hi and cs[lo] == zero:
+            lo += 1
+        return (shift + lo, tuple(cs[lo:hi]), den) if hi else self.zero
+
+    def raw(self, a: GroupRingElem):
+        """The raw form of an element of kZ."""
+        if a.is_zero():
+            return self.zero
+        lo = min(k for k, in a.terms)
+        cs = [self._c0] * (max(k for k, in a.terms) - lo + 1)
+        for (k,), c in a.terms.items():
+            cs[k - lo] = c.value
+        if not self._q:
+            return (lo, tuple(cs), 1)
+        den = math.lcm(*(c.denominator for c in cs))
+        return (lo, tuple(c.numerator * (den // c.denominator) for c in cs), den)
+
+    def lift(self, a) -> GroupRingElem:
+        s, cs, den = a
+        f = self.field
+        return GroupRingElem(_Z1, f, {(s + i,): FieldElem(f, Fraction(c, den) if self._q else c)
+                                      for i, c in enumerate(cs) if c != self._c0})
 
     @staticmethod
     def is_zero(a):
-        return a.is_zero()
+        return not a[1]
 
     @staticmethod
-    def span(a):
-        exps = [k[0] for k in a.terms]
-        return min(exps), max(exps)
-
-    def norm(self, a):
-        lo, hi = self.span(a)
-        return hi - lo
+    def norm(a):
+        return len(a[1]) - 1
 
     @staticmethod
-    def add(a, b):
-        return a + b
+    def is_unit(a):
+        return len(a[1]) == 1
 
-    @staticmethod
-    def sub(a, b):
-        return a - b
+    def add(self, a, b):
+        if not a[1]:
+            return b
+        if not b[1]:
+            return a
+        (sa, ca, da), (sb, cb, db) = a, b
+        den = da
+        if da != db:
+            den = da // math.gcd(da, db) * db
+            ca = [c * (den // da) for c in ca]
+            cb = [c * (den // db) for c in cb]
+        if sa > sb:
+            sa, ca, sb, cb = sb, cb, sa, ca
+        out = list(ca)
+        out += [self._c0] * (sb + len(cb) - sa - len(out))
+        add = self._add
+        for j, y in enumerate(cb, sb - sa):
+            out[j] = add(out[j], y)
+        return self._make(sa, out, den)
 
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    def neg(self, a):
+        return (a[0], tuple(map(self._neg, a[1])), a[2])
 
-    @staticmethod
-    def neg(a):
-        return -a
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        (sa, ca, da), (sb, cb, db) = a, b
+        if not ca or not cb:
+            return self.zero
+        add, mul = self._add, self._mul
+        out = [self._c0] * (len(ca) + len(cb) - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb, i):
+                out[j] = add(out[j], mul(x, y))
+        return self._make(sa + sb, out, da * db)
 
     def divstep(self, pivot, entry):
         """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
         < norm(pivot), where scale is a power of the pivot's leading
         coefficient (a unit scalar).  No coefficient division happens."""
-        one = self.field.one()
-        unit_one = GroupRingElem.monomial(_Z1, self.field, (0,), one)
-        if entry.is_zero():
-            return unit_one, self.zero
-        plo, phi = self.span(pivot)
-        pd = phi - plo
-        plead = pivot.terms[(phi,)]
-        q = self.zero
-        rem = entry
-        scale = one
-        while not rem.is_zero():
-            rlo, rhi = self.span(rem)
-            if rhi - rlo < pd:
-                break
-            c = rem.terms[(rhi,)]
-            mono = GroupRingElem.monomial(_Z1, self.field, (rhi - phi,), c)
-            q = q.scale(plead) + mono
-            rem = rem.scale(plead) - mono * pivot
-            scale = scale * plead
-        return GroupRingElem.monomial(_Z1, self.field, (0,), scale), q
+        pd = len(pivot[1]) - 1
+        top = pivot[0] + pd
+        lead = self._make(0, [pivot[1][-1]], pivot[2])
+        q, rem, scale = self.zero, entry, self.one
+        while len(rem[1]) > pd:
+            rs, rc, rden = rem
+            mono = self._make(rs + len(rc) - 1 - top, [rc[-1]], rden)
+            q = self.add(self.mul(q, lead), mono)
+            rem = self.sub(self.mul(rem, lead), self.mul(mono, pivot))
+            scale = self.mul(scale, lead)
+        return scale, q
 
     def exact_div(self, a, b):
         scale, q = self.divstep(b, a)
-        if not (a * scale - q * b).is_zero():
+        if not self.is_zero(self.sub(self.mul(a, scale), self.mul(q, b))):
             raise CoefficientError("not divisible in Lambda")
-        inv = self.unit_inverse(scale)
-        return inv * q
+        return self.mul(self.unit_inverse(scale), q)
 
     def _strip(self, a):
         """Unit making a canonical (monomial part, sign/lead, content)."""
-        if a.is_zero():
+        if self.is_zero(a):
             return None
         unit, canon = self.unit_normalize(a)
         total = self.unit_inverse(unit)
         c = self.content_unit([canon])
-        if c is not None:
-            total = c * total
-        return total
+        return total if c is None else self.mul(c, total)
 
     def gcd_bezout(self, a, b):
         """(g, sigma, tau, alpha, beta) with sigma a + tau b = g, a = alpha g,
@@ -212,76 +259,53 @@ class _LaurentCtx:
         canonical polynomial (a unit rescaling), which is what keeps the
         coefficient growth of the chain polynomial.  When a divides b, tau is
         guaranteed to be 0 so the pivot row/column is only unit-rescaled."""
-        one = GroupRingElem.monomial(_Z1, self.field, (0,), self.field.one())
+        mul, one, zero = self.mul, self.one, self.zero
         try:
             beta = self.exact_div(b, a)
         except CoefficientError:
             beta = None
         if beta is not None:
             unit = self._strip(a) or one
-            g = unit * a
             inv = self.unit_inverse(unit)
-            return g, unit, self.zero, inv, inv * beta
-        r0, s0, t0 = a, one, self.zero
-        r1, s1, t1 = b, self.zero, one
-        u = self._strip(r0)
-        if u is not None:
-            r0, s0, t0 = u * r0, u * s0, u * t0
-        u = self._strip(r1)
-        if u is not None:
-            r1, s1, t1 = u * r1, u * s1, u * t1
-        while not r1.is_zero():
+            return mul(unit, a), unit, zero, inv, mul(inv, beta)
+
+        def strip(r, s, t):
+            u = self._strip(r)
+            return (r, s, t) if u is None else (mul(u, r), mul(u, s), mul(u, t))
+
+        (r0, s0, t0), (r1, s1, t1) = strip(a, one, zero), strip(b, zero, one)
+        while not self.is_zero(r1):
             scale, q = self.divstep(r1, r0)
-            r2 = scale * r0 - q * r1
-            s2 = scale * s0 - q * s1
-            t2 = scale * t0 - q * t1
-            u = self._strip(r2)
-            if u is not None:
-                r2, s2, t2 = u * r2, u * s2, u * t2
-            r0, s0, t0 = r1, s1, t1
-            r1, s1, t1 = r2, s2, t2
-        g, sigma, tau = r0, s0, t0
-        alpha = self.exact_div(a, g)
-        beta = self.exact_div(b, g)
-        return g, sigma, tau, alpha, beta
+            r2, s2, t2 = (self.sub(mul(scale, x), mul(q, y))
+                          for x, y in ((r0, r1), (s0, s1), (t0, t1)))
+            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), strip(r2, s2, t2)
+        return r0, s0, t0, self.exact_div(a, r0), self.exact_div(b, r0)
 
     def unit_normalize(self, a):
         """(unit, canonical) with a = unit * canonical; canonical is a monic
         polynomial with nonzero constant term (lowest exponent 0)."""
-        if a.is_zero():
+        if self.is_zero(a):
             return self.one, a
-        lo, hi = self.span(a)
-        lead = a.terms[(hi,)]
-        unit = GroupRingElem.monomial(_Z1, self.field, (lo,), lead)
-        return unit, self.unit_inverse(unit) * a
+        unit = self._make(a[0], [a[1][-1]], a[2])
+        return unit, self.mul(self.unit_inverse(unit), a)
 
     def unit_inverse(self, u):
-        lo = next(iter(u.terms))[0]
-        return GroupRingElem.monomial(_Z1, self.field, (-lo,), u.terms[(lo,)].inverse())
-
-    def is_unit(self, a):
-        return len(a.terms) == 1
+        s, (c,), den = u
+        if self._q:
+            return (-s, (den if c > 0 else -den,), abs(c))
+        return (-s, (self.field._inv(c),), 1)
 
     def content_unit(self, entries):
         """Scalar unit making the coefficient content of a row/column 1.
 
-        Over Q this is lcm(denominators)/gcd(numerators): content extraction
-        is what keeps coefficient growth in check during elimination.  Over
-        other coefficient fields there is nothing to gain."""
-        if self.field.kind != "Q":
+        Over Q this is lcm(denominators)/gcd(integer contents): content
+        extraction is what keeps coefficient growth in check during
+        elimination.  Over other coefficient fields there is nothing to gain."""
+        if not self._q:
             return None
-        num_gcd, den_lcm = 0, 1
-        for e in entries:
-            for c in e.terms.values():
-                v = c.value
-                num_gcd = math.gcd(num_gcd, v.numerator)
-                den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
-        if num_gcd == 0:
-            return None
-        scale = Fraction(den_lcm, num_gcd)
-        if scale == 1:
-            return None
-        return GroupRingElem.monomial(_Z1, self.field, (0,), self.field.from_fraction(scale))
+        g = math.gcd(*(c for e in entries for c in e[1]))
+        den = math.lcm(*(e[2] for e in entries))
+        return None if g in (0, den) else self._make(0, [den], g)
 
 
 class SNFResult:
@@ -295,14 +319,10 @@ class SNFResult:
         self.shape = shape
 
     def nonzero(self):
-        return [d for d in self.diagonal if not _is_zero_entry(d)]
+        return [d for d in self.diagonal if d]  # ints and GroupRingElem: falsy iff 0
 
     def __repr__(self):
         return f"SNF(diagonal={self.diagonal})"
-
-
-def _is_zero_entry(d):
-    return d == 0 if isinstance(d, int) else d.is_zero()
 
 
 def _identity(ctx, n):
@@ -453,20 +473,22 @@ def _snf_engine(ctx, matrix):
 def smith_normal_form(matrix) -> SNFResult:
     """SNF of a matrix over Z (int entries) or Lambda (GroupRingElem over kZ).
 
-    Postconditions U.A.V = D and the divisibility chain are verified by
-    multiplication before returning.
+    A Laurent matrix is converted once to the raw form of `_LaurentCtx`,
+    reduced, and D, U, V are converted back.  Postconditions U.A.V = D and
+    the divisibility chain are verified by multiplication before returning.
     """
     rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows and ncols and isinstance(rows[0][0], GroupRingElem):
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    if all(shape) and isinstance(rows[0][0], GroupRingElem):
         ctx = _LaurentCtx(rows[0][0].field)
     else:
         ctx = _IntCtx()
-    diag, U, V, _ = _snf_engine(ctx, rows)
-    result = SNFResult(diag, U, V, (nrows, ncols))
-    _verify_snf(ctx, matrix, result)
-    return result
+    A = [[ctx.raw(x) for x in r] for r in rows]
+    diag, U, V, _ = _snf_engine(ctx, A)
+    _verify_snf(ctx, A, SNFResult(diag, U, V, shape))
+    lift = ctx.lift
+    return SNFResult([lift(d) for d in diag], [[lift(x) for x in r] for r in U],
+                     [[lift(x) for x in r] for r in V], shape)
 
 
 def _verify_snf(ctx, original, result: SNFResult):
@@ -480,7 +502,7 @@ def _verify_snf(ctx, original, result: SNFResult):
             if not ctx.is_zero(ctx.sub(prod[i][j], expect)):
                 raise CrossCheckError(
                     f"SNF verification failed {where}: (U A V)[{i}][{j}] = "
-                    f"{prod[i][j]}, expected D[{i}][{j}] = {expect}"
+                    f"{ctx.lift(prod[i][j])}, expected D[{i}][{j}] = {ctx.lift(expect)}"
                 )
     nz = [d for d in result.diagonal if not ctx.is_zero(d)]
     for k, (a, b) in enumerate(zip(nz, nz[1:])):
@@ -489,7 +511,7 @@ def _verify_snf(ctx, original, result: SNFResult):
         except CoefficientError:
             raise CrossCheckError(
                 f"SNF divisibility chain violated {where}: diagonal entry {k} "
-                f"({a}) does not divide entry {k + 1} ({b})"
+                f"({ctx.lift(a)}) does not divide entry {k + 1} ({ctx.lift(b)})"
             ) from None
 
 
@@ -539,15 +561,15 @@ class LaurentModuleDecomp:
 
 
 def _boundary_invariants(C, q: int, ctx, memo: dict):
-    """(rank, canonical non-unit invariant factors) of d_q over Lambda, from
-    one verified SNF kept in `memo`; (0, []) for a boundary without rows or
-    columns."""
+    """(rank, canonical non-unit invariant factors in raw form) of d_q over
+    Lambda, from one verified SNF kept in `memo`; (0, []) for a boundary
+    without rows or columns."""
     if q not in memo:
         rank, factors = 0, []
         if 1 <= q <= C.top and C.dims[q - 1] and C.dims[q]:
             for d in smith_normal_form(C.boundary(q)).nonzero():
                 rank += 1
-                _, canon = ctx.unit_normalize(d)
+                _, canon = ctx.unit_normalize(ctx.raw(d))
                 if not ctx.is_unit(canon):
                     factors.append(canon)
         memo[q] = rank, factors
@@ -579,30 +601,28 @@ def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModule
     if not C.field.is_field:
         raise UnsupportedCoefficients("field coefficients required")
     ctx = _LaurentCtx(C.field)
-    field = C.field
     snfs = {} if snfs is None else snfs
     rank_q, _ = _boundary_invariants(C, q, ctx, snfs)
     rank_q1, invariant_factors = _boundary_invariants(C, q + 1, ctx, snfs)
-    tm1 = GroupRingElem.monomial(_Z1, field, (1,)) - GroupRingElem.one(_Z1, field)
+    tm1 = ctx.sub((1,) + ctx.one[1:], ctx.one)
     blocks = []
     others = {}
     for rem in invariant_factors:
         e = 0
-        while rem.augmentation().is_zero():  # (t-1) | rem  iff  rem(1) = 0
+        while functools.reduce(ctx._add, rem[1]) == ctx._c0:  # (t-1) | rem iff rem(1) = 0
             rem = ctx.exact_div(rem, tm1)
             e += 1
         if e:
             blocks.append(e)
         _, rem = ctx.unit_normalize(rem)
         if not ctx.is_unit(rem):
-            f, exp, mult = others.get(str(rem), (rem, 1, 0))
-            others[str(rem)] = (f, exp, mult + 1)
+            others[rem] = others.get(rem, 0) + 1
     n_q = C.dims[q] if 0 <= q <= C.top else 0
     free_rank = n_q - rank_q - rank_q1
-    return LaurentModuleDecomp(
-        free_rank, list(invariant_factors), blocks,
-        sorted(others.values(), key=lambda t: str(t[0])), field
-    )
+    other_primary = sorted(((ctx.lift(f), 1, m) for f, m in others.items()),
+                           key=lambda t: str(t[0]))
+    return LaurentModuleDecomp(free_rank, [ctx.lift(f) for f in invariant_factors], blocks,
+                               other_primary, C.field)
 
 
 class GrModule:
@@ -683,20 +703,11 @@ def monodromy_report(C, k_max: int) -> MonodromyReport:
         else:
             decomp = LaurentModuleDecomp(0, [], [], [], C.field)
             cond1 = cond2 = True
-        beta_q = betti[q] if q < len(betti) else 0
-        rows.append(
-            {
-                "q": q,
-                "free_rank": decomp.free_rank,
-                "t_minus_1_blocks": list(decomp.tminus1_blocks),
-                "other_primary": [
-                    {"poly": str(f), "exp": e, "mult": m} for f, e, m in decomp.other_primary
-                ],
-                "beta": beta_q,
-                "condition_no_large_blocks": cond1,
-                "condition_trivial_action": cond2,
-            }
-        )
+        row = decomp.to_json(q)
+        del row["separated"]
+        row.update(beta=betti[q] if q < len(betti) else 0,
+                   condition_no_large_blocks=cond1, condition_trivial_action=cond2)
+        rows.append(row)
         cond1_all = cond1_all and cond1
         cond2_all = cond2_all and cond2
         cond3_all = all(r["beta"] == 0 for r in rows)

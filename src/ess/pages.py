@@ -25,7 +25,7 @@ import math
 import operator
 
 from . import linalg
-from .coeffs import FieldDescriptor, rank_exact
+from .coeffs import FieldDescriptor, _rank_bareiss_int, _rank_mod, rank_exact
 from .complexes import betti_numbers
 from .errors import CrossCheckError, UnsupportedCoefficients, ValidationError
 from .groupring import (GroupDescriptor, GroupRingElem, _cyclic_vector,
@@ -184,7 +184,7 @@ class PageComputation:
         self.model = FiltrationModel(C.group, C.field, self.M)
         self.Q = C.top
         self._bt = {}
-        self._bars = None
+        self._pages = None
 
     # -- truncated complex ----------------------------------------------------
 
@@ -266,16 +266,19 @@ class PageComputation:
         return pairs
 
     def _barcode(self):
-        """(bars, ranks) of the window s <= S_max: bars[(s, q, life)] counts
-        classes at (s, q) alive on pages 1..life (INF if never killed), and
-        ranks[(r, s, q)] is the rank of d^r out of (s, q)."""
+        """(entries, ranks) of the window s <= S_max, for every page in one
+        pass.  A class at (s, q) alive on pages 1..life (INF if never killed)
+        counts on E^r for r <= life, so entries[r - 1] = dims of E^r are
+        suffix sums over the lives, the last one serving every later page;
+        ranks[r][(s, q)] is the rank of d^r out of (s, q)."""
         vals = self.model.vals
         S = self.S_max
-        bars = {}
+        lives = {}  # life -> {(s, q): classes}
         ranks = {}
 
-        def add(table, key):
-            table[key] = table.get(key, 0) + 1
+        def add(table, key, spot):
+            inner = table.setdefault(key, {})
+            inner[spot] = inner.get(spot, 0) + 1
 
         paired = [set() for _ in range(self.Q + 1)]
         for q in range(1, self.Q + 1):
@@ -289,32 +292,35 @@ class PageComputation:
                 a = vals[i // self.C.dims[q - 1]]
                 if a > b:
                     if b <= S:
-                        add(bars, (b, q, a - b))
+                        add(lives, a - b, (b, q))
                         if a < INF:
-                            add(ranks, (a - b, b, q))
+                            add(ranks, a - b, (b, q))
                     if a <= S:
-                        add(bars, (a, q - 1, a - b))
+                        add(lives, a - b, (a, q - 1))
         for q in range(self.Q + 1):
             ncells = self.C.dims[q]
             for g in range(self.vdim(q)):
                 v = vals[g // ncells]
                 if v <= S and g not in paired[q]:
-                    add(bars, (v, q, INF))
-        return bars, ranks
+                    add(lives, INF, (v, q))
+        top = max((life for life in lives if life < INF), default=0) + 1
+        entries, acc = [], {}
+        for r in range(top, 0, -1):
+            acc = dict(acc)
+            for spot, n in lives.get(INF if r == top else r, {}).items():
+                acc[spot] = acc.get(spot, 0) + n
+            entries.append(acc)
+        return entries[::-1], ranks
 
     # -- pages -----------------------------------------------------------------
 
     def page(self, r: int) -> PageTable:
-        """E^r over the window; the pairs are computed on the first call."""
-        if self._bars is None:
-            self._bars = self._barcode()
-        bars, ranks = self._bars
-        entries = {}
-        for (s, q, life), n in bars.items():
-            if life >= r:
-                entries[(s, q)] = entries.get((s, q), 0) + n
-        d_ranks = {(s, q): n for (rr, s, q), n in ranks.items() if rr == r}
-        return PageTable(r, entries, d_ranks, (self.S_max, self.Q))
+        """E^r over the window; every page is computed on the first call."""
+        if self._pages is None:
+            self._pages = self._barcode()
+        entries, ranks = self._pages
+        return PageTable(r, dict(entries[min(r, len(entries)) - 1]), dict(ranks.get(r, {})),
+                         (self.S_max, self.Q))
 
     def pages(self) -> list[PageTable]:
         tables = [self.page(r) for r in range(1, self.R_max + 1)]
@@ -526,11 +532,23 @@ def reznikov_collapse(C, S_max: int | None = None):
 
 def _k_rank(comp: PageComputation, q: int) -> int:
     """Rank over k of the truncated boundary d_q, by an elimination of its own
-    (coeffs.rank_exact on the columns as rows), so that the E^oo totals are
-    checked against something the pairs of _pairs do not decide."""
+    (on the columns as rows), so that the E^oo totals are checked against
+    something the pairs of _pairs do not decide.  Over F_p and Q the raw
+    payloads of boundary_matrix(q) go straight to coeffs._rank_mod and
+    coeffs._rank_bareiss_int (rows scaled to integers)."""
     if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
-    return rank_exact(comp.dense_columns(q))
+    n, kind = comp.vdim(q - 1), comp.field.kind
+    if kind not in ("Fp", "Q"):
+        return rank_exact(comp.dense_columns(q))
+    rows = []
+    for col in comp.boundary_matrix(q):
+        row = [0] * n
+        den = math.lcm(*(x.value.denominator for x in col.values()))  # 1 over F_p
+        for i, x in col.items():
+            row[i] = int(x.value * den)
+        rows.append(row)
+    return _rank_mod(rows, comp.field.p) if kind == "Fp" else _rank_bareiss_int(rows)
 
 
 def jordan_square_annihilates(C, q: int) -> bool:

@@ -7,7 +7,9 @@ spells the command (``twisted-trefoil-d6.json`` is
 ``decompose --builtin zxf2 --field Fp:2``, ``monodromy-torus2-Z-Q.json``
 is ``monodromy --builtin torus2 --group-quotient Z --field Q`` and
 ``pages-torus2-Z12-Fp2.json`` is
-``pages --builtin torus2 --group-quotient Zmod:12 --field Fp:2``).  A refactor
+``pages --builtin torus2 --group-quotient Zmod:12 --field Fp:2``, and
+``decompose-trefoil-cyc6.json`` is
+``decompose --builtin trefoil --field cyclotomic:6``).  A refactor
 must leave every file unchanged; a change of behaviour re-records the
 affected files.
 """
@@ -22,6 +24,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SPACES = ("trefoil", "figure8", "zxf2")
 MODULE_VERBS = ("decompose", "monodromy")
+PLAIN_SPACES = ("torus2", "trefoil", "zxf2")
 PAGE_SPACES = ("torus2", "torus3", "wedge2")
 WINDOWS = {"R2S2": ["--R", "2", "--S", "2"], "R3S4": ["--R", "3", "--S", "4"]}
 CASES = {
@@ -32,6 +35,19 @@ CASES = {
        for space in SPACES for p, r in ((2, 1), (3, 2), (5, 1))},
     **{f"{verb}-{space}-{label}": [verb, "--builtin", space, "--field", field]
        for verb in MODULE_VERBS for space in SPACES
+       for label, field in (("Q", "Q"), ("Fp2", "Fp:2"), ("Fp3", "Fp:3"),
+                            ("cyc6", "cyclotomic:6"))},
+    **{f"decompose-comm-p3-{label}": ["decompose", "--builtin", "comm-p:3", "--field", field]
+       for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
+    **{f"{verb}-{space}-{label}": [verb, "--builtin", space, "--field", field]
+       for verb, spaces in (("betti", PLAIN_SPACES), ("validate", PLAIN_SPACES),
+                            ("aomoto", ("trefoil", "zxf2")),
+                            # universal-aomoto needs a minimal complex, which
+                            # trefoil is not
+                            ("universal-aomoto", ("torus2", "wedge2", "zxf2")))
+       for space in spaces for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
+    **{f"aomoto-torus2-Z-{label}": ["aomoto", "--builtin", "torus2", "--group-quotient", "Z",
+                                    "--field", field]
        for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
     **{f"{verb}-torus2-Z-Q": [verb, "--builtin", "torus2", "--group-quotient", "Z",
                               "--field", "Q"]

@@ -1,9 +1,13 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor, rank_exact
+from ess.coeffs import FieldDescriptor, FieldElem, rank_exact
 from ess.complexes import GroupHom, base_change, change_field
 from ess.errors import CrossCheckError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
@@ -201,10 +205,72 @@ def test_snf_cross_check_names_ring_shape_and_cell():
                        match=r"over Z on a 3x3 matrix: \(U A V\)\[2\]\[2\] = 156, "
                              r"expected D\[2\]\[2\] = 157"):
         _verify_snf(_IntCtx(), A, res)
-    one, zero = L("1"), L("0")
+    ctx = _LaurentCtx(Q)
+    one, zero = ctx.one, ctx.zero
     ident = [[one, zero], [zero, one]]
-    D = [[L("1 + t"), zero], [zero, L("t - 1")]]
+    D = [[ctx.raw(L("1 + t")), zero], [zero, ctx.raw(L("t - 1"))]]
     with pytest.raises(CrossCheckError,
                        match=r"over Q\[t\^\+-1\] on a 2x2 matrix: diagonal entry 0 "
                              r"\(1 \+ t\) does not divide entry 1 \(-1 \+ t\)"):
-        _verify_snf(_LaurentCtx(Q), D, SNFResult([D[0][0], D[1][1]], ident, ident, (2, 2)))
+        _verify_snf(ctx, D, SNFResult([D[0][0], D[1][1]], ident, ident, (2, 2)))
+
+
+RAW_FIELDS = (Q, F2, FieldDescriptor.prime_field(3), FieldDescriptor.cyclotomic(3))
+
+
+@st.composite
+def laurent_pairs(draw):
+    """Two random elements of k[t^{+-1}] over one of RAW_FIELDS, with
+    coefficients a/b over Q, a mod p over F_p and a + b zeta over Q(zeta_3)."""
+    field = draw(st.sampled_from(RAW_FIELDS))
+
+    def element():
+        out = GroupRingElem.zero(GZ, field)
+        for e, a, b in draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(-4, 4),
+                                               st.integers(1, 4)), max_size=4)):
+            if field.kind == "cyclotomic":
+                c = FieldElem(field, (Fraction(a), Fraction(b)))
+            else:
+                c = field.from_fraction(Fraction(a, b)) if field.kind == "Q" else field.from_int(a)
+            out = out + GroupRingElem.monomial(GZ, field, (e,), c)
+        return out
+
+    return field, element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=laurent_pairs())
+def test_raw_laurent_arithmetic(case):
+    field, a, b = case
+    ctx = _LaurentCtx(field)
+    ra, rb = ctx.raw(a), ctx.raw(b)
+    assert ctx.lift(ra) == a and ctx.lift(rb) == b
+    # raw forms are canonical, so equal elements are equal tuples: the
+    # denominator is reduced and no zero is kept at either end
+    for x in (ra, rb):
+        assert not x[1] or (x[1][0] != ctx._c0 and x[1][-1] != ctx._c0)
+        if field.kind == "Q":
+            assert x[2] >= 1 and math.gcd(x[2], *x[1]) == 1
+        else:
+            assert x[2] == 1
+    assert ctx.add(ra, rb) == ctx.raw(a + b)
+    assert ctx.sub(ra, rb) == ctx.raw(a - b)
+    assert ctx.mul(ra, rb) == ctx.raw(a * b)
+    assert ctx.sub(ra, ra) == ctx.zero
+    if b.is_zero():
+        return
+    scale, q = ctx.divstep(rb, ra)
+    rem = ctx.sub(ctx.mul(scale, ra), ctx.mul(q, rb))
+    assert ctx.is_unit(scale) and scale[0] == 0
+    assert ctx.is_zero(rem) or ctx.norm(rem) < ctx.norm(rb)
+    assert ctx.exact_div(ctx.mul(ra, rb), rb) == ra
+    unit, canon = ctx.unit_normalize(rb)
+    assert ctx.mul(unit, canon) == rb and canon[0] == 0
+    assert ctx.lift(canon).terms[(len(canon[1]) - 1,)] == field.one()
+    if field.kind == "Q":
+        # the content step makes the coefficients coprime integers
+        c = ctx.content_unit([ra, rb]) or ctx.one
+        scaled = [ctx.mul(c, x) for x in (ra, rb) if x[1]]
+        assert all(x[2] == 1 for x in scaled)
+        assert math.gcd(*(y for x in scaled for y in x[1])) == 1
+        assert ctx.is_unit(c) and c[0] == 0

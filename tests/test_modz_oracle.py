@@ -6,6 +6,7 @@ other primary parts of H_q(X, kZ_nu) in every degree.
 
 import random
 import string
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 import modz_oracle
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import FieldDescriptor, FieldElem
 from ess.complexes import (GroupHom, base_change, change_field, complex_from_matrices,
                            parse_document)
 from ess.groupring import GroupDescriptor, GroupRingElem
-from ess.modz import homology_decomposition
+from ess.modz import _snf_engine, homology_decomposition, smith_normal_form
 
 FIELDS = {
     "Q": FieldDescriptor.rationals(),
@@ -120,3 +121,52 @@ def complexes_over_z(draw):
 @given(C=complexes_over_z())
 def test_random_complex_decompositions_match_oracle(C):
     assert_routes_agree(C)
+
+
+SNF_FIELDS = {**FIELDS, "cyc3": FieldDescriptor.cyclotomic(3)}
+
+
+def _scalar(field, a, b):
+    """a/b over Q, a (mod p) over F_p, a + b zeta over Q(zeta_3)."""
+    if field.kind == "cyclotomic":
+        return FieldElem(field, (Fraction(a), Fraction(b)))
+    return field.from_fraction(Fraction(a, b)) if field.kind == "Q" else field.from_int(a)
+
+
+@st.composite
+def laurent_matrices(draw):
+    """An n x m matrix over k[t^{+-1}], n, m <= 6, of rank at most r: random
+    entries when r = min(n, m), else a product of n x r and r x m factors.
+    Over Q(zeta_3), where no content step bounds the growth of the payload
+    fractions, n, m <= 4 keeps each example under a second."""
+    field = SNF_FIELDS[draw(st.sampled_from(sorted(SNF_FIELDS)))]
+    top = 4 if field.kind == "cyclotomic" else 6
+    terms = st.lists(st.tuples(st.integers(-1, 2), st.integers(-3, 3), st.integers(1, 3)),
+                     max_size=3)
+
+    def entries(rows, cols):
+        return [[_element(field, [(e, _scalar(field, a, b)) for e, a, b in draw(terms)])
+                 for _ in range(cols)] for _ in range(rows)]
+
+    n, m = draw(st.integers(1, top)), draw(st.integers(1, top))
+    r = draw(st.integers(0, min(n, m)))
+    if r == min(n, m):
+        return entries(n, m)
+    left, right = entries(n, r), entries(r, m)
+    zero = GroupRingElem.zero(GZ, field)
+    return [[sum((left[i][k] * right[k][j] for k in range(r)), zero) for j in range(m)]
+            for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=laurent_matrices())
+def test_raw_snf_matches_groupring_oracle(A):
+    # the raw context runs the same pivot rule, content step and fix-up as
+    # the GroupRingElem context, so D, U and V agree exactly, not only the
+    # canonical invariant factors
+    res = smith_normal_form(A)
+    ctx = modz_oracle._LaurentCtx(A[0][0].field)
+    diag, U, V, _ = _snf_engine(ctx, A)
+    canonical = [ctx.unit_normalize(d)[1] for d in diag if not d.is_zero()]
+    assert [ctx.unit_normalize(d)[1] for d in res.nonzero()] == canonical
+    assert (res.diagonal, res.U, res.V) == (diag, U, V)

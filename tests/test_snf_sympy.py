@@ -1,6 +1,7 @@
-"""`smith_normal_form` against sympy's invariant factors, over Z and Q[t].
+"""`smith_normal_form` against sympy's invariant factors, over Z, Q[t],
+F_2[t] and F_3[t].
 
-Over Lambda = Q[t^{+-1}] the invariant factors are those over Q[t] with the
+Over Lambda = k[t^{+-1}] the invariant factors are those over k[t] with the
 powers of t (units of Lambda) removed, so each side is normalised to a monic
 polynomial with nonzero constant term before the comparison.
 """
@@ -45,41 +46,51 @@ def test_integer_invariant_factors_match_sympy():
         assert [abs(d) for d in ours.nonzero()] == theirs, A
 
 
-def canonical(coeffs):
-    """Coefficients (lowest degree first) of the monic associate with nonzero
-    constant term: the normal form of a class of associates in Lambda."""
-    lo = next(k for k, c in enumerate(coeffs) if c)
-    return [c / coeffs[-1] for c in coeffs[lo:]]
+def canonical(d):
+    """The monic associate of d with nonzero constant term, as {degree:
+    coefficient}: the normal form of a class of associates in Lambda."""
+    lo, hi = min(d.terms)[0], max(d.terms)[0]
+    inv = d.terms[(hi,)].inverse()
+    return {k - lo: c * inv for (k,), c in d.terms.items()}
 
 
-def poly_coeffs(f):
-    return [Fraction(int(c.p), int(c.q))
-            for c in reversed(sympy.Poly(f, X, domain=sympy.QQ).all_coeffs())]
-
-
-def to_laurent(f):
-    out = GroupRingElem.zero(GZ, Q)
-    for k, c in enumerate(poly_coeffs(f)):
-        if c:
-            out = out + GroupRingElem.monomial(GZ, Q, (k,), Q.from_fraction(c))
+def to_laurent(f, field):
+    """The polynomial f in x as an element of field[t^{+-1}]."""
+    if field.kind == "Q":
+        poly = sympy.Poly(f, X, domain=sympy.QQ)
+        coeffs = [field.from_fraction(Fraction(int(c.p), int(c.q))) for c in poly.all_coeffs()]
+    else:
+        coeffs = [field.from_int(int(c)) for c in sympy.Poly(f, X, modulus=field.p).all_coeffs()]
+    out = GroupRingElem.zero(GZ, field)
+    for k, c in enumerate(reversed(coeffs)):
+        out = out + GroupRingElem.monomial(GZ, field, (k,), c)
     return out
 
 
-def test_polynomial_invariant_factors_match_sympy():
-    rng = random.Random(32)
+def assert_polynomial_factors_match(field, domain, seed, count, scalars):
+    rng = random.Random(seed)
 
     def entry():
-        # polynomials in t of degree <= 2 with small rational coefficients
-        return sum(sympy.Rational(rng.randint(-3, 3), rng.choice((1, 2))) * X ** k
-                   for k in range(3) if rng.random() < 0.6)
+        # polynomials in t of degree <= 2 with small coefficients
+        return sum(rng.choice(scalars) * X ** k for k in range(3) if rng.random() < 0.6)
 
     factors = (1, 1, X - 1, X + 1, (X - 1) ** 2, X ** 2 + X + 1, 2 * X)
 
-    for A in random_matrices(rng, 60, entry, lambda: rng.choice(factors)):
-        ours = smith_normal_form([[to_laurent(x) for x in A.row(i)] for i in range(A.rows)])
-        ours = [canonical([d.terms[(k,)].value if (k,) in d.terms else Fraction(0)
-                           for k in range(max(e for e, in d.terms) + 1)])
-                for d in ours.nonzero()]
-        theirs = [canonical(poly_coeffs(d))
-                  for d in invariant_factors(A, domain=sympy.QQ[X]) if d != 0]
-        assert ours == theirs, A
+    for A in random_matrices(rng, count, entry, lambda: rng.choice(factors)):
+        ours = smith_normal_form([[to_laurent(x, field) for x in A.row(i)]
+                                  for i in range(A.rows)])
+        theirs = [to_laurent(d, field) for d in invariant_factors(A, domain=domain[X])]
+        assert [canonical(d) for d in ours.nonzero()] == \
+            [canonical(d) for d in theirs if not d.is_zero()], A
+
+
+def test_polynomial_invariant_factors_match_sympy():
+    halves = [sympy.Rational(a, b) for a in range(-3, 4) for b in (1, 2)]
+    assert_polynomial_factors_match(Q, sympy.QQ, 32, 60, halves)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_polynomial_invariant_factors_match_sympy_mod_p(p):
+    # over F_p[t]; the sympy domain GF(p)[x] reduces the integer entries
+    assert_polynomial_factors_match(FieldDescriptor.prime_field(p), sympy.GF(p), 40 + p, 60,
+                                    list(range(-2, 3)))
