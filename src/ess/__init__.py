@@ -7,8 +7,8 @@ unity; and machine-checked instances of the modular bound theorems.
 """
 
 from .aomoto import AomotoData, aomoto_betti, aomoto_specialize, universal_aomoto
-from .coeffs import (FieldDescriptor, FieldElem, IntPoly,
-                     cyclotomic_polynomial, field_inverse, rank_exact)
+from .coeffs import (FieldDescriptor, FieldElem, LaurentRing, cyclotomic_polynomial,
+                     rank_exact)
 from .complexes import (Epimorphism, EquivariantComplex, FreeWord, GroupHom,
                         Presentation, base_change, betti_numbers, change_field,
                         complex_from_matrices, fox_derivative, parse_document,

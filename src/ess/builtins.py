@@ -56,7 +56,7 @@ def lyndon_document(d: int) -> dict:
     one = GroupRingElem.one(G2, ZZ)
     phi = cyclotomic_polynomial(d)
     phi_t1 = GroupRingElem.zero(G2, ZZ)
-    for i, c in enumerate(phi.coeffs):
+    for i, c in enumerate(phi):
         if c:
             phi_t1 = phi_t1 + GroupRingElem.monomial(G2, ZZ, (i, 0), c)
     v1 = phi_t1 * (t2 - one)

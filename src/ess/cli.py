@@ -251,12 +251,12 @@ def cmd_alexander(args):
     C = load_complex(args)
     res = alexander_polynomial(C)
     if args.json:
-        doc = {"alexander_polynomial": str(res.polynomial)}
+        doc = {"alexander_polynomial": str(res)}
         if res.notice:
             doc["notice"] = res.notice
         sys.stdout.write(emit_json(doc))
     else:
-        print(f"Delta = {res.polynomial}")
+        print(f"Delta = {res}")
         if res.notice:
             print(f"note: {res.notice}")
     return EXIT_OK

@@ -1,7 +1,12 @@
-"""Exact coefficient arithmetic over Q, F_p, cyclotomic fields Q(zeta_d), and Z.
+"""Exact coefficient arithmetic over Q, F_p, cyclotomic fields Q(zeta_d), and Z,
+and the one univariate polynomial type.
 
 Cyclotomic fields are realized as Q[s]/(Phi_d(s)), so all ranks computed at
-roots of unity are exact and Galois-invariant.  `rank_exact` never computes
+roots of unity are exact and Galois-invariant; Phi_d is a tuple of ints,
+lowest degree first.  `LaurentRing` is k[t^{+-1}] on raw tuples
+(shift, coefficients, denominator): the SNF runs on it, the Alexander
+polynomial takes its minors and gcds in it, and an inverse in Q(zeta_d) is
+its Bezout step against Phi_d.  `rank_exact` never computes
 with FieldElem: over Q it runs fraction-free Bareiss on integer rows, over
 F_p it eliminates residues, and over Q(zeta_d) it takes ranks at a d-th root
 of unity modulo primes ell = 1 (mod d) until a norm bound certifies the
@@ -16,7 +21,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CoefficientError, DescriptorMismatch, InputError
+from .errors import (CoefficientError, DescriptorMismatch, InputError,
+                     UnsupportedCoefficients)
 
 
 # Miller-Rabin on the first 12 primes as bases is exact for every n below
@@ -82,117 +88,6 @@ def prime_power(m: int):
     return (p, r) if m == 1 else None
 
 
-class IntPoly:
-    """Dense integer polynomial, coefficients lowest degree first.
-
-    Canonical form: no trailing zero coefficients (the zero polynomial is ()).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(int(x) for x in c)
-
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, deg, coeff=1):
-        return cls((0,) * deg + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return IntPoly(out)
-
-    def __neg__(self):
-        return IntPoly(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(other * x for x in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod_monic(self, d: "IntPoly"):
-        """Division by a monic divisor; quotient and remainder stay integral."""
-        if d.is_zero() or d.coeffs[-1] != 1:
-            raise CoefficientError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = d.degree
-        q = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q[i - dd] = c
-            for j, y in enumerate(d.coeffs):
-                rem[i - dd + j] -= c * y
-        return IntPoly(q), IntPoly(rem)
-
-    def exact_div(self, d: "IntPoly") -> "IntPoly":
-        q, r = self.divmod_monic(d)
-        if not r.is_zero():
-            raise CoefficientError("division not exact")
-        return q
-
-    def eval_int(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * x + c
-        return v
-
-    def content(self) -> int:
-        from math import gcd
-
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def __str__(self):
-        return format_poly(self.coeffs, "t")
-
-    __repr__ = __str__
-
-
 def format_poly(coeffs, var: str) -> str:
     """Human form of a dense coefficient list, highest degree first."""
     if not any(coeffs):
@@ -215,19 +110,22 @@ def format_poly(coeffs, var: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, by exact division of t^d - 1 by the
-    product of Phi_e over proper divisors e of d.  Monic of degree phi(d)."""
+def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
+    """The d-th cyclotomic polynomial, integer coefficients lowest degree
+    first: t^d - 1 divided synthetically by each monic Phi_e, e | d, e < d."""
     if d < 1:
         raise CoefficientError("d must be positive")
-    if d == 1:
-        return IntPoly((-1, 1))
-    num = IntPoly.monomial(d, 1) - IntPoly.one()
-    den = IntPoly.one()
-    for e in divisors(d):
-        if e < d:
-            den = den * cyclotomic_polynomial(e)
-    return num.exact_div(den)
+    num = [-1] + [0] * (d - 1) + [1]
+    for e in divisors(d)[:-1]:
+        phi = cyclotomic_polynomial(e)
+        k = len(phi) - 1
+        for i in range(len(num) - 1, k - 1, -1):
+            c = num[i]
+            if c:
+                for j in range(k):
+                    num[i - k + j] -= c * phi[j]
+        num = num[k:]
+    return tuple(num)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +152,8 @@ class FieldDescriptor:
         self.d = d
         if kind == _CYC:
             phi = cyclotomic_polynomial(d)
-            self.modulus = tuple(Fraction(c) for c in phi.coeffs)
-            self.degree = phi.degree
+            self.modulus = tuple(Fraction(c) for c in phi)
+            self.degree = len(phi) - 1
         else:
             self.modulus = None
             self.degree = 1
@@ -422,51 +320,16 @@ class FieldDescriptor:
             if a in (1, -1):
                 return a
             raise CoefficientError(f"{a} is not a unit in Z")
-        # extended Euclid in Q[s] against Phi_d
-        r0, r1 = list(self.modulus), list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c != 0)
-        if sum(1 for c in r0 if c != 0) != 1 or r0.index(lead) != 0:
-            raise CoefficientError("element not invertible mod Phi_d")
-        return self._reduce_poly([c / lead for c in s0])
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c != 0)
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / lead
-        q[i - db] = f
-        for j in range(db + 1):
-            a[i - db + j] -= f * b[j]
-    return q, a
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
+        # Phi_d is irreducible, so its gcd with a over Q[s^+-1] is a unit g and
+        # tau a = g mod Phi_d; fold tau / g into s^0..s^(d-1) (s^d = 1).
+        den = math.lcm(*(c.denominator for c in a))
+        a = _Q_RING._make(0, [c.numerator * (den // c.denominator) for c in a], den)
+        g, _, tau, _, _ = _Q_RING.gcd_bezout((0, cyclotomic_polynomial(self.d), 1), a)
+        shift, cs, den = _Q_RING.mul(tau, _Q_RING.unit_inverse(g))
+        out = [Fraction(0)] * self.d
+        for i, c in enumerate(cs, shift):
+            out[i % self.d] += Fraction(c, den)
+        return self._reduce_poly(out)
 
 
 _RATIONALS = FieldDescriptor(_Q)
@@ -583,9 +446,193 @@ class FieldElem:
         raise CoefficientError(f"{self} is not an integer")
 
 
-def field_inverse(a: FieldElem) -> FieldElem:
-    """Multiplicative inverse; cyclotomic case via extended Euclid mod Phi_d."""
-    return a.inverse()
+# ---------------------------------------------------------------------------
+# Laurent polynomials
+# ---------------------------------------------------------------------------
+
+
+class LaurentRing:
+    """Lambda = k[t^{+-1}] on raw Laurent polynomials, with the degree span as
+    Euclidean norm.
+
+    An element is a tuple (shift, coeffs, den) standing for
+    t^shift (coeffs[0] + coeffs[1] t + ...) / den.  It is canonical: coeffs
+    has no zero at either end (0 is (0, (), 1)), den > 0, and over Q the
+    coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
+    equal tuples.  Over F_p the coefficients are ints in [0, p) and over
+    Q(zeta_d) the descriptor's payload tuples; there den is 1.  Coefficients
+    combine through a per-field table: int operators over Q, the descriptor's
+    _add/_mul/_neg/_inv otherwise.
+    """
+
+    def __init__(self, field: FieldDescriptor):
+        if not field.is_field:
+            raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
+        self.field = field
+        self.name = f"{field}[t^+-1]"
+        self._q = field.kind == "Q"
+        if self._q:
+            self._add, self._mul, self._neg = operator.add, operator.mul, operator.neg
+            self._c0, c1 = 0, 1
+        else:
+            self._add, self._mul, self._neg = field._add, field._mul, field._neg
+            self._c0, c1 = field.zero().value, field.one().value
+        self.zero = (0, (), 1)
+        self.one = (0, (c1,), 1)
+
+    def _make(self, shift, cs, den=1):
+        """The canonical element t^shift * cs / den: content shared with den
+        cancelled, zeros trimmed at both ends."""
+        if den != 1:
+            g = math.gcd(den, *cs)
+            if g != 1:
+                cs = [c // g for c in cs]
+                den //= g
+        zero, lo, hi = self._c0, 0, len(cs)
+        while hi and cs[hi - 1] == zero:
+            hi -= 1
+        while lo < hi and cs[lo] == zero:
+            lo += 1
+        return (shift + lo, tuple(cs[lo:hi]), den) if hi else self.zero
+
+    @staticmethod
+    def is_zero(a):
+        return not a[1]
+
+    @staticmethod
+    def norm(a):
+        return len(a[1]) - 1
+
+    @staticmethod
+    def is_unit(a):
+        return len(a[1]) == 1
+
+    def add(self, a, b):
+        if not a[1]:
+            return b
+        if not b[1]:
+            return a
+        (sa, ca, da), (sb, cb, db) = a, b
+        den = da
+        if da != db:
+            den = da // math.gcd(da, db) * db
+            ca = [c * (den // da) for c in ca]
+            cb = [c * (den // db) for c in cb]
+        if sa > sb:
+            sa, ca, sb, cb = sb, cb, sa, ca
+        out = list(ca)
+        out += [self._c0] * (sb + len(cb) - sa - len(out))
+        add = self._add
+        for j, y in enumerate(cb, sb - sa):
+            out[j] = add(out[j], y)
+        return self._make(sa, out, den)
+
+    def neg(self, a):
+        return (a[0], tuple(map(self._neg, a[1])), a[2])
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        (sa, ca, da), (sb, cb, db) = a, b
+        if not ca or not cb:
+            return self.zero
+        add, mul = self._add, self._mul
+        out = [self._c0] * (len(ca) + len(cb) - 1)
+        for i, x in enumerate(ca):
+            for j, y in enumerate(cb, i):
+                out[j] = add(out[j], mul(x, y))
+        return self._make(sa + sb, out, da * db)
+
+    def divstep(self, pivot, entry):
+        """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
+        < norm(pivot), where scale is a power of the pivot's leading
+        coefficient (a unit scalar).  No coefficient division happens."""
+        pd = len(pivot[1]) - 1
+        top = pivot[0] + pd
+        lead = self._make(0, [pivot[1][-1]], pivot[2])
+        q, rem, scale = self.zero, entry, self.one
+        while len(rem[1]) > pd:
+            rs, rc, rden = rem
+            mono = self._make(rs + len(rc) - 1 - top, [rc[-1]], rden)
+            q = self.add(self.mul(q, lead), mono)
+            rem = self.sub(self.mul(rem, lead), self.mul(mono, pivot))
+            scale = self.mul(scale, lead)
+        return scale, q
+
+    def exact_div(self, a, b):
+        scale, q = self.divstep(b, a)
+        if not self.is_zero(self.sub(self.mul(a, scale), self.mul(q, b))):
+            raise CoefficientError("not divisible in Lambda")
+        return self.mul(self.unit_inverse(scale), q)
+
+    def _strip(self, a):
+        """Unit making a canonical (monomial part, sign/lead, content)."""
+        if self.is_zero(a):
+            return None
+        unit, canon = self.unit_normalize(a)
+        total = self.unit_inverse(unit)
+        c = self.content_unit([canon])
+        return total if c is None else self.mul(c, total)
+
+    def gcd_bezout(self, a, b):
+        """(g, sigma, tau, alpha, beta) with sigma a + tau b = g, a = alpha g,
+        b = beta g, and sigma alpha + tau beta = 1.
+
+        Primitive pseudo-Euclid: every remainder is stripped to a primitive
+        canonical polynomial (a unit rescaling), which is what keeps the
+        coefficient growth of the chain polynomial.  When a divides b, tau is
+        guaranteed to be 0 so the pivot row/column is only unit-rescaled."""
+        mul, one, zero = self.mul, self.one, self.zero
+        try:
+            beta = self.exact_div(b, a)
+        except CoefficientError:
+            beta = None
+        if beta is not None:
+            unit = self._strip(a) or one
+            inv = self.unit_inverse(unit)
+            return mul(unit, a), unit, zero, inv, mul(inv, beta)
+
+        def strip(r, s, t):
+            u = self._strip(r)
+            return (r, s, t) if u is None else (mul(u, r), mul(u, s), mul(u, t))
+
+        (r0, s0, t0), (r1, s1, t1) = strip(a, one, zero), strip(b, zero, one)
+        while not self.is_zero(r1):
+            scale, q = self.divstep(r1, r0)
+            r2, s2, t2 = (self.sub(mul(scale, x), mul(q, y))
+                          for x, y in ((r0, r1), (s0, s1), (t0, t1)))
+            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), strip(r2, s2, t2)
+        return r0, s0, t0, self.exact_div(a, r0), self.exact_div(b, r0)
+
+    def unit_normalize(self, a):
+        """(unit, canonical) with a = unit * canonical; canonical is a monic
+        polynomial with nonzero constant term (lowest exponent 0)."""
+        if self.is_zero(a):
+            return self.one, a
+        unit = self._make(a[0], [a[1][-1]], a[2])
+        return unit, self.mul(self.unit_inverse(unit), a)
+
+    def unit_inverse(self, u):
+        s, (c,), den = u
+        if self._q:
+            return (-s, (den if c > 0 else -den,), abs(c))
+        return (-s, (self.field._inv(c),), 1)
+
+    def content_unit(self, entries):
+        """Scalar unit making the coefficient content of a row/column 1.
+
+        Over Q this is lcm(denominators)/gcd(integer contents): content
+        extraction is what keeps coefficient growth in check during
+        elimination.  Over other coefficient fields there is nothing to gain."""
+        if not self._q:
+            return None
+        g = math.gcd(*(c for e in entries for c in e[1]))
+        den = math.lcm(*(e[2] for e in entries))
+        return None if g in (0, den) else self._make(0, [den], g)
+
+
+_Q_RING = LaurentRing(_RATIONALS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ epimorphisms, and ordinary Betti numbers via the augmentation specialization.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 
 from .coeffs import FieldDescriptor, rank_exact
 from .errors import InputError, UnsupportedCoefficients, ValidationError
 from .groupring import GroupDescriptor, GroupRingElem, parse_element
+from .modz import smith_normal_form
 
 _WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
 
@@ -146,39 +146,8 @@ class Epimorphism:
         n = self.target.n
         if n == 0:
             return True
-        rows = [list(img) for img in self.images]
-        return _integer_minor_gcd(rows, n) == 1
-
-
-def _integer_minor_gcd(rows, k):
-    """gcd of all k x k minors of an integer matrix (0 if none exist)."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    if m < k or ncols < k:
-        return 0
-    g = 0
-    for rsel in itertools.combinations(range(m), k):
-        for csel in itertools.combinations(range(ncols), k):
-            sub = [[rows[i][j] for j in csel] for i in rsel]
-            g = math.gcd(g, _int_det(sub))
-            if g == 1:
-                return 1
-    return g
-
-
-def _int_det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    det = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        det += (-1) ** j * m[0][j] * _int_det(minor)
-    return det
+        # onto Z^n iff the image matrix has n invariant factors, all 1
+        return smith_normal_form(self.images).nonzero() == [1] * n
 
 
 class GroupHom:

@@ -11,9 +11,9 @@ of d_q is free, so ker d_q is a direct summand of C_q, and
 with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
 come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
 
-The SNF over Lambda runs on raw Laurent polynomials (shift, coefficients,
-denominator), never on FieldElem: ints with gcd(coefficients, denominator) = 1
-over Q, residues over F_p, payload tuples over Q(zeta_d) (`_LaurentCtx`).
+The SNF over Lambda runs on the raw Laurent polynomials of
+`coeffs.LaurentRing`, never on FieldElem; `_LaurentCtx` adds the conversions
+from and to GroupRingElem, and only the diagonal is converted back.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .coeffs import FieldDescriptor, FieldElem
+from .coeffs import FieldElem, LaurentRing
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -108,49 +108,9 @@ class _IntCtx:
         return None
 
 
-class _LaurentCtx:
-    """Lambda = k[t^{+-1}] on raw Laurent polynomials, with the degree span as
-    Euclidean norm.
-
-    An element is a tuple (shift, coeffs, den) standing for
-    t^shift (coeffs[0] + coeffs[1] t + ...) / den.  It is canonical: coeffs
-    has no zero at either end (0 is (0, (), 1)), den > 0, and over Q the
-    coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
-    equal tuples.  Over F_p the coefficients are ints in [0, p) and over
-    Q(zeta_d) the descriptor's payload tuples; there den is 1.  Coefficients
-    combine through a per-field table: int operators over Q, the descriptor's
-    _add/_mul/_neg/_inv otherwise.
-    """
-
-    def __init__(self, field: FieldDescriptor):
-        if not field.is_field:
-            raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
-        self.field = field
-        self.name = f"{field}[t^+-1]"
-        self._q = field.kind == "Q"
-        if self._q:
-            self._add, self._mul, self._neg = operator.add, operator.mul, operator.neg
-            self._c0, c1 = 0, 1
-        else:
-            self._add, self._mul, self._neg = field._add, field._mul, field._neg
-            self._c0, c1 = field.zero().value, field.one().value
-        self.zero = (0, (), 1)
-        self.one = (0, (c1,), 1)
-
-    def _make(self, shift, cs, den=1):
-        """The canonical element t^shift * cs / den: content shared with den
-        cancelled, zeros trimmed at both ends."""
-        if den != 1:
-            g = math.gcd(den, *cs)
-            if g != 1:
-                cs = [c // g for c in cs]
-                den //= g
-        zero, lo, hi = self._c0, 0, len(cs)
-        while hi and cs[hi - 1] == zero:
-            hi -= 1
-        while lo < hi and cs[lo] == zero:
-            lo += 1
-        return (shift + lo, tuple(cs[lo:hi]), den) if hi else self.zero
+class _LaurentCtx(LaurentRing):
+    """The Laurent ring as the SNF engine's Euclidean context, with the
+    conversions between its raw elements and GroupRingElem over kZ."""
 
     def raw(self, a: GroupRingElem):
         """The raw form of an element of kZ."""
@@ -171,151 +131,13 @@ class _LaurentCtx:
         return GroupRingElem(_Z1, f, {(s + i,): FieldElem(f, Fraction(c, den) if self._q else c)
                                       for i, c in enumerate(cs) if c != self._c0})
 
-    @staticmethod
-    def is_zero(a):
-        return not a[1]
-
-    @staticmethod
-    def norm(a):
-        return len(a[1]) - 1
-
-    @staticmethod
-    def is_unit(a):
-        return len(a[1]) == 1
-
-    def add(self, a, b):
-        if not a[1]:
-            return b
-        if not b[1]:
-            return a
-        (sa, ca, da), (sb, cb, db) = a, b
-        den = da
-        if da != db:
-            den = da // math.gcd(da, db) * db
-            ca = [c * (den // da) for c in ca]
-            cb = [c * (den // db) for c in cb]
-        if sa > sb:
-            sa, ca, sb, cb = sb, cb, sa, ca
-        out = list(ca)
-        out += [self._c0] * (sb + len(cb) - sa - len(out))
-        add = self._add
-        for j, y in enumerate(cb, sb - sa):
-            out[j] = add(out[j], y)
-        return self._make(sa, out, den)
-
-    def neg(self, a):
-        return (a[0], tuple(map(self._neg, a[1])), a[2])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        (sa, ca, da), (sb, cb, db) = a, b
-        if not ca or not cb:
-            return self.zero
-        add, mul = self._add, self._mul
-        out = [self._c0] * (len(ca) + len(cb) - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb, i):
-                out[j] = add(out[j], mul(x, y))
-        return self._make(sa + sb, out, da * db)
-
-    def divstep(self, pivot, entry):
-        """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
-        < norm(pivot), where scale is a power of the pivot's leading
-        coefficient (a unit scalar).  No coefficient division happens."""
-        pd = len(pivot[1]) - 1
-        top = pivot[0] + pd
-        lead = self._make(0, [pivot[1][-1]], pivot[2])
-        q, rem, scale = self.zero, entry, self.one
-        while len(rem[1]) > pd:
-            rs, rc, rden = rem
-            mono = self._make(rs + len(rc) - 1 - top, [rc[-1]], rden)
-            q = self.add(self.mul(q, lead), mono)
-            rem = self.sub(self.mul(rem, lead), self.mul(mono, pivot))
-            scale = self.mul(scale, lead)
-        return scale, q
-
-    def exact_div(self, a, b):
-        scale, q = self.divstep(b, a)
-        if not self.is_zero(self.sub(self.mul(a, scale), self.mul(q, b))):
-            raise CoefficientError("not divisible in Lambda")
-        return self.mul(self.unit_inverse(scale), q)
-
-    def _strip(self, a):
-        """Unit making a canonical (monomial part, sign/lead, content)."""
-        if self.is_zero(a):
-            return None
-        unit, canon = self.unit_normalize(a)
-        total = self.unit_inverse(unit)
-        c = self.content_unit([canon])
-        return total if c is None else self.mul(c, total)
-
-    def gcd_bezout(self, a, b):
-        """(g, sigma, tau, alpha, beta) with sigma a + tau b = g, a = alpha g,
-        b = beta g, and sigma alpha + tau beta = 1.
-
-        Primitive pseudo-Euclid: every remainder is stripped to a primitive
-        canonical polynomial (a unit rescaling), which is what keeps the
-        coefficient growth of the chain polynomial.  When a divides b, tau is
-        guaranteed to be 0 so the pivot row/column is only unit-rescaled."""
-        mul, one, zero = self.mul, self.one, self.zero
-        try:
-            beta = self.exact_div(b, a)
-        except CoefficientError:
-            beta = None
-        if beta is not None:
-            unit = self._strip(a) or one
-            inv = self.unit_inverse(unit)
-            return mul(unit, a), unit, zero, inv, mul(inv, beta)
-
-        def strip(r, s, t):
-            u = self._strip(r)
-            return (r, s, t) if u is None else (mul(u, r), mul(u, s), mul(u, t))
-
-        (r0, s0, t0), (r1, s1, t1) = strip(a, one, zero), strip(b, zero, one)
-        while not self.is_zero(r1):
-            scale, q = self.divstep(r1, r0)
-            r2, s2, t2 = (self.sub(mul(scale, x), mul(q, y))
-                          for x, y in ((r0, r1), (s0, s1), (t0, t1)))
-            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), strip(r2, s2, t2)
-        return r0, s0, t0, self.exact_div(a, r0), self.exact_div(b, r0)
-
-    def unit_normalize(self, a):
-        """(unit, canonical) with a = unit * canonical; canonical is a monic
-        polynomial with nonzero constant term (lowest exponent 0)."""
-        if self.is_zero(a):
-            return self.one, a
-        unit = self._make(a[0], [a[1][-1]], a[2])
-        return unit, self.mul(self.unit_inverse(unit), a)
-
-    def unit_inverse(self, u):
-        s, (c,), den = u
-        if self._q:
-            return (-s, (den if c > 0 else -den,), abs(c))
-        return (-s, (self.field._inv(c),), 1)
-
-    def content_unit(self, entries):
-        """Scalar unit making the coefficient content of a row/column 1.
-
-        Over Q this is lcm(denominators)/gcd(integer contents): content
-        extraction is what keeps coefficient growth in check during
-        elimination.  Over other coefficient fields there is nothing to gain."""
-        if not self._q:
-            return None
-        g = math.gcd(*(c for e in entries for c in e[1]))
-        den = math.lcm(*(e[2] for e in entries))
-        return None if g in (0, den) else self._make(0, [den], g)
-
 
 class SNFResult:
-    """Diagonal entries plus transforms with U A V = D; each diagonal entry
-    divides the next, and U, V are invertible over the ring."""
+    """The diagonal of a Smith normal form, each entry dividing the next, and
+    the shape of the reduced matrix."""
 
-    def __init__(self, diagonal, U, V, shape):
+    def __init__(self, diagonal, shape):
         self.diagonal = diagonal
-        self.U = U
-        self.V = V
         self.shape = shape
 
     def nonzero(self):
@@ -473,9 +295,10 @@ def _snf_engine(ctx, matrix):
 def smith_normal_form(matrix) -> SNFResult:
     """SNF of a matrix over Z (int entries) or Lambda (GroupRingElem over kZ).
 
-    A Laurent matrix is converted once to the raw form of `_LaurentCtx`,
-    reduced, and D, U, V are converted back.  Postconditions U.A.V = D and
-    the divisibility chain are verified by multiplication before returning.
+    A Laurent matrix is converted once to the raw form of `_LaurentCtx` and
+    reduced; only the diagonal is converted back.  Postconditions U.A.V = D
+    and the divisibility chain are verified by multiplication on the raw
+    matrices before returning.
     """
     rows = [list(r) for r in matrix]
     shape = (len(rows), len(rows[0]) if rows else 0)
@@ -485,26 +308,23 @@ def smith_normal_form(matrix) -> SNFResult:
         ctx = _IntCtx()
     A = [[ctx.raw(x) for x in r] for r in rows]
     diag, U, V, _ = _snf_engine(ctx, A)
-    _verify_snf(ctx, A, SNFResult(diag, U, V, shape))
-    lift = ctx.lift
-    return SNFResult([lift(d) for d in diag], [[lift(x) for x in r] for r in U],
-                     [[lift(x) for x in r] for r in V], shape)
+    _verify_snf(ctx, A, diag, U, V)
+    return SNFResult([ctx.lift(d) for d in diag], shape)
 
 
-def _verify_snf(ctx, original, result: SNFResult):
-    A = [list(r) for r in original]
-    prod = _mat_mul_ctx(ctx, _mat_mul_ctx(ctx, result.U, A), result.V)
-    nrows, ncols = result.shape
+def _verify_snf(ctx, A, diagonal, U, V):
+    prod = _mat_mul_ctx(ctx, _mat_mul_ctx(ctx, U, A), V)
+    nrows, ncols = len(A), len(A[0]) if A else 0
     where = f"over {ctx.name} on a {nrows}x{ncols} matrix"
     for i in range(nrows):
         for j in range(ncols):
-            expect = result.diagonal[i] if i == j and i < len(result.diagonal) else ctx.zero
+            expect = diagonal[i] if i == j and i < len(diagonal) else ctx.zero
             if not ctx.is_zero(ctx.sub(prod[i][j], expect)):
                 raise CrossCheckError(
                     f"SNF verification failed {where}: (U A V)[{i}][{j}] = "
                     f"{ctx.lift(prod[i][j])}, expected D[{i}][{j}] = {ctx.lift(expect)}"
                 )
-    nz = [d for d in result.diagonal if not ctx.is_zero(d)]
+    nz = [d for d in diagonal if not ctx.is_zero(d)]
     for k, (a, b) in enumerate(zip(nz, nz[1:])):
         try:
             ctx.exact_div(b, a)

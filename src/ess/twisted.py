@@ -6,22 +6,27 @@ the distinguished primitive d-th root of unity inside Q(zeta_d) and taking
 exact ranks; no floating point, no choice of embedding.  Evaluation is in
 closed form: an entry sum_k c_k t^k becomes sum_k c_k (s^(k*power) mod Phi_d),
 read from an integer table of the powers of s built once per d.
+
+The Alexander polynomial is the gcd over Z[t^{+-1}] of the (g-1)-minors of
+the Alexander matrix (Crowell and Fox).  Each minor is a fraction-free Bareiss
+determinant in `coeffs.LaurentRing` over Q, so it costs polynomial time; the
+gcd is the minors' integer content times their primitive gcd over Q[t^{+-1}].
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .aomoto import aomoto_betti
-from .coeffs import (FieldDescriptor, FieldElem, IntPoly, cyclotomic_polynomial,
-                     rank_exact)
+from .coeffs import FieldDescriptor, FieldElem, cyclotomic_polynomial, format_poly, rank_exact
 from .complexes import EquivariantComplex, GroupHom, betti_numbers, change_field
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
-from .modz import integral_torsion_check
+from .modz import _LaurentCtx, integral_torsion_check
 
 _Z1 = GroupDescriptor.free_abelian(1)
 
@@ -30,7 +35,7 @@ _Z1 = GroupDescriptor.free_abelian(1)
 def _zeta_power_table(d: int) -> tuple[tuple[int, ...], ...]:
     """Integer coefficients of s^k mod Phi_d(s) for k < d.  Phi_d is monic,
     so each next power is a shift plus one multiple of Phi_d."""
-    phi = cyclotomic_polynomial(d).coeffs
+    phi = cyclotomic_polynomial(d)
     deg = len(phi) - 1
     cur = (1,) + (0,) * (deg - 1)
     table = [cur]
@@ -92,128 +97,71 @@ def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _laurent_to_intpoly(elem: GroupRingElem):
-    """(shift, IntPoly): elem = t^shift * poly with integer coefficients."""
-    if elem.is_zero():
-        return 0, IntPoly.zero()
-    exps = [k[0] for k in elem.terms]
-    lo = min(exps)
-    coeffs = [0] * (max(exps) - lo + 1)
-    scale = 1
-    for c in elem.terms.values():
-        f = c.as_fraction()
-        scale = scale * f.denominator // math.gcd(scale, f.denominator)
-    for key, c in elem.terms.items():
-        coeffs[key[0] - lo] = int(c.as_fraction() * scale)
-    return lo, IntPoly(coeffs)
-
-
-def _det_groupring(matrix):
-    n = len(matrix)
-    if n == 0:
-        return None
-    if n == 1:
-        return matrix[0][0]
-    det = None
-    for j in range(n):
-        e = matrix[0][j]
-        if e.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        sub = _det_groupring(minor)
-        term = e * sub if sub is not None else e
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    if det is None:
-        det = GroupRingElem.zero(matrix[0][0].group, matrix[0][0].field)
-    return det
-
-
-def _qpoly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    a, b = list(a), list(b)
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lead = b[deg(b)]
-        while deg(a) >= deg(b):
-            sh = deg(a) - deg(b)
-            f = a[deg(a)] / lead
-            for i in range(deg(b) + 1):
-                a[i + sh] -= f * b[i]
-        a, b = b, a
-    return a
-
-
-def _intpoly_gcd(polys: list[IntPoly]) -> IntPoly:
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return IntPoly.zero()
-    content = 0
-    for p in nonzero:
-        content = math.gcd(content, p.content())
-    g = [Fraction(c) for c in nonzero[0].coeffs]
-    for p in nonzero[1:]:
-        g = _qpoly_gcd(g, [Fraction(c) for c in p.coeffs])
-    # primitive integer form
-    den = 1
-    for c in g:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in g]
-    prim_gcd = 0
-    for c in ints:
-        prim_gcd = math.gcd(prim_gcd, c)
-    ints = [c // prim_gcd for c in ints]
-    result = IntPoly(ints) * content
-    if result.coeffs and result.coeffs[-1] < 0:
-        result = -result
-    return result
+def _bareiss_det(ring, m):
+    """Determinant, up to sign, of a square matrix over `ring` by
+    fraction-free Bareiss elimination: every update is divided exactly by the
+    previous pivot, and a zero pivot is swapped for a nonzero entry below."""
+    m = [list(r) for r in m]
+    prev = None
+    for k in range(len(m) - 1):
+        if ring.is_zero(m[k][k]):
+            swap = next((i for i in range(k + 1, len(m)) if not ring.is_zero(m[i][k])), None)
+            if swap is None:
+                return ring.zero
+            m[k], m[swap] = m[swap], m[k]
+        piv = m[k][k]
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                x = ring.sub(ring.mul(piv, m[i][j]), ring.mul(m[i][k], m[k][j]))
+                m[i][j] = x if prev is None else ring.exact_div(x, prev)
+        prev = piv
+    return m[-1][-1]
 
 
 class AlexanderResult:
-    def __init__(self, polynomial: IntPoly, notice: str | None = None):
-        self.polynomial = polynomial
+    def __init__(self, polynomial: tuple[int, ...], notice: str | None = None):
+        self.polynomial = polynomial  # integer coefficients, lowest degree first
         self.notice = notice
 
     def __str__(self):
-        return str(self.polynomial)
+        return format_poly(self.polynomial, "t")
 
 
 def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
-    """gcd of the codimension-1 minors of the degree-2 boundary (the
-    Alexander matrix), normalized to lowest exponent 0 and positive leading
-    coefficient (content-positive over Z)."""
+    """gcd over Z[t^{+-1}] of the codimension-1 minors of the degree-2
+    boundary (the Alexander matrix), normalized to lowest exponent 0 and
+    positive leading coefficient.  By Gauss's lemma it is the gcd of the
+    minors' integer contents times the primitive form of their gcd over
+    Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}]."""
     if C.group != _Z1:
         raise ValidationError("Alexander polynomial needs group Z")
     if C.top < 2 or C.dims[2] == 0:
-        return AlexanderResult(IntPoly.one(), notice="no 2-cells; Delta = 1 by convention")
+        return AlexanderResult((1,), notice="no 2-cells; Delta = 1 by convention")
+    g, ncols = C.dims[1], C.dims[2]
+    if g == 1:
+        return AlexanderResult((1,))
+    if ncols < g - 1:
+        return AlexanderResult(())
+    if C.integral_boundaries is None and C.field.kind != "Q":
+        raise UnsupportedCoefficients(
+            "Alexander polynomial needs integral or rational coefficients")
+    ring = _LaurentCtx(FieldDescriptor.rationals())
     mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    A = mats[1]  # dims[1] x dims[2]
-    g = C.dims[1]
-    k = g - 1
-    ncols = C.dims[2]
-    if k == 0:
-        return AlexanderResult(IntPoly.one())
-    if ncols < k:
-        return AlexanderResult(IntPoly.zero())
-    import itertools
-
-    minors = []
-    for rows in itertools.combinations(range(g), k):
-        for cols in itertools.combinations(range(ncols), k):
-            sub = [[A[i][j] for j in cols] for i in rows]
-            det = _det_groupring(sub)
-            _, poly = _laurent_to_intpoly(det)
-            minors.append(poly)
-    return AlexanderResult(_intpoly_gcd(minors))
+    A = [[ring.raw(e) for e in row] for row in mats[1]]  # dims[1] x dims[2]
+    content, gcd = 0, None
+    for rows in itertools.combinations(range(g), g - 1):
+        for cols in itertools.combinations(range(ncols), g - 1):
+            det = _bareiss_det(ring, [[A[i][j] for j in cols] for i in rows])
+            if not ring.is_zero(det):
+                # det = t^shift * coefficients / den, gcd(coefficients, den) = 1
+                content = math.gcd(content, *det[1])
+                gcd = det if gcd is None else ring.gcd_bezout(gcd, det)[0]
+    if gcd is None:
+        return AlexanderResult(())
+    # monic over Q with gcd(coefficients, den) = 1: the coefficients are the
+    # primitive integer form, leading coefficient positive
+    _, (_, primitive, _) = ring.unit_normalize(gcd)
+    return AlexanderResult(tuple(content * c for c in primitive))
 
 
 # ---------------------------------------------------------------------------

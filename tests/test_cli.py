@@ -253,6 +253,21 @@ def test_input_file_path(tmp_path, capsys):
     assert json.loads(out)["betti"] == [1, 1]
 
 
+@pytest.mark.parametrize("group, nu", [
+    ("Z", {"x": 2, "y": 4}),
+    ("Z^2", {"x": [1, 1], "y": [2, 2]}),
+    ("Z^2", {"x": [2, 0], "y": [0, 1]}),
+], ids=["Z-even", "Z2-rank-1", "Z2-index-2"])
+def test_non_surjective_nu_is_input_error(group, nu, tmp_path, capsys):
+    doc = {"field": "Z", "group": group,
+           "presentation": {"generators": ["x", "y"], "relators": ["xyXY"], "nu": nu}}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert "do not generate" in err
+
+
 def test_selftest_wiring(monkeypatch, capsys):
     from ess import selftest
 

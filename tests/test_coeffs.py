@@ -2,54 +2,68 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ess import linalg
-from ess.coeffs import (FieldDescriptor, IntPoly, _modulus,
-                        cyclotomic_polynomial, divisors, field_inverse,
-                        prime_power, rank_exact)
+from ess.coeffs import (FieldDescriptor, FieldElem, LaurentRing, _modulus,
+                        cyclotomic_polynomial, divisors, prime_power, rank_exact)
 from ess.errors import CoefficientError, DescriptorMismatch
 
 Q = FieldDescriptor.rationals()
+RING = LaurentRing(Q)
+T = sympy.Symbol("t")
 
 
-def poly_div_oracle(num: IntPoly, den: IntPoly) -> IntPoly:
-    # independent long division used to freeze expected cyclotomic values
-    return num.divmod_monic(den)[0]
+def poly_div_oracle(num, den):
+    # independent long division (sympy) used to freeze expected cyclotomic values
+    quo, rem = sympy.div(sympy.Poly(list(reversed(num)), T), sympy.Poly(list(reversed(den)), T))
+    assert rem.is_zero
+    return tuple(int(c) for c in reversed(quo.all_coeffs()))
+
+
+def _raw(coeffs):
+    """A polynomial with integer coefficients, lowest degree first, as an
+    element of Q[t^+-1]."""
+    return RING._make(0, list(coeffs))
 
 
 def test_phi_1_is_t_minus_1():
-    assert cyclotomic_polynomial(1) == IntPoly((-1, 1))
+    assert cyclotomic_polynomial(1) == (-1, 1)
 
 
 def test_phi_prime_power_at_1():
     for d, p in [(2, 2), (4, 2), (8, 2), (3, 3), (9, 3), (27, 3), (5, 5), (49, 7)]:
-        assert cyclotomic_polynomial(d).eval_int(1) == p
+        assert sum(cyclotomic_polynomial(d)) == p
 
 
 def test_phi_6_by_division_oracle():
-    t6 = IntPoly.monomial(6, 1) - IntPoly.one()
-    den = (
-        cyclotomic_polynomial(1)
-        * cyclotomic_polynomial(2)
-        * cyclotomic_polynomial(3)
-    )
-    assert cyclotomic_polynomial(6) == poly_div_oracle(t6, den) == IntPoly((1, -1, 1))
+    t6 = (-1, 0, 0, 0, 0, 0, 1)
+    den = RING.one
+    for e in (1, 2, 3):
+        den = RING.mul(den, _raw(cyclotomic_polynomial(e)))
+    assert cyclotomic_polynomial(6) == poly_div_oracle(t6, den[1]) == (1, -1, 1)
 
 
 def test_phi_product_identity_sample():
     for d in (12, 30, 60):
-        prod = IntPoly.one()
+        prod = RING.one
         for e in divisors(d):
-            prod = prod * cyclotomic_polynomial(e)
-        assert prod == IntPoly.monomial(d, 1) - IntPoly.one()
+            prod = RING.mul(prod, _raw(cyclotomic_polynomial(e)))
+        assert prod == RING.sub((d, (1,), 1), RING.one)
 
 
 def test_phi_1_at_nonprime_power():
     for d in (6, 10, 12, 15, 30):
         assert prime_power(d) is None
-        assert cyclotomic_polynomial(d).eval_int(1) == 1
+        assert sum(cyclotomic_polynomial(d)) == 1
+
+
+def test_phi_matches_sympy():
+    for d in range(1, 251):
+        want = sympy.Poly(sympy.cyclotomic_poly(d, T), T).all_coeffs()
+        assert cyclotomic_polynomial(d) == tuple(int(c) for c in reversed(want)), d
 
 
 def test_lemma_cyclo_property():
@@ -58,9 +72,9 @@ def test_lemma_cyclo_property():
     for _ in range(50):
         p = rng.choice([2, 3, 5])
         r = rng.randint(1, 2)
-        R = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
-        Qpoly = cyclotomic_polynomial(p**r) * R
-        assert Qpoly.eval_int(1) % p == 0
+        R = _raw([rng.randint(-4, 4) for _ in range(rng.randint(1, 5))])
+        Qpoly = RING.mul(_raw(cyclotomic_polynomial(p**r)), R)
+        assert sum(Qpoly[1]) % p == 0
 
 
 def test_field_descriptor_parse_roundtrip():
@@ -80,7 +94,7 @@ def test_zeta_order_and_inverse():
         assert z**d == F.one()
         for k in range(1, d):
             assert z**k != F.one(), (d, k)
-        assert field_inverse(z) * z == F.one()
+        assert z.inverse() * z == F.one()
 
 
 def test_degenerate_cyclotomic_orders():
@@ -103,7 +117,31 @@ def test_cyclotomic_inverse_via_product():
         a = F.zeta() * rng.randint(1, 5) + rng.randint(-3, 3)
         if a.is_zero():
             continue
-        assert a * field_inverse(a) == F.one()
+        assert a * a.inverse() == F.one()
+
+
+@st.composite
+def cyclotomic_elements(draw):
+    """A nonzero element of Q(zeta_d): a few coordinates set (sparse, often
+    with constant term 0) or every coordinate drawn."""
+    F = FieldDescriptor.cyclotomic(draw(st.sampled_from((1, 2, 3, 4, 5, 12, 15, 30, 210))))
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    if draw(st.booleans()):
+        pay = [Fraction(0)] * F.degree
+        for i, c in draw(st.lists(st.tuples(st.integers(0, F.degree - 1), frac), min_size=1,
+                                  max_size=3)):
+            pay[i] = c
+    else:
+        pay = draw(st.lists(frac, min_size=F.degree, max_size=F.degree))
+    a = FieldElem(F, tuple(pay))
+    assume(not a.is_zero())
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=cyclotomic_elements())
+def test_cyclotomic_inverse_property(a):
+    assert a * a.inverse() == a.field.one()
 
 
 def test_rank_identity_over_fields():

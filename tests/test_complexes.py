@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ess.builtins import builtin_complex, load_builtin_document
 from ess.coeffs import FieldDescriptor
@@ -94,7 +98,7 @@ def test_presentation_complex_trefoil_matches_alexander():
     assert entry == delta or entry == -delta, str(entry)
     from ess.twisted import alexander_polynomial
 
-    assert str(alexander_polynomial(builtin_complex("trefoil")).polynomial) == "t^2 - t + 1"
+    assert str(alexander_polynomial(builtin_complex("trefoil"))) == "t^2 - t + 1"
 
 
 def test_fundamental_identity_is_composition():
@@ -182,6 +186,32 @@ def test_epimorphism_validation_failures():
     P2 = Presentation(["a", "b"], [FreeWord.parse("ab", ["a", "b"])])
     with pytest.raises(ValidationError, match="identity"):
         Epimorphism(G2, [[1, 0], [0, 1]]).validate(P2)
+
+
+def _brute_minor_gcd(rows, k):
+    """gcd of all k x k minors of an integer matrix by Laplace expansion (0 if
+    there are none)."""
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1:] for r in m[1:]])
+                   for j in range(len(m)))
+
+    return math.gcd(*(det([[rows[i][j] for j in cols] for i in sel])
+                      for sel in itertools.combinations(range(len(rows)), k)
+                      for cols in itertools.combinations(range(k), k)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_surjectivity_onto_zn_is_minor_gcd_one(n, data):
+    # onto Z^n iff the n x n minors of the image matrix have gcd 1
+    a = data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                              min_size=a, max_size=a))
+    onto = Epimorphism(GroupDescriptor.free_abelian(n), rows).is_surjective()
+    assert onto == (_brute_minor_gcd(rows, n) == 1), rows
 
 
 def test_betti_numbers_examples():

@@ -9,7 +9,9 @@ is ``monodromy --builtin torus2 --group-quotient Z --field Q`` and
 ``pages-torus2-Z12-Fp2.json`` is
 ``pages --builtin torus2 --group-quotient Zmod:12 --field Fp:2``, and
 ``decompose-trefoil-cyc6.json`` is
-``decompose --builtin trefoil --field cyclotomic:6``).  A refactor
+``decompose --builtin trefoil --field cyclotomic:6``, and
+``alexander-lyndon6-Z.json`` is
+``alexander --builtin lyndon:6 --group-quotient Z``).  A refactor
 must leave every file unchanged; a change of behaviour re-records the
 affected files.
 """
@@ -36,7 +38,16 @@ CASES = {
     **{f"{verb}-{space}-{label}": [verb, "--builtin", space, "--field", field]
        for verb in MODULE_VERBS for space in SPACES
        for label, field in (("Q", "Q"), ("Fp2", "Fp:2"), ("Fp3", "Fp:3"),
-                            ("cyc6", "cyclotomic:6"))},
+                            ("cyc5", "cyclotomic:5"), ("cyc6", "cyclotomic:6"),
+                            ("cyc12", "cyclotomic:12"))},
+    # comm-p:3 has Delta = 3*t - 3, whose content is 3
+    **{f"alexander-{space.replace(':', '')}": ["alexander", "--builtin", space]
+       for space in ("circle", "trefoil", "figure8", "zxf2", "torsfree", "minimal-check",
+                     "comm-p:3", "comm-p:5")},
+    # wedge2 has no 2-cells, so its output carries the notice
+    **{f"alexander-{space.replace(':', '')}-Z": ["alexander", "--builtin", space,
+                                                 "--group-quotient", "Z"]
+       for space in ("torus2", "torus3", "lyndon:6", "wedge2")},
     **{f"decompose-comm-p3-{label}": ["decompose", "--builtin", "comm-p:3", "--field", field]
        for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
     **{f"{verb}-{space}-{label}": [verb, "--builtin", space, "--field", field]

@@ -18,7 +18,7 @@ from ess.coeffs import FieldDescriptor, FieldElem
 from ess.complexes import (GroupHom, base_change, change_field, complex_from_matrices,
                            parse_document)
 from ess.groupring import GroupDescriptor, GroupRingElem
-from ess.modz import _snf_engine, homology_decomposition, smith_normal_form
+from ess.modz import _LaurentCtx, _snf_engine, homology_decomposition, smith_normal_form
 
 FIELDS = {
     "Q": FieldDescriptor.rationals(),
@@ -169,4 +169,11 @@ def test_raw_snf_matches_groupring_oracle(A):
     diag, U, V, _ = _snf_engine(ctx, A)
     canonical = [ctx.unit_normalize(d)[1] for d in diag if not d.is_zero()]
     assert [ctx.unit_normalize(d)[1] for d in res.nonzero()] == canonical
-    assert (res.diagonal, res.U, res.V) == (diag, U, V)
+    assert res.diagonal == diag
+    raw = _LaurentCtx(A[0][0].field)
+    rdiag, rU, rV, _ = _snf_engine(raw, [[raw.raw(x) for x in row] for row in A])
+
+    def lift(rows):
+        return [[raw.lift(x) for x in row] for row in rows]
+
+    assert ([raw.lift(d) for d in rdiag], lift(rU), lift(rV)) == (diag, U, V)
