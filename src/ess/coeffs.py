@@ -561,6 +561,8 @@ class LaurentRing:
         return scale, q
 
     def exact_div(self, a, b):
+        if self.is_unit(b):
+            return self.mul(a, self.unit_inverse(b))
         scale, q = self.divstep(b, a)
         if not self.is_zero(self.sub(self.mul(a, scale), self.mul(q, b))):
             raise CoefficientError("not divisible in Lambda")

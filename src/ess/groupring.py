@@ -12,7 +12,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .coeffs import FieldDescriptor, FieldElem, prime_power
 from .errors import DescriptorMismatch, InputError
 
@@ -409,7 +408,7 @@ class _CyclicFiltration:
 
     def _shifted_power(self, j: int, s: int):
         """Monomial coordinates of t^j (t - 1)^s, a polynomial of degree j + s < m."""
-        v = linalg.zeros(self.field, self.m)
+        v = [self.field.zero()] * self.m
         for k in range(s + 1):
             v[j + k] = self.field.from_int((-1) ** (s - k) * math.comb(s, k))
         return v
@@ -450,7 +449,7 @@ def cyclic_filtration(m: int, field: FieldDescriptor) -> _CyclicFiltration:
 
 
 def _cyclic_vector(a: GroupRingElem):
-    v = linalg.zeros(a.field, a.group.m)
+    v = [a.field.zero()] * a.group.m
     for key, coeff in a.terms.items():
         v[key] = coeff
     return v

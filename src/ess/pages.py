@@ -11,8 +11,9 @@ Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
 (Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).  The
 truncated boundary is assembled as sparse columns straight from the sparse
-multiplication of FiltrationModel; no dense matrix is stored, and the few
-callers that hand a boundary to `linalg` densify it themselves.
+multiplication of FiltrationModel; no dense matrix is stored.  Every
+elimination over k in the package (the pairs, the homology bases, d^1 and the
+J^2 check) reduces such columns in the one sparse column echelon `Echelon`.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -24,15 +25,108 @@ from __future__ import annotations
 import math
 import operator
 
-from . import linalg
-from .coeffs import FieldDescriptor, _rank_bareiss_int, _rank_mod, rank_exact
+from .coeffs import FieldDescriptor, _rank_bareiss_int, _rank_mod
 from .complexes import betti_numbers
-from .errors import CrossCheckError, UnsupportedCoefficients, ValidationError
+from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
+                     ValidationError)
 from .groupring import (GroupDescriptor, GroupRingElem, _cyclic_vector,
                         _expansion_coefficient, cyclic_filtration, gr_dimension,
                         monomials_of_degree)
 
 INF = math.inf
+
+
+class Echelon:
+    """Sparse column echelon over a field.
+
+    Columns are {row: nonzero FieldElem} dicts; a column's pivot is its
+    largest row.  Columns passed in are reduced in place, and `add` stores a
+    copy scaled to entry 1 at the pivot.  A column added with a label also
+    records its combination of the labelled inputs, and if it reduces to zero,
+    the relation e_label - (that combination) goes to `relations`.  Unlabelled
+    columns record nothing: added first, they make the combinations hold
+    modulo their span.
+    """
+
+    def __init__(self, field: FieldDescriptor):
+        self.one = field.one()
+        self.owner = {}      # pivot row -> stored column
+        self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
+        self.relations = []  # {label: coefficient}, one per dependent labelled column
+
+    def reduce(self, col, coords=None):
+        """Clear the pivots of col that stored columns own, adding the
+        multiples taken of their combinations into coords if given.  Returns
+        the pivot left, or None when col is zero: it lay in the span."""
+        owner, combo = self.owner, self.combo
+        while col:
+            low = max(col)
+            other = owner.get(low)
+            if other is None:
+                return low
+            f = col[low]
+            for k, y in other.items():
+                z = col[k] - f * y if k in col else -(f * y)
+                if z.is_zero():
+                    del col[k]
+                else:
+                    col[k] = z
+            if coords is not None:
+                for label, y in combo.get(low, {}).items():
+                    coords[label] = coords[label] + f * y if label in coords else f * y
+        return None
+
+    def add(self, col, label=None):
+        """Store col reduced; return its pivot, or None if it was dependent."""
+        coords = None if label is None else {}
+        low = self.reduce(col, coords)
+        if coords is not None:
+            coords = {k: -y for k, y in coords.items() if not y.is_zero()}
+            coords[label] = self.one
+        if low is None:
+            if coords is not None:
+                self.relations.append(coords)
+            return None
+        inv = col[low].inverse()
+        self.owner[low] = {k: y * inv for k, y in col.items()}
+        if coords is not None:
+            self.combo[low] = {k: y * inv for k, y in coords.items()}
+        return low
+
+
+def kernel(field: FieldDescriptor, columns):
+    """The relations among columns: for each column j that depends on the
+    earlier ones, e_j minus its expression in the earlier independent columns,
+    as a sparse {index: coefficient} dict (the free-column basis of the
+    reduced echelon form)."""
+    ech = Echelon(field)
+    for j, col in enumerate(columns):
+        ech.add(dict(col), j)
+    return ech.relations
+
+
+def solve_mod(field: FieldDescriptor, gens, subspace, targets):
+    """For each target, the coordinates c with target = sum c_i gens[i]
+    modulo span(subspace); all vectors are sparse columns.  Raises
+    CoefficientError if the gens are dependent modulo the subspace or a target
+    is not in span(gens + subspace)."""
+    ech = Echelon(field)
+    for col in subspace:
+        ech.add(dict(col))
+    for i, col in enumerate(gens):
+        if ech.add(dict(col), i) is None:
+            raise CoefficientError("generators dependent modulo subspace")
+    out = []
+    for target in targets:
+        coords = {}
+        if ech.reduce(dict(target), coords) is not None:
+            raise CoefficientError("target not in span of generators + subspace")
+        out.append([coords.get(i, field.zero()) for i in range(len(gens))])
+    return out
+
+
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
 
 
 class FiltrationModel:
@@ -108,7 +202,7 @@ class FiltrationModel:
         # multiply each basis vector in monomial coordinates, read adapted ones
         cols = []
         for vec in self._filt.adapted:
-            prod = linalg.zeros(self.field, m)
+            prod = [self.field.zero()] * m
             for key, coeff in elem.terms.items():
                 for j, y in enumerate(vec):
                     if not y.is_zero():
@@ -214,11 +308,6 @@ class PageComputation:
         self._bt[q] = cols
         return cols
 
-    def dense_columns(self, q: int):
-        """boundary_matrix(q) as dense column vectors, for the linalg routines."""
-        n = self.vdim(q - 1)
-        return [dense_vector(self.field, col, n) for col in self.boundary_matrix(q)]
-
     def _suffix_indices(self, q: int, s: int):
         ncells = self.C.dims[q] if 0 <= q <= self.Q else 0
         start = self.model.offset(s) * ncells
@@ -241,27 +330,13 @@ class PageComputation:
         row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
         col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
         pos = {i: k for k, i in enumerate(row_order)}
-        # row position -> entry
-        columns = [{pos[i]: x for i, x in col.items()} for col in self.boundary_matrix(q)]
-        owner = {}  # pivot position -> reduced column with pivot entry 1
+        bt = self.boundary_matrix(q)
+        ech = Echelon(self.field)
         pairs = []
         for j in col_order:
-            col = columns[j]
-            while col:
-                low = max(col)
-                other = owner.get(low)
-                if other is None:
-                    break
-                f = col[low]
-                for k, y in other.items():
-                    z = col[k] - f * y if k in col else -(f * y)
-                    if z.is_zero():
-                        del col[k]
-                    else:
-                        col[k] = z
-            if col:
-                inv = col[low].inverse()
-                owner[low] = {k: y * inv for k, y in col.items()}
+            # rows renumbered by position, so the pivot is the last nonzero row
+            low = ech.add({pos[i]: x for i, x in bt[j].items()})
+            if low is not None:
                 pairs.append((row_order[low], j))
         return pairs
 
@@ -344,20 +419,11 @@ class PageComputation:
 
     # -- canonical d^1 ----------------------------------------------------------
 
-    def gr_indices(self, s: int):
-        return range(self.model.offset(s), self.model.offset(s + 1))
-
     def canonical_e1_vectors(self, q: int, s: int, hreps):
-        """Vectors representing (gr^s basis) x (homology basis) in V_q."""
+        """Sparse vectors representing (gr^s basis) x (homology basis) in V_q."""
         ncells = self.C.dims[q]
-        out = []
-        for b in self.gr_indices(s):
-            for h in hreps:
-                v = linalg.zeros(self.field, self.vdim(q))
-                for c in range(ncells):
-                    v[b * ncells + c] = h[c]
-                out.append(v)
-        return out
+        return [{b * ncells + c: x for c, x in _sparse(h).items()}
+                for b in range(self.model.offset(s), self.model.offset(s + 1)) for h in hreps]
 
     def d1_matrix(self, q: int, s: int = 0):
         """Matrix of d^1: E^1_{-s,s+q} -> E^1_{-s-1,s+q} in the canonical
@@ -369,28 +435,21 @@ class PageComputation:
         htgt, _ = homology_data(self.C, q - 1)
         src = self.canonical_e1_vectors(q, s, hsrc)
         tgt = self.canonical_e1_vectors(q - 1, s + 1, htgt)
-        field, n = self.field, self.vdim(q - 1)
         bt = self.boundary_matrix(q)
         # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
-        den = [linalg.unit_vector(field, n, g) for g in self._suffix_indices(q - 1, s + 2)]
-        den += [dense_vector(field, bt[g], n) for g in self._suffix_indices(q, s + 1)]
-        cols = []
-        for v in src:
-            w = linalg.zeros(field, n)
-            for x, col in zip(v, bt):
-                if not x.is_zero():
-                    for i, y in col.items():
-                        w[i] = w[i] + y * x
-            cols.append(linalg.solve_mod_subspace(field, tgt, den, w))
-        return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt))]
+        den = [{g: self.field.one()} for g in self._suffix_indices(q - 1, s + 2)]
+        den += [bt[g] for g in self._suffix_indices(q, s + 1)]
+        cols = solve_mod(self.field, tgt, den, [_apply(bt, v) for v in src])
+        return [[col[i] for col in cols] for i in range(len(tgt))]
 
 
-def dense_vector(field, col, n: int):
-    """A sparse column {index: entry} as a dense vector of length n."""
-    v = linalg.zeros(field, n)
-    for i, x in col.items():
-        v[i] = x
-    return v
+def _apply(columns, vec):
+    """The sparse matrix with the given columns applied to a sparse vector."""
+    out = {}
+    for g, x in vec.items():
+        for i, y in columns[g].items():
+            out[i] = out[i] + y * x if i in out else y * x
+    return {i: x for i, x in out.items() if not x.is_zero()}
 
 
 def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
@@ -428,22 +487,12 @@ def homology_data(C, q: int):
     field = C.field
     ncells = C.dims[q]
     eps = C.epsilon_boundary(q)
-    cycles = linalg.kernel_basis(field, eps, ncols=ncells)
-    bcols = []
-    if q < C.top:
-        nxt = C.epsilon_boundary(q + 1)
-        for j in range(C.dims[q + 1]):
-            bcols.append([nxt[i][j] for i in range(ncells)])
-    bbasis = []
-    for v in bcols:
-        if not linalg.in_span(field, bbasis, v):
-            bbasis.append(v)
-    hreps = []
-    span = list(bbasis)
-    for v in cycles:
-        if not linalg.in_span(field, span, v):
-            span.append(v)
-            hreps.append(v)
+    cycles = kernel(field, [_sparse(col) for col in zip(*eps)] if eps else [{}] * ncells)
+    bcols = list(zip(*C.epsilon_boundary(q + 1))) if q < C.top and ncells else []
+    ech = Echelon(field)
+    bbasis = [list(v) for v in bcols if ech.add(_sparse(v)) is not None]
+    hreps = [[rel.get(j, field.zero()) for j in range(ncells)]
+             for rel in cycles if ech.add(dict(rel)) is not None]
     return hreps, bbasis
 
 
@@ -467,8 +516,8 @@ def d1_closed_form(C):
         htgt, btgt = homology_data(C, q - 1)
         bd = C.boundary(q)
         ncells_tgt = C.dims[q - 1]
-        matrix = [[field.zero() for _ in hsrc] for _ in range(len(gr1) * len(htgt))]
-        for j, h in enumerate(hsrc):
+        targets = []  # (j, gi) -> the gr^1 component at gi of d(lift of h_j)
+        for h in hsrc:
             # w_i = sum_c bd[i][c] * h[c] in kG, one entry per target cell
             images = []
             for i in range(ncells_tgt):
@@ -479,12 +528,11 @@ def d1_closed_form(C):
                 if not w.augmentation().is_zero():
                     raise CrossCheckError("boundary of a cycle lift not in J")
                 images.append(model.reduce(w))
-            for gi, b in enumerate(gr1):
-                yvec = [images[i][b] for i in range(ncells_tgt)]
-                coords = linalg.solve_mod_subspace(field, htgt, btgt, yvec)
-                for l, cval in enumerate(coords):
-                    matrix[gi * len(htgt) + l][j] = cval
-        out[q] = matrix
+            targets += [_sparse([images[i][b] for i in range(ncells_tgt)]) for b in gr1]
+        coords = solve_mod(field, [_sparse(h) for h in htgt], [_sparse(b) for b in btgt],
+                           targets)
+        out[q] = [[coords[j * len(gr1) + gi][l] for j in range(len(hsrc))]
+                  for gi in range(len(gr1)) for l in range(len(htgt))]
     return out
 
 
@@ -533,14 +581,12 @@ def reznikov_collapse(C, S_max: int | None = None):
 def _k_rank(comp: PageComputation, q: int) -> int:
     """Rank over k of the truncated boundary d_q, by an elimination of its own
     (on the columns as rows), so that the E^oo totals are checked against
-    something the pairs of _pairs do not decide.  Over F_p and Q the raw
-    payloads of boundary_matrix(q) go straight to coeffs._rank_mod and
-    coeffs._rank_bareiss_int (rows scaled to integers)."""
+    something the pairs of _pairs do not decide.  The field is F_p (the
+    Reznikov case) or Q: the raw payloads of boundary_matrix(q) go straight to
+    coeffs._rank_mod or coeffs._rank_bareiss_int (rows scaled to integers)."""
     if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
     n, kind = comp.vdim(q - 1), comp.field.kind
-    if kind not in ("Fp", "Q"):
-        return rank_exact(comp.dense_columns(q))
     rows = []
     for col in comp.boundary_matrix(q):
         row = [0] * n
@@ -559,20 +605,15 @@ def jordan_square_annihilates(C, q: int) -> bool:
         raise ValidationError("J^2 check is for cyclic groups")
     comp = PageComputation(C, R_max=2, S_max=max(group.m - 1, 1))
     field = C.field
-    n, ncells = comp.vdim(q), C.dims[q]
-    cycles = linalg.kernel_basis(field, linalg.transpose(comp.dense_columns(q)), ncols=n)
-    boundary_vecs = comp.dense_columns(q + 1)
+    ncells = C.dims[q]
     t = GroupRingElem.monomial(group, field, 1)
     one = GroupRingElem.one(group, field)
     mult = comp.model.mult_columns((t - one) * (t - one))
-    for v in cycles:
-        w = linalg.zeros(field, n)
-        for g, x in enumerate(v):
-            if x.is_zero():
-                continue
-            b, c = divmod(g, ncells)
-            for bp, y in mult[b].items():
-                w[bp * ncells + c] = w[bp * ncells + c] + y * x
-        if not linalg.in_span(field, boundary_vecs, w):
-            return False
-    return True
+    # (t-1)^2 on V_q as sparse columns: basis vector b * ncells + c -> mult[b] x c
+    square = [{bp * ncells + c: y for bp, y in mult[b].items()}
+              for b in range(comp.model.dim) for c in range(ncells)]
+    boundaries = Echelon(field)
+    for col in comp.boundary_matrix(q + 1):
+        boundaries.add(dict(col))
+    return all(boundaries.reduce(_apply(square, v)) is None
+               for v in kernel(field, comp.boundary_matrix(q)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 
-from . import linalg
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
 from .builtins import builtin_complex, diagonal_quotient_images
 from .coeffs import (FieldDescriptor, LaurentRing, cyclotomic_polynomial, divisors,
@@ -22,8 +21,8 @@ from .errors import CoefficientError, CrossCheckError
 from .groupring import (GroupDescriptor, GroupRingElem, j_valuation)
 from .modz import (einf_gr_module, homology_decomposition, monodromy_report,
                    smith_normal_form)
-from .pages import (PageComputation, d1_closed_form, reznikov_collapse,
-                    window_collapse_page)
+from .pages import (Echelon, PageComputation, d1_closed_form, kernel,
+                    reznikov_collapse, window_collapse_page)
 from .twisted import (alexander_polynomial, bounds_report, minors_inequality,
                       twisted_betti)
 
@@ -99,11 +98,12 @@ def check_c3_reznikov() -> str:
         assert ((t - one) * norm).is_zero(), "J H_1 != 0"
         # kernel of the truncated boundary is spanned by the norm element
         comp = PageComputation(circ, R_max=p, S_max=p - 1)
-        kernel = linalg.kernel_basis(Fp, linalg.transpose(comp.dense_columns(1)),
-                                     ncols=comp.vdim(1))
-        assert len(kernel) == 1, "H_1 not 1-dimensional"
-        nvec = comp.model.reduce(norm)
-        assert linalg.in_span(Fp, kernel, nvec), "kernel generator is not the norm"
+        cycles = kernel(Fp, comp.boundary_matrix(1))
+        assert len(cycles) == 1, "H_1 not 1-dimensional"
+        span = Echelon(Fp)
+        span.add(cycles[0])
+        nvec = {i: x for i, x in enumerate(comp.model.reduce(norm)) if not x.is_zero()}
+        assert span.reduce(nvec) is None, "kernel generator is not the norm"
         last = tables[-1]
         row = [last.dim(s, 1) for s in range(p)]
         assert row == [0] * (p - 1) + [1], (p, row)

@@ -138,6 +138,8 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
     if C.top < 2 or C.dims[2] == 0:
         return AlexanderResult((1,), notice="no 2-cells; Delta = 1 by convention")
     g, ncols = C.dims[1], C.dims[2]
+    if g == 0:
+        raise ValidationError("Alexander polynomial needs at least one 1-cell")
     if g == 1:
         return AlexanderResult((1,))
     if ncols < g - 1:

@@ -3,11 +3,14 @@
 Vectors are lists of FieldElem; matrices are lists of row lists.  All routines
 use the deterministic first-nonzero pivot rule so downstream bases are
 reproducible bit-for-bit.
+
+This dense Gauss-Jordan stack is what `ess` eliminated with before the sparse
+column echelon of `ess.pages` took over; the tests keep it as the oracle.
 """
 
 from __future__ import annotations
 
-from .errors import CoefficientError
+from ess.errors import CoefficientError
 
 
 def zeros(field, n):

@@ -12,11 +12,20 @@ logic with the pair reading, so the two are compared on small windows.
 The oracle also keeps its own dense assembly of the truncated boundary: the
 dense multiplication matrix `mult_matrix` and `boundary_matrix` are the ones
 `ess.pages` used before it built sparse columns.
+
+Last come the dense routes to the canonical d^1: `homology_data`,
+`d1_matrix`, `d1_closed_form` and `jordan_square_annihilates` as `ess.pages`
+computed them on the dense `linalg_oracle` elimination, before they moved
+onto the sparse column echelon.  They must give the same bases and the same
+matrices entry for entry.
 """
 
 from __future__ import annotations
 
-from ess import linalg
+import linalg_oracle as linalg
+from ess.errors import CrossCheckError
+from ess.groupring import GroupRingElem
+from ess.pages import FiltrationModel, PageComputation
 
 
 def mult_matrix(model, elem):
@@ -182,3 +191,135 @@ class OraclePages:
                 if rk:
                     d_ranks[(s, q)] = rk
         return entries, d_ranks
+
+
+# ---------------------------------------------------------------------------
+# Dense d^1 routes on linalg_oracle
+# ---------------------------------------------------------------------------
+
+
+def dense_columns(comp, q: int):
+    """The oracle's dense boundary_matrix(comp, q) as column vectors."""
+    if not comp.vdim(q - 1):
+        return [[] for _ in range(comp.vdim(q))]
+    return linalg.transpose(boundary_matrix(comp, q))
+
+
+def homology_data(C, q: int):
+    """(homology representative cycles, boundary-space basis) for H_q(X, k),
+    by RREF kernel and greedy extension of the boundary space."""
+    if q < 0 or q > C.top:
+        return [], []
+    field = C.field
+    ncells = C.dims[q]
+    eps = C.epsilon_boundary(q)
+    cycles = linalg.kernel_basis(field, eps, ncols=ncells)
+    bcols = []
+    if q < C.top:
+        nxt = C.epsilon_boundary(q + 1)
+        for j in range(C.dims[q + 1]):
+            bcols.append([nxt[i][j] for i in range(ncells)])
+    bbasis = []
+    for v in bcols:
+        if not linalg.in_span(field, bbasis, v):
+            bbasis.append(v)
+    hreps = []
+    span = list(bbasis)
+    for v in cycles:
+        if not linalg.in_span(field, span, v):
+            span.append(v)
+            hreps.append(v)
+    return hreps, bbasis
+
+
+def canonical_e1_vectors(comp, q: int, s: int, hreps):
+    """Dense vectors representing (gr^s basis) x (homology basis) in V_q."""
+    ncells = comp.C.dims[q]
+    out = []
+    for b in range(comp.model.offset(s), comp.model.offset(s + 1)):
+        for h in hreps:
+            v = linalg.zeros(comp.field, comp.vdim(q))
+            for c in range(ncells):
+                v[b * ncells + c] = h[c]
+            out.append(v)
+    return out
+
+
+def d1_matrix(comp, q: int, s: int = 0):
+    """d^1: E^1_{-s,s+q} -> E^1_{-s-1,s+q} of a PageComputation in the
+    canonical bases, one solve_mod_subspace per source vector."""
+    if q < 1 or q > comp.Q:
+        return []
+    hsrc, _ = homology_data(comp.C, q)
+    htgt, _ = homology_data(comp.C, q - 1)
+    src = canonical_e1_vectors(comp, q, s, hsrc)
+    tgt = canonical_e1_vectors(comp, q - 1, s + 1, htgt)
+    field, n = comp.field, comp.vdim(q - 1)
+    bt = boundary_matrix(comp, q)
+    cols_q = dense_columns(comp, q)
+    # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
+    den = [linalg.unit_vector(field, n, g) for g in comp._suffix_indices(q - 1, s + 2)]
+    den += [cols_q[g] for g in comp._suffix_indices(q, s + 1)]
+    cols = []
+    for v in src:
+        w = [sum((a * x for a, x in zip(row, v)), field.zero()) for row in bt]
+        cols.append(linalg.solve_mod_subspace(field, tgt, den, w))
+    return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt))]
+
+
+def d1_closed_form(C):
+    """{q: d^1 gr^0 x H_q -> gr^1 x H_{q-1}} from one lift of each homology
+    cycle, read mod J^2 and solved in the homology basis."""
+    field = C.field
+    model = FiltrationModel(C.group, C.field, 2)
+    gr1 = list(range(model.offset(1), model.offset(2)))
+    out = {}
+    for q in range(1, C.top + 1):
+        hsrc, _ = homology_data(C, q)
+        htgt, btgt = homology_data(C, q - 1)
+        bd = C.boundary(q)
+        ncells_tgt = C.dims[q - 1]
+        matrix = [[field.zero() for _ in hsrc] for _ in range(len(gr1) * len(htgt))]
+        for j, h in enumerate(hsrc):
+            images = []
+            for i in range(ncells_tgt):
+                w = GroupRingElem.zero(C.group, field)
+                for c in range(C.dims[q]):
+                    if not h[c].is_zero() and not bd[i][c].is_zero():
+                        w = w + bd[i][c].scale(h[c])
+                if not w.augmentation().is_zero():
+                    raise CrossCheckError("boundary of a cycle lift not in J")
+                images.append(model.reduce(w))
+            for gi, b in enumerate(gr1):
+                yvec = [images[i][b] for i in range(ncells_tgt)]
+                coords = linalg.solve_mod_subspace(field, htgt, btgt, yvec)
+                for l, cval in enumerate(coords):
+                    matrix[gi * len(htgt) + l][j] = cval
+        out[q] = matrix
+    return out
+
+
+def jordan_square_annihilates(C, q: int) -> bool:
+    """Whether (t-1)^2 maps every cycle of the truncated complex over Z_m
+    into the boundaries."""
+    comp = PageComputation(C, R_max=2, S_max=max(C.group.m - 1, 1))
+    field = C.field
+    n, ncells = comp.vdim(q), C.dims[q]
+    cycles = linalg.kernel_basis(field, linalg.transpose(dense_columns(comp, q)), ncols=n)
+    boundary_vecs = dense_columns(comp, q + 1)
+    t = GroupRingElem.monomial(C.group, field, 1)
+    one = GroupRingElem.one(C.group, field)
+    mult = mult_matrix(comp.model, (t - one) * (t - one))
+    for v in cycles:
+        w = linalg.zeros(field, n)
+        for g, x in enumerate(v):
+            if x.is_zero():
+                continue
+            b, c = divmod(g, ncells)
+            for bp in range(comp.model.dim):
+                y = mult[bp][b]
+                if not y.is_zero():
+                    w[bp * ncells + c] = w[bp * ncells + c] + y * x
+        if not linalg.in_span(field, boundary_vecs, w):
+            return False
+    return True

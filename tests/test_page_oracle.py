@@ -2,19 +2,22 @@
 
 Both engines run on the same truncated complex, so every windowed entry and
 every windowed d^r rank must agree exactly.  The sparse boundary columns are
-also checked against the reference's dense assembly.
+also checked against the reference's dense assembly, and the homology bases,
+both d^1 routes and the J^2 check against their dense eliminations.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ess import linalg
+import linalg_oracle as linalg
+import page_oracle
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
 from ess.groupring import GroupDescriptor, GroupRingElem
-from ess.pages import FiltrationModel, PageComputation, _k_rank
+from ess.pages import (FiltrationModel, PageComputation, _k_rank, d1_closed_form,
+                       homology_data, jordan_square_annihilates)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
 
 FIELDS = {
@@ -158,3 +161,49 @@ def test_sparse_boundary_and_rank_match_dense_oracle(C, R, S):
         dense = boundary_matrix(comp, q)
         assert comp.boundary_matrix(q) == _nonzero_columns(dense, comp.vdim(q))
         assert _k_rank(comp, q) == linalg.rank_of(C.field, dense)
+
+
+D1_FIELDS = dict(FIELDS, cyc3=FieldDescriptor.cyclotomic(3))
+
+
+def assert_d1_routes_agree(C, S):
+    """Homology bases in every degree, d1_matrix(q, s) for s <= S and the
+    closed-form d^1 equal the dense routes entry for entry."""
+    for q in range(C.top + 1):
+        assert homology_data(C, q) == page_oracle.homology_data(C, q), f"H_{q} bases"
+    comp = PageComputation(C, R_max=2, S_max=S)
+    for q in range(1, C.top + 1):
+        for s in range(S + 1):
+            assert comp.d1_matrix(q, s) == page_oracle.d1_matrix(comp, q, s), (q, s)
+    assert d1_closed_form(C) == page_oracle.d1_closed_form(C)
+
+
+@pytest.mark.parametrize("fname", sorted(D1_FIELDS))
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_d1_matches_dense_oracle(name, fname):
+    C = change_field(builtin_complex(name), D1_FIELDS[fname])
+    assert_d1_routes_agree(C, 1 if name == "torus3" else 2)
+
+
+# Z_{p^r} in characteristic p, where the J-adic filtration does not stabilise
+_CHAR_P_QUOTIENTS = [(2, "F2"), (4, "F2"), (8, "F2"), (3, "F3"), (9, "F3")]
+
+
+@pytest.mark.parametrize("m, fname", _CHAR_P_QUOTIENTS)
+def test_cyclic_d1_and_jordan_square_match_dense_oracle(m, fname):
+    for name in sorted(BUILTINS):
+        C = _onto_cyclic(name, FIELDS[fname], m)
+        assert d1_closed_form(C) == page_oracle.d1_closed_form(C), name
+        for q in range(C.top + 1):
+            assert jordan_square_annihilates(C, q) == \
+                page_oracle.jordan_square_annihilates(C, q), (name, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_complexes(), S=st.integers(0, 2))
+def test_random_complex_d1_matches_dense_oracle(C, S):
+    assert_d1_routes_agree(C, S)
+    if C.group.kind == "cyclic":
+        for q in range(C.top + 1):
+            assert jordan_square_annihilates(C, q) == \
+                page_oracle.jordan_square_annihilates(C, q), q
