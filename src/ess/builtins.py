@@ -6,7 +6,7 @@ generated on demand in the same JSON shape.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .coeffs import FieldDescriptor, cyclotomic_polynomial
 from .complexes import EquivariantComplex, parse_document
@@ -76,8 +76,9 @@ def lyndon_document(d: int) -> dict:
 
 def load_builtin_document(name: str) -> dict:
     if name in _FILES:
-        data = resources.files("ess.data").joinpath(_FILES[name]).read_text()
-        return json.loads(data)
+        path = os.path.join(os.path.dirname(__file__), "data", _FILES[name])
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     family, _, arg = name.partition(":")
     make = {"lyndon": lyndon_document, "comm-p": comm_p_document}.get(family)
     if make:

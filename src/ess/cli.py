@@ -1,6 +1,15 @@
 """Command-line surface: parse space descriptions, dispatch computations,
 emit aligned-text and JSON reports.
 
+Command lines read ``ess <verb> [input] [options]``.  Each verb's options
+are declared once, in the table ``_VERBS``, and parsed by ``parse_args``:
+an option is ``--opt value`` or ``--opt=value`` (a value may start with a
+single "-", as in ``--k-max -1``), names must be spelled out in full (no
+abbreviations), and the last of a repeated option wins.  ``ess --help`` lists
+the verbs and ``ess <verb> --help`` the options of one verb.  A usage error
+(unknown verb or option, missing or non-integer value, a second input) is an
+input error: exit 2 with an ``error:`` line.
+
 Exit codes: 0 success; 2 input/validation error; 3 hypothesis-not-met verdict
 under --strict; 4 internal cross-check failure (pipeline disagreement, always
 an implementation bug).
@@ -8,9 +17,9 @@ an implementation bug).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import builtins as corpus
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
@@ -37,7 +46,7 @@ def _int(text: str, option: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"{option} expects integers, got {text!r}") from None
+        raise InputError(f"{option} expects an integer, got {text!r}") from None
 
 
 def _nu_values(text: str) -> list[int]:
@@ -289,72 +298,121 @@ def cmd_selftest(args):
     return EXIT_OK if not failures else EXIT_CROSSCHECK
 
 
+# The options of every verb: (name, type, default, help).  "input" is the
+# optional positional; a bool option is a flag; the attribute of the parsed
+# namespace is the name without its dashes, with "-" read as "_".
+_COMMON = (
+    ("input", str, None, "path to a JSON space description"),
+    ("--builtin", str, None, "named built-in input (see README)"),
+    ("--field", str, None, "coefficients: Q, Fp:<p>, cyclotomic:<d>, Z"),
+    ("--group-quotient", str, None,
+     "base change the deck group along a surjection onto Z or Zmod:<m>"),
+    ("--nu", str, None, "images for the quotient, e.g. 'a=2,b=1,c=1' or '2,1,1'"),
+    ("--json", bool, False, "emit canonical JSON"),
+    ("--strict", bool, False, "exit 3 when a requested hypothesis is not met"),
+)
+
 _VERBS = {
-    "validate": cmd_validate,
-    "betti": cmd_betti,
-    "pages": cmd_pages,
-    "decompose": cmd_decompose,
-    "monodromy": cmd_monodromy,
-    "aomoto": cmd_aomoto,
-    "universal-aomoto": cmd_universal_aomoto,
-    "twisted": cmd_twisted,
-    "alexander": cmd_alexander,
-    "bounds": cmd_bounds,
-    "selftest": cmd_selftest,
+    "validate": (cmd_validate, ()),
+    "betti": (cmd_betti, ()),
+    "pages": (cmd_pages, (
+        ("--R", int, None, "last page (default 3; E^{p^r} for Z_{p^r} in characteristic p)"),
+        ("--S", int, 3, "max filtration degree (default 3)"),
+    )),
+    "decompose": (cmd_decompose, (
+        ("--q-range", str, None, "degree range lo:hi (default all)"),
+    )),
+    "monodromy": (cmd_monodromy, (("--k-max", int, None, "report through this degree"),)),
+    "aomoto": (cmd_aomoto, ()),
+    "universal-aomoto": (cmd_universal_aomoto, (
+        ("--spec-at", str, None, "also specialize at z, e.g. '1,1'"),
+    )),
+    "twisted": (cmd_twisted, (("--d", int, None, "character order"),)),
+    "alexander": (cmd_alexander, ()),
+    "bounds": (cmd_bounds, (
+        ("--p", int, None, "prime"),
+        ("--r", int, 1, "exponent (default 1)"),
+    )),
+    "selftest": (cmd_selftest, ()),
 }
 
+_HELP = ("-h", "--help")
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser.  When argv starts with a known verb only that
-    verb's subparser is built: argparse setup is most of a small command's
-    time.  Otherwise (``ess --help``, an unknown verb) every verb is built."""
-    ap = argparse.ArgumentParser(
-        prog="ess",
-        description="Equivariant spectral sequences of finite complexes, "
-        "exactly: pages, module decompositions, Aomoto and twisted Betti "
-        "numbers, and the modular bound reports.",
-    )
-    lazy = bool(argv) and argv[0] in _VERBS
-    # the usage line of a top-level error still lists every verb
-    sub = ap.add_subparsers(dest="verb", required=True,
-                            metavar="{" + ",".join(_VERBS) + "}" if lazy else None)
-    for verb in argv[:1] if lazy else _VERBS:
-        p = sub.add_parser(verb)
-        p.add_argument("input", nargs="?", help="path to a JSON space description")
-        p.add_argument("--builtin", help="named built-in input (see README)")
-        p.add_argument("--field", help="coefficients: Q, Fp:<p>, cyclotomic:<d>, Z")
-        p.add_argument(
-            "--group-quotient",
-            help="base change the deck group along a surjection onto Z or Zmod:<m>",
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def help_text(verb: str | None = None) -> str:
+    """``ess --help`` (every verb) or ``ess <verb> --help`` (its options)."""
+    if verb is None:
+        return (
+            "usage: ess <verb> [input] [options]\n\n"
+            "Equivariant spectral sequences of finite complexes, exactly: pages, "
+            "module\ndecompositions, Aomoto and twisted Betti numbers, and the "
+            "modular bound reports.\n\n"
+            "verbs:\n" + "".join(f"  {name}\n" for name in _VERBS) +
+            "Run 'ess <verb> --help' for the options of one verb.\n"
         )
-        p.add_argument("--nu", help="images for the quotient, e.g. 'a=2,b=1,c=1' or '2,1,1'")
-        p.add_argument("--json", action="store_true", help="emit canonical JSON")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when a requested hypothesis is not met")
-        if verb == "pages":
-            p.add_argument("--R", type=int,
-                           help="last page (default 3; E^{p^r} for Z_{p^r} in characteristic p)")
-            p.add_argument("--S", type=int, default=3, help="max filtration degree (default 3)")
-        if verb in ("decompose",):
-            p.add_argument("--q-range", help="degree range lo:hi (default all)")
-        if verb == "monodromy":
-            p.add_argument("--k-max", type=int, help="report through this degree")
-        if verb == "twisted":
-            p.add_argument("--d", type=int, help="character order")
-        if verb == "bounds":
-            p.add_argument("--p", type=int, help="prime")
-            p.add_argument("--r", type=int, default=1, help="exponent (default 1)")
-        if verb == "universal-aomoto":
-            p.add_argument("--spec-at", help="also specialize at z, e.g. '1,1'")
-    return ap
+    lines = [f"usage: ess {verb} [input] [options]", ""]
+    for name, kind, _, text in _COMMON + _VERBS[verb][1]:
+        left = name if kind is bool or name == "input" else f"{name} {_dest(name).upper()}"
+        lines.append(f"  {left:<32} {text}")
+    lines.append(f"  {'-h, --help':<32} show this help")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """One command line read against the table (forms in the module
+    docstring): a namespace holding ``verb`` and every option of that verb,
+    its default where not given; or the help text for -h/--help.  Every usage
+    error is an InputError."""
+    if not argv:
+        raise InputError(f"a verb is required: {', '.join(_VERBS)}")
+    verb, rest = argv[0], argv[1:]
+    if verb in _HELP:
+        return help_text()
+    if verb not in _VERBS:
+        raise InputError(f"unknown verb {verb!r}; one of: {', '.join(_VERBS)}")
+    if any(token in _HELP for token in rest):
+        return help_text(verb)
+    options = _COMMON + _VERBS[verb][1]
+    kinds = {name: kind for name, kind, _, _ in options}
+    args = {_dest(name): default for name, _, default, _ in options}
+    args["verb"] = verb
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            if args["input"] is not None:
+                raise InputError(f"unexpected argument {token!r}: one input only")
+            args["input"] = token
+            continue
+        name, eq, value = token.partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            raise InputError(f"unknown option {name!r} for {verb}; see 'ess {verb} --help'")
+        if kind is bool:
+            if eq:
+                raise InputError(f"{name} takes no value")
+            args[_dest(name)] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise InputError(f"{name} needs a value")
+        args[_dest(name)] = _int(value, name) if kind is int else value
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
     try:
-        return _VERBS[args.verb](args)
+        args = parse_args(argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
+        return _VERBS[args.verb][0](args)
     except CrossCheckError as exc:
         print(f"FATAL cross-check failure (implementation bug): {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK

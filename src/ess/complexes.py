@@ -62,9 +62,6 @@ class FreeWord:
     def __hash__(self):
         return hash(self.letters)
 
-    def exponent_sum(self, i: int) -> int:
-        return sum(1 if l == i else -1 if l == -i else 0 for l in self.letters)
-
     def __repr__(self):
         return f"FreeWord{self.letters}"
 

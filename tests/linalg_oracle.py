@@ -38,12 +38,17 @@ def rref(field, rows):
             continue
         if piv != pr:
             m[pr], m[piv] = m[piv], m[pr]
-        inv = m[pr][pc].inverse()
-        m[pr] = [x * inv for x in m[pr]]
+        # the pivot row is zero left of pc; only its nonzero columns change
+        pivot_row = m[pr]
+        support = [j for j in range(pc, ncols) if not pivot_row[j].is_zero()]
+        inv = pivot_row[pc].inverse()
+        for j in support:
+            pivot_row[j] = pivot_row[j] * inv
         for i in range(nrows):
             if i != pr and not m[i][pc].is_zero():
-                f = m[i][pc]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+                row, f = m[i], m[i][pc]
+                for j in support:
+                    row[j] = row[j] - f * pivot_row[j]
         pivots.append(pc)
         pr += 1
         if pr == nrows:

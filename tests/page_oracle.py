@@ -92,7 +92,9 @@ class OraclePages:
         self.comp = comp
         self.field = comp.field
         self._z = {}
+        self._dz = {}
         self._bt = {}
+        self._cols = {}
 
     def boundary(self, q: int):
         if q not in self._bt:
@@ -100,16 +102,26 @@ class OraclePages:
         return self._bt[q]
 
     def apply_boundary(self, q: int, vec):
-        if self.comp.vdim(q - 1) == 0:
+        n = self.comp.vdim(q - 1)
+        if n == 0:
             return []
-        out = []
-        for row in self.boundary(q):
-            acc = self.field.zero()
-            for a, x in zip(row, vec):
-                if not a.is_zero() and not x.is_zero():
-                    acc = acc + a * x
-            out.append(acc)
+        if q not in self._cols:
+            # the nonzero entries of each column of the dense boundary
+            self._cols[q] = [[(i, a) for i, a in enumerate(col) if not a.is_zero()]
+                             for col in linalg.transpose(self.boundary(q))]
+        out = linalg.zeros(self.field, n)
+        for x, col in zip(vec, self._cols[q]):
+            if not x.is_zero():
+                for i, a in col:
+                    out[i] = out[i] + a * x
         return out
+
+    def z_images(self, q: int, s: int, r: int):
+        """The boundaries of the basis vectors of z_space(q, s, r)."""
+        key = (q, max(s, 0), s + r)
+        if key not in self._dz:
+            self._dz[key] = [self.apply_boundary(q, z) for z in self.z_space(q, s, r)]
+        return self._dz[key]
 
     def z_space(self, q: int, s: int, r: int):
         """Basis of Z^r_{-s}[q] = {z in F^s V_q : dz in F^{s+r} V_{q-1}}.
@@ -152,10 +164,7 @@ class OraclePages:
 
     def _denominator(self, q: int, s: int, r: int):
         """Spanning set of Z^{r-1}_{-(s+1)}[q] + d Z^{r-1}_{-(s+1-r)}[q+1]."""
-        out = list(self.z_space(q, s + 1, r - 1))
-        for w in self.z_space(q + 1, s + 1 - r, r - 1):
-            out.append(self.apply_boundary(q + 1, w))
-        return out
+        return self.z_space(q, s + 1, r - 1) + self.z_images(q + 1, s + 1 - r, r - 1)
 
     def entry_dim(self, r: int, s: int, q: int) -> int:
         if q < 0 or q > self.comp.Q or s < 0:
@@ -173,7 +182,7 @@ class OraclePages:
         src = self.z_space(q, s, r)
         if not src:
             return 0
-        imgs = [self.apply_boundary(q, v) for v in src]
+        imgs = self.z_images(q, s, r)
         den = self._denominator(q - 1, s + r, r)
         base = linalg.span_rank(self.field, den)
         return linalg.span_rank(self.field, den + imgs) - base

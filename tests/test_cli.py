@@ -144,6 +144,16 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (json.dumps({"field": "Z", "group": "Z",
                  "matrices": {"dims": [1, 0, 1], "boundaries": [[[]], []]}}),
      ["alexander", "{path}", "--json"]),
+    (None, ["nope", "--builtin", "circle"]),
+    (None, []),
+    (None, ["pages", "--builtin", "circle", "--bogus"]),
+    (None, ["pages", "--builtin", "circle", "--field", "Q", "--R"]),
+    (None, ["pages", "--builtin", "circle", "--field", "Q", "--R", "--json"]),
+    (None, ["pages", "--builtin", "circle", "--field", "Q", "--R", "x"]),
+    (None, ["twisted", "--builtin", "trefoil", "--d", "1.5"]),
+    (None, ["betti", "{path}", "{path}", "--field", "Q"]),
+    (None, ["validate", "--buil", "circle"]),
+    (None, ["validate", "--builtin", "circle", "--json=yes"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -152,7 +162,9 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "json-field-cyclotomic-not-integer", "json-field-not-a-string",
         "q-range-negative-low",
         "q-range-negative-high", "k-max-negative", "q-range-inverted",
-        "alexander-2-cells-without-1-cells"])
+        "alexander-2-cells-without-1-cells", "unknown-verb", "no-verb", "unknown-option",
+        "missing-value", "option-as-value", "R-not-integer", "d-not-integer",
+        "two-inputs", "abbreviated-option", "flag-with-value"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -308,22 +320,26 @@ def test_shipped_samples_match_generators():
         assert shipped == doc, fname
 
 
-@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "--help"] for verb in cli._VERBS]
-                         + [["pages", "--builtin", "circle", "--bogus"]],
+def test_options_take_both_forms_and_the_last_repeat_wins(capsys):
+    base = ["pages", "--builtin", "circle", "--field", "Q", "--json"]
+    outs = [run(base + extra, capsys)[:2] for extra in (
+        ["--R", "2", "--S", "1"], ["--R=2", "--S=1"], ["--R", "5", "--S", "1", "--R=2"])]
+    assert outs[0][0] == 0 and outs[0] == outs[1] == outs[2]
+    assert [p["page"] for p in json.loads(outs[0][1])["pages"]] == [1, 2]
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "--help"] for verb in cli._VERBS],
                          ids=lambda argv: " ".join(argv))
-def test_parser_for_one_verb_reads_as_the_full_parser(argv, capsys, monkeypatch):
-    # main builds only the requested verb's subparser; help and usage errors
-    # must not show it
-    monkeypatch.setenv("COLUMNS", "100")
-
-    def exit_and_output(parse):
-        with pytest.raises(SystemExit) as exc:
-            parse()
-        return exc.value.code, capsys.readouterr()
-
-    full = exit_and_output(lambda: cli.build_parser().parse_args(argv))
-    assert exit_and_output(lambda: cli.main(argv)) == full
-    assert full[1].out or full[1].err
+def test_help_lists_every_verb_and_option(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    if len(argv) == 1:
+        assert all(f"  {verb}\n" in out for verb in cli._VERBS)
+    else:
+        _, extra = cli._VERBS[argv[0]]
+        assert out.startswith(f"usage: ess {argv[0]} ")
+        assert all(name in out for name, *_ in cli._COMMON + extra)
+    assert run(argv[:-1] + ["-h"], capsys) == (code, out, err)
 
 
 _IMPORT_PROBE = """
@@ -332,8 +348,9 @@ before = set(sys.modules)
 import ess, ess.cli, ess.selftest
 code = ess.cli.main(["pages", "--builtin", "torus2", "--field", "Q", "--R", "2", "--S", "2",
                      "--json"])
+usage = ess.cli.main(["pages", "--builtin", "torus2", "--bogus"])
 added = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(json.dumps({"code": code, "added": sorted(added)}), file=sys.stderr)
+print(json.dumps({"code": code, "usage": usage, "added": sorted(added)}), file=sys.stderr)
 """
 
 
@@ -345,6 +362,8 @@ def test_runtime_imports_only_the_standard_library(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     report = json.loads(proc.stderr.strip().splitlines()[-1])
-    assert report["code"] == 0
+    assert (report["code"], report["usage"]) == (0, cli.EXIT_INPUT)
     foreign = [m for m in report["added"] if m != "ess" and m not in sys.stdlib_module_names]
     assert not foreign
+    # the fixed cost of a command: argparse's messages import gettext and locale
+    assert not {"argparse", "gettext", "locale"} & set(report["added"])
