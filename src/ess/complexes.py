@@ -6,6 +6,7 @@ epimorphisms, and ordinary Betti numbers via the augmentation specialization.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from .coeffs import FieldDescriptor, rank_exact
@@ -113,20 +114,37 @@ class Epimorphism:
         else:
             self.images = [int(img) % target.m for img in images]
 
+    def step(self, key, letter: int):
+        """The key times the image of the signed generator letter."""
+        img = self.images[abs(letter) - 1]
+        if self.target.kind == "cyclic":
+            return (key + img if letter > 0 else key - img) % self.target.m
+        return tuple(map(operator.add if letter > 0 else operator.sub, key, img))
+
     def word_key(self, word: FreeWord):
         """Image of a word in G, as an exponent key."""
         key = self.target.identity_key()
         for letter in word.letters:
-            img = self.images[abs(letter) - 1]
-            if self.target.kind == "cyclic":
-                key = (key + (img if letter > 0 else -img)) % self.target.m
-            else:
-                sign = 1 if letter > 0 else -1
-                key = tuple(k + sign * x for k, x in zip(key, img))
+            key = self.step(key, letter)
         return key
 
     def monomial(self, word: FreeWord, field) -> GroupRingElem:
         return GroupRingElem.monomial(self.target, field, self.word_key(word))
+
+    def fox_columns(self, word: FreeWord) -> list[dict]:
+        """The Fox derivatives of word by every generator, pushed to ZG, as
+        {key: int} maps in one walk along the word: x_i adds +1 at the key of
+        the prefix before it, x_i^-1 adds -1 at the key of the prefix after it."""
+        cols = [{} for _ in self.images]
+        key = self.target.identity_key()
+        for letter in word.letters:
+            col = cols[abs(letter) - 1]
+            if letter > 0:
+                col[key] = col.get(key, 0) + 1
+            key = self.step(key, letter)
+            if letter < 0:
+                col[key] = col.get(key, 0) - 1
+        return cols
 
     def validate(self, presentation: Presentation):
         if len(self.images) != len(presentation.generators):
@@ -139,10 +157,10 @@ class Epimorphism:
 
     def is_surjective(self) -> bool:
         if self.target.kind == "cyclic":
-            return math.gcd(self.target.m, *self.images) == 1 if self.images else False
+            return math.gcd(self.target.m, *self.images) == 1
         n = self.target.n
-        if n == 0:
-            return True
+        if n <= 1:
+            return n == 0 or math.gcd(*(img[0] for img in self.images)) == 1
         # onto Z^n iff the image matrix has n invariant factors, all 1
         return smith_normal_form(self.images).nonzero() == [1] * n
 
@@ -191,9 +209,12 @@ class EquivariantComplex:
     """A finite chain complex of free kG-modules given by boundary matrices.
 
     boundaries[q] (for q = 1..top) has shape dims[q-1] x dims[q] with
-    GroupRingElem entries; d o d = 0 is validated at construction.  When the
-    input coefficients are integral, the same matrices over Z are retained as
-    the integral shadow (used for torsion checks).
+    GroupRingElem entries.  When the input coefficients are integral, the same
+    matrices over Z are retained as the integral shadow (used for torsion
+    checks).  The constructor checks the structure only: one 0-cell, shapes,
+    rings and degree-1 entries augmenting to 0.  d o d = 0 is checked where
+    new data enters (presentation_complex, complex_from_matrices,
+    extend_with_cells); ring maps (base_change, change_field) carry it along.
     """
 
     def __init__(self, field, group, dims, boundaries, provenance="matrices",
@@ -206,7 +227,10 @@ class EquivariantComplex:
         self.presentation = presentation
         self.nu = nu
         self.integral_boundaries = integral_boundaries
-        self._validate()
+        _check_shapes(field, group, self.dims, boundaries)
+        for entry in (boundaries[0][0] if self.top >= 1 else []):
+            if not entry.augmentation().is_zero():
+                raise ValidationError("degree-1 boundary entries must augment to 0")
 
     @property
     def top(self) -> int:
@@ -221,29 +245,6 @@ class EquivariantComplex:
         cols = self.dims[q] if 0 <= q <= self.top else 0
         zero = GroupRingElem.zero(self.group, self.field)
         return [[zero for _ in range(cols)] for _ in range(rows)]
-
-    def _validate(self):
-        if not self.dims or self.dims[0] != 1:
-            raise ValidationError("complex must have a single 0-cell")
-        if len(self.boundaries) != self.top:
-            raise ValidationError("need one boundary matrix per degree 1..top")
-        for q in range(1, self.top + 1):
-            mat = self.boundaries[q - 1]
-            if len(mat) != self.dims[q - 1] or any(len(row) != self.dims[q] for row in mat):
-                raise ValidationError(f"boundary {q} has wrong shape")
-            for row in mat:
-                for entry in row:
-                    if entry.group != self.group or entry.field != self.field:
-                        raise ValidationError(f"boundary {q} entry over wrong ring")
-        for q in range(1, self.top):
-            prod = _groupring_matmul(self.boundary(q), self.boundary(q + 1))
-            if any(not e.is_zero() for row in prod for e in row):
-                raise ValidationError(
-                    f"composition d_{q} o d_{q + 1} != 0: not a chain complex"
-                )
-        for entry in (self.boundaries[0][0] if self.top >= 1 else []):
-            if not entry.augmentation().is_zero():
-                raise ValidationError("degree-1 boundary entries must augment to 0")
 
     # -- specializations ------------------------------------------------------
 
@@ -265,16 +266,7 @@ class EquivariantComplex:
     def is_minimal(self) -> bool:
         """Minimal = every epsilon-specialized boundary vanishes, checked on
         the integral shadow when present (a mod-p accident is not minimality)."""
-        for q in range(1, self.top + 1):
-            if self.integral_boundaries is not None:
-                mat = self.epsilon_boundary_int(q)
-                if any(x != 0 for row in mat for x in row):
-                    return False
-            else:
-                mat = self.epsilon_boundary(q)
-                if any(not x.is_zero() for row in mat for x in row):
-                    return False
-        return True
+        return not self.nonminimal_entries()
 
     def nonminimal_entries(self):
         out = []
@@ -292,31 +284,53 @@ class EquivariantComplex:
         return out
 
 
-def _groupring_matmul(a, b):
-    if not a or not b:
-        return []
-    if not b[0]:
-        return [[] for _ in a]
-    n, k, m = len(a), len(b), len(b[0])
-    sample = b[0][0]
-    zero = GroupRingElem.zero(sample.group, sample.field)
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = a[i][l]
-            if x.is_zero():
-                continue
-            for j in range(m):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + x * b[l][j]
-    return out
+def _check_shapes(field, group, dims, boundaries):
+    if not dims or dims[0] != 1:
+        raise ValidationError("complex must have a single 0-cell")
+    if len(boundaries) != len(dims) - 1:
+        raise ValidationError("need one boundary matrix per degree 1..top")
+    for q, mat in enumerate(boundaries, 1):
+        if len(mat) != dims[q - 1] or any(len(row) != dims[q] for row in mat):
+            raise ValidationError(f"boundary {q} has wrong shape")
+        for row in mat:
+            for entry in row:
+                if (entry.group is not group and entry.group != group
+                        or entry.field is not field and entry.field != field):
+                    raise ValidationError(f"boundary {q} entry over wrong ring")
 
 
-def _fox_image(word: FreeWord, i: int, nu: Epimorphism, field) -> GroupRingElem:
-    out = GroupRingElem.zero(nu.target, field)
-    for sign, prefix in fox_derivative(word, i):
-        out = out + nu.monomial(prefix, field).scale(sign)
-    return out
+def _check_composition(field, group, a, b, q: int):
+    """Raise unless the product of d_q = a and d_{q+1} = b over kG vanishes.
+    Products are summed per key on raw payloads, plain ints over Z."""
+    add, mul = (operator.add, operator.mul) if field.kind == "Z" else (field._add, field._mul)
+    zero = field.zero().value
+    m = group.m
+    cols = list(zip(*b))
+    for row in a:
+        for col in cols:
+            acc = {}
+            for x, y in zip(row, col):
+                for k1, c1 in x.terms.items():
+                    for k2, c2 in y.terms.items():
+                        key = (k1 + k2) % m if m else tuple(map(operator.add, k1, k2))
+                        acc[key] = add(acc.get(key, zero), mul(c1.value, c2.value))
+            if not all(map(field._is_zero, acc.values())):
+                raise ValidationError(
+                    f"composition d_{q} o d_{q + 1} != 0: not a chain complex"
+                )
+
+
+def _new_complex(field, group, dims, boundaries, integral, first=1, **kw):
+    """Build a complex from new data, checking d_q o d_{q+1} = 0 for q >= first
+    on the integral shadow when there is one: zero over Z is zero over every k.
+    The products run after the shape checks and before the constructor's
+    augmentation check, so that each error keeps its precedence."""
+    _check_shapes(field, group, dims, boundaries)
+    ring, mats = (field, boundaries) if integral is None else (FieldDescriptor.integers(), integral)
+    for q in range(first, len(mats)):
+        _check_composition(ring, group, mats[q - 1], mats[q], q)
+    return EquivariantComplex(field, group, dims, boundaries,
+                              integral_boundaries=integral, **kw)
 
 
 def presentation_complex(presentation: Presentation, nu: Epimorphism,
@@ -328,73 +342,48 @@ def presentation_complex(presentation: Presentation, nu: Epimorphism,
     group = nu.target
     ZZ = FieldDescriptor.integers()
     ngens = len(presentation.generators)
-    nrels = len(presentation.relators)
+    one = group.identity_key()
+    d1 = [{} if key == one else {key: 1, one: -1}
+          for key in (nu.step(one, i) for i in range(1, ngens + 1))]
+    raw = [[d1]] if ngens else []
+    if ngens and presentation.relators:
+        cols = [nu.fox_columns(r) for r in presentation.relators]
+        raw.append([[col[i] for col in cols] for i in range(ngens)])
+    dims = [1] + [len(mat[0]) for mat in raw]
 
-    one = GroupRingElem.one(group, ZZ)
-    d1 = [[
-        GroupRingElem.monomial(group, ZZ, nu.word_key(FreeWord((i + 1,)))) - one
-        for i in range(ngens)
-    ]]
-    int_mats = [d1]
-    dims = [1, ngens]
-    if nrels:
-        d2 = [
-            [_fox_image(r, i + 1, nu, ZZ) for r in presentation.relators]
-            for i in range(ngens)
-        ]
-        int_mats.append(d2)
-        dims.append(nrels)
-    if ngens == 0:
-        dims, int_mats = [1], []
+    def lift(k):
+        return [[[GroupRingElem.from_ints(group, k, e) for e in row] for row in mat] for mat in raw]
 
-    if field == ZZ:
-        mats = int_mats
-    else:
-        mats = [
-            [[e.map_coefficients(lambda c: field.from_int(c.as_int()), field) for e in row] for row in mat]
-            for mat in int_mats
-        ]
-    return EquivariantComplex(
-        field, group, dims, mats, provenance="presentation",
-        presentation=presentation, nu=nu, integral_boundaries=int_mats,
+    int_mats = lift(ZZ)
+    return _new_complex(
+        field, group, dims, int_mats if field == ZZ else lift(field), int_mats,
+        provenance="presentation", presentation=presentation, nu=nu,
     )
 
 
 def complex_from_matrices(field, group, dims, boundaries,
                           provenance="matrices") -> EquivariantComplex:
-    """Validated complex from explicit boundary matrices over kG."""
-    integral = None
-    if _entries_integral(boundaries):
-        ZZ = FieldDescriptor.integers()
-        integral = [
-            [[e.map_coefficients(lambda c: ZZ.from_int(_as_integer(c)), ZZ) for e in row] for row in mat]
-            for mat in boundaries
-        ]
-    return EquivariantComplex(field, group, dims, boundaries,
-                              provenance=provenance, integral_boundaries=integral)
+    """Complex from explicit boundary matrices over kG, with every composition
+    d_q o d_{q+1} checked."""
+    return _new_complex(field, group, dims, boundaries, _integral_shadow(boundaries),
+                        provenance=provenance)
 
 
-def _as_integer(c):
-    if c.field.kind == "Z":
-        return c.value
-    return c.value.numerator if c.value.denominator == 1 else None
-
-
-def _entries_integral(boundaries):
-    for mat in boundaries:
-        for row in mat:
-            for e in row:
-                if e.field.kind == "Z":
-                    continue
-                if e.field.kind == "Q" and all(c.value.denominator == 1 for c in e.terms.values()):
-                    continue
-                return False
-    return True
+def _integral_shadow(mats):
+    """The same matrices over Z when every coefficient is an integer, else None."""
+    for e in (e for mat in mats for row in mat for e in row):
+        kind = e.field.kind
+        if kind != "Z" and (kind != "Q" or any(c.value.denominator != 1 for c in e.terms.values())):
+            return None
+    ZZ = FieldDescriptor.integers()
+    return [[[e.map_coefficients(lambda c: ZZ.from_int(int(c.value)), ZZ) for e in row]
+             for row in mat] for mat in mats]
 
 
 def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> EquivariantComplex:
-    """Attach extra cells in `degree` (>= top) with the given boundary matrix
-    into degree-1 cells; composition is re-validated."""
+    """Attach extra cells in `degree` (= top + 1) with the given boundary
+    matrix into degree-1 cells.  Only the new block d_top o d_{top+1} is
+    checked: the compositions of C were checked when C was built."""
     if degree != C.top + 1:
         raise ValidationError(
             f"extra cells must extend the top degree ({C.top + 1}), got {degree}"
@@ -404,26 +393,19 @@ def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> Equiva
             f"extra-cell matrix needs {C.dims[C.top]} rows, got {len(matrix_rows)}"
         )
     ncells = len(matrix_rows[0]) if matrix_rows else 0
-    dims = C.dims + [ncells]
-    boundaries = list(C.boundaries) + [matrix_rows]
-    integral = None
-    if C.integral_boundaries is not None and _entries_integral([matrix_rows]):
-        ZZ = FieldDescriptor.integers()
-        shadow_mat = [
-            [e.map_coefficients(lambda c: ZZ.from_int(_as_integer(c)), ZZ) for e in row]
-            for row in matrix_rows
-        ]
-        integral = C.integral_boundaries + [shadow_mat]
-    return EquivariantComplex(
-        C.field, C.group, dims, boundaries, provenance="hybrid",
-        presentation=C.presentation, nu=C.nu, integral_boundaries=integral,
+    shadow = _integral_shadow([matrix_rows]) if C.integral_boundaries is not None else None
+    integral = None if shadow is None else C.integral_boundaries + shadow
+    return _new_complex(
+        C.field, C.group, C.dims + [ncells], list(C.boundaries) + [matrix_rows], integral,
+        first=C.top, provenance="hybrid", presentation=C.presentation, nu=C.nu,
     )
 
 
 def base_change(C: EquivariantComplex, f: GroupHom,
                 new_field: FieldDescriptor | None = None) -> EquivariantComplex:
     """Apply the ring map induced by the group surjection f (and optionally a
-    coefficient change) to every boundary matrix; d o d = 0 is re-validated."""
+    coefficient change) to every boundary matrix.  A ring map carries
+    d o d = 0 along, so the compositions are not checked again."""
     if f.source != C.group:
         raise ValidationError("hom source does not match complex group")
     field = new_field if new_field is not None else C.field
@@ -450,7 +432,8 @@ def base_change(C: EquivariantComplex, f: GroupHom,
 
 
 def change_field(C: EquivariantComplex, new_field: FieldDescriptor) -> EquivariantComplex:
-    """Coefficient change (Z -> k, Q -> Q(zeta), ...) leaving the group fixed."""
+    """Coefficient change (Z -> k, Q -> Q(zeta), ...) leaving the group fixed.
+    A ring map, so the compositions are not checked again."""
     if new_field == C.field:
         return C
     coeff = _coefficient_map(C.field, new_field)
@@ -494,10 +477,12 @@ def betti_numbers(C: EquivariantComplex) -> list[int]:
 
 
 def parse_document(doc: dict) -> EquivariantComplex:
-    """Build a validated complex from the JSON input schema.
+    """Build a complex from the JSON input schema.
 
     Exactly one of "presentation"/"matrices"; "extra_cells" only with
-    "presentation".
+    "presentation".  Every composition d_q o d_{q+1} of the result is checked
+    once: by presentation_complex or complex_from_matrices, and for each
+    "extra_cells" block by extend_with_cells.
     """
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")

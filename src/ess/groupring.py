@@ -129,6 +129,11 @@ class GroupRingElem:
             coeff = field.from_int(coeff)
         return cls(group, field, {group.reduce_key(key): coeff})
 
+    @classmethod
+    def from_ints(cls, group, field, ints):
+        """The element with integer coefficients given as a {key: int} map."""
+        return cls(group, field, {k: field.from_int(c) for k, c in ints.items() if c})
+
     def _check(self, other):
         if self.group != other.group or self.field != other.field:
             raise DescriptorMismatch("group-ring operands over different rings")
@@ -209,10 +214,11 @@ class GroupRingElem:
         return GroupRingElem(self.group, new_field, {k: fn(v) for k, v in self.terms.items()})
 
     def map_exponents(self, fn, new_group):
-        out = GroupRingElem.zero(new_group, self.field)
+        out = {}
         for key, coeff in self.terms.items():
-            out = out + GroupRingElem.monomial(new_group, self.field, fn(key), coeff)
-        return out
+            key = fn(key)
+            out[key] = out[key] + coeff if key in out else coeff
+        return GroupRingElem(new_group, self.field, out)
 
     def evaluate(self, values: list[FieldElem]) -> FieldElem:
         """Evaluate at invertible field elements (t_i -> values[i])."""

@@ -249,7 +249,8 @@ def check_c9_knots() -> str:
 
 def check_c10_properties() -> str:
     """Property suites: SNF postconditions on 500 random matrices, the Fox
-    fundamental identity on 500 random words, the cyclotomic product identity
+    fundamental identity and the one-pass Fox columns on 1000 random words
+    over Z^n and Z_m, the cyclotomic product identity
     through d = 200, window stability of the page engine on the corpus."""
     rng = random.Random(20080914)
     GZ = _Z1
@@ -270,22 +271,28 @@ def check_c10_properties() -> str:
                 row.append(e)
             mat.append(row)
         smith_normal_form(mat)
-    # Fox fundamental identity on random words and epimorphisms
-    for trial in range(500):
+    # Fox fundamental identity on random words and epimorphisms onto Z^n (even
+    # trials) and Z_m (odd trials); the one-pass columns match fox_derivative
+    for trial in range(1000):
         ngens = rng.randint(1, 4)
         length = rng.randint(1, 20)
         letters = [rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(length)]
         word = FreeWord(letters)
-        nrank = rng.randint(1, 2)
-        G = GroupDescriptor.free_abelian(nrank)
-        images = [[rng.randint(-2, 2) for _ in range(nrank)] for _ in range(ngens)]
+        if trial % 2:
+            G = GroupDescriptor.cyclic(rng.randint(2, 9))
+            images = [rng.randint(0, 8) for _ in range(ngens)]
+        else:
+            nrank = rng.randint(1, 2)
+            G = GroupDescriptor.free_abelian(nrank)
+            images = [[rng.randint(-2, 2) for _ in range(nrank)] for _ in range(ngens)]
         nu = Epimorphism(G, images)
         one = GroupRingElem.one(G, Q)
         total = GroupRingElem.zero(G, Q)
-        for i in range(1, ngens + 1):
+        for i, col in enumerate(nu.fox_columns(word), 1):
             der = GroupRingElem.zero(G, Q)
             for sign, prefix in fox_derivative(word, i):
                 der = der + nu.monomial(prefix, Q).scale(sign)
+            assert der == GroupRingElem.from_ints(G, Q, col), f"Fox columns differ at trial {trial}"
             total = total + der * (nu.monomial(FreeWord((i,)), Q) - one)
         assert total == nu.monomial(word, Q) - one, f"Fox identity failed at trial {trial}"
     # cyclotomic product identity
@@ -309,7 +316,7 @@ def check_c10_properties() -> str:
             for (s, q), dim in tl.entries.items():
                 if s <= 1:
                     assert ts.dim(s, q) == dim, (name, tl.r, s, q)
-    return "500 SNFs, 500 Fox identities, Phi product to d=200, window stability: all green"
+    return "500 SNFs, 1000 Fox identities, Phi product to d=200, window stability: all green"
 
 
 def check_c11_linaom() -> str:

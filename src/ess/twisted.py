@@ -172,7 +172,8 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
 
 
 def integral_complex(C: EquivariantComplex) -> EquivariantComplex:
-    """The complex over Z carried by the integral shadow."""
+    """The complex over Z carried by the integral shadow, whose compositions
+    were checked when C was built."""
     if C.field.kind == "Z":
         return C
     if C.integral_boundaries is None:

@@ -1,19 +1,23 @@
 import itertools
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ess import cli, complexes
 from ess.builtins import builtin_complex, load_builtin_document
 from ess.coeffs import FieldDescriptor
 from ess.complexes import (Epimorphism, FreeWord, GroupHom, Presentation,
                            base_change, betti_numbers, change_field,
-                           complex_from_matrices, fox_derivative,
+                           complex_from_matrices, extend_with_cells, fox_derivative,
                            parse_document, presentation_complex)
 from ess.errors import InputError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
+from ess.twisted import bounds_report, integral_complex
 
 Q = FieldDescriptor.rationals()
 ZZ = FieldDescriptor.integers()
@@ -284,3 +288,159 @@ def test_torus3_has_koszul_top_cell():
     assert T3.dims == [1, 3, 3, 1]
     assert betti_numbers(T3) == [1, 3, 3, 1]
     assert T3.is_minimal()
+
+
+# -- d o d = 0 where new data enters, and nowhere else ---------------------------
+
+
+def _oracle_matmul(a, b):
+    """Product of two matrices over kG by GroupRingElem arithmetic."""
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            acc = GroupRingElem.zero(row[0].group, row[0].field)
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            out[-1].append(acc)
+    return out
+
+
+def _assert_chain_complex(C):
+    for mats in (C.boundaries, C.integral_boundaries or []):
+        for q in range(1, len(mats)):
+            prod = _oracle_matmul(mats[q - 1], mats[q])
+            assert all(e.is_zero() for row in prod for e in row), (C.group, C.field, q)
+
+
+_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=16).map(FreeWord)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=_words, cyclic=st.booleans(), data=st.data())
+def test_fox_columns_match_fox_derivative(w, cyclic, data):
+    if cyclic:
+        G = GroupDescriptor.cyclic(data.draw(st.integers(2, 12)))
+        images = data.draw(st.lists(st.integers(-12, 12), min_size=3, max_size=3))
+    else:
+        n = data.draw(st.integers(1, 3))
+        images = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                    min_size=3, max_size=3))
+        G = GroupDescriptor.free_abelian(n)
+    nu = Epimorphism(G, images)
+    cols = nu.fox_columns(w)
+    assert len(cols) == 3
+    for i, col in enumerate(cols, 1):
+        der = GroupRingElem.zero(G, ZZ)
+        for sign, prefix in fox_derivative(w, i):
+            der = der + nu.monomial(prefix, ZZ).scale(sign)
+        assert GroupRingElem.from_ints(G, ZZ, col) == der, (w, i)
+
+
+_koszul = [["t3 - 1"], ["1 - t2"], ["t1 - 1"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["torus2", "torus3", "trefoil", "zxf2", "torsfree", "lyndon:6"]),
+       m=st.integers(2, 9), p=st.sampled_from([2, 3, 5]),
+       terms=st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3)), max_size=3))
+def test_derived_complexes_are_chain_complexes(name, m, p, terms):
+    C = builtin_complex(name)
+    derived = [C]
+    if name == "torus3":
+        # the Koszul 3-cell times an arbitrary element of ZG is still a cycle
+        u = sum((GroupRingElem.monomial(G3, ZZ, (e, 0, -e), c) for e, c in terms),
+                GroupRingElem.zero(G3, ZZ))
+        bare = parse_document({k: v for k, v in load_builtin_document(name).items()
+                               if k != "extra_cells"})
+        derived.append(extend_with_cells(bare, 3, [[parse_element(x, G3, ZZ) * u]
+                                                   for [x] in _koszul]))
+    for D in list(derived):
+        targets = [GroupDescriptor.cyclic(m)] + ([GZ] if D.group != GZ else [])
+        for T in targets:
+            images = [1] * D.group.num_generators if T.kind == "cyclic" else \
+                [[i + 1] for i in range(D.group.num_generators)]
+            derived.append(base_change(D, GroupHom(D.group, T, images)))
+    for D in list(derived):
+        derived += [change_field(D, Q), change_field(D, FieldDescriptor.prime_field(p))]
+        derived.append(integral_complex(derived[-1]))
+    for D in derived:
+        _assert_chain_complex(D)
+        complex_from_matrices(D.field, D.group, D.dims, D.boundaries)  # the raw check agrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic=st.booleans(), field=st.sampled_from(["Z", "Q", "Fp:2", "Fp:3", "cyclotomic:3"]),
+       data=st.data())
+def test_raw_composition_check_matches_oracle(cyclic, field, data):
+    G, k = (GroupDescriptor.cyclic(4) if cyclic else G2), FieldDescriptor.parse(field)
+    terms = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2)),
+                     min_size=1, max_size=3)
+
+    def elem():
+        return sum((GroupRingElem.monomial(G, k, e1 % 4 if cyclic else (e1, e2), c)
+                    for e1, e2, c in data.draw(terms)), GroupRingElem.zero(G, k))
+
+    inner = data.draw(st.integers(1, 3))
+    a, b = [[elem() for _ in range(inner)]], [[elem()] for _ in range(inner)]
+    if inner == 2:  # a Koszul column: the product vanishes
+        v = elem()
+        b = [[a[0][1] * v], [-(a[0][0] * v)]]
+    zero = all(e.is_zero() for row in _oracle_matmul(a, b) for e in row)
+    try:
+        complexes._check_composition(k, G, a, b, 1)
+        assert zero
+    except ValidationError:
+        assert not zero
+
+
+@pytest.mark.parametrize("field, group, d1, d2", [
+    ("Fp:3", "Z", ["t-1"], ["t-1"]),
+    ("Fp:2", "Zmod:4", ["t-1"], ["t-1"]),
+    ("Q", "Zmod:4", ["t-1"], ["t+1"]),
+    ("Z", "Z^2", ["t1-1", "t2-1"], ["t2-1", "t1-1"]),
+    ("cyclotomic:3", "Z", ["t-1"], ["t"]),
+], ids=["Fp", "Zmod-Fp", "Zmod-Z", "Z^2", "cyclotomic"])
+def test_bad_composition_rejected_on_every_payload(field, group, d1, d2):
+    doc = {"field": field, "group": group,
+           "matrices": {"dims": [1, len(d1), 1], "boundaries": [[d1], [[x] for x in d2]]}}
+    with pytest.raises(ValidationError, match="composition d_1 o d_2"):
+        parse_document(doc)
+
+
+def test_bad_composition_rejected_on_fractions():
+    # no integral shadow: the check runs on the Fraction payloads
+    half = GroupRingElem.monomial(GZ, Q, (1,), Q.from_fraction(Fraction(1, 2)))
+    d1 = GroupRingElem.monomial(GZ, Q, (1,)) - 1
+    with pytest.raises(ValidationError, match="composition d_1 o d_2"):
+        complex_from_matrices(Q, GZ, [1, 1, 1], [[[d1]], [[half - half * d1]]])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["extra_cells"][0].update(matrix=[["t3 - 1"], ["t2 - 1"], ["t1 - 1"]]),
+     "composition d_2 o d_3"),
+    (lambda doc: doc["presentation"]["relators"].append("ab"), "does not map to the identity"),
+], ids=["extra-cells", "relator-outside-kernel"])
+def test_cli_rejects_a_complex_that_is_not_one(edit, message, tmp_path, capsys):
+    doc = load_builtin_document("torus3")
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["validate", str(path), "--field", "Fp:3", "--json"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INPUT and not out
+    assert err.startswith("error: ") and message in err
+
+
+def test_each_block_is_checked_once(monkeypatch):
+    calls = []
+    check = complexes._check_composition
+    monkeypatch.setattr(complexes, "_check_composition",
+                        lambda *args: calls.append(args[-1]) or check(*args))
+    C = parse_document(load_builtin_document("torus3"))
+    assert calls == [1, 2]
+    Cz = base_change(C, GroupHom(G3, GZ, [[1], [1], [1]]))
+    change_field(Cz, FieldDescriptor.prime_field(3))
+    assert calls == [1, 2]
+    bounds_report(parse_document(load_builtin_document("comm-p:3")), [1], 3, 2)
+    assert calls == [1, 2, 1]
