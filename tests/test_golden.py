@@ -81,6 +81,15 @@ CASES = {
                               "Zmod:25", "--field", "Fp:5", "--S", "24"],
     "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
                              "--field", "Fp:2"],
+    # the page engine over Q(zeta_3), Z_m over Q (e = 1 < m), and Z_{p^r}
+    # in characteristic p with the default window
+    "pages-torus2-cyc3-R2S2": ["pages", "--builtin", "torus2", "--field", "cyclotomic:3"]
+    + WINDOWS["R2S2"],
+    **{f"pages-{space}-Z{m}-{label}": ["pages", "--builtin", space, "--group-quotient",
+                                       f"Zmod:{m}", "--field", field]
+       for space, m, label, field in (("torus2", 6, "Q", "Q"), ("torus2", 12, "Q", "Q"),
+                                      ("circle", 16, "Fp2", "Fp:2"),
+                                      ("trefoil", 9, "Fp3", "Fp:3"))},
 }
 
 
