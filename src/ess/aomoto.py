@@ -140,14 +140,14 @@ def universal_aomoto(C) -> UniversalAomoto:
 
     def linear_form(elem: GroupRingElem) -> GroupRingElem:
         coords = model.reduce(elem)
-        if not coords[0].is_zero():
+        if not field._is_zero(coords[0]):
             raise MinimalityError("entry does not lie in J")
         terms = {}
         for idx in range(off1, model.offset(2)):
             c = coords[idx]
-            if not c.is_zero():
+            if not field._is_zero(c):
                 # the degree-1 monomial tuple for x_i is the exponent key of e_i
-                terms[model.monomials[idx]] = c
+                terms[model.monomials[idx]] = FieldElem(field, c)
         return GroupRingElem(sym, field, terms)
 
     matrices = []

@@ -141,22 +141,44 @@ class FieldDescriptor:
     over Z is needed).
 
     Instances are immutable; payloads are Fraction (Q), int in [0,p) (F_p),
-    tuple of Fraction of length phi(d) (cyclotomic), or int (Z).
+    tuple of Fraction of length phi(d) (cyclotomic), or int (Z).  The payload
+    table _add, _sub, _neg, _mul, _is_zero, _inv and _of_int (the payload of
+    an int) is bound once per kind: operator.* over Q and Z, residues mod p
+    over F_p, polynomials mod Phi_d over Q(zeta_d).  FieldElem, LaurentRing
+    and the page engine all compute through it.
     """
 
-    __slots__ = ("kind", "p", "d", "modulus", "degree")
+    __slots__ = ("kind", "p", "d", "modulus", "degree",
+                 "_add", "_sub", "_neg", "_mul", "_is_zero", "_inv", "_of_int")
 
     def __init__(self, kind, p=None, d=None):
         self.kind = kind
         self.p = p
         self.d = d
-        if kind == _CYC:
+        self.modulus, self.degree = None, 1
+        self._add, self._sub = operator.add, operator.sub
+        self._neg, self._mul, self._is_zero = operator.neg, operator.mul, operator.not_
+        self._inv, self._of_int = _z_inv, int
+        if kind == _Q:
+            self._inv, self._of_int = lambda a: 1 / _nonzero(a), Fraction
+        elif kind == _FP:
+            self._add = lambda a, b: (a + b) % p
+            self._sub = lambda a, b: (a - b) % p
+            self._neg = lambda a: -a % p
+            self._mul = lambda a, b: a * b % p
+            self._inv = lambda a: pow(_nonzero(a), -1, p)
+            self._of_int = lambda v: v % p
+        elif kind == _CYC:
             phi = cyclotomic_polynomial(d)
             self.modulus = tuple(Fraction(c) for c in phi)
             self.degree = len(phi) - 1
-        else:
-            self.modulus = None
-            self.degree = 1
+            pad = (Fraction(0),) * (self.degree - 1)
+            self._add = lambda a, b: tuple(map(operator.add, a, b))
+            self._sub = lambda a, b: tuple(map(operator.sub, a, b))
+            self._neg = lambda a: tuple(map(operator.neg, a))
+            self._mul, self._inv = self._cyc_mul, self._cyc_inv
+            self._is_zero = lambda a: not any(a)
+            self._of_int = lambda v: (Fraction(v),) + pad
 
     @classmethod
     def rationals(cls):
@@ -222,27 +244,15 @@ class FieldDescriptor:
     # -- payload arithmetic --------------------------------------------------
 
     def from_int(self, v: int) -> "FieldElem":
-        if self.kind == _Q:
-            return FieldElem(self, Fraction(v))
-        if self.kind == _FP:
-            return FieldElem(self, v % self.p)
-        if self.kind == _Z:
-            return FieldElem(self, int(v))
-        pay = (Fraction(v),) + (Fraction(0),) * (self.degree - 1)
-        return FieldElem(self, pay)
+        return FieldElem(self, self._of_int(v))
 
     def from_fraction(self, v: Fraction) -> "FieldElem":
-        if self.kind == _Q:
-            return FieldElem(self, Fraction(v))
-        if self.kind == _CYC:
-            pay = (Fraction(v),) + (Fraction(0),) * (self.degree - 1)
-            return FieldElem(self, pay)
         if v.denominator == 1:
             return self.from_int(v.numerator)
-        if self.kind == _FP:
-            inv = pow(v.denominator % self.p, -1, self.p)
-            return FieldElem(self, v.numerator * inv % self.p)
-        raise CoefficientError(f"cannot coerce {v} into {self}")
+        if self.kind == _Z:
+            raise CoefficientError(f"cannot coerce {v} into {self}")
+        num, den = self._of_int(v.numerator), self._of_int(v.denominator)
+        return FieldElem(self, self._mul(num, self._inv(den)))
 
     def zero(self):
         return self.from_int(0)
@@ -277,25 +287,7 @@ class FieldDescriptor:
         rem += [Fraction(0)] * (dd - len(rem))
         return tuple(rem)
 
-    def _add(self, a, b):
-        if self.kind == _FP:
-            return (a + b) % self.p
-        if self.kind == _CYC:
-            return tuple(x + y for x, y in zip(a, b))
-        return a + b
-
-    def _neg(self, a):
-        if self.kind == _FP:
-            return (-a) % self.p
-        if self.kind == _CYC:
-            return tuple(-x for x in a)
-        return -a
-
-    def _mul(self, a, b):
-        if self.kind == _FP:
-            return a * b % self.p
-        if self.kind != _CYC:
-            return a * b
+    def _cyc_mul(self, a, b):
         out = [Fraction(0)] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x == 0:
@@ -304,24 +296,11 @@ class FieldDescriptor:
                 out[i + j] += x * y
         return self._reduce_poly(out)
 
-    def _is_zero(self, a) -> bool:
-        if self.kind == _CYC:
-            return all(x == 0 for x in a)
-        return a == 0
-
-    def _inv(self, a):
-        if self._is_zero(a):
-            raise CoefficientError("division by zero")
-        if self.kind == _Q:
-            return 1 / a
-        if self.kind == _FP:
-            return pow(a, -1, self.p)
-        if self.kind == _Z:
-            if a in (1, -1):
-                return a
-            raise CoefficientError(f"{a} is not a unit in Z")
+    def _cyc_inv(self, a):
         # Phi_d is irreducible, so its gcd with a over Q[s^+-1] is a unit g and
         # tau a = g mod Phi_d; fold tau / g into s^0..s^(d-1) (s^d = 1).
+        if not any(a):
+            raise CoefficientError("division by zero")
         den = math.lcm(*(c.denominator for c in a))
         a = _Q_RING._make(0, [c.numerator * (den // c.denominator) for c in a], den)
         g, _, tau, _, _ = _Q_RING.gcd_bezout((0, cyclotomic_polynomial(self.d), 1), a)
@@ -330,6 +309,18 @@ class FieldDescriptor:
         for i, c in enumerate(cs, shift):
             out[i % self.d] += Fraction(c, den)
         return self._reduce_poly(out)
+
+
+def _nonzero(a):
+    if not a:
+        raise CoefficientError("division by zero")
+    return a
+
+
+def _z_inv(a):
+    if _nonzero(a) in (1, -1):
+        return a
+    raise CoefficientError(f"{a} is not a unit in Z")
 
 
 _RATIONALS = FieldDescriptor(_Q)
@@ -373,7 +364,7 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return FieldElem(self.field, self.field._sub(self.value, other.value))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -461,8 +452,8 @@ class LaurentRing:
     coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
     equal tuples.  Over F_p the coefficients are ints in [0, p) and over
     Q(zeta_d) the descriptor's payload tuples; there den is 1.  Coefficients
-    combine through a per-field table: int operators over Q, the descriptor's
-    _add/_mul/_neg/_inv otherwise.
+    combine through the descriptor's payload table, whose operator.* entries
+    over Q serve the integer numerators as well.
     """
 
     def __init__(self, field: FieldDescriptor):
@@ -471,12 +462,8 @@ class LaurentRing:
         self.field = field
         self.name = f"{field}[t^+-1]"
         self._q = field.kind == "Q"
-        if self._q:
-            self._add, self._mul, self._neg = operator.add, operator.mul, operator.neg
-            self._c0, c1 = 0, 1
-        else:
-            self._add, self._mul, self._neg = field._add, field._mul, field._neg
-            self._c0, c1 = field.zero().value, field.one().value
+        self._add, self._mul, self._neg = field._add, field._mul, field._neg
+        self._c0, c1 = (0, 1) if self._q else (field._of_int(0), field._of_int(1))
         self.zero = (0, (), 1)
         self.one = (0, (c1,), 1)
 
@@ -762,15 +749,19 @@ def rank_exact(matrix) -> int:
         for x in r:
             if x.field != field:
                 raise DescriptorMismatch("matrix entries over mixed descriptors")
-    if field.kind in (_Q, _Z):
-        int_rows = []
-        for r in rows:
-            fr = [x.as_fraction() for x in r]
-            den = 1
-            for x in fr:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            int_rows.append([int(x * den) for x in fr])
-        return _rank_bareiss_int(int_rows)
+    if field.kind == _CYC:
+        return _cyclotomic_rank(field, rows)
+    return _rank_raw(field, [[x.value for x in r] for r in rows])
+
+
+def _rank_raw(field: FieldDescriptor, rows) -> int:
+    """Exact rank of dense rows of raw Q, Z or F_p payloads: residues are
+    eliminated mod p; rational rows are scaled to integers and eliminated
+    fraction-free."""
     if field.kind == _FP:
-        return _rank_mod([[x.value for x in r] for r in rows], field.p)
-    return _cyclotomic_rank(field, rows)
+        return _rank_mod(rows, field.p)
+    int_rows = []
+    for r in rows:
+        den = math.lcm(*(x.denominator for x in r))
+        int_rows.append([int(x * den) for x in r])
+    return _rank_bareiss_int(int_rows)

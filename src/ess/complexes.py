@@ -301,9 +301,9 @@ def _check_shapes(field, group, dims, boundaries):
 
 def _check_composition(field, group, a, b, q: int):
     """Raise unless the product of d_q = a and d_{q+1} = b over kG vanishes.
-    Products are summed per key on raw payloads, plain ints over Z."""
-    add, mul = (operator.add, operator.mul) if field.kind == "Z" else (field._add, field._mul)
-    zero = field.zero().value
+    Products are summed per key on raw payloads, through the descriptor's
+    payload table."""
+    add, mul, zero = field._add, field._mul, field._of_int(0)
     m = group.m
     cols = list(zip(*b))
     for row in a:
@@ -451,10 +451,8 @@ def change_field(C: EquivariantComplex, new_field: FieldDescriptor) -> Equivaria
 def _coefficient_map(old: FieldDescriptor, new: FieldDescriptor):
     if old == new:
         return lambda c: c
-    if old.kind == "Z":
-        return lambda c: new.from_int(c.value)
-    if old.kind == "Q":
-        return lambda c: new.from_fraction(c.value)
+    if old.kind in ("Z", "Q"):
+        return lambda c: new.from_fraction(c.value)  # ints have a denominator too
     raise UnsupportedCoefficients(f"no coefficient map {old} -> {new}")
 
 

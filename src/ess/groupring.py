@@ -7,6 +7,7 @@ always over sorted keys so every downstream matrix is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -49,12 +50,11 @@ class GroupDescriptor:
     def parse(cls, text: str) -> "GroupDescriptor":
         if text == "Z":
             return cls.free_abelian(1)
-        mt = re.fullmatch(r"Z\^(\d+)", text)
-        if mt:
-            return cls.free_abelian(int(mt.group(1)))
-        mt = re.fullmatch(r"Zmod:(\d+)", text)
-        if mt:
-            return cls.cyclic(int(mt.group(1)))
+        for prefix, make in (("Z^", cls.free_abelian), ("Zmod:", cls.cyclic)):
+            # isdecimal is the \d+ of re (Unicode Nd); isdigit would pass "²"
+            rest = text[len(prefix):] if isinstance(text, str) and text.startswith(prefix) else ""
+            if rest.isdecimal():
+                return make(int(rest))
         raise InputError(f"unknown group descriptor {text!r}")
 
     def __str__(self):
@@ -353,16 +353,6 @@ def format_element(a: GroupRingElem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _binomial(a: int, k: int) -> int:
-    """Generalized binomial C(a, k) for any integer a, k >= 0."""
-    if k < 0:
-        return 0
-    num = 1
-    for j in range(k):
-        num *= a - j
-    return num // math.factorial(k)
-
-
 def monomials_of_degree(n: int, s: int) -> list[tuple]:
     """Exponent tuples of total degree s in n variables, lexicographic."""
     if n == 0:
@@ -374,19 +364,31 @@ def monomials_of_degree(n: int, s: int) -> list[tuple]:
     return sorted(out)
 
 
-def _expansion_coefficient(a: GroupRingElem, beta: tuple) -> FieldElem:
-    """Coefficient of x^beta in the image of a under t_i -> 1 + x_i."""
+@lru_cache(maxsize=None)
+def pascal_row(k: int, M: int) -> tuple[int, ...]:
+    """(C(k, 0), ..., C(k, M - 1)): the coefficients of (1 + x)^k cut at
+    degree M, exact generalized binomials for k < 0."""
+    row = [1]
+    for b in range(1, M):
+        row.append(row[-1] * (k - b + 1) // b)
+    return tuple(row)
+
+
+def expansion_coords(a: GroupRingElem, monomials, M: int) -> list:
+    """Raw coefficients of x^beta, beta in monomials (of degree < M), in the
+    image of a under t_i -> 1 + x_i: per term, a product of Pascal rows."""
     field = a.field
-    acc = field.zero()
+    add, mul, of_int = field._add, field._mul, field._of_int
+    out = [of_int(0)] * len(monomials)
     for key, coeff in a.terms.items():
-        c = 1
-        for ai, bi in zip(key, beta):
-            c *= _binomial(ai, bi)
-            if c == 0:
-                break
-        if c:
-            acc = acc + coeff * field.from_int(c)
-    return acc
+        rows = [pascal_row(k, M) for k in key]
+        for idx, beta in enumerate(monomials):
+            n = 1
+            for row, b in zip(rows, beta):
+                n *= row[b]
+            if n:
+                out[idx] = add(out[idx], mul(coeff.value, of_int(n)))
+    return out
 
 
 class _CyclicFiltration:
@@ -398,6 +400,7 @@ class _CyclicFiltration:
     spans J^s, is u^s with valuation s for s < e, followed by the core
     t^j u^e for j < m - e, which spans J^e = J^{e+1} = ... and has valuation
     INFINITY.  The core is empty in the Reznikov case e = m, where J^m = 0.
+    Basis vectors and coordinates are lists of raw payloads.
     """
 
     def __init__(self, m: int, field: FieldDescriptor):
@@ -414,9 +417,9 @@ class _CyclicFiltration:
 
     def _shifted_power(self, j: int, s: int):
         """Monomial coordinates of t^j (t - 1)^s, a polynomial of degree j + s < m."""
-        v = [self.field.zero()] * self.m
+        v = [self.field._of_int(0)] * self.m
         for k in range(s + 1):
-            v[j + k] = self.field.from_int((-1) ** (s - k) * math.comb(s, k))
+            v[j + k] = self.field._of_int((-1) ** (s - k) * math.comb(s, k))
         return v
 
     def dim(self, s: int) -> int:
@@ -429,22 +432,19 @@ class _CyclicFiltration:
     def coords(self, vec):
         """Adapted coordinates of a vector of monomial coordinates: e synthetic
         divisions by t - 1 leave the Taylor coefficients at 1 as remainders,
-        and the last quotient holds the core coordinates."""
-        rest = list(vec)
-        taylor = []
+        and the last quotient holds the core coordinates.  The quotient by
+        t - 1 is the list of suffix sums after the first; the remainder is
+        the whole sum."""
+        rest, taylor = list(vec), []
         for _ in range(self.e):
-            acc = self.field.zero()
-            quotient = [None] * (len(rest) - 1)
-            for k in range(len(rest) - 1, 0, -1):
-                acc = acc + rest[k]
-                quotient[k - 1] = acc
-            taylor.append(acc + rest[0])
-            rest = quotient
+            sums = list(itertools.accumulate(reversed(rest), self.field._add))
+            taylor.append(sums.pop())
+            rest = sums[::-1]
         return taylor + rest
 
     def membership_val(self, vec) -> float:
         for val, c in zip(self.vals, self.coords(vec)):
-            if not c.is_zero():
+            if not self.field._is_zero(c):
                 return val
         return INFINITY
 
@@ -455,9 +455,10 @@ def cyclic_filtration(m: int, field: FieldDescriptor) -> _CyclicFiltration:
 
 
 def _cyclic_vector(a: GroupRingElem):
-    v = [a.field.zero()] * a.group.m
+    """The raw monomial coordinates of an element of kZ_m."""
+    v = [a.field._of_int(0)] * a.group.m
     for key, coeff in a.terms.items():
-        v[key] = coeff
+        v[key] = coeff.value
     return v
 
 
@@ -474,9 +475,9 @@ def j_valuation(a: GroupRingElem):
         shifted = a.map_exponents(lambda k: tuple(x + s for x, s in zip(k, shift)), a.group)
         bound = max(sum(k) for k in shifted.terms)
         for deg in range(bound + 1):
-            for beta in monomials_of_degree(n, deg):
-                if not _expansion_coefficient(shifted, beta).is_zero():
-                    return deg
+            coords = expansion_coords(shifted, monomials_of_degree(n, deg), bound + 1)
+            if not all(map(a.field._is_zero, coords)):
+                return deg
         return INFINITY
     if not a.field.is_field:
         raise DescriptorMismatch("cyclic j_valuation needs field coefficients")
@@ -532,4 +533,4 @@ def _x_power(group, field, alpha):
 
 
 def _from_vector(group, field, vec):
-    return GroupRingElem(group, field, {j: vec[j] for j in range(group.m) if not vec[j].is_zero()})
+    return GroupRingElem(group, field, {j: FieldElem(field, x) for j, x in enumerate(vec)})

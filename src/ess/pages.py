@@ -14,6 +14,8 @@ truncated boundary is assembled as sparse columns straight from the sparse
 multiplication of FiltrationModel; no dense matrix is stored.  Every
 elimination over k in the package (the pairs, the homology bases, d^1 and the
 J^2 check) reduces such columns in the one sparse column echelon `Echelon`.
+All of it runs on raw payloads through the descriptor's payload table;
+FieldElem is built only for returned results.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -22,15 +24,16 @@ whose E^oo totals are checked over the whole filtration.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
-from .coeffs import FieldDescriptor, _rank_bareiss_int, _rank_mod
+from .coeffs import FieldDescriptor, FieldElem, _rank_raw
 from .complexes import betti_numbers
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import (GroupDescriptor, GroupRingElem, _cyclic_vector,
-                        _expansion_coefficient, cyclic_filtration, gr_dimension,
+                        cyclic_filtration, expansion_coords, gr_dimension,
                         monomials_of_degree)
 
 INF = math.inf
@@ -39,17 +42,17 @@ INF = math.inf
 class Echelon:
     """Sparse column echelon over a field.
 
-    Columns are {row: nonzero FieldElem} dicts; a column's pivot is its
-    largest row.  Columns passed in are reduced in place, and `add` stores a
-    copy scaled to entry 1 at the pivot.  A column added with a label also
-    records its combination of the labelled inputs, and if it reduces to zero,
-    the relation e_label - (that combination) goes to `relations`.  Unlabelled
-    columns record nothing: added first, they make the combinations hold
-    modulo their span.
+    Columns are {row: nonzero raw payload} dicts, combined through the
+    field's payload table; a column's pivot is its largest row.  Columns
+    passed in are reduced in place, and `add` stores a copy scaled to entry 1
+    at the pivot.  A column added with a label also records its combination
+    of the labelled inputs, and if it reduces to zero, the relation e_label -
+    (that combination) goes to `relations`.  Unlabelled columns record
+    nothing: added first, they make the combinations hold modulo their span.
     """
 
     def __init__(self, field: FieldDescriptor):
-        self.one = field.one()
+        self.field = field
         self.owner = {}      # pivot row -> stored column
         self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
         self.relations = []  # {label: coefficient}, one per dependent labelled column
@@ -58,39 +61,44 @@ class Echelon:
         """Clear the pivots of col that stored columns own, adding the
         multiples taken of their combinations into coords if given.  Returns
         the pivot left, or None when col is zero: it lay in the span."""
-        owner, combo = self.owner, self.combo
+        owner, combo, field = self.owner, self.combo, self.field
+        add, mul, is_zero = field._add, field._mul, field._is_zero
         while col:
             low = max(col)
             other = owner.get(low)
             if other is None:
                 return low
             f = col[low]
+            nf = field._neg(f)
             for k, y in other.items():
-                z = col[k] - f * y if k in col else -(f * y)
-                if z.is_zero():
-                    del col[k]
-                else:
-                    col[k] = z
+                z = mul(nf, y)  # nonzero, a product of nonzeros in a field
+                if k in col:
+                    z = add(col[k], z)
+                    if is_zero(z):
+                        del col[k]
+                        continue
+                col[k] = z
             if coords is not None:
                 for label, y in combo.get(low, {}).items():
-                    coords[label] = coords[label] + f * y if label in coords else f * y
+                    coords[label] = add(coords[label], mul(f, y)) if label in coords else mul(f, y)
         return None
 
     def add(self, col, label=None):
         """Store col reduced; return its pivot, or None if it was dependent."""
+        field = self.field
         coords = None if label is None else {}
         low = self.reduce(col, coords)
         if coords is not None:
-            coords = {k: -y for k, y in coords.items() if not y.is_zero()}
-            coords[label] = self.one
+            coords = {k: field._neg(y) for k, y in coords.items() if not field._is_zero(y)}
+            coords[label] = field._of_int(1)
         if low is None:
             if coords is not None:
                 self.relations.append(coords)
             return None
-        inv = col[low].inverse()
-        self.owner[low] = {k: y * inv for k, y in col.items()}
+        inv, mul = field._inv(col[low]), field._mul
+        self.owner[low] = {k: mul(y, inv) for k, y in col.items()}
         if coords is not None:
-            self.combo[low] = {k: y * inv for k, y in coords.items()}
+            self.combo[low] = {k: mul(y, inv) for k, y in coords.items()}
         return low
 
 
@@ -107,9 +115,9 @@ def kernel(field: FieldDescriptor, columns):
 
 def solve_mod(field: FieldDescriptor, gens, subspace, targets):
     """For each target, the coordinates c with target = sum c_i gens[i]
-    modulo span(subspace); all vectors are sparse columns.  Raises
-    CoefficientError if the gens are dependent modulo the subspace or a target
-    is not in span(gens + subspace)."""
+    modulo span(subspace), as FieldElem; all vectors are sparse raw columns.
+    Raises CoefficientError if the gens are dependent modulo the subspace or a
+    target is not in span(gens + subspace)."""
     ech = Echelon(field)
     for col in subspace:
         ech.add(dict(col))
@@ -121,12 +129,19 @@ def solve_mod(field: FieldDescriptor, gens, subspace, targets):
         coords = {}
         if ech.reduce(dict(target), coords) is not None:
             raise CoefficientError("target not in span of generators + subspace")
-        out.append([coords.get(i, field.zero()) for i in range(len(gens))])
+        out.append(_dense(field, coords, len(gens)))
     return out
 
 
 def _sparse(vec):
-    return {i: x for i, x in enumerate(vec) if not x.is_zero()}
+    """The nonzero entries of a FieldElem vector as a raw sparse column."""
+    return {i: x.value for i, x in enumerate(vec) if x}
+
+
+def _dense(field, col, n):
+    """A raw sparse column as a FieldElem vector of length n, for results."""
+    zero = field.zero()
+    return [FieldElem(field, col[i]) if i in col else zero for i in range(n)]
 
 
 class FiltrationModel:
@@ -137,7 +152,8 @@ class FiltrationModel:
     x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M; for Z_m it is all of kG with
     the closed-form adapted basis (t - 1)^s, s < e, then the valuation-INF
     core t^j (t - 1)^e (see groupring._CyclicFiltration); coordinates in it
-    come from synthetic division by t - 1.
+    come from synthetic division by t - 1, and on Z^n from products of Pascal
+    rows (groupring.expansion_coords).  Coordinates are raw payloads.
 
     `mult_columns` gives multiplication by an element as sparse columns,
     with one reduction of the element on Z^n (column alpha is its
@@ -166,30 +182,22 @@ class FiltrationModel:
 
     def offset(self, s: int) -> int:
         """First basis index with valuation >= s."""
-        if s <= 0:
-            return 0
-        lo, hi = 0, self.dim
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.vals[mid] < s:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_left(self.vals, s)
 
     def reduce(self, elem: GroupRingElem):
-        """Adapted coordinates of the image of elem in the model."""
+        """Adapted coordinates of the image of elem in the model, as raw payloads."""
         if self.group.kind == "free_abelian":
-            return [_expansion_coefficient(elem, beta) for beta in self.monomials]
+            return expansion_coords(elem, self.monomials, self.M)
         return self._filt.coords(_cyclic_vector(elem))
 
     def mult_columns(self, elem: GroupRingElem):
         """Sparse matrix of v -> v * elem in adapted coordinates: one
-        {row: nonzero entry} dict per basis vector."""
+        {row: nonzero raw payload} dict per basis vector."""
+        add, mul, is_zero = self.field._add, self.field._mul, self.field._is_zero
         if self.group.kind == "free_abelian":
             # x^alpha * x^beta = x^(alpha + beta), cut at degree M
             nonzero = [(beta, v, x) for beta, v, x in
-                       zip(self.monomials, self.vals, self.reduce(elem)) if not x.is_zero()]
+                       zip(self.monomials, self.vals, self.reduce(elem)) if not is_zero(x)]
             return [{self.index[tuple(map(operator.add, alpha, beta))]: x
                      for beta, v, x in nonzero if v + da < self.M}
                     for alpha, da in zip(self.monomials, self.vals)]
@@ -197,17 +205,17 @@ class FiltrationModel:
         if self._filt.e == m:
             # kZ_m = k[u]/(u^m), u = t - 1: u^s * elem = sum_k c_k u^(s+k), with
             # c_k the Taylor coefficients of elem at 1 (lower-triangular Toeplitz)
-            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if not x.is_zero()]
+            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if not is_zero(x)]
             return [{s + k: x for k, x in taylor if s + k < m} for s in range(m)]
         # multiply each basis vector in monomial coordinates, read adapted ones
-        cols = []
+        cols, zero = [], self.field._of_int(0)
         for vec in self._filt.adapted:
-            prod = [self.field.zero()] * m
+            prod = [zero] * m
             for key, coeff in elem.terms.items():
                 for j, y in enumerate(vec):
-                    if not y.is_zero():
-                        prod[(j + key) % m] = prod[(j + key) % m] + y * coeff
-            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if not x.is_zero()})
+                    if not is_zero(y):
+                        prod[(j + key) % m] = add(prod[(j + key) % m], mul(y, coeff.value))
+            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if not is_zero(x)})
         return cols
 
 
@@ -437,19 +445,20 @@ class PageComputation:
         tgt = self.canonical_e1_vectors(q - 1, s + 1, htgt)
         bt = self.boundary_matrix(q)
         # F^{s+2} V_{q-1} + d(F^{s+1} V_q)
-        den = [{g: self.field.one()} for g in self._suffix_indices(q - 1, s + 2)]
+        den = [{g: self.field._of_int(1)} for g in self._suffix_indices(q - 1, s + 2)]
         den += [bt[g] for g in self._suffix_indices(q, s + 1)]
-        cols = solve_mod(self.field, tgt, den, [_apply(bt, v) for v in src])
+        cols = solve_mod(self.field, tgt, den, [_apply(self.field, bt, v) for v in src])
         return [[col[i] for col in cols] for i in range(len(tgt))]
 
 
-def _apply(columns, vec):
+def _apply(field, columns, vec):
     """The sparse matrix with the given columns applied to a sparse vector."""
+    add, mul = field._add, field._mul
     out = {}
     for g, x in vec.items():
         for i, y in columns[g].items():
-            out[i] = out[i] + y * x if i in out else y * x
-    return {i: x for i, x in out.items() if not x.is_zero()}
+            out[i] = add(out[i], mul(y, x)) if i in out else mul(y, x)
+    return {i: x for i, x in out.items() if not field._is_zero(x)}
 
 
 def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
@@ -491,8 +500,7 @@ def homology_data(C, q: int):
     bcols = list(zip(*C.epsilon_boundary(q + 1))) if q < C.top and ncells else []
     ech = Echelon(field)
     bbasis = [list(v) for v in bcols if ech.add(_sparse(v)) is not None]
-    hreps = [[rel.get(j, field.zero()) for j in range(ncells)]
-             for rel in cycles if ech.add(dict(rel)) is not None]
+    hreps = [_dense(field, rel, ncells) for rel in cycles if ech.add(dict(rel)) is not None]
     return hreps, bbasis
 
 
@@ -528,7 +536,8 @@ def d1_closed_form(C):
                 if not w.augmentation().is_zero():
                     raise CrossCheckError("boundary of a cycle lift not in J")
                 images.append(model.reduce(w))
-            targets += [_sparse([images[i][b] for i in range(ncells_tgt)]) for b in gr1]
+            targets += [{i: img[b] for i, img in enumerate(images) if not field._is_zero(img[b])}
+                        for b in gr1]
         coords = solve_mod(field, [_sparse(h) for h in htgt], [_sparse(b) for b in btgt],
                            targets)
         out[q] = [[coords[j * len(gr1) + gi][l] for j in range(len(hsrc))]
@@ -583,18 +592,16 @@ def _k_rank(comp: PageComputation, q: int) -> int:
     (on the columns as rows), so that the E^oo totals are checked against
     something the pairs of _pairs do not decide.  The field is F_p (the
     Reznikov case) or Q: the raw payloads of boundary_matrix(q) go straight to
-    coeffs._rank_mod or coeffs._rank_bareiss_int (rows scaled to integers)."""
+    coeffs._rank_raw, which eliminates residues or integer-scaled rows."""
     if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
-    n, kind = comp.vdim(q - 1), comp.field.kind
     rows = []
     for col in comp.boundary_matrix(q):
-        row = [0] * n
-        den = math.lcm(*(x.value.denominator for x in col.values()))  # 1 over F_p
+        row = [0] * comp.vdim(q - 1)
         for i, x in col.items():
-            row[i] = int(x.value * den)
+            row[i] = x
         rows.append(row)
-    return _rank_mod(rows, comp.field.p) if kind == "Fp" else _rank_bareiss_int(rows)
+    return _rank_raw(comp.field, rows)
 
 
 def jordan_square_annihilates(C, q: int) -> bool:
@@ -615,5 +622,5 @@ def jordan_square_annihilates(C, q: int) -> bool:
     boundaries = Echelon(field)
     for col in comp.boundary_matrix(q + 1):
         boundaries.add(dict(col))
-    return all(boundaries.reduce(_apply(square, v)) is None
+    return all(boundaries.reduce(_apply(field, square, v)) is None
                for v in kernel(field, comp.boundary_matrix(q)))

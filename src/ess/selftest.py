@@ -102,7 +102,7 @@ def check_c3_reznikov() -> str:
         assert len(cycles) == 1, "H_1 not 1-dimensional"
         span = Echelon(Fp)
         span.add(cycles[0])
-        nvec = {i: x for i, x in enumerate(comp.model.reduce(norm)) if not x.is_zero()}
+        nvec = {i: x for i, x in enumerate(comp.model.reduce(norm)) if x}  # residues mod p
         assert span.reduce(nvec) is None, "kernel generator is not the norm"
         last = tables[-1]
         row = [last.dim(s, 1) for s in range(p)]

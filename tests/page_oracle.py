@@ -13,6 +13,12 @@ The oracle also keeps its own dense assembly of the truncated boundary: the
 dense multiplication matrix `mult_matrix` and `boundary_matrix` are the ones
 `ess.pages` used before it built sparse columns.
 
+The model coordinates come from here too, on FieldElem: the expansion
+coefficients of Z^n one binomial at a time (`expansion_coefficient`), and on
+Z_m the synthetic division by t - 1 (`cyclic_coords`) in an adapted basis the
+oracle builds itself.  `ess` reads the same coordinates off Pascal rows and
+raw payloads.
+
 Last come the dense routes to the canonical d^1: `homology_data`,
 `d1_matrix`, `d1_closed_form` and `jordan_square_annihilates` as `ess.pages`
 computed them on the dense `linalg_oracle` elimination, before they moved
@@ -22,10 +28,72 @@ matrices entry for entry.
 
 from __future__ import annotations
 
+import math
+
 import linalg_oracle as linalg
 from ess.errors import CrossCheckError
 from ess.groupring import GroupRingElem
 from ess.pages import FiltrationModel, PageComputation
+
+
+def _binomial(a: int, k: int) -> int:
+    """Generalized binomial C(a, k) for any integer a, k >= 0."""
+    if k < 0:
+        return 0
+    num = 1
+    for j in range(k):
+        num *= a - j
+    return num // math.factorial(k)
+
+
+def expansion_coefficient(a: GroupRingElem, beta: tuple):
+    """Coefficient of x^beta in the image of a under t_i -> 1 + x_i."""
+    field = a.field
+    acc = field.zero()
+    for key, coeff in a.terms.items():
+        c = 1
+        for ai, bi in zip(key, beta):
+            c *= _binomial(ai, bi)
+            if c == 0:
+                break
+        if c:
+            acc = acc + coeff * field.from_int(c)
+    return acc
+
+
+def adapted_basis(field, m: int, e: int):
+    """Monomial coordinates of (t - 1)^s, s < e, then t^j (t - 1)^e, j < m - e."""
+    def shifted_power(j, s):
+        v = [field.zero()] * m
+        for k in range(s + 1):
+            v[j + k] = field.from_int((-1) ** (s - k) * math.comb(s, k))
+        return v
+    return [shifted_power(0, s) for s in range(e)] + [shifted_power(j, e) for j in range(m - e)]
+
+
+def cyclic_coords(field, e: int, vec):
+    """Adapted coordinates of a FieldElem vector of monomial coordinates: e
+    synthetic divisions by t - 1 leave the Taylor coefficients at 1 as
+    remainders, and the last quotient holds the core coordinates."""
+    rest = list(vec)
+    taylor = []
+    for _ in range(e):
+        acc = field.zero()
+        quotient = [None] * (len(rest) - 1)
+        for k in range(len(rest) - 1, 0, -1):
+            acc = acc + rest[k]
+            quotient[k - 1] = acc
+        taylor.append(acc + rest[0])
+        rest = quotient
+    return taylor + rest
+
+
+def reduce(model, elem):
+    """FieldElem coordinates of the image of elem in a FiltrationModel."""
+    if model.group.kind == "free_abelian":
+        return [expansion_coefficient(elem, beta) for beta in model.monomials]
+    vec = [elem.terms.get(j, model.field.zero()) for j in range(model.group.m)]
+    return cyclic_coords(model.field, model._filt.e, vec)
 
 
 def mult_matrix(model, elem):
@@ -35,7 +103,7 @@ def mult_matrix(model, elem):
     n = model.dim
     out = [[field.zero() for _ in range(n)] for _ in range(n)]
     if model.group.kind == "free_abelian":
-        red = model.reduce(elem)
+        red = reduce(model, elem)
         for col, alpha in enumerate(model.monomials):
             da = sum(alpha)
             for i, beta in enumerate(model.monomials):
@@ -46,15 +114,15 @@ def mult_matrix(model, elem):
         return out
     # cyclic: multiply in monomial coordinates, read adapted coordinates
     m = model.group.m
-    filt = model._filt
+    basis = adapted_basis(field, m, model._filt.e)
     for col in range(n):
-        vec_mono = filt.adapted[col]
+        vec_mono = basis[col]
         prod = linalg.zeros(field, m)
         for key, coeff in elem.terms.items():
             for j in range(m):
                 if not vec_mono[j].is_zero():
                     prod[(j + key) % m] = prod[(j + key) % m] + vec_mono[j] * coeff
-        img = filt.coords(prod)
+        img = cyclic_coords(field, model._filt.e, prod)
         for i in range(n):
             out[i][col] = img[i]
     return out
@@ -298,7 +366,7 @@ def d1_closed_form(C):
                         w = w + bd[i][c].scale(h[c])
                 if not w.augmentation().is_zero():
                     raise CrossCheckError("boundary of a cycle lift not in J")
-                images.append(model.reduce(w))
+                images.append(reduce(model, w))
             for gi, b in enumerate(gr1):
                 yvec = [images[i][b] for i in range(ncells_tgt)]
                 coords = linalg.solve_mod_subspace(field, htgt, btgt, yvec)

@@ -288,6 +288,25 @@ def test_non_surjective_nu_is_input_error(group, nu, tmp_path, capsys):
     assert "do not generate" in err
 
 
+@pytest.mark.parametrize("group, shown", [
+    ("Z^02", "Z^2"), ("Zmod:\u0663", "Zmod:3"),  # an Arabic-Indic three
+    ("Z^", None), ("Zmod:", None), ("Z^-1", None), ("Z^\u00b2", None), ("Z^2\n", None),
+])
+def test_group_descriptor_takes_decimal_digits_only(group, shown, tmp_path, capsys):
+    """The exponent or order is a run of Unicode decimal digits, nothing else."""
+    nu = {"x": [1, 0], "y": [0, 1]} if group.startswith("Z^") else {"x": 1, "y": 0}
+    doc = {"field": "Q", "group": group,
+           "presentation": {"generators": ["x", "y"], "relators": ["xyXY"], "nu": nu}}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path), "--json"], capsys)
+    if shown is None:
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert "unknown group descriptor" in err
+    else:
+        assert code == cli.EXIT_OK and json.loads(out)["group"] == shown
+
+
 def test_selftest_wiring(monkeypatch, capsys):
     from ess import selftest
 

@@ -3,7 +3,8 @@
 `kernel`, `Echelon.add`/`reduce` and `solve_mod` must give what
 `linalg_oracle`'s `kernel_basis`, `in_span` and `solve_mod_subspace` give: the
 same kernel basis vector for vector, the same span tests, the same
-coordinates, and a CoefficientError in the same two cases.
+coordinates, and a CoefficientError in the same two cases.  The echelon works
+on raw payload columns, the oracle on FieldElem vectors.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import FieldDescriptor, FieldElem
 from ess.errors import CoefficientError
 from ess.pages import Echelon, kernel, solve_mod
 
@@ -50,16 +51,22 @@ def matrices(draw):
                     for j in range(n)] for i in range(m)]
 
 
+def _raw(vec):
+    """A FieldElem vector as a sparse column of raw payloads."""
+    return {i: x.value for i, x in enumerate(vec) if not x.is_zero()}
+
+
 def _columns(mat):
-    """Dense column vectors and the same columns as sparse dicts."""
+    """Dense column vectors and the same columns as sparse raw dicts."""
     dense = linalg.transpose(mat)
-    return dense, [{i: x for i, x in enumerate(v) if not x.is_zero()} for v in dense]
+    return dense, [_raw(v) for v in dense]
 
 
 def _dense(field, vec, n):
+    """A sparse raw column as a dense FieldElem vector."""
     out = [field.zero()] * n
     for i, x in vec.items():
-        out[i] = x
+        out[i] = FieldElem(field, x)
     return out
 
 
@@ -87,7 +94,7 @@ def test_echelon_add_and_reduce_match_in_span(case, coeffs):
         assert (low is None) == inside
         if low is not None:
             stored = ech.owner[low]
-            assert low == max(stored) and stored[low] == field.one()
+            assert low == max(stored) and stored[low] == field.one().value
         seen.append(vec)
     # coordinates over labelled columns rebuild the target from the remainder
     labelled = Echelon(field)
@@ -96,11 +103,11 @@ def test_echelon_add_and_reduce_match_in_span(case, coeffs):
     target = [sum((_entry(field, *c) * v[i] for c, v in zip(coeffs, dense)), field.zero())
               for i in range(len(mat))]
     target[0] = target[0] + _entry(field, *coeffs[-1])  # sometimes leaves the span
-    rest, coords = {i: x for i, x in enumerate(target) if not x.is_zero()}, {}
+    rest, coords = _raw(target), {}
     assert (labelled.reduce(rest, coords) is None) == linalg.in_span(field, dense, target)
     rebuilt = _dense(field, rest, len(mat))
     for j, c in coords.items():
-        rebuilt = [a + c * b for a, b in zip(rebuilt, dense[j])]
+        rebuilt = [a + FieldElem(field, c) * b for a, b in zip(rebuilt, dense[j])]
     assert rebuilt == target
 
 
@@ -109,9 +116,7 @@ def _solve_both(field, dense, cols, split, target):
     subspace: the coordinates, or the CoefficientError message."""
     answers = []
     for solve in (lambda: linalg.solve_mod_subspace(field, dense[split:], dense[:split], target),
-                  lambda: solve_mod(field, cols[split:], cols[:split],
-                                    [{i: x for i, x in enumerate(target)
-                                      if not x.is_zero()}])[0]):
+                  lambda: solve_mod(field, cols[split:], cols[:split], [_raw(target)])[0]):
         try:
             answers.append(solve())
         except CoefficientError as exc:
@@ -138,7 +143,7 @@ def test_solve_mod_raises_in_both_cases(field):
     one, zero = field.one(), field.zero()
     e0, e1, e2 = ([one if i == j else zero for i in range(3)] for j in range(3))
     dense = [e0, e1, [one, one, zero]]  # the third generator is e0 + e1
-    cols = [{i: x for i, x in enumerate(v) if not x.is_zero()} for v in dense]
+    cols = [_raw(v) for v in dense]
     dependent = _solve_both(field, dense, cols, 0, e0)
     assert dependent == ["generators dependent modulo subspace"] * 2
     outside = _solve_both(field, dense[:2], cols[:2], 1, e2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import FieldDescriptor, FieldElem
 from ess.errors import InputError
 from ess.groupring import (GroupDescriptor, GroupRingElem, GrPiece,
                            augmentation, cyclic_filtration, format_element,
@@ -125,7 +125,7 @@ def test_gr_dimension_free_abelian_random_subspace_oracle():
                 c = rng.randint(1, 3)
                 elem = elem * (g - one if not (g - one).is_zero() else t_pow((1, 0), G2) - one)
             mono = GroupRingElem.monomial(G2, Q, (rng.randint(-1, 1), rng.randint(-1, 1)))
-            samples.append(model.reduce(elem * mono)[lo:hi])
+            samples.append([FieldElem(Q, x) for x in model.reduce(elem * mono)[lo:hi]])
         rank = linalg.rank_of(Q, samples)
         assert rank == gr_dimension(G2, Q, s) == s + 1
 
@@ -211,7 +211,7 @@ def test_cyclic_filtration_against_spanning_sets(field):
             dim_next = dims[min(s + 1, len(dims) - 1)]
             assert gr_dimension(G, field, s) == dim_s - dim_next, (m, s)
         filt = cyclic_filtration(m, field)
-        vecs = list(filt.adapted)
+        vecs = [[FieldElem(field, x) for x in vec] for vec in filt.adapted]
         vecs += [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(4)]
         for i, vec in enumerate(vecs):
             expected = _brute_valuation(field, spans, dims, vec)

@@ -3,7 +3,9 @@
 Both engines run on the same truncated complex, so every windowed entry and
 every windowed d^r rank must agree exactly.  The sparse boundary columns are
 also checked against the reference's dense assembly, and the homology bases,
-both d^1 routes and the J^2 check against their dense eliminations.
+both d^1 routes and the J^2 check against their dense eliminations.  The
+engine's raw-payload coordinates are checked against the FieldElem oracle,
+and the engine is checked to build no FieldElem at all.
 """
 
 import pytest
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 import linalg_oracle as linalg
 import page_oracle
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import FieldDescriptor, FieldElem
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
-from ess.groupring import GroupDescriptor, GroupRingElem
+from ess.groupring import GroupDescriptor, GroupRingElem, cyclic_filtration, pascal_row
 from ess.pages import (FiltrationModel, PageComputation, _k_rank, d1_closed_form,
                        homology_data, jordan_square_annihilates)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
@@ -117,8 +119,9 @@ def test_random_complex_pages_match_oracle(C, R, S):
 
 
 def _nonzero_columns(dense, ncols):
-    """The nonzero entries of a dense row-major matrix as {row: entry} columns."""
-    return [{i: row[j] for i, row in enumerate(dense) if not row[j].is_zero()}
+    """The nonzero entries of a dense row-major FieldElem matrix as
+    {row: raw payload} columns."""
+    return [{i: row[j].value for i, row in enumerate(dense) if not row[j].is_zero()}
             for j in range(ncols)]
 
 
@@ -149,7 +152,7 @@ def models_and_elements(draw):
 def test_sparse_multiplication_matches_dense_oracle(case):
     model, elem = case
     cols = model.mult_columns(elem)
-    assert not any(x.is_zero() for col in cols for x in col.values())
+    assert not any(model.field._is_zero(x) for col in cols for x in col.values())
     assert cols == _nonzero_columns(mult_matrix(model, elem), model.dim)
 
 
@@ -207,3 +210,76 @@ def test_random_complex_d1_matches_dense_oracle(C, S):
         for q in range(C.top + 1):
             assert jordan_square_annihilates(C, q) == \
                 page_oracle.jordan_square_annihilates(C, q), q
+
+
+def _coefficient(field, a, b):
+    """a over Q and F_p, a + b zeta over Q(zeta_3)."""
+    return field.from_int(a) + (field.zeta() * b if field.kind == "cyclotomic" else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), M=st.integers(1, 6), fname=st.sampled_from(sorted(D1_FIELDS)),
+       terms=st.lists(st.tuples(st.tuples(*[st.integers(-8, 8)] * 3),
+                                st.integers(-2, 2), st.integers(-1, 1)), max_size=4))
+def test_pascal_row_coordinates_match_binomial_oracle(n, M, fname, terms):
+    """Z^n coordinates from Pascal rows equal the binomial-by-binomial
+    expansion, for negative exponents and exponents >= M too."""
+    group, field = GroupDescriptor.free_abelian(n), D1_FIELDS[fname]
+    elem = GroupRingElem.zero(group, field)
+    for exps, a, b in terms:
+        elem = elem + GroupRingElem.monomial(group, field, exps[:n], _coefficient(field, a, b))
+        for k in exps:
+            assert pascal_row(k, M) == tuple(page_oracle._binomial(k, j) for j in range(M))
+    model = FiltrationModel(group, field, M)
+    assert model.reduce(elem) == [x.value for x in page_oracle.reduce(model, elem)]
+
+
+# e = m (Z_{p^r} in characteristic p) and e < m, over F_p, Q and Q(zeta_3)
+_CYCLIC_COORDS = [(4, "F2"), (8, "F2"), (3, "F3"), (9, "F3"), (6, "F2"), (12, "F2"),
+                  (6, "F3"), (5, "Q"), (6, "Q"), (4, "cyc3"), (6, "cyc3")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(_CYCLIC_COORDS),
+       entries=st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1)),
+                        min_size=12, max_size=12))
+def test_raw_cyclic_coordinates_match_fieldelem_oracle(case, entries):
+    m, fname = case
+    field = D1_FIELDS[fname]
+    filt = cyclic_filtration(m, field)
+    oracle_basis = page_oracle.adapted_basis(field, m, filt.e)
+    assert filt.adapted == [[x.value for x in vec] for vec in oracle_basis]
+    vec = [_coefficient(field, a, b) for a, b in entries[:m]]
+    expected = page_oracle.cyclic_coords(field, filt.e, vec)
+    assert filt.coords([x.value for x in vec]) == [x.value for x in expected]
+
+
+_GUARDED = {
+    "torus3-Q-R3S3": (lambda: change_field(builtin_complex("torus3"), FIELDS["Q"]), 3, 3),
+    "torus2-Z12-F2": (lambda: _onto_cyclic("torus2", FIELDS["F2"], 12), 2, 3),
+    "comm-p3-Z9-F3": (lambda: _onto_cyclic("comm-p:3", FIELDS["F3"], 9), 9, 8),
+    "torus2-cyc3": (lambda: change_field(builtin_complex("torus2"),
+                                         FieldDescriptor.cyclotomic(3)), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+def test_assembly_and_pairs_build_no_fieldelem(name, monkeypatch):
+    """boundary_matrix and _pairs compute on raw payloads only."""
+    make, R, S = _GUARDED[name]
+    comp = PageComputation(make(), R_max=R, S_max=S)
+    built, init = [], FieldElem.__init__
+
+    def counting_init(self, field, value):
+        built.append(value)
+        init(self, field, value)
+
+    monkeypatch.setattr(FieldElem, "__init__", counting_init)
+    nnz = 0
+    for q in range(comp.Q + 2):
+        nnz += sum(map(len, comp.boundary_matrix(q)))
+        if 1 <= q <= comp.Q:
+            comp._pairs(q)
+    assert nnz and built == []
+    comp.field.one()
+    assert len(built) == 1  # the counter is live
