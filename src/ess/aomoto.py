@@ -140,12 +140,12 @@ def universal_aomoto(C) -> UniversalAomoto:
 
     def linear_form(elem: GroupRingElem) -> GroupRingElem:
         coords = model.reduce(elem)
-        if not field._is_zero(coords[0]):
+        if coords[0]:
             raise MinimalityError("entry does not lie in J")
         terms = {}
         for idx in range(off1, model.offset(2)):
             c = coords[idx]
-            if not field._is_zero(c):
+            if c:
                 # the degree-1 monomial tuple for x_i is the exponent key of e_i
                 terms[model.monomials[idx]] = FieldElem(field, c)
         return GroupRingElem(sym, field, terms)

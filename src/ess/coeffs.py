@@ -1,16 +1,20 @@
-"""Exact coefficient arithmetic over Q, F_p, cyclotomic fields Q(zeta_d), and Z,
-and the one univariate polynomial type.
+"""Exact coefficient arithmetic over Q, F_p and Z, the one univariate
+polynomial type, and certified ranks over cyclotomic fields Q(zeta_d).
 
-Cyclotomic fields are realized as Q[s]/(Phi_d(s)), so all ranks computed at
-roots of unity are exact and Galois-invariant; Phi_d is a tuple of ints,
-lowest degree first.  `LaurentRing` is k[t^{+-1}] on raw tuples
-(shift, coefficients, denominator): the SNF runs on it, the Alexander
-polynomial takes its minors and gcds in it, and an inverse in Q(zeta_d) is
-its Bezout step against Phi_d.  `rank_exact` never computes
-with FieldElem: over Q it runs fraction-free Bareiss on integer rows, over
-F_p it eliminates residues, and over Q(zeta_d) it takes ranks at a d-th root
-of unity modulo primes ell = 1 (mod d) until a norm bound certifies the
-largest one.  No floating point anywhere.
+Every matrix built from an input has rational entries, and Q(zeta_d) is flat
+over Q, so each invariant over Q(zeta_d) (ranks, pages E^r, Laurent invariant
+factors, which are quotients of gcds of minors) is Q(zeta_d) (x) the same
+invariant over Q.  The descriptor `cyclotomic:<d>` is therefore computed over
+Q and kept as a label.  The only arithmetic in Q(zeta_d) is
+`cyclotomic_rank`, the rank of a matrix of payloads in Q[s]/(Phi_d(s)) (Phi_d
+a tuple of ints, lowest degree first), taken at a d-th root of unity modulo
+primes ell = 1 (mod d) until a norm bound certifies the largest one; the
+twisted Betti numbers evaluate t at zeta_d into it.  `LaurentRing` is
+k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs on
+it and the Alexander polynomial takes its minors and gcds in it.
+`rank_exact` never computes with FieldElem: over Q it runs fraction-free
+Bareiss on integer rows and over F_p it eliminates residues.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -136,30 +140,30 @@ _Q, _FP, _CYC, _Z = "Q", "Fp", "cyclotomic", "Z"
 
 
 class FieldDescriptor:
-    """One of: the rationals, a prime field F_p, a cyclotomic field Q(zeta_d)
-    realized as Q[s]/(Phi_d), or the ring Z (not a field; accepted where SNF
-    over Z is needed).
+    """One of: the rationals, a prime field F_p, a cyclotomic field Q(zeta_d),
+    or the ring Z (not a field; accepted where SNF over Z is needed).
 
-    Instances are immutable; payloads are Fraction (Q), int in [0,p) (F_p),
-    tuple of Fraction of length phi(d) (cyclotomic), or int (Z).  The payload
-    table _add, _sub, _neg, _mul, _is_zero, _inv and _of_int (the payload of
-    an int) is bound once per kind: operator.* over Q and Z, residues mod p
-    over F_p, polynomials mod Phi_d over Q(zeta_d).  FieldElem, LaurentRing
-    and the page engine all compute through it.
+    Instances are immutable; payloads are Fraction (Q and Q(zeta_d)), int in
+    [0,p) (F_p), or int (Z).  Every entry an input yields is rational, and
+    Q(zeta_d) is flat over Q, so `cyclotomic:<d>` binds exactly Q's payload
+    table: it is computed over Q and differs from Q only in its label.  The
+    payload table _add, _sub, _neg, _mul, _inv and _of_int (the payload of an
+    int) is bound once per kind: operator.* over Q and Z, residues mod p over
+    F_p.  FieldElem, LaurentRing and the page engine all compute through it;
+    every payload is a number, zero exactly when it is falsy.
     """
 
-    __slots__ = ("kind", "p", "d", "modulus", "degree",
-                 "_add", "_sub", "_neg", "_mul", "_is_zero", "_inv", "_of_int")
+    __slots__ = ("kind", "p", "d",
+                 "_add", "_sub", "_neg", "_mul", "_inv", "_of_int")
 
     def __init__(self, kind, p=None, d=None):
         self.kind = kind
         self.p = p
         self.d = d
-        self.modulus, self.degree = None, 1
         self._add, self._sub = operator.add, operator.sub
-        self._neg, self._mul, self._is_zero = operator.neg, operator.mul, operator.not_
+        self._neg, self._mul = operator.neg, operator.mul
         self._inv, self._of_int = _z_inv, int
-        if kind == _Q:
+        if kind in (_Q, _CYC):
             self._inv, self._of_int = lambda a: 1 / _nonzero(a), Fraction
         elif kind == _FP:
             self._add = lambda a, b: (a + b) % p
@@ -168,17 +172,6 @@ class FieldDescriptor:
             self._mul = lambda a, b: a * b % p
             self._inv = lambda a: pow(_nonzero(a), -1, p)
             self._of_int = lambda v: v % p
-        elif kind == _CYC:
-            phi = cyclotomic_polynomial(d)
-            self.modulus = tuple(Fraction(c) for c in phi)
-            self.degree = len(phi) - 1
-            pad = (Fraction(0),) * (self.degree - 1)
-            self._add = lambda a, b: tuple(map(operator.add, a, b))
-            self._sub = lambda a, b: tuple(map(operator.sub, a, b))
-            self._neg = lambda a: tuple(map(operator.neg, a))
-            self._mul, self._inv = self._cyc_mul, self._cyc_inv
-            self._is_zero = lambda a: not any(a)
-            self._of_int = lambda v: (Fraction(v),) + pad
 
     @classmethod
     def rationals(cls):
@@ -260,56 +253,6 @@ class FieldDescriptor:
     def one(self):
         return self.from_int(1)
 
-    def zeta(self) -> "FieldElem":
-        """The distinguished primitive d-th root of unity (class of s)."""
-        if self.kind != _CYC:
-            raise CoefficientError("zeta only defined for cyclotomic fields")
-        if self.degree == 1:
-            # Phi_1 = s - 1 or Phi_2 = s + 1: s is a rational constant.
-            root = 1 if self.d == 1 else -1
-            return self.from_int(root)
-        pay = [Fraction(0)] * self.degree
-        pay[1] = Fraction(1)
-        return FieldElem(self, tuple(pay))
-
-    def _reduce_poly(self, coeffs):
-        """Reduce a Fraction coefficient list mod Phi_d (monic)."""
-        rem = list(coeffs)
-        dd = self.degree
-        mod = self.modulus
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            for j in range(dd + 1):
-                rem[i - dd + j] -= c * mod[j]
-        rem = rem[:dd]
-        rem += [Fraction(0)] * (dd - len(rem))
-        return tuple(rem)
-
-    def _cyc_mul(self, a, b):
-        out = [Fraction(0)] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return self._reduce_poly(out)
-
-    def _cyc_inv(self, a):
-        # Phi_d is irreducible, so its gcd with a over Q[s^+-1] is a unit g and
-        # tau a = g mod Phi_d; fold tau / g into s^0..s^(d-1) (s^d = 1).
-        if not any(a):
-            raise CoefficientError("division by zero")
-        den = math.lcm(*(c.denominator for c in a))
-        a = _Q_RING._make(0, [c.numerator * (den // c.denominator) for c in a], den)
-        g, _, tau, _, _ = _Q_RING.gcd_bezout((0, cyclotomic_polynomial(self.d), 1), a)
-        shift, cs, den = _Q_RING.mul(tau, _Q_RING.unit_inverse(g))
-        out = [Fraction(0)] * self.d
-        for i, c in enumerate(cs, shift):
-            out[i % self.d] += Fraction(c, den)
-        return self._reduce_poly(out)
-
 
 def _nonzero(a):
     if not a:
@@ -383,23 +326,11 @@ class FieldElem:
             return NotImplemented
         return self * other.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self) -> "FieldElem":
         return FieldElem(self.field, self.field._inv(self.value))
 
     def is_zero(self) -> bool:
-        return self.field._is_zero(self.value)
+        return not self.value
 
     def __bool__(self):
         return not self.is_zero()
@@ -415,8 +346,6 @@ class FieldElem:
         return hash((self.field, self.value))
 
     def __str__(self):
-        if self.field.kind == _CYC:
-            return format_poly(self.value, "z")
         return str(self.value)
 
     def __repr__(self):
@@ -450,10 +379,11 @@ class LaurentRing:
     t^shift (coeffs[0] + coeffs[1] t + ...) / den.  It is canonical: coeffs
     has no zero at either end (0 is (0, (), 1)), den > 0, and over Q the
     coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
-    equal tuples.  Over F_p the coefficients are ints in [0, p) and over
-    Q(zeta_d) the descriptor's payload tuples; there den is 1.  Coefficients
-    combine through the descriptor's payload table, whose operator.* entries
-    over Q serve the integer numerators as well.
+    equal tuples.  Over F_p the coefficients are ints in [0, p) and den is
+    1.  Q(zeta_d) takes the Q branch: the invariant factors over it are those
+    over Q (gcds of minors, by flat base change).  Coefficients combine
+    through the descriptor's payload table, whose operator.* entries over Q
+    serve the integer numerators as well.
     """
 
     def __init__(self, field: FieldDescriptor):
@@ -461,11 +391,10 @@ class LaurentRing:
             raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
         self.field = field
         self.name = f"{field}[t^+-1]"
-        self._q = field.kind == "Q"
+        self._q = field.characteristic == 0
         self._add, self._mul, self._neg = field._add, field._mul, field._neg
-        self._c0, c1 = (0, 1) if self._q else (field._of_int(0), field._of_int(1))
         self.zero = (0, (), 1)
-        self.one = (0, (c1,), 1)
+        self.one = (0, (1,), 1)
 
     def _make(self, shift, cs, den=1):
         """The canonical element t^shift * cs / den: content shared with den
@@ -475,10 +404,10 @@ class LaurentRing:
             if g != 1:
                 cs = [c // g for c in cs]
                 den //= g
-        zero, lo, hi = self._c0, 0, len(cs)
-        while hi and cs[hi - 1] == zero:
+        lo, hi = 0, len(cs)
+        while hi and not cs[hi - 1]:
             hi -= 1
-        while lo < hi and cs[lo] == zero:
+        while lo < hi and not cs[lo]:
             lo += 1
         return (shift + lo, tuple(cs[lo:hi]), den) if hi else self.zero
 
@@ -508,7 +437,7 @@ class LaurentRing:
         if sa > sb:
             sa, ca, sb, cb = sb, cb, sa, ca
         out = list(ca)
-        out += [self._c0] * (sb + len(cb) - sa - len(out))
+        out += [0] * (sb + len(cb) - sa - len(out))
         add = self._add
         for j, y in enumerate(cb, sb - sa):
             out[j] = add(out[j], y)
@@ -525,7 +454,7 @@ class LaurentRing:
         if not ca or not cb:
             return self.zero
         add, mul = self._add, self._mul
-        out = [self._c0] * (len(ca) + len(cb) - 1)
+        out = [0] * (len(ca) + len(cb) - 1)
         for i, x in enumerate(ca):
             for j, y in enumerate(cb, i):
                 out[j] = add(out[j], mul(x, y))
@@ -621,8 +550,6 @@ class LaurentRing:
         return None if g in (0, den) else self._make(0, [den], g)
 
 
-_Q_RING = LaurentRing(_RATIONALS)
-
 
 # ---------------------------------------------------------------------------
 # Exact rank
@@ -700,8 +627,10 @@ def _modulus(d: int, i: int) -> tuple[int, int]:
     return ell, _root_of_unity(d, ell)
 
 
-def _cyclotomic_rank(field: FieldDescriptor, rows) -> int:
-    """Rank over Q(zeta_d), certified from ranks at omega modulo primes ell.
+def cyclotomic_rank(d: int, rows) -> int:
+    """Rank over Q(zeta_d) = Q[s]/(Phi_d) of a matrix of payloads: each entry
+    is a tuple of phi(d) rationals (ints or Fractions), the coefficients of
+    s^0..s^(phi(d)-1).  Certified from ranks at omega modulo primes ell.
 
     Each row is scaled to integer coefficient tuples, i.e. into Z[zeta].
     Reduction modulo the degree-one prime ideal (ell, s - omega) is a ring
@@ -713,19 +642,22 @@ def _cyclotomic_rank(field: FieldDescriptor, rows) -> int:
     ceil((sum_j ||a_ij||_1^2)^(1/2)).  So once the product of the primes used
     exceeds H^phi(d), some prime gave rank r, and the largest rank seen is r.
     """
+    if not rows or not rows[0]:
+        return 0
     ints = []
     for r in rows:
-        den = math.lcm(*(c.denominator for x in r for c in x.value))
-        ints.append([tuple(c.numerator * (den // c.denominator) for c in x.value) for x in r])
+        den = math.lcm(*(c.denominator for x in r for c in x))
+        ints.append([tuple(c.numerator * (den // c.denominator) for c in x) for x in r])
+    degree = len(cyclotomic_polynomial(d)) - 1
     full = min(len(ints), len(ints[0]))
     squares = sorted((sum(sum(map(abs, a)) ** 2 for a in r) for r in ints), reverse=True)
     # Every factor is at least 1, so H also bounds the smaller minors.
     H = math.prod(math.isqrt(n - 1) + 1 if n else 1 for n in squares[:full])
-    bound = H**field.degree
+    bound = H**degree
     best, covered = 0, 1
     for i in itertools.count():
-        ell, omega = _modulus(field.d, i)
-        powers = [pow(omega, k, ell) for k in range(field.degree)]
+        ell, omega = _modulus(d, i)
+        powers = [pow(omega, k, ell) for k in range(degree)]
         residues = [[sum(map(operator.mul, a, powers)) % ell for a in r] for r in ints]
         best = max(best, _rank_mod(residues, ell))
         covered *= ell
@@ -736,10 +668,10 @@ def _cyclotomic_rank(field: FieldDescriptor, rows) -> int:
 def rank_exact(matrix) -> int:
     """Exact rank of a matrix of FieldElem sharing one descriptor.
 
-    Over Q (and Z, via the fraction field) rows are scaled to integers and
-    eliminated fraction-free; over F_p the residues are eliminated directly;
-    over Q(zeta_d) the rank is the certified multimodular rank of
-    `_cyclotomic_rank`.  No branch computes with FieldElem arithmetic.
+    Over Q (and Z, via the fraction field, and Q(zeta_d), whose entries are
+    rational) rows are scaled to integers and eliminated fraction-free; over
+    F_p the residues are eliminated directly.  No branch computes with
+    FieldElem arithmetic.
     """
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
@@ -749,13 +681,11 @@ def rank_exact(matrix) -> int:
         for x in r:
             if x.field != field:
                 raise DescriptorMismatch("matrix entries over mixed descriptors")
-    if field.kind == _CYC:
-        return _cyclotomic_rank(field, rows)
     return _rank_raw(field, [[x.value for x in r] for r in rows])
 
 
 def _rank_raw(field: FieldDescriptor, rows) -> int:
-    """Exact rank of dense rows of raw Q, Z or F_p payloads: residues are
+    """Exact rank of dense rows of raw Q, Q(zeta_d), Z or F_p payloads: residues are
     eliminated mod p; rational rows are scaled to integers and eliminated
     fraction-free."""
     if field.kind == _FP:

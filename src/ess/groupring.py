@@ -220,18 +220,6 @@ class GroupRingElem:
             out[key] = out[key] + coeff if key in out else coeff
         return GroupRingElem(new_group, self.field, out)
 
-    def evaluate(self, values: list[FieldElem]) -> FieldElem:
-        """Evaluate at invertible field elements (t_i -> values[i])."""
-        field = values[0].field if values else self.field
-        acc = field.zero()
-        for key, coeff in self.sorted_terms():
-            exps = (key,) if self.group.kind == "cyclic" else key
-            term = field.from_fraction(coeff.as_fraction()) if coeff.field != field else coeff
-            for v, e in zip(values, exps):
-                term = term * v**e
-            acc = acc + term
-        return acc
-
     def __str__(self):
         return format_element(self)
 
@@ -444,7 +432,7 @@ class _CyclicFiltration:
 
     def membership_val(self, vec) -> float:
         for val, c in zip(self.vals, self.coords(vec)):
-            if not self.field._is_zero(c):
+            if c:
                 return val
         return INFINITY
 
@@ -476,7 +464,7 @@ def j_valuation(a: GroupRingElem):
         bound = max(sum(k) for k in shifted.terms)
         for deg in range(bound + 1):
             coords = expansion_coords(shifted, monomials_of_degree(n, deg), bound + 1)
-            if not all(map(a.field._is_zero, coords)):
+            if any(coords):
                 return deg
         return INFINITY
     if not a.field.is_field:

@@ -117,7 +117,7 @@ class _LaurentCtx(LaurentRing):
         if a.is_zero():
             return self.zero
         lo = min(k for k, in a.terms)
-        cs = [self._c0] * (max(k for k, in a.terms) - lo + 1)
+        cs = [0] * (max(k for k, in a.terms) - lo + 1)
         for (k,), c in a.terms.items():
             cs[k - lo] = c.value
         if not self._q:
@@ -129,7 +129,7 @@ class _LaurentCtx(LaurentRing):
         s, cs, den = a
         f = self.field
         return GroupRingElem(_Z1, f, {(s + i,): FieldElem(f, Fraction(c, den) if self._q else c)
-                                      for i, c in enumerate(cs) if c != self._c0})
+                                      for i, c in enumerate(cs) if c})
 
 
 class SNFResult:
@@ -429,7 +429,7 @@ def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModule
     others = {}
     for rem in invariant_factors:
         e = 0
-        while functools.reduce(ctx._add, rem[1]) == ctx._c0:  # (t-1) | rem iff rem(1) = 0
+        while functools.reduce(ctx._add, rem[1]) == 0:  # (t-1) | rem iff rem(1) = 0
             rem = ctx.exact_div(rem, tm1)
             e += 1
         if e:

@@ -62,7 +62,7 @@ class Echelon:
         multiples taken of their combinations into coords if given.  Returns
         the pivot left, or None when col is zero: it lay in the span."""
         owner, combo, field = self.owner, self.combo, self.field
-        add, mul, is_zero = field._add, field._mul, field._is_zero
+        add, mul = field._add, field._mul
         while col:
             low = max(col)
             other = owner.get(low)
@@ -74,7 +74,7 @@ class Echelon:
                 z = mul(nf, y)  # nonzero, a product of nonzeros in a field
                 if k in col:
                     z = add(col[k], z)
-                    if is_zero(z):
+                    if not z:
                         del col[k]
                         continue
                 col[k] = z
@@ -89,7 +89,7 @@ class Echelon:
         coords = None if label is None else {}
         low = self.reduce(col, coords)
         if coords is not None:
-            coords = {k: field._neg(y) for k, y in coords.items() if not field._is_zero(y)}
+            coords = {k: field._neg(y) for k, y in coords.items() if y}
             coords[label] = field._of_int(1)
         if low is None:
             if coords is not None:
@@ -193,11 +193,11 @@ class FiltrationModel:
     def mult_columns(self, elem: GroupRingElem):
         """Sparse matrix of v -> v * elem in adapted coordinates: one
         {row: nonzero raw payload} dict per basis vector."""
-        add, mul, is_zero = self.field._add, self.field._mul, self.field._is_zero
+        add, mul = self.field._add, self.field._mul
         if self.group.kind == "free_abelian":
             # x^alpha * x^beta = x^(alpha + beta), cut at degree M
             nonzero = [(beta, v, x) for beta, v, x in
-                       zip(self.monomials, self.vals, self.reduce(elem)) if not is_zero(x)]
+                       zip(self.monomials, self.vals, self.reduce(elem)) if x]
             return [{self.index[tuple(map(operator.add, alpha, beta))]: x
                      for beta, v, x in nonzero if v + da < self.M}
                     for alpha, da in zip(self.monomials, self.vals)]
@@ -205,7 +205,7 @@ class FiltrationModel:
         if self._filt.e == m:
             # kZ_m = k[u]/(u^m), u = t - 1: u^s * elem = sum_k c_k u^(s+k), with
             # c_k the Taylor coefficients of elem at 1 (lower-triangular Toeplitz)
-            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if not is_zero(x)]
+            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if x]
             return [{s + k: x for k, x in taylor if s + k < m} for s in range(m)]
         # multiply each basis vector in monomial coordinates, read adapted ones
         cols, zero = [], self.field._of_int(0)
@@ -213,9 +213,9 @@ class FiltrationModel:
             prod = [zero] * m
             for key, coeff in elem.terms.items():
                 for j, y in enumerate(vec):
-                    if not is_zero(y):
+                    if y:
                         prod[(j + key) % m] = add(prod[(j + key) % m], mul(y, coeff.value))
-            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if not is_zero(x)})
+            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if x})
         return cols
 
 
@@ -458,7 +458,7 @@ def _apply(field, columns, vec):
     for g, x in vec.items():
         for i, y in columns[g].items():
             out[i] = add(out[i], mul(y, x)) if i in out else mul(y, x)
-    return {i: x for i, x in out.items() if not field._is_zero(x)}
+    return {i: x for i, x in out.items() if x}
 
 
 def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
@@ -536,7 +536,7 @@ def d1_closed_form(C):
                 if not w.augmentation().is_zero():
                     raise CrossCheckError("boundary of a cycle lift not in J")
                 images.append(model.reduce(w))
-            targets += [{i: img[b] for i, img in enumerate(images) if not field._is_zero(img[b])}
+            targets += [{i: img[b] for i, img in enumerate(images) if img[b]}
                         for b in gr1]
         coords = solve_mod(field, [_sparse(h) for h in htgt], [_sparse(b) for b in btgt],
                            targets)

@@ -3,9 +3,12 @@ machine-checked instances of the modular bound theorems.
 
 b_q(X, nu/d) is computed by evaluating the equivariant boundary matrices at
 the distinguished primitive d-th root of unity inside Q(zeta_d) and taking
-exact ranks; no floating point, no choice of embedding.  Evaluation is in
-closed form: an entry sum_k c_k t^k becomes sum_k c_k (s^(k*power) mod Phi_d),
-read from an integer table of the powers of s built once per d.
+exact ranks; no floating point, no choice of embedding.  This is the only
+arithmetic in Q(zeta_d) that `ess` does (`--field cyclotomic:<d>` is computed
+over Q).  Evaluation is in closed form: an entry sum_k c_k t^k becomes
+sum_k c_k (s^(k*power) mod Phi_d), read from an integer table of the powers
+of s built once per d, and the rank is the certified multimodular
+`coeffs.cyclotomic_rank` of the resulting payload tuples.
 
 The Alexander polynomial is the gcd over Z[t^{+-1}] of the (g-1)-minors of
 the Alexander matrix (Crowell and Fox).  Each minor is a fraction-free Bareiss
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .aomoto import aomoto_betti
-from .coeffs import FieldDescriptor, FieldElem, cyclotomic_polynomial, format_poly, rank_exact
+from .coeffs import (FieldDescriptor, cyclotomic_polynomial, cyclotomic_rank, format_poly,
+                     rank_exact)
 from .complexes import EquivariantComplex, GroupHom, betti_numbers, change_field
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
@@ -47,7 +50,8 @@ def _zeta_power_table(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _evaluate_at_zeta(elem: GroupRingElem, table, power: int) -> tuple:
-    """sum_k c_k zeta^(k*power) as a payload of Q[s]/(Phi_d)."""
+    """sum_k c_k zeta^(k*power) as a payload of Q[s]/(Phi_d): a tuple of
+    ints, or of Fractions where a coefficient is not integral."""
     d = len(table)
     acc = [0] * len(table[0])
     for key, coeff in elem.terms.items():
@@ -57,18 +61,17 @@ def _evaluate_at_zeta(elem: GroupRingElem, table, power: int) -> tuple:
         for i, x in enumerate(table[key[0] * power % d]):
             if x:
                 acc[i] += c * x
-    return tuple(Fraction(x) for x in acc)
+    return tuple(acc)
 
 
 def evaluated_boundary(C: EquivariantComplex, q: int, d: int, power: int = 1):
-    """The boundary matrix with t -> zeta_d^power, over Q(zeta_d)."""
-    field = FieldDescriptor.cyclotomic(d)
+    """The boundary matrix with t -> zeta_d^power, as rows of payload tuples
+    of Q(zeta_d) (see `_evaluate_at_zeta`)."""
     if not 1 <= q <= C.top:
         return []
     table = _zeta_power_table(d)
     mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    return [[FieldElem(field, _evaluate_at_zeta(e, table, power)) for e in row]
-            for row in mats[q - 1]]
+    return [[_evaluate_at_zeta(e, table, power) for e in row] for row in mats[q - 1]]
 
 
 def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
@@ -87,8 +90,7 @@ def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
         raise InputError("power must be prime to d")
     ranks = [0] * (C.top + 2)
     for q in range(1, C.top + 1):
-        mat = evaluated_boundary(C, q, d, power)
-        ranks[q] = rank_exact(mat) if mat and mat[0] else 0
+        ranks[q] = cyclotomic_rank(d, evaluated_boundary(C, q, d, power))
     return [C.dims[q] - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
 
 
@@ -330,8 +332,7 @@ def minors_inequality(C: EquivariantComplex, p: int, r: int):
     Fp = FieldDescriptor.prime_field(p)
     out = []
     for q in range(1, C_int.top + 1):
-        zmat = evaluated_boundary(C_int, q, d)
-        rank_zeta = rank_exact(zmat) if zmat and zmat[0] else 0
+        rank_zeta = cyclotomic_rank(d, evaluated_boundary(C_int, q, d))
         fmat = [
             [Fp.from_int(e.augmentation().as_int()) for e in row]
             for row in C_int.boundary(q)

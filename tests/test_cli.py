@@ -137,6 +137,9 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
      ["validate", "{path}"]),
     (json.dumps({"field": 5, "group": "Z", "presentation": _ONE_CELL}),
      ["validate", "{path}"]),
+    (json.dumps({"field": "cyclotomic:5", "group": "Z",
+                 "matrices": {"dims": [1, 1], "boundaries": [[["t - 1"]]]}}),
+     ["twisted", "{path}", "--d", "3"]),
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=-1:1"]),
     (None, ["decompose", "--builtin", "circle", "--field", "Q", "--q-range=0:-1"]),
     (None, ["monodromy", "--builtin", "circle", "--field", "Q", "--k-max", "-1"]),
@@ -160,6 +163,7 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "matrices-without-dims", "non-integer-dims", "field-fp-not-integer",
         "field-cyclotomic-not-integer", "json-field-fp-not-integer",
         "json-field-cyclotomic-not-integer", "json-field-not-a-string",
+        "twisted-cyclotomic-matrices",
         "q-range-negative-low",
         "q-range-negative-high", "k-max-negative", "q-range-inverted",
         "alexander-2-cells-without-1-cells", "unknown-verb", "no-verb", "unknown-option",

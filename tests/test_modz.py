@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor, FieldElem, rank_exact
+from ess.coeffs import FieldDescriptor, rank_exact
 from ess.complexes import GroupHom, base_change, change_field
 from ess.errors import CrossCheckError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
@@ -75,8 +75,8 @@ def test_snf_rank_matches_fraction_field_rank():
         ]
         res = smith_normal_form(mat)
         # evaluate at a rational t = 7/3 avoiding roots of the diagonal
-        val = Q.from_fraction(__import__("fractions").Fraction(7, 3))
-        ev = [[e.evaluate([val]) for e in row] for row in mat]
+        ev = [[Q.from_fraction(sum((c.value * Fraction(7, 3) ** k for (k,), c in e.terms.items()),
+                                   Fraction(0))) for e in row] for row in mat]
         assert len(res.nonzero()) == rank_exact(ev)
 
 
@@ -215,23 +215,20 @@ def test_snf_cross_check_names_ring_shape_and_cell():
         _verify_snf(ctx, D, [D[0][0], D[1][1]], ident, ident)
 
 
-RAW_FIELDS = (Q, F2, FieldDescriptor.prime_field(3), FieldDescriptor.cyclotomic(3))
+RAW_FIELDS = (Q, F2, FieldDescriptor.prime_field(3))
 
 
 @st.composite
 def laurent_pairs(draw):
     """Two random elements of k[t^{+-1}] over one of RAW_FIELDS, with
-    coefficients a/b over Q, a mod p over F_p and a + b zeta over Q(zeta_3)."""
+    coefficients a/b over Q and a mod p over F_p."""
     field = draw(st.sampled_from(RAW_FIELDS))
 
     def element():
         out = GroupRingElem.zero(GZ, field)
         for e, a, b in draw(st.lists(st.tuples(st.integers(-2, 3), st.integers(-4, 4),
                                                st.integers(1, 4)), max_size=4)):
-            if field.kind == "cyclotomic":
-                c = FieldElem(field, (Fraction(a), Fraction(b)))
-            else:
-                c = field.from_fraction(Fraction(a, b)) if field.kind == "Q" else field.from_int(a)
+            c = field.from_fraction(Fraction(a, b)) if field.kind == "Q" else field.from_int(a)
             out = out + GroupRingElem.monomial(GZ, field, (e,), c)
         return out
 
@@ -248,7 +245,7 @@ def test_raw_laurent_arithmetic(case):
     # raw forms are canonical, so equal elements are equal tuples: the
     # denominator is reduced and no zero is kept at either end
     for x in (ra, rb):
-        assert not x[1] or (x[1][0] != ctx._c0 and x[1][-1] != ctx._c0)
+        assert not x[1] or (x[1][0] and x[1][-1])
         if field.kind == "Q":
             assert x[2] >= 1 and math.gcd(x[2], *x[1]) == 1
         else:

@@ -4,6 +4,7 @@ Both routes must give the same free rank, invariant factors, (t-1)-blocks and
 other primary parts of H_q(X, kZ_nu) in every degree.
 """
 
+import json
 import random
 import string
 from fractions import Fraction
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modz_oracle
+from ess import cli
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor, FieldElem
+from ess.coeffs import FieldDescriptor
 from ess.complexes import (GroupHom, base_change, change_field, complex_from_matrices,
                            parse_document)
 from ess.groupring import GroupDescriptor, GroupRingElem
@@ -67,9 +69,21 @@ def _balanced_relator(rng, ngens, length):
                            else string.ascii_uppercase[-x - 1] for x in word)
 
 
-@pytest.mark.parametrize("fname", ["Q", "F2"])
+# Q(zeta_d) is flat over Q, so over these fields every verb prints what it
+# prints over Q; betti and validate also echo the field.
+DESCENT = {"cyc5": "cyclotomic:5", "cyc6": "cyclotomic:6", "cyc12": "cyclotomic:12"}
+DESCENT_VERBS = (["decompose"], ["monodromy"], ["aomoto"], ["pages", "--R", "2", "--S", "2"],
+                 ["betti"], ["validate"])
+
+
+def _stdout(argv, capsys):
+    assert cli.main(argv + ["--json"]) == 0, argv
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fname", ["Q", "F2", *DESCENT])
 @pytest.mark.parametrize("ngens", [4, 5, 6, 7])
-def test_seeded_presentations_match_oracle(ngens, fname):
+def test_seeded_presentations_match_oracle(ngens, fname, tmp_path, capsys):
     rng = random.Random(f"modz-oracle:{ngens}")
     gens = list(string.ascii_lowercase[:ngens])
     doc = {"field": "Z", "group": "Z",
@@ -77,7 +91,23 @@ def test_seeded_presentations_match_oracle(ngens, fname):
                             "relators": [_balanced_relator(rng, ngens, 6)
                                          for _ in range(ngens - 1)],
                             "nu": {g: 1 for g in gens}}}
-    assert_routes_agree(change_field(parse_document(doc), FIELDS[fname]))
+    if fname not in DESCENT:
+        assert_routes_agree(change_field(parse_document(doc), FIELDS[fname]))
+        return
+    label = DESCENT[fname]
+    C = change_field(parse_document(doc), FieldDescriptor.parse(label))
+    assert_routes_agree(C)
+    assert all(isinstance(c.value, Fraction)
+               for mat in C.boundaries for row in mat for e in row for c in e.terms.values())
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    for verb in DESCENT_VERBS:
+        over_q = _stdout(verb + [str(path), "--field", "Q"], capsys)
+        over_k = _stdout(verb + [str(path), "--field", label], capsys)
+        if verb[0] in ("betti", "validate"):
+            assert json.loads(over_k) == dict(json.loads(over_q), field=label), verb
+        else:
+            assert over_k == over_q, verb
 
 
 def _element(field, terms):
@@ -123,24 +153,16 @@ def test_random_complex_decompositions_match_oracle(C):
     assert_routes_agree(C)
 
 
-SNF_FIELDS = {**FIELDS, "cyc3": FieldDescriptor.cyclotomic(3)}
-
-
 def _scalar(field, a, b):
-    """a/b over Q, a (mod p) over F_p, a + b zeta over Q(zeta_3)."""
-    if field.kind == "cyclotomic":
-        return FieldElem(field, (Fraction(a), Fraction(b)))
+    """a/b over Q, a (mod p) over F_p."""
     return field.from_fraction(Fraction(a, b)) if field.kind == "Q" else field.from_int(a)
 
 
 @st.composite
 def laurent_matrices(draw):
     """An n x m matrix over k[t^{+-1}], n, m <= 6, of rank at most r: random
-    entries when r = min(n, m), else a product of n x r and r x m factors.
-    Over Q(zeta_3), where no content step bounds the growth of the payload
-    fractions, n, m <= 4 keeps each example under a second."""
-    field = SNF_FIELDS[draw(st.sampled_from(sorted(SNF_FIELDS)))]
-    top = 4 if field.kind == "cyclotomic" else 6
+    entries when r = min(n, m), else a product of n x r and r x m factors."""
+    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     terms = st.lists(st.tuples(st.integers(-1, 2), st.integers(-3, 3), st.integers(1, 3)),
                      max_size=3)
 
@@ -148,7 +170,7 @@ def laurent_matrices(draw):
         return [[_element(field, [(e, _scalar(field, a, b)) for e, a, b in draw(terms)])
                  for _ in range(cols)] for _ in range(rows)]
 
-    n, m = draw(st.integers(1, top)), draw(st.integers(1, top))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     r = draw(st.integers(0, min(n, m)))
     if r == min(n, m):
         return entries(n, m)

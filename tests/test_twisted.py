@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from ess import cli
 from ess.builtins import builtin_complex, builtin_names, lyndon_document
-from ess.coeffs import FieldDescriptor, FieldElem, LaurentRing, cyclotomic_polynomial
+from ess.coeffs import FieldDescriptor, LaurentRing, cyclotomic_polynomial
 from ess.complexes import (Epimorphism, FreeWord, GroupHom, Presentation,
                            base_change, change_field, parse_document,
                            presentation_complex)
@@ -186,29 +186,32 @@ def test_lyndon_beta_vanishes_but_twisted_does_not():
 
 
 @lru_cache(maxsize=None)
-def _zeta_powers_by_multiplication(d):
-    F = FieldDescriptor.cyclotomic(d)
-    powers = [F.one()]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * F.zeta())
+def _zeta_powers_by_sympy(d):
+    """zeta^0..zeta^(d-1) as coefficient tuples of sympy's remainder of t^k by
+    Phi_d: each power reduced on its own, not by ess's shift recursion."""
+    phi = sympy.cyclotomic_poly(d, T)
+    deg = sympy.degree(phi, T)
+    powers = []
+    for k in range(d):
+        coeffs = Poly(sympy.rem(T**k, phi, T), T).all_coeffs()[::-1]
+        powers.append(tuple(int(c) for c in coeffs) + (0,) * (deg - len(coeffs)))
     return powers
 
 
-def _evaluate_by_multiplication(C, q, d, power):
-    """t -> zeta^power through the powers zeta^0..zeta^(d-1) built by repeated
-    field multiplication, each scaled by its rational coefficient."""
-    F = FieldDescriptor.cyclotomic(d)
-    powers = _zeta_powers_by_multiplication(d)
+def _evaluate_by_sympy_powers(C, q, d, power):
+    """t -> zeta^power through the sympy powers of zeta, each scaled by its
+    rational coefficient."""
+    powers = _zeta_powers_by_sympy(d)
     mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
     out = []
     for row in mats[q - 1]:
         out.append([])
         for e in row:
-            acc = F.zero()
+            acc = [0] * len(powers[0])
             for key, c in e.terms.items():
-                zk = powers[key[0] * power % d].value
-                acc = acc + FieldElem(F, tuple(c.as_fraction() * x for x in zk))
-            out[-1].append(acc)
+                zk = powers[key[0] * power % d]
+                acc = [a + c.as_fraction() * x for a, x in zip(acc, zk)]
+            out[-1].append(tuple(acc))
     return out
 
 
@@ -232,7 +235,7 @@ def test_evaluated_boundary_matches_repeated_multiplication():
         for power in (a for a in range(1, d + 1) if math.gcd(a, d) == 1):
             for C in spaces:
                 for q in range(1, C.top + 1):
-                    expected = _evaluate_by_multiplication(C, q, d, power)
+                    expected = _evaluate_by_sympy_powers(C, q, d, power)
                     assert evaluated_boundary(C, q, d, power) == expected, (d, power, q)
 
 
