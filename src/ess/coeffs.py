@@ -147,27 +147,25 @@ class FieldDescriptor:
     [0,p) (F_p), or int (Z).  Every entry an input yields is rational, and
     Q(zeta_d) is flat over Q, so `cyclotomic:<d>` binds exactly Q's payload
     table: it is computed over Q and differs from Q only in its label.  The
-    payload table _add, _sub, _neg, _mul, _inv and _of_int (the payload of an
-    int) is bound once per kind: operator.* over Q and Z, residues mod p over
-    F_p.  FieldElem, LaurentRing and the page engine all compute through it;
-    every payload is a number, zero exactly when it is falsy.
+    payload table _add, _neg, _mul, _inv and _of_int (the payload of an int)
+    is bound once per kind: operator.* over Q and Z, residues mod p over F_p.
+    FieldElem and the page engine compute through it (LaurentRing reduces int
+    coefficients itself); every payload is a number, zero exactly when it is
+    falsy.
     """
 
-    __slots__ = ("kind", "p", "d",
-                 "_add", "_sub", "_neg", "_mul", "_inv", "_of_int")
+    __slots__ = ("kind", "p", "d", "_add", "_neg", "_mul", "_inv", "_of_int")
 
     def __init__(self, kind, p=None, d=None):
         self.kind = kind
         self.p = p
         self.d = d
-        self._add, self._sub = operator.add, operator.sub
-        self._neg, self._mul = operator.neg, operator.mul
+        self._add, self._neg, self._mul = operator.add, operator.neg, operator.mul
         self._inv, self._of_int = _z_inv, int
         if kind in (_Q, _CYC):
             self._inv, self._of_int = lambda a: 1 / _nonzero(a), Fraction
         elif kind == _FP:
             self._add = lambda a, b: (a + b) % p
-            self._sub = lambda a, b: (a - b) % p
             self._neg = lambda a: -a % p
             self._mul = lambda a, b: a * b % p
             self._inv = lambda a: pow(_nonzero(a), -1, p)
@@ -304,10 +302,7 @@ class FieldElem:
         return FieldElem(self.field, self.field._neg(self.value))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field._sub(self.value, other.value))
+        return self + (-other)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -381,9 +376,10 @@ class LaurentRing:
     coefficients are ints with gcd(coeffs, den) = 1, so equal elements are
     equal tuples.  Over F_p the coefficients are ints in [0, p) and den is
     1.  Q(zeta_d) takes the Q branch: the invariant factors over it are those
-    over Q (gcds of minors, by flat base change).  Coefficients combine
-    through the descriptor's payload table, whose operator.* entries over Q
-    serve the integer numerators as well.
+    over Q (gcds of minors, by flat base change).  Every operation loops over
+    plain int coefficients in every characteristic, and `_make` applies the
+    one reduction per result: the content step over Q, residues mod p over
+    F_p.
     """
 
     def __init__(self, field: FieldDescriptor):
@@ -391,15 +387,19 @@ class LaurentRing:
             raise UnsupportedCoefficients("Laurent SNF needs field coefficients")
         self.field = field
         self.name = f"{field}[t^+-1]"
-        self._q = field.characteristic == 0
-        self._add, self._mul, self._neg = field._add, field._mul, field._neg
+        self._p = field.characteristic
+        self._q = not self._p
         self.zero = (0, (), 1)
         self.one = (0, (1,), 1)
 
     def _make(self, shift, cs, den=1):
-        """The canonical element t^shift * cs / den: content shared with den
-        cancelled, zeros trimmed at both ends."""
-        if den != 1:
+        """The canonical element t^shift * cs / den for int coefficients cs:
+        residues mod p over F_p (where den is 1); over Q the content shared
+        with den cancelled.  Zeros are trimmed at both ends."""
+        p = self._p
+        if p:
+            cs = [c % p for c in cs]
+        elif den != 1:
             g = math.gcd(den, *cs)
             if g != 1:
                 cs = [c // g for c in cs]
@@ -423,12 +423,8 @@ class LaurentRing:
     def is_unit(a):
         return len(a[1]) == 1
 
-    def add(self, a, b):
-        if not a[1]:
-            return b
-        if not b[1]:
-            return a
-        (sa, ca, da), (sb, cb, db) = a, b
+    def _sum(self, sa, ca, da, sb, cb, db):
+        """t^sa ca/da + t^sb cb/db for nonempty int sequences, reduced once."""
         den = da
         if da != db:
             den = da // math.gcd(da, db) * db
@@ -438,27 +434,58 @@ class LaurentRing:
             sa, ca, sb, cb = sb, cb, sa, ca
         out = list(ca)
         out += [0] * (sb + len(cb) - sa - len(out))
-        add = self._add
         for j, y in enumerate(cb, sb - sa):
-            out[j] = add(out[j], y)
+            out[j] += y
         return self._make(sa, out, den)
 
+    @staticmethod
+    def _product(a, b):
+        """a*b for nonzero a and b as (shift, int list, den), unreduced.  A
+        monomial operand scales the other's coefficients."""
+        (sa, ca, da), (sb, cb, db) = a, b
+        if len(ca) > len(cb):
+            ca, cb = cb, ca
+        if len(ca) == 1:
+            x = ca[0]
+            out = [x * y for y in cb]
+        else:
+            out = [0] * (len(ca) + len(cb) - 1)
+            for i, x in enumerate(ca):
+                if x:
+                    for j, y in enumerate(cb, i):
+                        out[j] += x * y
+        return sa + sb, out, da * db
+
+    def add(self, a, b):
+        if not a[1]:
+            return b
+        if not b[1]:
+            return a
+        return self._sum(*a, *b)
+
     def neg(self, a):
-        return (a[0], tuple(map(self._neg, a[1])), a[2])
+        s, cs, den = a
+        p = self._p
+        return (s, tuple([-c % p for c in cs] if p else [-c for c in cs]), den)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        (sa, ca, da), (sb, cb, db) = a, b
-        if not ca or not cb:
+        if not a[1] or not b[1]:
             return self.zero
-        add, mul = self._add, self._mul
-        out = [0] * (len(ca) + len(cb) - 1)
-        for i, x in enumerate(ca):
-            for j, y in enumerate(cb, i):
-                out[j] = add(out[j], mul(x, y))
-        return self._make(sa + sb, out, da * db)
+        if a[1] == (1,) and a[2] == 1:
+            return (a[0] + b[0], b[1], b[2])
+        if b[1] == (1,) and b[2] == 1:
+            return (a[0] + b[0], a[1], a[2])
+        return self._make(*self._product(a, b))
+
+    def submul(self, y, q, x):
+        """y - q*x, reduced once."""
+        if not q[1] or not x[1]:
+            return y
+        s, cs, den = self._product((q[0], [-c for c in q[1]], q[2]), x)
+        return self._sum(*y, s, cs, den) if y[1] else self._make(s, cs, den)
 
     def divstep(self, pivot, entry):
         """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
@@ -477,12 +504,41 @@ class LaurentRing:
         return scale, q
 
     def exact_div(self, a, b):
-        if self.is_unit(b):
+        """a/b, or CoefficientError if b does not divide a: one pass of long
+        division, over F_p by the inverse of b's leading coefficient, over Q
+        in Z[t] by the primitive part of b, where an exact quotient is
+        integral (Gauss's lemma) and an inexact step ends the division."""
+        (sa, ca, da), (sb, cb, db) = a, b
+        if not cb:
+            raise CoefficientError("division by zero")
+        if len(cb) == 1:
             return self.mul(a, self.unit_inverse(b))
-        scale, q = self.divstep(b, a)
-        if not self.is_zero(self.sub(self.mul(a, scale), self.mul(q, b))):
+        if not ca:
+            return self.zero
+        m = len(cb) - 1
+        if len(ca) <= m:
             raise CoefficientError("not divisible in Lambda")
-        return self.mul(self.unit_inverse(scale), q)
+        p = self._p
+        g = 1 if p else math.gcd(*cb)
+        if g != 1:
+            cb = [y // g for y in cb]
+        lead = pow(cb[-1], -1, p) if p else cb[-1]
+        rem = list(ca)
+        quo = [0] * (len(ca) - m)
+        for k in range(len(quo) - 1, -1, -1):
+            if p:
+                c = rem[k + m] * lead % p
+            else:
+                c, r = divmod(rem[k + m], lead)
+                if r:
+                    raise CoefficientError("not divisible in Lambda")
+            if c:
+                quo[k] = c
+                for j, y in enumerate(cb, k):
+                    rem[j] -= c * y
+        if any(r % p if p else r for r in rem[:m]):
+            raise CoefficientError("not divisible in Lambda")
+        return self._make(sa - sb, [c * db for c in quo] if db != 1 else quo, da * g)
 
     def _strip(self, a):
         """Unit making a canonical (monomial part, sign/lead, content)."""
@@ -535,7 +591,7 @@ class LaurentRing:
         s, (c,), den = u
         if self._q:
             return (-s, (den if c > 0 else -den,), abs(c))
-        return (-s, (self.field._inv(c),), 1)
+        return (-s, (pow(c, -1, self._p),), 1)
 
     def content_unit(self, entries):
         """Scalar unit making the coefficient content of a row/column 1.

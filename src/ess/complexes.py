@@ -372,8 +372,9 @@ def complex_from_matrices(field, group, dims, boundaries,
 def _integral_shadow(mats):
     """The same matrices over Z when every coefficient is an integer, else None."""
     for e in (e for mat in mats for row in mat for e in row):
-        kind = e.field.kind
-        if kind != "Z" and (kind != "Q" or any(c.value.denominator != 1 for c in e.terms.values())):
+        kind = e.field.kind  # Q and cyclotomic:<d> payloads are Fractions
+        if kind != "Z" and (kind == "Fp" or any(c.value.denominator != 1
+                                                for c in e.terms.values())):
             return None
     ZZ = FieldDescriptor.integers()
     return [[[e.map_coefficients(lambda c: ZZ.from_int(int(c.value)), ZZ) for e in row]

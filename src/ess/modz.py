@@ -13,12 +13,14 @@ come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
 
 The SNF over Lambda runs on the raw Laurent polynomials of
 `coeffs.LaurentRing`, never on FieldElem; `_LaurentCtx` adds the conversions
-from and to GroupRingElem, and only the diagonal is converted back.
+from and to GroupRingElem, and only the diagonal is converted back.  A unit
+pivot clears its row and column with one fused y - q*x per entry; other
+pivots go through Bezout blocks.  Every SNF carries U and V and is verified
+(U A V = D and the divisibility chain) before it is returned.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -47,15 +49,11 @@ class _IntCtx:
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
     raw = lift = staticmethod(operator.pos)  # ints are their own raw form
 
     @staticmethod
-    def divstep(pivot, entry):
-        """(scale, q) with scale*entry - q*pivot of norm < |pivot|; the scale
-        is always the unit 1 over Z (floor division suffices)."""
-        q = entry // pivot if pivot > 0 else -(entry // -pivot)
-        return 1, q
+    def submul(y, q, x):
+        return y - q * x
 
     @staticmethod
     def exact_div(a, b):
@@ -154,22 +152,23 @@ def _identity(ctx, n):
 def _mat_mul_ctx(ctx, a, b):
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ctx.zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            x = a[i][l]
-            if ctx.is_zero(x):
-                continue
-            for j in range(m):
-                if not ctx.is_zero(b[l][j]):
-                    out[i][j] = ctx.add(out[i][j], ctx.mul(x, b[l][j]))
+    out = [[ctx.zero] * len(b[0]) for _ in a]
+    is_zero, add, mul = ctx.is_zero, ctx.add, ctx.mul
+    for row, a_row in zip(out, a):
+        for x, b_row in zip(a_row, b):
+            if not is_zero(x):
+                for j, y in enumerate(b_row):
+                    if not is_zero(y):
+                        row[j] = add(row[j], mul(x, y))
     return out
 
 
 def _snf_engine(ctx, matrix):
-    """Generic SNF over a Euclidean domain.  Deterministic: pivot = entry of
-    minimal norm, ties broken by lowest row then column index."""
+    """Generic SNF over a Euclidean domain: (diagonal, U, V, D), U A V = D.
+    Deterministic: pivot = entry of minimal norm, ties broken by lowest row
+    then column index.  A unit pivot clears its column and row with one
+    `ctx.submul(y, q, x) = y - q*x` per entry, q = entry/pivot; any other
+    pivot meets each entry in a determinant-1 Bezout block."""
     A = [list(row) for row in matrix]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
@@ -207,26 +206,37 @@ def _snf_engine(ctx, matrix):
         # in the pivot and 0 below it
         g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[i][t])
         new_t = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(A[t], A[i])]
-        new_i = [ctx.sub(ctx.mul(al, y), ctx.mul(be, x)) for x, y in zip(A[t], A[i])]
+        new_i = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(A[t], A[i])]
         A[t], A[i] = new_t, new_i
         new_tu = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(U[t], U[i])]
-        new_iu = [ctx.sub(ctx.mul(al, y), ctx.mul(be, x)) for x, y in zip(U[t], U[i])]
+        new_iu = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(U[t], U[i])]
         U[t], U[i] = new_tu, new_iu
         content_fix_row(t)
         content_fix_row(i)
 
     def col_block(j):
         g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[t][j])
-        for row in A:
+        for row in A + V:
             x, y = row[t], row[j]
-            row[t] = ctx.add(ctx.mul(sg, x), ctx.mul(tu, y))
-            row[j] = ctx.sub(ctx.mul(al, y), ctx.mul(be, x))
-        for row in V:
-            x, y = row[t], row[j]
-            row[t] = ctx.add(ctx.mul(sg, x), ctx.mul(tu, y))
-            row[j] = ctx.sub(ctx.mul(al, y), ctx.mul(be, x))
+            if not (ctx.is_zero(x) and ctx.is_zero(y)):
+                row[t] = ctx.add(ctx.mul(sg, x), ctx.mul(tu, y))
+                row[j] = ctx.submul(ctx.mul(al, y), be, x)
         content_fix_col(t)
         content_fix_col(j)
+
+    def clear_unit_pivot():
+        inv = ctx.unit_inverse(A[t][t])
+        for i in range(t + 1, nrows):
+            if not ctx.is_zero(A[i][t]):
+                q = ctx.mul(A[i][t], inv)
+                A[i] = [ctx.submul(y, q, x) for y, x in zip(A[i], A[t])]
+                U[i] = [ctx.submul(y, q, x) for y, x in zip(U[i], U[t])]
+        for j in range(t + 1, ncols):
+            if not ctx.is_zero(A[t][j]):
+                q = ctx.mul(A[t][j], inv)
+                A[t][j] = ctx.zero  # column t is clear below the pivot
+                for row in V:
+                    row[j] = ctx.submul(row[j], q, row[t])
 
     t = 0
     while t < min(nrows, ncols):
@@ -243,6 +253,10 @@ def _snf_engine(ctx, matrix):
         _, bi, bj = best
         swap_rows(t, bi)
         swap_cols(t, bj)
+        if ctx.is_unit(A[t][t]):
+            clear_unit_pivot()
+            t += 1
+            continue
         # alternate clearing column t and row t; each col_block may disturb
         # the column, so iterate until both are clear
         while True:
@@ -429,7 +443,7 @@ def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModule
     others = {}
     for rem in invariant_factors:
         e = 0
-        while functools.reduce(ctx._add, rem[1]) == 0:  # (t-1) | rem iff rem(1) = 0
+        while not ctx._make(0, [sum(rem[1])])[1]:  # (t-1) | rem iff rem(1) = 0
             rem = ctx.exact_div(rem, tm1)
             e += 1
         if e:

@@ -12,8 +12,10 @@ of s built once per d, and the rank is the certified multimodular
 
 The Alexander polynomial is the gcd over Z[t^{+-1}] of the (g-1)-minors of
 the Alexander matrix (Crowell and Fox).  Each minor is a fraction-free Bareiss
-determinant in `coeffs.LaurentRing` over Q, so it costs polynomial time; the
-gcd is the minors' integer content times their primitive gcd over Q[t^{+-1}].
+determinant in `coeffs.LaurentRing` over Q, so it costs polynomial time; each
+Bareiss step is one exact division in a single pass of long division.  The
+gcd is the minors' integer content times their primitive gcd over
+Q[t^{+-1}], and the minors stop as soon as that is 1.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
     boundary (the Alexander matrix), normalized to lowest exponent 0 and
     positive leading coefficient.  By Gauss's lemma it is the gcd of the
     minors' integer contents times the primitive form of their gcd over
-    Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}]."""
+    Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}].  The
+    minors stop once the content is 1 and the gcd a unit: Delta = 1."""
     if C.group != _Z1:
         raise ValidationError("Alexander polynomial needs group Z")
     if C.top < 2 or C.dims[2] == 0:
@@ -153,13 +156,16 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
     mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
     A = [[ring.raw(e) for e in row] for row in mats[1]]  # dims[1] x dims[2]
     content, gcd = 0, None
-    for rows in itertools.combinations(range(g), g - 1):
-        for cols in itertools.combinations(range(ncols), g - 1):
-            det = _bareiss_det(ring, [[A[i][j] for j in cols] for i in rows])
-            if not ring.is_zero(det):
-                # det = t^shift * coefficients / den, gcd(coefficients, den) = 1
-                content = math.gcd(content, *det[1])
-                gcd = det if gcd is None else ring.gcd_bezout(gcd, det)[0]
+    minors = (_bareiss_det(ring, [[A[i][j] for j in cols] for i in rows])
+              for rows in itertools.combinations(range(g), g - 1)
+              for cols in itertools.combinations(range(ncols), g - 1))
+    for det in minors:
+        if not ring.is_zero(det):
+            # det = t^shift * coefficients / den, gcd(coefficients, den) = 1
+            content = math.gcd(content, *det[1])
+            gcd = det if gcd is None else ring.gcd_bezout(gcd, det)[0]
+            if content == 1 and ring.is_unit(gcd):
+                break  # Delta = 1: no further minor can shrink it
     if gcd is None:
         return AlexanderResult(())
     # monic over Q with gcd(coefficients, den) = 1: the coefficients are the

@@ -65,6 +65,10 @@ class _LaurentCtx:
     def neg(a):
         return -a
 
+    @staticmethod
+    def submul(y, q, x):
+        return y - q * x
+
     def divstep(self, pivot, entry):
         """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
         < norm(pivot), where scale is a power of the pivot's leading

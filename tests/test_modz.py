@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor, rank_exact
 from ess.complexes import GroupHom, base_change, change_field
-from ess.errors import CrossCheckError, ValidationError
+from ess.errors import CoefficientError, CrossCheckError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
 from ess.modz import (_IntCtx, _LaurentCtx, _snf_engine, _verify_snf, einf_gr_module,
                       homology_decomposition, integral_torsion_check, monodromy_report,
@@ -254,6 +254,8 @@ def test_raw_laurent_arithmetic(case):
     assert ctx.sub(ra, rb) == ctx.raw(a - b)
     assert ctx.mul(ra, rb) == ctx.raw(a * b)
     assert ctx.sub(ra, ra) == ctx.zero
+    assert ctx.submul(ra, rb, ra) == ctx.raw(a - b * a)
+    assert ctx.submul(rb, ra, rb) == ctx.raw(b - a * b)
     if b.is_zero():
         return
     scale, q = ctx.divstep(rb, ra)
@@ -265,6 +267,15 @@ def test_raw_laurent_arithmetic(case):
     assert ctx.mul(unit, canon) == rb and canon[0] == 0
     # division by a unit (a scalar times a power of t) is one product
     assert ctx.is_unit(unit) and ctx.exact_div(ctx.mul(ra, unit), unit) == ra
+    # a monomial operand scales the other operand's coefficients
+    assert ctx.mul(unit, ra) == ctx.mul(ra, unit) == ctx.raw(ctx.lift(unit) * a)
+    if not ctx.is_unit(rb):
+        # a non-multiple raises: a*b + 1 leaves a nonzero remainder, and a
+        # divisor of longer span than the dividend fits no quotient
+        with pytest.raises(CoefficientError):
+            ctx.exact_div(ctx.add(ctx.mul(ra, rb), ctx.one), rb)
+        with pytest.raises(CoefficientError):
+            ctx.exact_div(rb, ctx.mul(rb, (0, (1, 1), 1)))
     assert ctx.lift(canon).terms[(len(canon[1]) - 1,)] == field.one()
     if field.kind == "Q":
         # the content step makes the coefficients coprime integers
@@ -273,3 +284,23 @@ def test_raw_laurent_arithmetic(case):
         assert all(x[2] == 1 for x in scaled)
         assert math.gcd(*(y for x in scaled for y in x[1])) == 1
         assert ctx.is_unit(c) and c[0] == 0
+
+
+@pytest.mark.parametrize("field", RAW_FIELDS, ids=str)
+def test_exact_div_rejects_non_multiples(field):
+    ctx = _LaurentCtx(field)
+    one_plus_t, cubic = (0, (1, 1), 1), (0, (1, 1, 1), 1)
+    # 1 + t + t^2 is 1 at t = -1 in every characteristic: remainder 1
+    with pytest.raises(CoefficientError):
+        ctx.exact_div(cubic, one_plus_t)
+    with pytest.raises(CoefficientError):  # span too short
+        ctx.exact_div(one_plus_t, cubic)
+    with pytest.raises(CoefficientError):
+        ctx.exact_div(cubic, ctx.zero)
+    assert ctx.exact_div(ctx.mul(cubic, one_plus_t), one_plus_t) == cubic
+    if field.kind == "Q":
+        # over Z by the primitive part 1 + 2t: the leading step 1/2 is not
+        # integral, so 1 + 2t does not divide 1 + t + t^2 in Q[t]
+        with pytest.raises(CoefficientError):
+            ctx.exact_div(cubic, (0, (1, 2), 1))
+        assert ctx.exact_div((0, (1, 3, 2), 3), (0, (2, 4), 1)) == (0, (1, 1), 6)

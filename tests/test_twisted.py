@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, Poly
 from sympy.polys.matrices import DomainMatrix
 
-from ess import cli
+from ess import cli, twisted
 from ess.builtins import builtin_complex, builtin_names, lyndon_document
 from ess.coeffs import FieldDescriptor, LaurentRing, cyclotomic_polynomial
 from ess.complexes import (Epimorphism, FreeWord, GroupHom, Presentation,
@@ -313,6 +313,19 @@ def test_alexander_matches_sympy_minors_on_seeded_presentations():
         if delta and math.gcd(*delta) > 1:
             with_content += 1
     assert with_content >= 10, with_content
+
+
+def test_alexander_stops_once_delta_is_one(monkeypatch):
+    # after the 4th of the 25 minors the content is 1 and the gcd a unit, so
+    # Delta = 1 and no later minor is computed
+    doc = seeded_presentation(random.Random("alexander-early-stop:1"), 5)
+    calls = []
+    bareiss = twisted._bareiss_det
+    monkeypatch.setattr(twisted, "_bareiss_det",
+                        lambda ring, m: calls.append(m) or bareiss(ring, m))
+    delta = alexander_polynomial(parse_document(doc)).polynomial
+    assert delta == (1,) and _matches_oracle(delta, doc)
+    assert len(calls) == 4 < math.comb(5, 4) ** 2
 
 
 # stdout of the CLI before the minors became Bareiss determinants
