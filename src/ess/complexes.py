@@ -499,14 +499,16 @@ def parse_document(doc: dict) -> EquivariantComplex:
 
     if has_pres:
         pres = doc["presentation"]
-        gens = list(pres.get("generators", []))
+        if not isinstance(pres, dict):
+            raise InputError(f'"presentation" must be an object, got {pres!r}')
+        gens = _list_of(pres.get("generators", []), str, '"generators" must be a list of strings')
         if not gens:
             raise InputError("presentation needs at least one generator")
-        relators = [FreeWord.parse(w, gens) for w in pres.get("relators", [])]
-        presentation = Presentation(gens, relators)
+        relators = _list_of(pres.get("relators", []), str, '"relators" must be a list of strings')
+        presentation = Presentation(gens, [FreeWord.parse(w, gens) for w in relators])
         nu_spec = pres.get("nu")
-        if nu_spec is None:
-            raise InputError('presentation requires "nu" generator images')
+        if not isinstance(nu_spec, dict):
+            raise InputError(f'presentation requires "nu" generator images, got {nu_spec!r}')
         images = []
         for g in gens:
             if g not in nu_spec:
@@ -520,10 +522,11 @@ def parse_document(doc: dict) -> EquivariantComplex:
             images.append(vec if group.kind == "free_abelian" else vec[0])
         nu = Epimorphism(group, images)
         C = presentation_complex(presentation, nu, field)
-        for cell_spec in doc.get("extra_cells", []):
+        for cell_spec in _list_of(doc.get("extra_cells", []), dict,
+                                  '"extra_cells" must be a list of objects'):
             try:
                 degree, matrix = cell_spec["degree"], cell_spec["matrix"]
-            except (KeyError, TypeError):
+            except KeyError:
                 raise InputError('each "extra_cells" entry needs "degree" and "matrix"') from None
             C = extend_with_cells(C, degree, _parse_matrix(matrix, group, field))
         return C
@@ -540,7 +543,14 @@ def parse_document(doc: dict) -> EquivariantComplex:
     return complex_from_matrices(field, group, dims, boundaries)
 
 
+def _list_of(value, kind, what: str) -> list:
+    """value, if it is a JSON list of kind; else InputError(what)."""
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise InputError(f"{what}, got {value!r}")
+    return value
+
+
 def _parse_matrix(matrix, group: GroupDescriptor, field: FieldDescriptor):
-    if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
-        raise InputError(f"each matrix row must be a list of entry strings, got {matrix!r}")
-    return [[parse_element(s, group, field) for s in row] for row in matrix]
+    what = "each matrix row must be a list of entry strings"
+    return [[parse_element(s, group, field) for s in _list_of(row, str, what)]
+            for row in _list_of(matrix, list, what)]

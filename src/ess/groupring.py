@@ -382,13 +382,14 @@ def expansion_coords(a: GroupRingElem, monomials, M: int) -> list:
 class _CyclicFiltration:
     """The chain J^0 >= J^1 >= ... inside kZ_m = k[t]/(t^m - 1), in closed form.
 
-    With u = t - 1, J^s = (u^min(s, e)), where e is the multiplicity of u in
+    With u = t - 1, kZ_m = k[u]/((1 + u)^m - 1) has the basis u^0, ...,
+    u^(m-1), and J^s = (u^min(s, e)), where e is the multiplicity of u in
     t^m - 1: e = p^a when char k = p and p^a exactly divides m, else e = 1.
-    The adapted basis, listed val-ascending so that the tail from offset(s) on
-    spans J^s, is u^s with valuation s for s < e, followed by the core
-    t^j u^e for j < m - e, which spans J^e = J^{e+1} = ... and has valuation
-    INFINITY.  The core is empty in the Reznikov case e = m, where J^m = 0.
-    Basis vectors and coordinates are lists of raw payloads.
+    The basis is adapted: the tail from u^offset(s) on spans J^s, so u^s has
+    valuation s for s < e and INFINITY from e on (J^e = J^{e+1} = ..., zero
+    only in the Reznikov case e = m).  Since t^m = 1, u^m = -sum_{0<k<m}
+    C(m, k) u^k; `fold` lists the nonzero terms of that sum as (k, raw
+    payload), none when e = m.  Coordinates are lists of raw payloads.
     """
 
     def __init__(self, m: int, field: FieldDescriptor):
@@ -400,35 +401,26 @@ class _CyclicFiltration:
             e *= p
         self.e = e
         self.vals = list(range(e)) + [INFINITY] * (m - e)
-        self.adapted = [self._shifted_power(0, s) for s in range(e)]
-        self.adapted += [self._shifted_power(j, e) for j in range(m - e)]
-
-    def _shifted_power(self, j: int, s: int):
-        """Monomial coordinates of t^j (t - 1)^s, a polynomial of degree j + s < m."""
-        v = [self.field._of_int(0)] * self.m
-        for k in range(s + 1):
-            v[j + k] = self.field._of_int((-1) ** (s - k) * math.comb(s, k))
-        return v
+        self.fold = [(k, x) for k in range(1, m) if (x := field._of_int(-math.comb(m, k)))]
 
     def dim(self, s: int) -> int:
         return self.m - min(s, self.e)
 
     def offset(self, s: int) -> int:
-        """Index into the adapted basis where J^s starts."""
+        """Index of the basis vector u^min(s, e) where J^s starts."""
         return min(s, self.e)
 
     def coords(self, vec):
-        """Adapted coordinates of a vector of monomial coordinates: e synthetic
-        divisions by t - 1 leave the Taylor coefficients at 1 as remainders,
-        and the last quotient holds the core coordinates.  The quotient by
-        t - 1 is the list of suffix sums after the first; the remainder is
-        the whole sum."""
+        """Coordinates in the basis u^k of a vector of monomial coordinates:
+        the Taylor coefficients at t = 1, left as the remainders of m
+        synthetic divisions by t - 1.  The quotient by t - 1 is the list of
+        suffix sums after the first; the remainder is the whole sum."""
         rest, taylor = list(vec), []
-        for _ in range(self.e):
+        while rest:
             sums = list(itertools.accumulate(reversed(rest), self.field._add))
             taylor.append(sums.pop())
             rest = sums[::-1]
-        return taylor + rest
+        return taylor
 
     def membership_val(self, vec) -> float:
         for val, c in zip(self.vals, self.coords(vec)):
@@ -487,7 +479,8 @@ def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:
 
 
 class GrPiece:
-    """gr^s_J(kG): dimension plus an ordered list of representatives."""
+    """gr^s_J(kG): dimension plus an ordered list of representatives, the
+    products of (t_i - 1) of total degree s; on Z_m, (t - 1)^s when s < e."""
 
     def __init__(self, group, field, s):
         self.group = group
@@ -495,30 +488,20 @@ class GrPiece:
         self.s = s
         if group.kind == "free_abelian":
             self.monomials = monomials_of_degree(group.n, s)
-            self.basis = [_x_power(group, field, alpha) for alpha in self.monomials]
         else:
-            filt = cyclic_filtration(group.m, field)
-            off_hi = filt.offset(s)
-            off_lo = filt.offset(s + 1)
-            self.monomials = None
-            self.basis = [
-                _from_vector(group, field, filt.adapted[i]) for i in range(off_hi, off_lo)
-            ]
+            self.monomials = [(s,)] if s < cyclic_filtration(group.m, field).e else []
+        self.basis = [_x_power(group, field, alpha) for alpha in self.monomials]
         self.dimension = len(self.basis)
         assert self.dimension == gr_dimension(group, field, s)
 
 
 def _x_power(group, field, alpha):
-    """The product (t_1 - 1)^a_1 ... (t_n - 1)^a_n as a GroupRingElem."""
+    """The product (t_1 - 1)^a_1 ... (t_n - 1)^a_n as a GroupRingElem; on
+    Z_m, alpha = (a,) and the product is (t - 1)^a."""
     out = GroupRingElem.one(group, field)
     for i, a in enumerate(alpha):
-        ti = [0] * group.n
-        ti[i] = 1
-        base = GroupRingElem.monomial(group, field, tuple(ti)) - GroupRingElem.one(group, field)
+        ti = 1 if group.kind == "cyclic" else tuple(int(j == i) for j in range(group.n))
+        base = GroupRingElem.monomial(group, field, ti) - GroupRingElem.one(group, field)
         for _ in range(a):
             out = out * base
     return out
-
-
-def _from_vector(group, field, vec):
-    return GroupRingElem(group, field, {j: FieldElem(field, x) for j, x in enumerate(vec)})

@@ -11,7 +11,8 @@ Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
 (Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).  The
 truncated boundary is assembled as sparse columns straight from the sparse
-multiplication of FiltrationModel; no dense matrix is stored.  Every
+multiplication of FiltrationModel (on Z_m, in the basis of powers of
+u = t - 1, one shift and fold per column); no dense matrix is stored.  Every
 elimination over k in the package (the pairs, the homology bases, d^1 and the
 J^2 check) reduces such columns in the one sparse column echelon `Echelon`.
 All of it runs on raw payloads through the descriptor's payload table;
@@ -149,18 +150,18 @@ class FiltrationModel:
 
     The basis is ordered with valuations nondecreasing, so J^s corresponds to
     a suffix of the coordinates.  For Z^n this is kG/J^M with monomial basis
-    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M; for Z_m it is all of kG with
-    the closed-form adapted basis (t - 1)^s, s < e, then the valuation-INF
-    core t^j (t - 1)^e (see groupring._CyclicFiltration); coordinates in it
-    come from synthetic division by t - 1, and on Z^n from products of Pascal
-    rows (groupring.expansion_coords).  Coordinates are raw payloads.
+    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M, and coordinates come from
+    products of Pascal rows (groupring.expansion_coords); for Z_m it is all
+    of kG with the basis u^s = (t - 1)^s, s < m, of valuation s below e and
+    INF from e on, and coordinates are the Taylor coefficients at t = 1 (see
+    groupring._CyclicFiltration).  Coordinates are raw payloads.
 
-    `mult_columns` gives multiplication by an element as sparse columns,
-    with one reduction of the element on Z^n (column alpha is its
-    coordinates shifted by alpha, cut at degree M) and on Z_{p^r} in
-    characteristic p, where e = m and the matrix is lower-triangular Toeplitz
-    in the basis (t - 1)^s; for other Z_m (e < m) it takes one coordinate
-    reading per basis column.
+    `mult_columns` gives multiplication by an element as sparse columns from
+    one reduction of the element: on Z^n column alpha is its coordinates
+    shifted by alpha, cut at degree M; on Z_m column s + 1 is column s
+    shifted up by one, with the coefficient shifted past u^(m-1) folded back
+    through u^m = -sum_{0<k<m} C(m, k) u^k (no fold when e = m, the
+    Reznikov case, where the matrix is lower-triangular Toeplitz).
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
@@ -201,21 +202,18 @@ class FiltrationModel:
             return [{self.index[tuple(map(operator.add, alpha, beta))]: x
                      for beta, v, x in nonzero if v + da < self.M}
                     for alpha, da in zip(self.monomials, self.vals)]
-        m = self.group.m
-        if self._filt.e == m:
-            # kZ_m = k[u]/(u^m), u = t - 1: u^s * elem = sum_k c_k u^(s+k), with
-            # c_k the Taylor coefficients of elem at 1 (lower-triangular Toeplitz)
-            taylor = [(k, x) for k, x in enumerate(self.reduce(elem)) if x]
-            return [{s + k: x for k, x in taylor if s + k < m} for s in range(m)]
-        # multiply each basis vector in monomial coordinates, read adapted ones
-        cols, zero = [], self.field._of_int(0)
-        for vec in self._filt.adapted:
-            prod = [zero] * m
-            for key, coeff in elem.terms.items():
-                for j, y in enumerate(vec):
-                    if y:
-                        prod[(j + key) % m] = add(prod[(j + key) % m], mul(y, coeff.value))
-            cols.append({i: x for i, x in enumerate(self._filt.coords(prod)) if x})
+        # u^(s+1) * elem = u * (u^s * elem): shift up one, and fold the top
+        # coefficient back in through u^m = sum of the fold terms
+        m, fold = self.group.m, self._filt.fold
+        cols = [{k: x for k, x in enumerate(self.reduce(elem)) if x}]
+        while len(cols) < m:
+            top = cols[-1].get(m - 1)
+            col = {k + 1: x for k, x in cols[-1].items() if k < m - 1}
+            if top and fold:
+                for k, f in fold:
+                    col[k] = add(col[k], mul(top, f)) if k in col else mul(top, f)
+                col = {k: x for k, x in col.items() if x}
+            cols.append(col)
         return cols
 
 

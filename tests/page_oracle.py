@@ -15,9 +15,11 @@ dense multiplication matrix `mult_matrix` and `boundary_matrix` are the ones
 
 The model coordinates come from here too, on FieldElem: the expansion
 coefficients of Z^n one binomial at a time (`expansion_coefficient`), and on
-Z_m the synthetic division by t - 1 (`cyclic_coords`) in an adapted basis the
-oracle builds itself.  `ess` reads the same coordinates off Pascal rows and
-raw payloads.
+Z_m the Taylor coefficients at 1 in closed form (`cyclic_coords`), in the
+basis of powers of t - 1 that the oracle builds itself (`adapted_basis`) and
+multiplies in monomial coordinates.  `ess` reads the same coordinates off
+Pascal rows, synthetic division and raw payloads, and multiplies by a shift
+and a fold.
 
 Last come the dense routes to the canonical d^1: `homology_data`,
 `d1_matrix`, `d1_closed_form` and `jordan_square_annihilates` as `ess.pages`
@@ -61,31 +63,22 @@ def expansion_coefficient(a: GroupRingElem, beta: tuple):
     return acc
 
 
-def adapted_basis(field, m: int, e: int):
-    """Monomial coordinates of (t - 1)^s, s < e, then t^j (t - 1)^e, j < m - e."""
-    def shifted_power(j, s):
+def adapted_basis(field, m: int):
+    """Monomial coordinates of (t - 1)^s, s < m."""
+    def power(s):
         v = [field.zero()] * m
         for k in range(s + 1):
-            v[j + k] = field.from_int((-1) ** (s - k) * math.comb(s, k))
+            v[k] = field.from_int((-1) ** (s - k) * math.comb(s, k))
         return v
-    return [shifted_power(0, s) for s in range(e)] + [shifted_power(j, e) for j in range(m - e)]
+    return [power(s) for s in range(m)]
 
 
-def cyclic_coords(field, e: int, vec):
-    """Adapted coordinates of a FieldElem vector of monomial coordinates: e
-    synthetic divisions by t - 1 leave the Taylor coefficients at 1 as
-    remainders, and the last quotient holds the core coordinates."""
-    rest = list(vec)
-    taylor = []
-    for _ in range(e):
-        acc = field.zero()
-        quotient = [None] * (len(rest) - 1)
-        for k in range(len(rest) - 1, 0, -1):
-            acc = acc + rest[k]
-            quotient[k - 1] = acc
-        taylor.append(acc + rest[0])
-        rest = quotient
-    return taylor + rest
+def cyclic_coords(field, vec):
+    """Coordinates in the basis (t - 1)^k of a FieldElem vector of monomial
+    coordinates: the Taylor coefficients at 1, coordinate k of sum a_j t^j
+    being sum a_j C(j, k)."""
+    return [sum((a * field.from_int(math.comb(j, k)) for j, a in enumerate(vec)),
+                field.zero()) for k in range(len(vec))]
 
 
 def reduce(model, elem):
@@ -93,7 +86,7 @@ def reduce(model, elem):
     if model.group.kind == "free_abelian":
         return [expansion_coefficient(elem, beta) for beta in model.monomials]
     vec = [elem.terms.get(j, model.field.zero()) for j in range(model.group.m)]
-    return cyclic_coords(model.field, model._filt.e, vec)
+    return cyclic_coords(model.field, vec)
 
 
 def mult_matrix(model, elem):
@@ -114,7 +107,7 @@ def mult_matrix(model, elem):
         return out
     # cyclic: multiply in monomial coordinates, read adapted coordinates
     m = model.group.m
-    basis = adapted_basis(field, m, model._filt.e)
+    basis = adapted_basis(field, m)
     for col in range(n):
         vec_mono = basis[col]
         prod = linalg.zeros(field, m)
@@ -122,7 +115,7 @@ def mult_matrix(model, elem):
             for j in range(m):
                 if not vec_mono[j].is_zero():
                     prod[(j + key) % m] = prod[(j + key) % m] + vec_mono[j] * coeff
-        img = cyclic_coords(field, model._filt.e, prod)
+        img = cyclic_coords(field, prod)
         for i in range(n):
             out[i][col] = img[i]
     return out

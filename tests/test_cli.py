@@ -175,6 +175,31 @@ def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     assert err.startswith("error: ") and err[len("error: "):].strip()
 
 
+_ONE_GENERATOR = dict(_ONE_CELL, nu={"x": 1})
+
+
+@pytest.mark.parametrize("doc", [
+    {"presentation": 5},
+    {"presentation": dict(_ONE_GENERATOR, generators=None)},
+    {"presentation": dict(_ONE_GENERATOR, nu="x")},
+    {"presentation": dict(_ONE_GENERATOR, relators=[1])},
+    {"presentation": _ONE_GENERATOR, "extra_cells": 5},
+    {"presentation": _ONE_GENERATOR, "extra_cells": [{"degree": 2, "matrix": [[1]]}]},
+    {"matrices": {"dims": [1, 1], "boundaries": [[[1]]]}},
+    {"matrices": {"dims": [1, 1], "boundaries": [[[["t"]]]]}},
+], ids=["presentation-not-object", "generators-null", "nu-string", "relator-int",
+        "extra-cells-int", "extra-cell-entry-int", "matrix-entry-int", "matrix-entry-list"])
+def test_wrongly_typed_document_exits_2_without_traceback(doc, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"field": "Q", "group": "Z", **doc}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "ess.cli", "validate", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INPUT, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_pages_needs_field(capsys):
     code, _, err = run(["pages", "--builtin", "trefoil"], capsys)
     assert code == cli.EXIT_INPUT

@@ -81,6 +81,9 @@ CASES = {
                               "Zmod:25", "--field", "Fp:5", "--S", "24"],
     "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
                              "--field", "Fp:2"],
+    # 1 < e = 5 < m = 30, so u^30 folds back onto nonzero lower powers mod 5
+    "pages-figure8-Z30-Fp5": ["pages", "--builtin", "figure8", "--group-quotient", "Zmod:30",
+                              "--field", "Fp:5", "--S", "6"],
     # the page engine over Q(zeta_3), Z_m over Q (e = 1 < m), and Z_{p^r}
     # in characteristic p with the default window
     "pages-torus2-cyc3-R2S2": ["pages", "--builtin", "torus2", "--field", "cyclotomic:3"]

@@ -211,7 +211,12 @@ def test_cyclic_filtration_against_spanning_sets(field):
             dim_next = dims[min(s + 1, len(dims) - 1)]
             assert gr_dimension(G, field, s) == dim_s - dim_next, (m, s)
         filt = cyclic_filtration(m, field)
-        vecs = [[FieldElem(field, x) for x in vec] for vec in filt.adapted]
+        # the basis u^i = (t - 1)^i, i < m, in monomial coordinates
+        u = GroupRingElem.monomial(G, field, 1) - GroupRingElem.one(G, field)
+        power, vecs = GroupRingElem.one(G, field), []
+        for _ in range(m):
+            vecs.append([power.terms.get(j, field.zero()) for j in range(m)])
+            power = power * u
         vecs += [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(4)]
         for i, vec in enumerate(vecs):
             expected = _brute_valuation(field, spans, dims, vec)
@@ -245,11 +250,21 @@ def test_gr_piece_sizes_match():
     for s in range(4):
         piece = GrPiece(G2, Q, s)
         assert piece.dimension == gr_dimension(G2, Q, s)
-    F3 = FieldDescriptor.prime_field(3)
-    C3 = GroupDescriptor.cyclic(3)
-    for s in range(4):
-        piece = GrPiece(C3, F3, s)
-        assert piece.dimension == gr_dimension(C3, F3, s)
+    # on Z_m, gr^s is spanned by (t - 1)^s, of valuation s, for s < e and is
+    # zero from e on
+    F2, F3 = FieldDescriptor.prime_field(2), FieldDescriptor.prime_field(3)
+    for m, field, e in ((3, F3, 3), (9, F3, 9), (12, F2, 4), (6, Q, 1)):
+        G = GroupDescriptor.cyclic(m)
+        u = GroupRingElem.monomial(G, field, 1) - GroupRingElem.one(G, field)
+        power = GroupRingElem.one(G, field)
+        for s in range(m + 2):
+            piece = GrPiece(G, field, s)
+            assert piece.dimension == gr_dimension(G, field, s), (m, s)
+            if s < e:
+                assert piece.basis == [power] and j_valuation(power) == s, (m, s)
+            else:
+                assert piece.basis == [], (m, s)
+            power = power * u
 
 
 def test_parse_format_roundtrip():

@@ -18,7 +18,7 @@ from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor, FieldElem
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
 from ess.groupring import GroupDescriptor, GroupRingElem, cyclic_filtration, pascal_row
-from ess.pages import (FiltrationModel, PageComputation, _k_rank, d1_closed_form,
+from ess.pages import (FiltrationModel, PageComputation, _apply, _k_rank, d1_closed_form,
                        homology_data, jordan_square_annihilates)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
 
@@ -125,9 +125,10 @@ def _nonzero_columns(dense, ncols):
             for j in range(ncols)]
 
 
-# Z_{p^r} in characteristic p (e = m, the Toeplitz branch) and Z_m with e < m
+# Z_{p^r} in characteristic p (e = m, no fold) and Z_m with e < m
 _REZNIKOV = [(2, "F2"), (4, "F2"), (8, "F2"), (3, "F3"), (9, "F3")]
-_NOT_NILPOTENT = [(6, "F2"), (12, "F2"), (6, "F3"), (3, "F2"), (4, "Q"), (6, "Q")]
+_NOT_NILPOTENT = [(6, "F2"), (12, "F2"), (6, "F3"), (3, "F2"), (4, "Q"), (6, "Q"),
+                  (18, "F3")]
 
 
 @st.composite
@@ -154,6 +155,20 @@ def test_sparse_multiplication_matches_dense_oracle(case):
     cols = model.mult_columns(elem)
     assert all(x for col in cols for x in col.values())
     assert cols == _nonzero_columns(mult_matrix(model, elem), model.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m_field=st.sampled_from(_REZNIKOV + _NOT_NILPOTENT), data=st.data())
+def test_cyclic_multiplication_composes(m_field, data):
+    """v -> v * (a * b) is v -> v * a followed by v -> v * b, so the shift
+    and fold agree with the ring structure of kZ_m."""
+    m, fname = m_field
+    model = FiltrationModel(GroupDescriptor.cyclic(m), FIELDS[fname], 1)
+    terms = st.lists(st.tuples(st.tuples(st.integers(0, m - 1)), st.integers(-2, 2)),
+                     max_size=4)
+    a, b = (_element(model.group, model.field, data.draw(terms)) for _ in range(2))
+    after_a, by_b = model.mult_columns(a), model.mult_columns(b)
+    assert model.mult_columns(a * b) == [_apply(model.field, by_b, col) for col in after_a]
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,10 +257,11 @@ def test_raw_cyclic_coordinates_match_fieldelem_oracle(case, entries):
     m, fname = case
     field = FIELDS[fname]
     filt = cyclic_filtration(m, field)
-    oracle_basis = page_oracle.adapted_basis(field, m, filt.e)
-    assert filt.adapted == [[x.value for x in vec] for vec in oracle_basis]
+    zero, one = field._of_int(0), field._of_int(1)
+    for s, vec in enumerate(page_oracle.adapted_basis(field, m)):
+        assert filt.coords([x.value for x in vec]) == [one if k == s else zero for k in range(m)]
     vec = [field.from_int(a) for a in entries[:m]]
-    expected = page_oracle.cyclic_coords(field, filt.e, vec)
+    expected = page_oracle.cyclic_coords(field, vec)
     assert filt.coords([x.value for x in vec]) == [x.value for x in expected]
 
 
