@@ -477,31 +477,3 @@ def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:
     filt = cyclic_filtration(group.m, field)
     return filt.dim(s) - filt.dim(s + 1)
 
-
-class GrPiece:
-    """gr^s_J(kG): dimension plus an ordered list of representatives, the
-    products of (t_i - 1) of total degree s; on Z_m, (t - 1)^s when s < e."""
-
-    def __init__(self, group, field, s):
-        self.group = group
-        self.field = field
-        self.s = s
-        if group.kind == "free_abelian":
-            self.monomials = monomials_of_degree(group.n, s)
-        else:
-            self.monomials = [(s,)] if s < cyclic_filtration(group.m, field).e else []
-        self.basis = [_x_power(group, field, alpha) for alpha in self.monomials]
-        self.dimension = len(self.basis)
-        assert self.dimension == gr_dimension(group, field, s)
-
-
-def _x_power(group, field, alpha):
-    """The product (t_1 - 1)^a_1 ... (t_n - 1)^a_n as a GroupRingElem; on
-    Z_m, alpha = (a,) and the product is (t - 1)^a."""
-    out = GroupRingElem.one(group, field)
-    for i, a in enumerate(alpha):
-        ti = 1 if group.kind == "cyclic" else tuple(int(j == i) for j in range(group.n))
-        base = GroupRingElem.monomial(group, field, ti) - GroupRingElem.one(group, field)
-        for _ in range(a):
-            out = out * base
-    return out

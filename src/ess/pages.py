@@ -9,14 +9,18 @@ assumed).
 
 Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
-(Zomorodian-Carlsson); E^1 is checked against dim gr^s(kG) * b_q(X, k).  The
-truncated boundary is assembled as sparse columns straight from the sparse
-multiplication of FiltrationModel (on Z_m, in the basis of powers of
-u = t - 1, one shift and fold per column); no dense matrix is stored.  Every
-elimination over k in the package (the pairs, the homology bases, d^1 and the
-J^2 check) reduces such columns in the one sparse column echelon `Echelon`.
-All of it runs on raw payloads through the descriptor's payload table;
-FieldElem is built only for returned results.
+(Zomorodian-Carlsson), run from the top degree down with clearing (Chen-Kerber):
+a pivot row of d_{q+1} is a column of d_q that reduces to zero, so it is never
+reduced.  E^1 is checked against dim gr^s(kG) * b_q(X, k).  The truncated
+boundary is assembled as sparse columns straight from the sparse
+multiplication of FiltrationModel (on Z^n through a per-model cache of
+monomial products, on Z_m in the basis of powers of u = t - 1, one shift and
+fold per column); no dense matrix is stored.  Every elimination over k in the
+package (the pairs, the homology bases, d^1 and the J^2 check) reduces such
+columns in the one sparse column echelon `Echelon`, which stores columns
+unscaled and divides out a pivot only when it uses the column.  All of it
+runs on raw payloads through the descriptor's payload table; FieldElem is
+built only for returned results.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -45,11 +49,12 @@ class Echelon:
 
     Columns are {row: nonzero raw payload} dicts, combined through the
     field's payload table; a column's pivot is its largest row.  Columns
-    passed in are reduced in place, and `add` stores a copy scaled to entry 1
-    at the pivot.  A column added with a label also records its combination
-    of the labelled inputs, and if it reduces to zero, the relation e_label -
-    (that combination) goes to `relations`.  Unlabelled columns record
-    nothing: added first, they make the combinations hold modulo their span.
+    passed in are reduced in place, and `add` stores the reduced column itself,
+    unscaled: its pivot entry is divided out only when `reduce` uses it.  A
+    column added with a label also records its combination of the labelled
+    inputs, and if it reduces to zero, the relation e_label - (that
+    combination) goes to `relations`.  Unlabelled columns record nothing:
+    added first, they make the combinations hold modulo their span.
     """
 
     def __init__(self, field: FieldDescriptor):
@@ -69,7 +74,7 @@ class Echelon:
             other = owner.get(low)
             if other is None:
                 return low
-            f = col[low]
+            f = mul(col[low], field._inv(other[low]))
             nf = field._neg(f)
             for k, y in other.items():
                 z = mul(nf, y)  # nonzero, a product of nonzeros in a field
@@ -85,7 +90,8 @@ class Echelon:
         return None
 
     def add(self, col, label=None):
-        """Store col reduced; return its pivot, or None if it was dependent."""
+        """Store col reduced (col itself, unscaled); return its pivot, or
+        None if it was dependent."""
         field = self.field
         coords = None if label is None else {}
         low = self.reduce(col, coords)
@@ -96,10 +102,9 @@ class Echelon:
             if coords is not None:
                 self.relations.append(coords)
             return None
-        inv, mul = field._inv(col[low]), field._mul
-        self.owner[low] = {k: mul(y, inv) for k, y in col.items()}
+        self.owner[low] = col
         if coords is not None:
-            self.combo[low] = {k: mul(y, inv) for k, y in coords.items()}
+            self.combo[low] = coords
         return low
 
 
@@ -158,10 +163,12 @@ class FiltrationModel:
 
     `mult_columns` gives multiplication by an element as sparse columns from
     one reduction of the element: on Z^n column alpha is its coordinates
-    shifted by alpha, cut at degree M; on Z_m column s + 1 is column s
-    shifted up by one, with the coefficient shifted past u^(m-1) folded back
-    through u^m = -sum_{0<k<m} C(m, k) u^k (no fold when e = m, the
-    Reznikov case, where the matrix is lower-triangular Toeplitz).
+    shifted by alpha, cut at degree M, through `products`, which lists for
+    each beta met so far the pairs (alpha, alpha + beta) of basis indices; on
+    Z_m column s + 1 is column s shifted up by one, with the coefficient
+    shifted past u^(m-1) folded back through u^m = -sum_{0<k<m} C(m, k) u^k
+    (no fold when e = m, the Reznikov case, where the matrix is
+    lower-triangular Toeplitz).
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
@@ -175,6 +182,7 @@ class FiltrationModel:
             self.index = {m: i for i, m in enumerate(self.monomials)}
             self.vals = [sum(m) for m in self.monomials]
             self.dim = len(self.monomials)
+            self.products = {}  # beta index -> [(alpha index, alpha + beta index)]
             self._filt = None
         else:
             self._filt = cyclic_filtration(group.m, field)
@@ -197,11 +205,12 @@ class FiltrationModel:
         add, mul = self.field._add, self.field._mul
         if self.group.kind == "free_abelian":
             # x^alpha * x^beta = x^(alpha + beta), cut at degree M
-            nonzero = [(beta, v, x) for beta, v, x in
-                       zip(self.monomials, self.vals, self.reduce(elem)) if x]
-            return [{self.index[tuple(map(operator.add, alpha, beta))]: x
-                     for beta, v, x in nonzero if v + da < self.M}
-                    for alpha, da in zip(self.monomials, self.vals)]
+            cols = [{} for _ in range(self.dim)]
+            for b, x in enumerate(self.reduce(elem)):
+                if x:
+                    for a, ab in self._products(b):
+                        cols[a][ab] = x
+            return cols
         # u^(s+1) * elem = u * (u^s * elem): shift up one, and fold the top
         # coefficient back in through u^m = sum of the fold terms
         m, fold = self.group.m, self._filt.fold
@@ -215,6 +224,16 @@ class FiltrationModel:
                 col = {k: x for k, x in col.items() if x}
             cols.append(col)
         return cols
+
+    def _products(self, b):
+        """The pairs (alpha, alpha + beta) with |alpha + beta| < M for the
+        Z^n basis index b of beta, built the first time beta occurs."""
+        if b not in self.products:
+            beta = self.monomials[b]
+            self.products[b] = [(a, self.index[tuple(map(operator.add, alpha, beta))])
+                                for a, alpha in enumerate(
+                                    self.monomials[:self.offset(self.M - self.vals[b])])]
+        return self.products[b]
 
 
 class PageTable:
@@ -321,12 +340,16 @@ class PageComputation:
 
     # -- persistence pairs -----------------------------------------------------
 
-    def _pairs(self, q: int):
+    def _pairs(self, q: int, cleared=()):
         """Persistence pairs (i, j) of the boundary V_q -> V_{q-1}: column j
         reduces to pivot row i.
 
         Both bases are ordered by descending valuation, ties by index, so every
         F^s is a prefix; a column's pivot is its nonzero row that comes last.
+        The columns in `cleared`, pivot rows of d_{q+1}, are skipped: each one
+        reduces to zero (clearing).  If reduced column c of d_{q+1} has pivot
+        row i, then d_q c = 0 writes d_q e_i through the columns of d_q before
+        it, since V_q has the same order as rows of d_{q+1} and columns of d_q.
         """
         vals = self.model.vals
         nsrc, ndst = self.C.dims[q], self.C.dims[q - 1]
@@ -334,7 +357,8 @@ class PageComputation:
         if not rows or not cols:
             return []
         row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
-        col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
+        col_order = sorted((g for g in range(cols) if g not in cleared),
+                           key=lambda g: (-vals[g // nsrc], g))
         pos = {i: k for k, i in enumerate(row_order)}
         bt = self.boundary_matrix(q)
         ech = Echelon(self.field)
@@ -361,9 +385,10 @@ class PageComputation:
             inner = table.setdefault(key, {})
             inner[spot] = inner.get(spot, 0) + 1
 
+        # top down, so paired[q] holds the pivot rows of d_{q+1} to clear
         paired = [set() for _ in range(self.Q + 1)]
-        for q in range(1, self.Q + 1):
-            for i, j in self._pairs(q):
+        for q in range(self.Q, 0, -1):
+            for i, j in self._pairs(q, paired[q]):
                 paired[q].add(j)
                 paired[q - 1].add(i)
                 # the interval piece x -> dx, column at b and pivot row at

@@ -21,6 +21,9 @@ multiplies in monomial coordinates.  `ess` reads the same coordinates off
 Pascal rows, synthetic division and raw payloads, and multiplies by a shift
 and a fold.
 
+`uncleared_pairs` is the persistence reduction of one degree as `ess.pages`
+ran it before clearing: every column of d_q is reduced, none is skipped.
+
 Last come the dense routes to the canonical d^1: `homology_data`,
 `d1_matrix`, `d1_closed_form` and `jordan_square_annihilates` as `ess.pages`
 computed them on the dense `linalg_oracle` elimination, before they moved
@@ -35,7 +38,7 @@ import math
 import linalg_oracle as linalg
 from ess.errors import CrossCheckError
 from ess.groupring import GroupRingElem
-from ess.pages import FiltrationModel, PageComputation
+from ess.pages import Echelon, FiltrationModel, PageComputation
 
 
 def _binomial(a: int, k: int) -> int:
@@ -143,6 +146,27 @@ def boundary_matrix(comp, q: int):
                         if not x.is_zero():
                             mat[bp * ndst + i][b * nsrc + j] = x
     return mat
+
+
+def uncleared_pairs(comp, q: int):
+    """Persistence pairs (i, j) of d_q of a PageComputation with every column
+    reduced: column j reduces to pivot row i, in the order of _pairs."""
+    vals = comp.model.vals
+    nsrc, ndst = comp.C.dims[q], comp.C.dims[q - 1]
+    rows, cols = comp.vdim(q - 1), comp.vdim(q)
+    if not rows or not cols:
+        return []
+    row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
+    col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
+    pos = {i: k for k, i in enumerate(row_order)}
+    bt = comp.boundary_matrix(q)
+    ech = Echelon(comp.field)
+    pairs = []
+    for j in col_order:
+        low = ech.add({pos[i]: x for i, x in bt[j].items()})
+        if low is not None:
+            pairs.append((row_order[low], j))
+    return pairs
 
 
 class OraclePages:

@@ -69,6 +69,10 @@ CASES = {
        for window in WINDOWS},
     "pages-torus3-Q-R5S5": ["pages", "--builtin", "torus3", "--field", "Q",
                             "--R", "5", "--S", "5"],
+    # the pivots of d_3 and d_2 clear columns of d_2 and d_1, over F_3 with no
+    # rational arithmetic
+    "pages-torus3-Fp3-R8S8": ["pages", "--builtin", "torus3", "--field", "Fp:3",
+                              "--R", "8", "--S", "8"],
     "pages-zxf2-Z-Q-R4S4": ["pages", "--builtin", "zxf2", "--group-quotient", "Z",
                             "--field", "Q", "--R", "4", "--S", "4"],
     # the Reznikov path over its whole filtration, and Z_12 in characteristic

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import linalg_oracle as linalg
 from ess.coeffs import FieldDescriptor, FieldElem
 from ess.errors import InputError
-from ess.groupring import (GroupDescriptor, GroupRingElem, GrPiece,
-                           augmentation, cyclic_filtration, format_element,
-                           gr_dimension, j_valuation, parse_element)
+from ess.groupring import (GroupDescriptor, GroupRingElem, augmentation,
+                           cyclic_filtration, format_element, gr_dimension,
+                           j_valuation, monomials_of_degree, parse_element)
 
 Q = FieldDescriptor.rationals()
 GZ = GroupDescriptor.free_abelian(1)
@@ -244,6 +244,35 @@ def _cyclic_pairs(draw):
 def test_cyclic_j_valuation_superadditive(pair):
     a, b = pair
     assert j_valuation(a * b) >= j_valuation(a) + j_valuation(b)
+
+
+class GrPiece:
+    """gr^s_J(kG): dimension plus an ordered list of representatives, the
+    products of (t_i - 1) of total degree s; on Z_m, (t - 1)^s when s < e."""
+
+    def __init__(self, group, field, s):
+        self.group = group
+        self.field = field
+        self.s = s
+        if group.kind == "free_abelian":
+            self.monomials = monomials_of_degree(group.n, s)
+        else:
+            self.monomials = [(s,)] if s < cyclic_filtration(group.m, field).e else []
+        self.basis = [_x_power(group, field, alpha) for alpha in self.monomials]
+        self.dimension = len(self.basis)
+        assert self.dimension == gr_dimension(group, field, s)
+
+
+def _x_power(group, field, alpha):
+    """The product (t_1 - 1)^a_1 ... (t_n - 1)^a_n as a GroupRingElem; on
+    Z_m, alpha = (a,) and the product is (t - 1)^a."""
+    out = GroupRingElem.one(group, field)
+    for i, a in enumerate(alpha):
+        ti = 1 if group.kind == "cyclic" else tuple(int(j == i) for j in range(group.n))
+        base = GroupRingElem.monomial(group, field, ti) - GroupRingElem.one(group, field)
+        for _ in range(a):
+            out = out * base
+    return out
 
 
 def test_gr_piece_sizes_match():

@@ -18,8 +18,8 @@ from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor, FieldElem
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
 from ess.groupring import GroupDescriptor, GroupRingElem, cyclic_filtration, pascal_row
-from ess.pages import (FiltrationModel, PageComputation, _apply, _k_rank, d1_closed_form,
-                       homology_data, jordan_square_annihilates)
+from ess.pages import (Echelon, FiltrationModel, PageComputation, _apply, _k_rank,
+                       d1_closed_form, homology_data, jordan_square_annihilates)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
 
 FIELDS = {
@@ -116,6 +116,41 @@ def small_complexes(draw):
 @given(C=small_complexes(), R=st.integers(1, 3), S=st.integers(0, 2))
 def test_random_complex_pages_match_oracle(C, R, S):
     assert_engines_agree(C, R, S)
+
+
+def assert_clearing_keeps_pairs(comp):
+    """Top down, each degree cleared by the pivot rows of the one above (as
+    _barcode runs it), gives the uncleared pairs in every degree and the same
+    barcode; returns how many columns clearing skipped."""
+    cleared, skipped = set(), 0
+    for q in range(comp.Q, 0, -1):
+        pairs = comp._pairs(q, cleared)
+        assert set(pairs) == set(page_oracle.uncleared_pairs(comp, q)), q
+        skipped += len(cleared) if comp.vdim(q - 1) else 0
+        cleared = {i for i, _ in pairs}
+    uncleared = PageComputation(comp.C, R_max=comp.R_max, S_max=comp.S_max)
+    uncleared._pairs = lambda q, cleared=(): page_oracle.uncleared_pairs(uncleared, q)
+    assert comp._barcode() == uncleared._barcode()
+    return skipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_complexes(), R=st.integers(1, 3), S=st.integers(0, 2))
+def test_clearing_keeps_pairs_and_barcode(C, R, S):
+    assert_clearing_keeps_pairs(PageComputation(C, R_max=R, S_max=S))
+
+
+def test_clearing_skips_columns_on_torus3(monkeypatch):
+    """Clearing skips columns, and the reduction stores or drops only the
+    others."""
+    comp = PageComputation(change_field(builtin_complex("torus3"), FIELDS["Q"]), 4, 4)
+    skipped = assert_clearing_keeps_pairs(comp)
+    added, add = [], Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda self, col, label=None:
+                        added.append(col) or add(self, col, label))
+    comp._barcode()
+    reduced = sum(comp.vdim(q) for q in range(1, comp.Q + 1) if comp.vdim(q - 1))
+    assert skipped > 0 and len(added) == reduced - skipped
 
 
 def _nonzero_columns(dense, ncols):

@@ -117,6 +117,20 @@ def test_torus_duality_with_cup_product():
     assert col == [-1, 1]
 
 
+def test_product_cache_holds_only_the_betas_that_occur():
+    """The Z^n product cache grows by the monomials of the boundary entries,
+    never to a dim x dim table."""
+    comp = PageComputation(change_field(builtin_complex("torus3"), Q), R_max=6, S_max=6)
+    model = comp.model
+    assert model.M == 12
+    for q in range(comp.Q + 2):
+        comp.boundary_matrix(q)
+    betas = {b for q in range(1, comp.Q + 1) for row in comp.C.boundary(q) for a in row
+             if not a.is_zero() for b, x in enumerate(model.reduce(a)) if x}
+    assert set(model.products) == betas
+    assert 0 < len(betas) <= model.dim // 50
+
+
 def test_window_stability():
     for name in ("torus2", "zxf2", "trefoil"):
         C = change_field(builtin_complex(name), Q)
