@@ -7,14 +7,13 @@ unity; and machine-checked instances of the modular bound theorems.
 """
 
 from .aomoto import AomotoData, aomoto_betti, aomoto_specialize, universal_aomoto
-from .coeffs import (FieldDescriptor, FieldElem, LaurentRing, cyclotomic_polynomial,
-                     rank_exact)
+from .coeffs import FieldDescriptor, LaurentRing, cyclotomic_polynomial, rank_exact
 from .complexes import (Epimorphism, EquivariantComplex, FreeWord, GroupHom,
                         Presentation, base_change, betti_numbers, change_field,
                         complex_from_matrices, fox_derivative, parse_document,
                         presentation_complex)
-from .groupring import (GroupDescriptor, GroupRingElem, augmentation, gr_dimension,
-                        j_valuation, parse_element)
+from .groupring import (GroupDescriptor, GroupRingElem, gr_dimension, j_valuation,
+                        parse_element)
 from .modz import (LaurentModuleDecomp, SNFResult, einf_gr_module,
                    homology_decomposition, integral_torsion_check,
                    monodromy_report, smith_normal_form)

@@ -9,7 +9,7 @@ complex (transpose of the mod-J^2 boundary matrices).
 
 from __future__ import annotations
 
-from .coeffs import FieldElem, rank_exact
+from .coeffs import rank_exact
 from .errors import (InputError, MinimalityError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -147,7 +147,7 @@ def universal_aomoto(C) -> UniversalAomoto:
             c = coords[idx]
             if c:
                 # the degree-1 monomial tuple for x_i is the exponent key of e_i
-                terms[model.monomials[idx]] = FieldElem(field, c)
+                terms[model.monomials[idx]] = c
         return GroupRingElem(sym, field, terms)
 
     matrices = []
@@ -159,18 +159,14 @@ def universal_aomoto(C) -> UniversalAomoto:
 
 
 def aomoto_specialize(U: UniversalAomoto, z) -> AomotoData:
-    """Evaluate the universal complex at e_i -> z_i and take Betti numbers."""
+    """Evaluate the universal complex at e_i -> z_i (ints or Fractions) and
+    take Betti numbers."""
     if len(z) != U.n:
         raise InputError(f"direction vector needs length {U.n}")
     field = U.field
-    zvals = [x if isinstance(x, FieldElem) else field.from_int(x) for x in z]
-    ranks = []
-    for D in U.matrices:
-        if not D or not D[0]:
-            ranks.append(0)
-            continue
-        mat = [[_eval_linear(e, zvals, field) for e in row] for row in D]
-        ranks.append(rank_exact(mat))
+    zvals = [field.from_fraction(x) for x in z]
+    ranks = [rank_exact(field, [[_eval_linear(e, zvals, field) for e in row] for row in D])
+             for D in U.matrices]
     beta = []
     for q in range(len(U.dims)):
         r_in = ranks[q - 1] if q >= 1 else 0
@@ -179,12 +175,13 @@ def aomoto_specialize(U: UniversalAomoto, z) -> AomotoData:
     return AomotoData(beta, ranks, route="linearization")
 
 
-def _eval_linear(elem: GroupRingElem, zvals, field) -> FieldElem:
-    acc = field.zero()
+def _eval_linear(elem: GroupRingElem, zvals, field):
+    """The payload of elem at e_i -> zvals[i]."""
+    add, mul = field._add, field._mul
+    acc = field._of_int(0)
     for key, coeff in elem.terms.items():
-        term = coeff
         for v, e in zip(zvals, key):
             for _ in range(e):
-                term = term * v
-        acc = acc + term
+                coeff = mul(coeff, v)
+        acc = add(acc, coeff)
     return acc

@@ -12,9 +12,10 @@ primes ell = 1 (mod d) until a norm bound certifies the largest one; the
 twisted Betti numbers evaluate t at zeta_d into it.  `LaurentRing` is
 k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs on
 it and the Alexander polynomial takes its minors and gcds in it.
-`rank_exact` never computes with FieldElem: over Q it runs fraction-free
-Bareiss on integer rows and over F_p it eliminates residues.  No floating
-point anywhere.
+
+Every scalar is a raw payload of its descriptor (see `FieldDescriptor`);
+`rank_exact` runs fraction-free Bareiss on integer-scaled rows over Q and
+eliminates residues over F_p.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (CoefficientError, DescriptorMismatch, InputError,
-                     UnsupportedCoefficients)
+from .errors import CoefficientError, InputError, UnsupportedCoefficients
 
 
 # Miller-Rabin on the first 12 primes as bases is exact for every n below
@@ -133,7 +133,7 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Field descriptors and elements
+# Field descriptors
 # ---------------------------------------------------------------------------
 
 _Q, _FP, _CYC, _Z = "Q", "Fp", "cyclotomic", "Z"
@@ -149,9 +149,9 @@ class FieldDescriptor:
     table: it is computed over Q and differs from Q only in its label.  The
     payload table _add, _neg, _mul, _inv and _of_int (the payload of an int)
     is bound once per kind: operator.* over Q and Z, residues mod p over F_p.
-    FieldElem and the page engine compute through it (LaurentRing reduces int
-    coefficients itself); every payload is a number, zero exactly when it is
-    falsy.
+    GroupRingElem and the page engine compute through it (LaurentRing
+    reduces int coefficients itself); every payload is a number, zero exactly
+    when it is falsy, and `from_fraction` is the one coercion into it.
     """
 
     __slots__ = ("kind", "p", "d", "_add", "_neg", "_mul", "_inv", "_of_int")
@@ -234,22 +234,15 @@ class FieldDescriptor:
 
     # -- payload arithmetic --------------------------------------------------
 
-    def from_int(self, v: int) -> "FieldElem":
-        return FieldElem(self, self._of_int(v))
-
-    def from_fraction(self, v: Fraction) -> "FieldElem":
+    def from_fraction(self, v):
+        """The payload of the rational v (an int or a Fraction): the one
+        coercion into this descriptor.  Over Z a non-integral v, and over F_p
+        a denominator divisible by p, raise CoefficientError."""
         if v.denominator == 1:
-            return self.from_int(v.numerator)
+            return self._of_int(v.numerator)
         if self.kind == _Z:
             raise CoefficientError(f"cannot coerce {v} into {self}")
-        num, den = self._of_int(v.numerator), self._of_int(v.denominator)
-        return FieldElem(self, self._mul(num, self._inv(den)))
-
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
+        return self._mul(self._of_int(v.numerator), self._inv(self._of_int(v.denominator)))
 
 
 def _nonzero(a):
@@ -266,99 +259,6 @@ def _z_inv(a):
 
 _RATIONALS = FieldDescriptor(_Q)
 _INTEGERS = FieldDescriptor(_Z)
-
-
-class FieldElem:
-    """An element of Q, F_p, Q(zeta_d), or Z, tied to its descriptor."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldDescriptor, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.field != self.field:
-                raise DescriptorMismatch(
-                    f"mixed coefficient domains {self.field} and {other.field}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field._add(self.value, other.value))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field._neg(self.value))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.field, self.field._mul(self.value, other.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field._inv(self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-        if not isinstance(other, FieldElem):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"{self} in {self.field}"
-
-    def as_fraction(self) -> Fraction:
-        if self.field.kind == _Q:
-            return self.value
-        if self.field.kind == _Z:
-            return Fraction(self.value)
-        raise CoefficientError(f"no canonical rational value in {self.field}")
-
-    def as_int(self) -> int:
-        if self.field.kind == _Z:
-            return self.value
-        if self.field.kind == _Q and self.value.denominator == 1:
-            return self.value.numerator
-        raise CoefficientError(f"{self} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -721,29 +621,10 @@ def cyclotomic_rank(d: int, rows) -> int:
             return best
 
 
-def rank_exact(matrix) -> int:
-    """Exact rank of a matrix of FieldElem sharing one descriptor.
-
-    Over Q (and Z, via the fraction field, and Q(zeta_d), whose entries are
-    rational) rows are scaled to integers and eliminated fraction-free; over
-    F_p the residues are eliminated directly.  No branch computes with
-    FieldElem arithmetic.
-    """
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    field = rows[0][0].field
-    for r in rows:
-        for x in r:
-            if x.field != field:
-                raise DescriptorMismatch("matrix entries over mixed descriptors")
-    return _rank_raw(field, [[x.value for x in r] for r in rows])
-
-
-def _rank_raw(field: FieldDescriptor, rows) -> int:
-    """Exact rank of dense rows of raw Q, Q(zeta_d), Z or F_p payloads: residues are
-    eliminated mod p; rational rows are scaled to integers and eliminated
-    fraction-free."""
+def rank_exact(field: FieldDescriptor, rows) -> int:
+    """Exact rank of dense rows of Q, Q(zeta_d), Z or F_p payloads: residues
+    are eliminated mod p; rational rows (Z through its fraction field) are
+    scaled to integers and eliminated fraction-free."""
     if field.kind == _FP:
         return _rank_mod(rows, field.p)
     int_rows = []

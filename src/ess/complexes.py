@@ -229,7 +229,7 @@ class EquivariantComplex:
         self.integral_boundaries = integral_boundaries
         _check_shapes(field, group, self.dims, boundaries)
         for entry in (boundaries[0][0] if self.top >= 1 else []):
-            if not entry.augmentation().is_zero():
+            if entry.augmentation():
                 raise ValidationError("degree-1 boundary entries must augment to 0")
 
     @property
@@ -249,7 +249,8 @@ class EquivariantComplex:
     # -- specializations ------------------------------------------------------
 
     def epsilon_boundary(self, q: int):
-        """The augmentation specialization of the boundary matrix, over k."""
+        """The augmentation specialization of the boundary matrix: rows of
+        payloads of k."""
         return [[e.augmentation() for e in row] for row in self.boundary(q)]
 
     def epsilon_boundary_int(self, q: int):
@@ -258,7 +259,7 @@ class EquivariantComplex:
             raise UnsupportedCoefficients("complex has no integral shadow")
         if 1 <= q <= self.top:
             mat = self.integral_boundaries[q - 1]
-            return [[e.augmentation().as_int() for e in row] for row in mat]
+            return [[e.augmentation() for e in row] for row in mat]
         rows = self.dims[q - 1] if 0 < q <= self.top + 1 else 0
         cols = self.dims[q] if 0 <= q <= self.top else 0
         return [[0] * cols for _ in range(rows)]
@@ -271,15 +272,11 @@ class EquivariantComplex:
     def nonminimal_entries(self):
         out = []
         for q in range(1, self.top + 1):
-            mat = (
-                self.epsilon_boundary_int(q)
-                if self.integral_boundaries is not None
-                else [[x.as_int() if x.field.kind == "Z" else x for x in row] for row in self.epsilon_boundary(q)]
-            )
+            mat = (self.epsilon_boundary_int(q) if self.integral_boundaries is not None
+                   else self.epsilon_boundary(q))
             for i, row in enumerate(mat):
                 for j, x in enumerate(row):
-                    nz = (x != 0) if isinstance(x, int) else (not x.is_zero())
-                    if nz:
+                    if x:
                         out.append((q, i, j, x))
         return out
 
@@ -313,7 +310,7 @@ def _check_composition(field, group, a, b, q: int):
                 for k1, c1 in x.terms.items():
                     for k2, c2 in y.terms.items():
                         key = (k1 + k2) % m if m else tuple(map(operator.add, k1, k2))
-                        acc[key] = add(acc.get(key, zero), mul(c1.value, c2.value))
+                        acc[key] = add(acc.get(key, zero), mul(c1, c2))
             if any(acc.values()):
                 raise ValidationError(
                     f"composition d_{q} o d_{q + 1} != 0: not a chain complex"
@@ -373,12 +370,10 @@ def _integral_shadow(mats):
     """The same matrices over Z when every coefficient is an integer, else None."""
     for e in (e for mat in mats for row in mat for e in row):
         kind = e.field.kind  # Q and cyclotomic:<d> payloads are Fractions
-        if kind != "Z" and (kind == "Fp" or any(c.value.denominator != 1
-                                                for c in e.terms.values())):
+        if kind != "Z" and (kind == "Fp" or any(c.denominator != 1 for c in e.terms.values())):
             return None
     ZZ = FieldDescriptor.integers()
-    return [[[e.map_coefficients(lambda c: ZZ.from_int(int(c.value)), ZZ) for e in row]
-             for row in mat] for mat in mats]
+    return [[[e.map_coefficients(int, ZZ) for e in row] for row in mat] for mat in mats]
 
 
 def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> EquivariantComplex:
@@ -453,7 +448,7 @@ def _coefficient_map(old: FieldDescriptor, new: FieldDescriptor):
     if old == new:
         return lambda c: c
     if old.kind in ("Z", "Q"):
-        return lambda c: new.from_fraction(c.value)  # ints have a denominator too
+        return new.from_fraction  # int payloads have a denominator too
     raise UnsupportedCoefficients(f"no coefficient map {old} -> {new}")
 
 
@@ -465,8 +460,7 @@ def betti_numbers(C: EquivariantComplex) -> list[int]:
         )
     ranks = [0] * (C.top + 2)
     for q in range(1, C.top + 1):
-        mat = C.epsilon_boundary(q)
-        ranks[q] = rank_exact(mat) if mat and mat[0] else 0
+        ranks[q] = rank_exact(C.field, C.epsilon_boundary(q))
     return [C.dims[q] - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
 
 

@@ -1,19 +1,21 @@
 """Group-ring arithmetic for G = Z^n (Laurent polynomials) and G = Z_m.
 
 Elements are sparse maps from exponent keys to nonzero coefficients; keys are
-length-n integer tuples for Z^n and residues in [0, m) for Z_m.  Iteration is
+length-n integer tuples for Z^n and residues in [0, m) for Z_m, and
+coefficients are the raw payloads of the field descriptor (Fraction over Q
+and Q(zeta_d), a residue in [0, p) over F_p, int over Z).  Iteration is
 always over sorted keys so every downstream matrix is reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
 
-from .coeffs import FieldDescriptor, FieldElem, prime_power
+from .coeffs import FieldDescriptor, prime_power
 from .errors import DescriptorMismatch, InputError
 
 INFINITY = math.inf
@@ -97,22 +99,26 @@ class GroupDescriptor:
 
 
 class GroupRingElem:
-    """Element of kG in canonical sparse form (no zero coefficients stored)."""
+    """Element of kG in canonical sparse form: {key: raw payload of k}, no
+    zero coefficient stored, arithmetic through the descriptor's payload
+    table.  A scalar operand (an int or Fraction) is coerced through
+    `FieldDescriptor.from_fraction`."""
 
     __slots__ = ("group", "field", "terms")
 
     def __init__(self, group, field, terms):
         self.group = group
         self.field = field
+        add = field._add
         clean = {}
         for key, coeff in terms.items():
             key = group.reduce_key(key)
             if key in clean:
-                coeff = clean[key] + coeff
-            if coeff.is_zero():
-                clean.pop(key, None)
-            else:
+                coeff = add(clean[key], coeff)
+            if coeff:
                 clean[key] = coeff
+            else:
+                clean.pop(key, None)
         self.terms = clean
 
     @classmethod
@@ -121,18 +127,16 @@ class GroupRingElem:
 
     @classmethod
     def one(cls, group, field):
-        return cls(group, field, {group.identity_key(): field.one()})
+        return cls(group, field, {group.identity_key(): field._of_int(1)})
 
     @classmethod
     def monomial(cls, group, field, key, coeff=1):
-        if isinstance(coeff, int):
-            coeff = field.from_int(coeff)
-        return cls(group, field, {group.reduce_key(key): coeff})
+        return cls(group, field, {group.reduce_key(key): field.from_fraction(coeff)})
 
     @classmethod
     def from_ints(cls, group, field, ints):
         """The element with integer coefficients given as a {key: int} map."""
-        return cls(group, field, {k: field.from_int(c) for k, c in ints.items() if c})
+        return cls(group, field, {k: field._of_int(c) for k, c in ints.items()})
 
     def _check(self, other):
         if self.group != other.group or self.field != other.field:
@@ -142,15 +146,17 @@ class GroupRingElem:
         if isinstance(other, int):
             other = GroupRingElem.monomial(self.group, self.field, self.group.identity_key(), other)
         self._check(other)
+        add = self.field._add
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, self.field.zero()) + coeff
+            out[key] = add(out[key], coeff) if key in out else coeff
         return GroupRingElem(self.group, self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElem(self.group, self.field, {k: -v for k, v in self.terms.items()})
+        neg = self.field._neg
+        return GroupRingElem(self.group, self.field, {k: neg(v) for k, v in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -158,26 +164,25 @@ class GroupRingElem:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        add, mul, add_keys = self.field._add, self.field._mul, self.group.add_keys
         out = {}
-        zero = self.field.zero()
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = self.group.add_keys(k1, k2)
-                out[key] = out.get(key, zero) + c1 * c2
+                key = add_keys(k1, k2)
+                out[key] = add(out[key], mul(c1, c2)) if key in out else mul(c1, c2)
         return GroupRingElem(self.group, self.field, out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, FieldElem)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.field.from_int(c)
-        return GroupRingElem(self.group, self.field, {k: v * c for k, v in self.terms.items()})
+        c, mul = self.field.from_fraction(c), self.field._mul
+        return GroupRingElem(self.group, self.field, {k: mul(v, c) for k, v in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -204,31 +209,28 @@ class GroupRingElem:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def augmentation(self) -> FieldElem:
-        acc = self.field.zero()
-        for coeff in self.terms.values():
-            acc = acc + coeff
-        return acc
+    def augmentation(self):
+        """Sum of coefficients, a payload: the ring map kG -> k killing every
+        g - 1."""
+        return functools.reduce(self.field._add, self.terms.values(), self.field._of_int(0))
 
     def map_coefficients(self, fn, new_field):
+        """The element over new_field whose coefficients are fn of these
+        payloads."""
         return GroupRingElem(self.group, new_field, {k: fn(v) for k, v in self.terms.items()})
 
     def map_exponents(self, fn, new_group):
+        add = self.field._add
         out = {}
         for key, coeff in self.terms.items():
             key = fn(key)
-            out[key] = out[key] + coeff if key in out else coeff
+            out[key] = add(out[key], coeff) if key in out else coeff
         return GroupRingElem(new_group, self.field, out)
 
     def __str__(self):
         return format_element(self)
 
     __repr__ = __str__
-
-
-def augmentation(a: GroupRingElem) -> FieldElem:
-    """Sum of coefficients: the ring map kG -> k killing every g - 1."""
-    return a.augmentation()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,7 @@ def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> 
                 i += 1
                 expect_factor = True
         key = exps[0] if group.kind == "cyclic" else tuple(exps)
-        term = GroupRingElem.monomial(group, field, key, field.from_fraction(coeff))
+        term = GroupRingElem.monomial(group, field, key, coeff)
         result = result + term
     return result
 
@@ -341,18 +343,18 @@ def format_element(a: GroupRingElem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def monomials_of_degree(n: int, s: int) -> list[tuple]:
-    """Exponent tuples of total degree s in n variables, lexicographic."""
+@functools.lru_cache(maxsize=None)
+def monomials_of_degree(n: int, s: int) -> tuple[tuple, ...]:
+    """Exponent tuples of total degree s in n variables, lexicographically
+    increasing: the first exponent counts up, each followed by the tuples of
+    the rest in order."""
     if n == 0:
-        return [()] if s == 0 else []
-    out = []
-    for first in range(s, -1, -1):
-        for rest in monomials_of_degree(n - 1, s - first):
-            out.append((first,) + rest)
-    return sorted(out)
+        return ((),) if s == 0 else ()
+    return tuple((first,) + rest for first in range(s + 1)
+                 for rest in monomials_of_degree(n - 1, s - first))
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def pascal_row(k: int, M: int) -> tuple[int, ...]:
     """(C(k, 0), ..., C(k, M - 1)): the coefficients of (1 + x)^k cut at
     degree M, exact generalized binomials for k < 0."""
@@ -375,7 +377,7 @@ def expansion_coords(a: GroupRingElem, monomials, M: int) -> list:
             for row, b in zip(rows, beta):
                 n *= row[b]
             if n:
-                out[idx] = add(out[idx], mul(coeff.value, of_int(n)))
+                out[idx] = add(out[idx], mul(coeff, of_int(n)))
     return out
 
 
@@ -429,7 +431,7 @@ class _CyclicFiltration:
         return INFINITY
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def cyclic_filtration(m: int, field: FieldDescriptor) -> _CyclicFiltration:
     return _CyclicFiltration(m, field)
 
@@ -438,7 +440,7 @@ def _cyclic_vector(a: GroupRingElem):
     """The raw monomial coordinates of an element of kZ_m."""
     v = [a.field._of_int(0)] * a.group.m
     for key, coeff in a.terms.items():
-        v[key] = coeff.value
+        v[key] = coeff
     return v
 
 

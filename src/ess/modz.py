@@ -12,11 +12,12 @@ with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
 come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
 
 The SNF over Lambda runs on the raw Laurent polynomials of
-`coeffs.LaurentRing`, never on FieldElem; `_LaurentCtx` adds the conversions
-from and to GroupRingElem, and only the diagonal is converted back.  A unit
-pivot clears its row and column with one fused y - q*x per entry; other
-pivots go through Bezout blocks.  Every SNF carries U and V and is verified
-(U A V = D and the divisibility chain) before it is returned.
+`coeffs.LaurentRing`; `_LaurentCtx` adds the conversions from and to
+GroupRingElem (both hold raw coefficient payloads), and only the diagonal is
+converted back.  A unit pivot clears its row and column with one fused
+y - q*x per entry; other pivots go through Bezout blocks.  Every SNF carries
+U and V and is verified (U A V = D and the divisibility chain) before it is
+returned.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .coeffs import FieldElem, LaurentRing
+from .coeffs import LaurentRing
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -117,7 +118,7 @@ class _LaurentCtx(LaurentRing):
         lo = min(k for k, in a.terms)
         cs = [0] * (max(k for k, in a.terms) - lo + 1)
         for (k,), c in a.terms.items():
-            cs[k - lo] = c.value
+            cs[k - lo] = c
         if not self._q:
             return (lo, tuple(cs), 1)
         den = math.lcm(*(c.denominator for c in cs))
@@ -125,9 +126,8 @@ class _LaurentCtx(LaurentRing):
 
     def lift(self, a) -> GroupRingElem:
         s, cs, den = a
-        f = self.field
-        return GroupRingElem(_Z1, f, {(s + i,): FieldElem(f, Fraction(c, den) if self._q else c)
-                                      for i, c in enumerate(cs) if c})
+        return GroupRingElem(_Z1, self.field, {(s + i,): Fraction(c, den) if self._q else c
+                                               for i, c in enumerate(cs) if c})
 
 
 class SNFResult:

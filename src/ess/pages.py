@@ -16,11 +16,11 @@ boundary is assembled as sparse columns straight from the sparse
 multiplication of FiltrationModel (on Z^n through a per-model cache of
 monomial products, on Z_m in the basis of powers of u = t - 1, one shift and
 fold per column); no dense matrix is stored.  Every elimination over k in the
-package (the pairs, the homology bases, d^1 and the J^2 check) reduces such
-columns in the one sparse column echelon `Echelon`, which stores columns
-unscaled and divides out a pivot only when it uses the column.  All of it
-runs on raw payloads through the descriptor's payload table; FieldElem is
-built only for returned results.
+package (the pairs, the homology bases and d^1) reduces such columns in the
+one sparse column echelon `Echelon`, which stores columns unscaled and
+divides out a pivot only when it uses the column.  All of it runs on raw
+payloads through the descriptor's payload table, and every result (bases,
+coordinates, d^1 matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -33,7 +33,7 @@ import bisect
 import math
 import operator
 
-from .coeffs import FieldDescriptor, FieldElem, _rank_raw
+from .coeffs import FieldDescriptor, rank_exact
 from .complexes import betti_numbers
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
@@ -121,33 +121,23 @@ def kernel(field: FieldDescriptor, columns):
 
 def solve_mod(field: FieldDescriptor, gens, subspace, targets):
     """For each target, the coordinates c with target = sum c_i gens[i]
-    modulo span(subspace), as FieldElem; all vectors are sparse raw columns.
-    Raises CoefficientError if the gens are dependent modulo the subspace or a
-    target is not in span(gens + subspace)."""
+    modulo span(subspace), as a dense list of payloads; all vectors are
+    sparse raw columns.  Raises CoefficientError if the gens are dependent
+    modulo the subspace or a target is not in span(gens + subspace)."""
     ech = Echelon(field)
     for col in subspace:
         ech.add(dict(col))
     for i, col in enumerate(gens):
         if ech.add(dict(col), i) is None:
             raise CoefficientError("generators dependent modulo subspace")
+    zero = field._of_int(0)
     out = []
     for target in targets:
         coords = {}
         if ech.reduce(dict(target), coords) is not None:
             raise CoefficientError("target not in span of generators + subspace")
-        out.append(_dense(field, coords, len(gens)))
+        out.append([coords.get(i, zero) for i in range(len(gens))])
     return out
-
-
-def _sparse(vec):
-    """The nonzero entries of a FieldElem vector as a raw sparse column."""
-    return {i: x.value for i, x in enumerate(vec) if x}
-
-
-def _dense(field, col, n):
-    """A raw sparse column as a FieldElem vector of length n, for results."""
-    zero = field.zero()
-    return [FieldElem(field, col[i]) if i in col else zero for i in range(n)]
 
 
 class FiltrationModel:
@@ -453,7 +443,7 @@ class PageComputation:
     def canonical_e1_vectors(self, q: int, s: int, hreps):
         """Sparse vectors representing (gr^s basis) x (homology basis) in V_q."""
         ncells = self.C.dims[q]
-        return [{b * ncells + c: x for c, x in _sparse(h).items()}
+        return [{b * ncells + c: x for c, x in enumerate(h) if x}
                 for b in range(self.model.offset(s), self.model.offset(s + 1)) for h in hreps]
 
     def d1_matrix(self, q: int, s: int = 0):
@@ -519,11 +509,15 @@ def homology_data(C, q: int):
     field = C.field
     ncells = C.dims[q]
     eps = C.epsilon_boundary(q)
-    cycles = kernel(field, [_sparse(col) for col in zip(*eps)] if eps else [{}] * ncells)
+    cycles = kernel(field, [{i: x for i, x in enumerate(col) if x} for col in zip(*eps)]
+                    if eps else [{}] * ncells)
     bcols = list(zip(*C.epsilon_boundary(q + 1))) if q < C.top and ncells else []
     ech = Echelon(field)
-    bbasis = [list(v) for v in bcols if ech.add(_sparse(v)) is not None]
-    hreps = [_dense(field, rel, ncells) for rel in cycles if ech.add(dict(rel)) is not None]
+    bbasis = [list(v) for v in bcols
+              if ech.add({i: x for i, x in enumerate(v) if x}) is not None]
+    zero = field._of_int(0)
+    hreps = [[rel.get(c, zero) for c in range(ncells)]
+             for rel in cycles if ech.add(dict(rel)) is not None]
     return hreps, bbasis
 
 
@@ -554,15 +548,15 @@ def d1_closed_form(C):
             for i in range(ncells_tgt):
                 w = GroupRingElem.zero(C.group, field)
                 for c in range(C.dims[q]):
-                    if not h[c].is_zero() and not bd[i][c].is_zero():
+                    if h[c] and bd[i][c]:
                         w = w + bd[i][c].scale(h[c])
-                if not w.augmentation().is_zero():
+                if w.augmentation():
                     raise CrossCheckError("boundary of a cycle lift not in J")
                 images.append(model.reduce(w))
             targets += [{i: img[b] for i, img in enumerate(images) if img[b]}
                         for b in gr1]
-        coords = solve_mod(field, [_sparse(h) for h in htgt], [_sparse(b) for b in btgt],
-                           targets)
+        coords = solve_mod(field, [{i: x for i, x in enumerate(v) if x} for v in htgt],
+                           [{i: x for i, x in enumerate(v) if x} for v in btgt], targets)
         out[q] = [[coords[j * len(gr1) + gi][l] for j in range(len(hsrc))]
                   for gi in range(len(gr1)) for l in range(len(htgt))]
     return out
@@ -615,7 +609,7 @@ def _k_rank(comp: PageComputation, q: int) -> int:
     (on the columns as rows), so that the E^oo totals are checked against
     something the pairs of _pairs do not decide.  The field is F_p (the
     Reznikov case) or Q: the raw payloads of boundary_matrix(q) go straight to
-    coeffs._rank_raw, which eliminates residues or integer-scaled rows."""
+    coeffs.rank_exact, which eliminates residues or integer-scaled rows."""
     if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
     rows = []
@@ -624,26 +618,4 @@ def _k_rank(comp: PageComputation, q: int) -> int:
         for i, x in col.items():
             row[i] = x
         rows.append(row)
-    return _rank_raw(comp.field, rows)
-
-
-def jordan_square_annihilates(C, q: int) -> bool:
-    """Whether J^2 kills H_q(X, (kZ_{p^r})_nu): the action of (t-1)^2 on every
-    cycle representative lands in the boundary space."""
-    group = C.group
-    if group.kind != "cyclic":
-        raise ValidationError("J^2 check is for cyclic groups")
-    comp = PageComputation(C, R_max=2, S_max=max(group.m - 1, 1))
-    field = C.field
-    ncells = C.dims[q]
-    t = GroupRingElem.monomial(group, field, 1)
-    one = GroupRingElem.one(group, field)
-    mult = comp.model.mult_columns((t - one) * (t - one))
-    # (t-1)^2 on V_q as sparse columns: basis vector b * ncells + c -> mult[b] x c
-    square = [{bp * ncells + c: y for bp, y in mult[b].items()}
-              for b in range(comp.model.dim) for c in range(ncells)]
-    boundaries = Echelon(field)
-    for col in comp.boundary_matrix(q + 1):
-        boundaries.add(dict(col))
-    return all(boundaries.reduce(_apply(field, square, v)) is None
-               for v in kernel(field, comp.boundary_matrix(q)))
+    return rank_exact(comp.field, rows)

@@ -56,8 +56,7 @@ def _evaluate_at_zeta(elem: GroupRingElem, table, power: int) -> tuple:
     ints, or of Fractions where a coefficient is not integral."""
     d = len(table)
     acc = [0] * len(table[0])
-    for key, coeff in elem.terms.items():
-        c = coeff.as_fraction()
+    for key, c in elem.terms.items():
         if c.denominator == 1:
             c = c.numerator
         for i, x in enumerate(table[key[0] * power % d]):
@@ -339,11 +338,8 @@ def minors_inequality(C: EquivariantComplex, p: int, r: int):
     out = []
     for q in range(1, C_int.top + 1):
         rank_zeta = cyclotomic_rank(d, evaluated_boundary(C_int, q, d))
-        fmat = [
-            [Fp.from_int(e.augmentation().as_int()) for e in row]
-            for row in C_int.boundary(q)
-        ]
-        rank_fp = rank_exact(fmat) if fmat and fmat[0] else 0
+        rank_fp = rank_exact(Fp, [[Fp.from_fraction(x) for x in row]
+                                  for row in C_int.epsilon_boundary(q)])
         out.append({"q": q, "rank_zeta": rank_zeta, "rank_fp_at_1": rank_fp,
                     "holds": rank_zeta >= rank_fp})
     return out

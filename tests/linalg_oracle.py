@@ -1,20 +1,98 @@
-"""Exact Gaussian elimination helpers over any FieldDescriptor.
+"""Exact Gaussian elimination helpers over Q and F_p, and the oracles' scalar.
 
-Vectors are lists of FieldElem; matrices are lists of row lists.  All routines
+Vectors are lists of `Scalar`; matrices are lists of row lists.  All routines
 use the deterministic first-nonzero pivot rule so downstream bases are
 reproducible bit-for-bit.
 
 This dense Gauss-Jordan stack is what `ess` eliminated with before the sparse
 column echelon of `ess.pages` took over; the tests keep it as the oracle.
+`Scalar` computes with Fraction and with % p directly, never through the
+payload table of `ess.coeffs`, so the oracles share no scalar arithmetic
+with the engine.  A Scalar equals the raw payload of the same value, so
+oracle results compare directly with the engine's.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ess.errors import CoefficientError
 
 
+class Scalar:
+    """An element of Q (p = 0) or F_p: a Fraction, or an int in [0, p)."""
+
+    __slots__ = ("p", "v")
+
+    def __init__(self, p: int, v):
+        self.p = p
+        self.v = v % p if p else Fraction(v)
+
+    @classmethod
+    def of(cls, field, v) -> "Scalar":
+        """v (an int, a Fraction, a payload or a Scalar) over the field of a
+        descriptor."""
+        return v if isinstance(v, Scalar) else cls(field.characteristic, v)
+
+    def _value(self, other):
+        if isinstance(other, Scalar):
+            assert other.p == self.p, "scalars over different fields"
+            return other.v
+        if isinstance(other, (int, Fraction)):
+            return Scalar(self.p, other).v
+        return NotImplemented
+
+    def __add__(self, other):
+        w = self._value(other)
+        return NotImplemented if w is NotImplemented else Scalar(self.p, self.v + w)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Scalar(self.p, -self.v)
+
+    def __sub__(self, other):
+        w = self._value(other)
+        return NotImplemented if w is NotImplemented else Scalar(self.p, self.v - w)
+
+    def __mul__(self, other):
+        w = self._value(other)
+        return NotImplemented if w is NotImplemented else Scalar(self.p, self.v * w)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Scalar":
+        if not self.v:
+            raise CoefficientError("division by zero")
+        return Scalar(self.p, pow(self.v, -1, self.p) if self.p else 1 / self.v)
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        if isinstance(other, Scalar):
+            return (self.p, self.v) == (other.p, other.v)
+        if isinstance(other, (int, Fraction)):
+            return self.v == other  # a payload over F_p is already a residue in [0, p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __repr__(self):
+        return str(self.v)
+
+
+def vector(field, payloads):
+    """A list of payloads (or ints) as Scalars."""
+    return [Scalar.of(field, x) for x in payloads]
+
+
 def zeros(field, n):
-    return [field.zero()] * n  # FieldElem is immutable, so one zero can be shared
+    return [Scalar.of(field, 0)] * n  # Scalar is immutable, so one zero can be shared
 
 
 def transpose(matrix):
@@ -22,8 +100,9 @@ def transpose(matrix):
 
 
 def rref(field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form of rows of Scalars or payloads.  Returns
+    (new_rows, pivot_columns), in Scalars."""
+    m = [vector(field, r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -77,7 +156,7 @@ def kernel_basis(field, matrix, ncols=None):
     basis = []
     for j in free:
         v = zeros(field, ncols)
-        v[j] = field.one()
+        v[j] = Scalar.of(field, 1)
         for i, pc in enumerate(pivots):
             v[pc] = -r[i][j]
         basis.append(v)
@@ -86,7 +165,7 @@ def kernel_basis(field, matrix, ncols=None):
 
 def unit_vector(field, n, j):
     v = zeros(field, n)
-    v[j] = field.one()
+    v[j] = Scalar.of(field, 1)
     return v
 
 
@@ -95,7 +174,7 @@ def span_rank(field, vectors) -> int:
 
 
 def in_span(field, vectors, target) -> bool:
-    if all(x.is_zero() for x in target):
+    if not any(target):
         return True
     if not vectors:
         return False
@@ -112,7 +191,7 @@ def solve_coords(field, vectors, target):
     n = len(target)
     k = len(vectors)
     if k == 0:
-        return [] if all(x.is_zero() for x in target) else None
+        return [] if not any(target) else None
     aug = [[vectors[i][row] for i in range(k)] + [target[row]] for row in range(n)]
     m, pivots = rref(field, aug)
     coords = zeros(field, k)

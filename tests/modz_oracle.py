@@ -8,7 +8,8 @@ builds ker d_q explicitly, so the two routes are compared on small inputs.
 
 `_LaurentCtx` is the Euclidean context the SNF engine used before it ran on
 raw Laurent polynomials: the same pseudo-division, Bezout step, content
-step and normalisation, computed with `GroupRingElem` and `FieldElem`.  Run
+step and normalisation, computed with `GroupRingElem`, whose leading
+coefficients are divided and multiplied as `linalg_oracle.Scalar`.  Run
 through `ess.modz._snf_engine`, it must give the same diagonal and
 transforms as `smith_normal_form`.
 """
@@ -22,6 +23,7 @@ from ess.coeffs import FieldDescriptor
 from ess.errors import CoefficientError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupRingElem
 from ess.modz import _Z1, LaurentModuleDecomp, _snf_engine, smith_normal_form
+from linalg_oracle import Scalar
 
 
 class _LaurentCtx:
@@ -73,26 +75,24 @@ class _LaurentCtx:
         """Pseudo-division: (scale, q) with scale*entry - q*pivot of norm
         < norm(pivot), where scale is a power of the pivot's leading
         coefficient (a unit scalar).  No coefficient division happens."""
-        one = self.field.one()
-        unit_one = GroupRingElem.monomial(_Z1, self.field, (0,), one)
         if entry.is_zero():
-            return unit_one, self.zero
+            return self.one, self.zero
         plo, phi = self.span(pivot)
         pd = phi - plo
-        plead = pivot.terms[(phi,)]
+        plead = Scalar.of(self.field, pivot.terms[(phi,)])
         q = self.zero
         rem = entry
-        scale = one
+        scale = Scalar.of(self.field, 1)
         while not rem.is_zero():
             rlo, rhi = self.span(rem)
             if rhi - rlo < pd:
                 break
             c = rem.terms[(rhi,)]
             mono = GroupRingElem.monomial(_Z1, self.field, (rhi - phi,), c)
-            q = q.scale(plead) + mono
-            rem = rem.scale(plead) - mono * pivot
+            q = q.scale(plead.v) + mono
+            rem = rem.scale(plead.v) - mono * pivot
             scale = scale * plead
-        return GroupRingElem.monomial(_Z1, self.field, (0,), scale), q
+        return GroupRingElem.monomial(_Z1, self.field, (0,), scale.v), q
 
     def exact_div(self, a, b):
         scale, q = self.divstep(b, a)
@@ -120,7 +120,7 @@ class _LaurentCtx:
         canonical polynomial (a unit rescaling), which is what keeps the
         coefficient growth of the chain polynomial.  When a divides b, tau is
         guaranteed to be 0 so the pivot row/column is only unit-rescaled."""
-        one = GroupRingElem.monomial(_Z1, self.field, (0,), self.field.one())
+        one = self.one
         try:
             beta = self.exact_div(b, a)
         except CoefficientError:
@@ -165,7 +165,8 @@ class _LaurentCtx:
 
     def unit_inverse(self, u):
         lo = next(iter(u.terms))[0]
-        return GroupRingElem.monomial(_Z1, self.field, (-lo,), u.terms[(lo,)].inverse())
+        inv = Scalar.of(self.field, u.terms[(lo,)]).inverse()
+        return GroupRingElem.monomial(_Z1, self.field, (-lo,), inv.v)
 
     def is_unit(self, a):
         return len(a.terms) == 1
@@ -180,8 +181,7 @@ class _LaurentCtx:
             return None
         num_gcd, den_lcm = 0, 1
         for e in entries:
-            for c in e.terms.values():
-                v = c.value
+            for v in e.terms.values():
                 num_gcd = math.gcd(num_gcd, v.numerator)
                 den_lcm = den_lcm * v.denominator // math.gcd(den_lcm, v.denominator)
         if num_gcd == 0:
@@ -189,7 +189,7 @@ class _LaurentCtx:
         scale = Fraction(den_lcm, num_gcd)
         if scale == 1:
             return None
-        return GroupRingElem.monomial(_Z1, self.field, (0,), self.field.from_fraction(scale))
+        return GroupRingElem.monomial(_Z1, self.field, (0,), scale)
 
 
 def _kernel_basis_pid(matrix, ctx, ncols: int) -> list[list]:
@@ -284,7 +284,7 @@ def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
         e = 0
         rem = canon
         while True:
-            if rem.augmentation().is_zero():  # (t-1) | rem  iff  rem(1) = 0
+            if not rem.augmentation():  # (t-1) | rem  iff  rem(1) = 0
                 rem = ctx.exact_div(rem, tm1)
                 e += 1
             else:

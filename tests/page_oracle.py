@@ -13,11 +13,11 @@ The oracle also keeps its own dense assembly of the truncated boundary: the
 dense multiplication matrix `mult_matrix` and `boundary_matrix` are the ones
 `ess.pages` used before it built sparse columns.
 
-The model coordinates come from here too, on FieldElem: the expansion
-coefficients of Z^n one binomial at a time (`expansion_coefficient`), and on
-Z_m the Taylor coefficients at 1 in closed form (`cyclic_coords`), in the
-basis of powers of t - 1 that the oracle builds itself (`adapted_basis`) and
-multiplies in monomial coordinates.  `ess` reads the same coordinates off
+The model coordinates come from here too, on `linalg_oracle.Scalar`: the
+expansion coefficients of Z^n one binomial at a time
+(`expansion_coefficient`), and on Z_m the Taylor coefficients at 1 in closed
+form (`cyclic_coords`), in the basis of powers of t - 1 that the oracle
+builds itself (`adapted_basis`) and multiplies in monomial coordinates.  `ess` reads the same coordinates off
 Pascal rows, synthetic division and raw payloads, and multiplies by a shift
 and a fold.
 
@@ -25,10 +25,10 @@ and a fold.
 ran it before clearing: every column of d_q is reduced, none is skipped.
 
 Last come the dense routes to the canonical d^1: `homology_data`,
-`d1_matrix`, `d1_closed_form` and `jordan_square_annihilates` as `ess.pages`
-computed them on the dense `linalg_oracle` elimination, before they moved
-onto the sparse column echelon.  They must give the same bases and the same
-matrices entry for entry.
+`d1_matrix` and `d1_closed_form` as `ess.pages` computed them on the dense
+`linalg_oracle` elimination, before they moved onto the sparse column
+echelon.  They must give the same bases and the same matrices entry for
+entry; their Scalars equal the engine's payloads.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import math
 import linalg_oracle as linalg
 from ess.errors import CrossCheckError
 from ess.groupring import GroupRingElem
-from ess.pages import Echelon, FiltrationModel, PageComputation
+from ess.pages import Echelon, FiltrationModel
+from linalg_oracle import Scalar
 
 
 def _binomial(a: int, k: int) -> int:
@@ -53,8 +54,7 @@ def _binomial(a: int, k: int) -> int:
 
 def expansion_coefficient(a: GroupRingElem, beta: tuple):
     """Coefficient of x^beta in the image of a under t_i -> 1 + x_i."""
-    field = a.field
-    acc = field.zero()
+    acc = Scalar.of(a.field, 0)
     for key, coeff in a.terms.items():
         c = 1
         for ai, bi in zip(key, beta):
@@ -62,34 +62,34 @@ def expansion_coefficient(a: GroupRingElem, beta: tuple):
             if c == 0:
                 break
         if c:
-            acc = acc + coeff * field.from_int(c)
+            acc = acc + Scalar.of(a.field, coeff) * c
     return acc
 
 
 def adapted_basis(field, m: int):
     """Monomial coordinates of (t - 1)^s, s < m."""
     def power(s):
-        v = [field.zero()] * m
+        v = linalg.zeros(field, m)
         for k in range(s + 1):
-            v[k] = field.from_int((-1) ** (s - k) * math.comb(s, k))
+            v[k] = Scalar.of(field, (-1) ** (s - k) * math.comb(s, k))
         return v
     return [power(s) for s in range(m)]
 
 
 def cyclic_coords(field, vec):
-    """Coordinates in the basis (t - 1)^k of a FieldElem vector of monomial
-    coordinates: the Taylor coefficients at 1, coordinate k of sum a_j t^j
-    being sum a_j C(j, k)."""
-    return [sum((a * field.from_int(math.comb(j, k)) for j, a in enumerate(vec)),
-                field.zero()) for k in range(len(vec))]
+    """Coordinates in the basis (t - 1)^k of a vector of monomial
+    coordinates (Scalars or payloads): the Taylor coefficients at 1,
+    coordinate k of sum a_j t^j being sum a_j C(j, k)."""
+    vec = linalg.vector(field, vec)
+    return [sum((a * math.comb(j, k) for j, a in enumerate(vec)), Scalar.of(field, 0))
+            for k in range(len(vec))]
 
 
 def reduce(model, elem):
-    """FieldElem coordinates of the image of elem in a FiltrationModel."""
+    """Scalar coordinates of the image of elem in a FiltrationModel."""
     if model.group.kind == "free_abelian":
         return [expansion_coefficient(elem, beta) for beta in model.monomials]
-    vec = [elem.terms.get(j, model.field.zero()) for j in range(model.group.m)]
-    return cyclic_coords(model.field, vec)
+    return cyclic_coords(model.field, [elem.terms.get(j, 0) for j in range(model.group.m)])
 
 
 def mult_matrix(model, elem):
@@ -97,7 +97,7 @@ def mult_matrix(model, elem):
     FiltrationModel (columns = images of basis vectors)."""
     field = model.field
     n = model.dim
-    out = [[field.zero() for _ in range(n)] for _ in range(n)]
+    out = [linalg.zeros(field, n) for _ in range(n)]
     if model.group.kind == "free_abelian":
         red = reduce(model, elem)
         for col, alpha in enumerate(model.monomials):
@@ -129,7 +129,7 @@ def boundary_matrix(comp, q: int):
     index b * ncells + c."""
     field = comp.field
     rows, cols = comp.vdim(q - 1), comp.vdim(q)
-    mat = [[field.zero() for _ in range(cols)] for _ in range(rows)]
+    mat = [linalg.zeros(field, cols) for _ in range(rows)]
     if rows and cols:
         nsrc = comp.C.dims[q]
         ndst = comp.C.dims[q - 1]
@@ -356,7 +356,7 @@ def d1_matrix(comp, q: int, s: int = 0):
     den += [cols_q[g] for g in comp._suffix_indices(q, s + 1)]
     cols = []
     for v in src:
-        w = [sum((a * x for a, x in zip(row, v)), field.zero()) for row in bt]
+        w = [sum((a * x for a, x in zip(row, v)), Scalar.of(field, 0)) for row in bt]
         cols.append(linalg.solve_mod_subspace(field, tgt, den, w))
     return [[cols[j][i] for j in range(len(cols))] for i in range(len(tgt))]
 
@@ -373,15 +373,15 @@ def d1_closed_form(C):
         htgt, btgt = homology_data(C, q - 1)
         bd = C.boundary(q)
         ncells_tgt = C.dims[q - 1]
-        matrix = [[field.zero() for _ in hsrc] for _ in range(len(gr1) * len(htgt))]
+        matrix = [linalg.zeros(field, len(hsrc)) for _ in range(len(gr1) * len(htgt))]
         for j, h in enumerate(hsrc):
             images = []
             for i in range(ncells_tgt):
                 w = GroupRingElem.zero(C.group, field)
                 for c in range(C.dims[q]):
-                    if not h[c].is_zero() and not bd[i][c].is_zero():
-                        w = w + bd[i][c].scale(h[c])
-                if not w.augmentation().is_zero():
+                    if h[c] and bd[i][c]:
+                        w = w + bd[i][c].scale(h[c].v)
+                if w.augmentation():
                     raise CrossCheckError("boundary of a cycle lift not in J")
                 images.append(reduce(model, w))
             for gi, b in enumerate(gr1):
@@ -391,29 +391,3 @@ def d1_closed_form(C):
                     matrix[gi * len(htgt) + l][j] = cval
         out[q] = matrix
     return out
-
-
-def jordan_square_annihilates(C, q: int) -> bool:
-    """Whether (t-1)^2 maps every cycle of the truncated complex over Z_m
-    into the boundaries."""
-    comp = PageComputation(C, R_max=2, S_max=max(C.group.m - 1, 1))
-    field = C.field
-    n, ncells = comp.vdim(q), C.dims[q]
-    cycles = linalg.kernel_basis(field, linalg.transpose(dense_columns(comp, q)), ncols=n)
-    boundary_vecs = dense_columns(comp, q + 1)
-    t = GroupRingElem.monomial(C.group, field, 1)
-    one = GroupRingElem.one(C.group, field)
-    mult = mult_matrix(comp.model, (t - one) * (t - one))
-    for v in cycles:
-        w = linalg.zeros(field, n)
-        for g, x in enumerate(v):
-            if x.is_zero():
-                continue
-            b, c = divmod(g, ncells)
-            for bp in range(comp.model.dim):
-                y = mult[bp][b]
-                if not y.is_zero():
-                    w[bp * ncells + c] = w[bp * ncells + c] + y * x
-        if not linalg.in_span(field, boundary_vecs, w):
-            return False
-    return True

@@ -6,13 +6,13 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import QQ
+from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 import linalg_oracle as linalg
 from ess.coeffs import (FieldDescriptor, LaurentRing, _modulus, cyclotomic_polynomial,
                         cyclotomic_rank, divisors, prime_power, rank_exact)
-from ess.errors import CoefficientError, DescriptorMismatch
+from ess.errors import CoefficientError
 
 Q = FieldDescriptor.rationals()
 RING = LaurentRing(Q)
@@ -128,16 +128,35 @@ def test_prime_field_rejects_composite():
 
 def test_inverse_in_f5():
     F5 = FieldDescriptor.prime_field(5)
-    assert F5.from_int(2).inverse() == F5.from_int(3)
+    assert F5.from_fraction(Fraction(1, 2)) == 3
+    assert F5.from_fraction(Fraction(-7, 3)) == 1
     with pytest.raises(CoefficientError):
-        F5.zero().inverse()
+        F5.from_fraction(Fraction(1, 5))
+
+
+def test_from_fraction_returns_payloads():
+    F7 = FieldDescriptor.prime_field(7)
+    assert F7.from_fraction(-1) == 6 and type(F7.from_fraction(-1)) is int
+    assert Q.from_fraction(3) == Fraction(3) and type(Q.from_fraction(3)) is Fraction
+    assert FieldDescriptor.cyclotomic(5).from_fraction(Fraction(2, 4)) == Fraction(1, 2)
+    ZZ = FieldDescriptor.integers()
+    assert ZZ.from_fraction(Fraction(-6, 3)) == -2 and type(ZZ.from_fraction(Fraction(4))) is int
+
+
+def test_from_fraction_refuses_what_the_descriptor_cannot_hold():
+    # over Z a non-integral rational is refused, never truncated; over F_3 a
+    # denominator divisible by 3 has no inverse
+    with pytest.raises(CoefficientError):
+        FieldDescriptor.integers().from_fraction(Fraction(1, 2))
+    with pytest.raises(CoefficientError):
+        FieldDescriptor.prime_field(3).from_fraction(Fraction(1, 3))
 
 
 def test_rank_identity_over_fields():
     for F in (Q, FieldDescriptor.prime_field(7), FieldDescriptor.cyclotomic(5)):
         n = 4
-        I = [[F.from_int(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        assert rank_exact(I) == n
+        I = [[F.from_fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        assert rank_exact(F, I) == n
 
 
 def test_rank_zeta_column():
@@ -153,23 +172,56 @@ def test_rank_transpose_property():
     for _ in range(30):
         F = rng.choice([Q, FieldDescriptor.prime_field(5)])
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[F.from_int(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
+        mat = [[F.from_fraction(rng.randint(-4, 4)) for _ in range(m)] for _ in range(n)]
         tr = [[mat[i][j] for i in range(n)] for j in range(m)]
-        assert rank_exact(mat) == rank_exact(tr)
+        assert rank_exact(F, mat) == rank_exact(F, tr)
 
 
-def test_rank_descriptor_mismatch():
-    F5 = FieldDescriptor.prime_field(5)
-    with pytest.raises(DescriptorMismatch):
-        rank_exact([[Q.one(), F5.one()]])
+_PRIMES = (2, 3, 5, 7, 2**61 - 1)
+
+
+@st.composite
+def raw_matrices(draw):
+    """(characteristic, rows of ints or Fractions): random matrices, some of
+    them products B*C through a small inner dimension, so rank-deficient."""
+    p = draw(st.sampled_from((0,) + _PRIMES))
+    entry = (st.integers(-4, 4) if p else
+             st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()) or min(m, n) < 2:
+        return p, matrix(m, n)
+    k = draw(st.integers(1, min(m, n) - 1))
+    B, C = matrix(m, k), matrix(k, n)
+    return p, [[sum(B[i][l] * C[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=raw_matrices())
+def test_rank_exact_matches_sympy(case):
+    """rank_exact on raw payload rows against sympy: Matrix.rank() over Q, a
+    DomainMatrix over GF(p)."""
+    p, mat = case
+    if p:
+        F = FieldDescriptor.prime_field(p)
+        rows = [[F.from_fraction(x) for x in row] for row in mat]
+        want = (DomainMatrix([[GF(p)(x) for x in row] for row in mat],
+                             (len(mat), len(mat[0])), GF(p)).rank()
+                if mat and mat[0] else 0)
+        assert rank_exact(F, rows) == want
+    else:
+        want = sympy.Matrix(mat).rank() if mat and mat[0] else 0
+        for F in (Q, FieldDescriptor.cyclotomic(6)):
+            assert rank_exact(F, [[F.from_fraction(x) for x in row] for row in mat]) == want
 
 
 def test_rank_rational_entries():
-    mat = [
-        [Q.from_fraction(Fraction(1, 2)), Q.from_fraction(Fraction(1, 3))],
-        [Q.from_fraction(Fraction(3, 2)), Q.from_fraction(Fraction(1, 1))],
-    ]
-    assert rank_exact(mat) == 1
+    mat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
+    assert rank_exact(Q, mat) == 1
 
 
 def test_minor_congruence_property():
@@ -186,12 +238,12 @@ def test_minor_congruence_property():
             for j in range(m):
                 terms = [(rng.randint(-2, 2), rng.randint(-3, 3)) for _ in range(3)]
                 zrow.append(_payload(d, sum(c * T ** (e % d) for e, c in terms)))
-                prow.append(Fp.from_int(sum(c for _, c in terms)))
+                prow.append(Fp.from_fraction(sum(c for _, c in terms)))
             zmat.append(zrow)
             pmat.append(prow)
         rank = cyclotomic_rank(d, zmat)
         assert rank * _phi_degree(d) == _block_rank(d, zmat), trial
-        assert rank >= rank_exact(pmat), trial
+        assert rank >= rank_exact(Fp, pmat), trial
 
 
 # An entry of Q(zeta_d): terms (exponent, numerator, denominator).
@@ -257,5 +309,5 @@ def test_rank_over_fp_matches_rref():
     for _ in range(40):
         F = FieldDescriptor.prime_field(rng.choice([2, 3, 5, 7, 2**61 - 1]))
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        mat = [[F.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
-        assert rank_exact(mat) == linalg.rank_of(F, mat)
+        mat = [[F.from_fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
+        assert rank_exact(F, mat) == linalg.rank_of(F, mat)

@@ -410,7 +410,7 @@ def test_bad_composition_rejected_on_every_payload(field, group, d1, d2):
 
 def test_bad_composition_rejected_on_fractions():
     # no integral shadow: the check runs on the Fraction payloads
-    half = GroupRingElem.monomial(GZ, Q, (1,), Q.from_fraction(Fraction(1, 2)))
+    half = GroupRingElem.monomial(GZ, Q, (1,), Fraction(1, 2))
     d1 = GroupRingElem.monomial(GZ, Q, (1,)) - 1
     with pytest.raises(ValidationError, match="composition d_1 o d_2"):
         complex_from_matrices(Q, GZ, [1, 1, 1], [[[d1]], [[half - half * d1]]])

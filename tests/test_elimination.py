@@ -4,7 +4,7 @@
 `linalg_oracle`'s `kernel_basis`, `in_span` and `solve_mod_subspace` give: the
 same kernel basis vector for vector, the same span tests, the same
 coordinates, and a CoefficientError in the same two cases.  The echelon works
-on raw payload columns, the oracle on FieldElem vectors.
+on raw payload columns, the oracle on `linalg_oracle.Scalar` vectors.
 """
 
 from fractions import Fraction
@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
-from ess.coeffs import FieldDescriptor, FieldElem
+from ess.coeffs import FieldDescriptor
 from ess.errors import CoefficientError
 from ess.pages import Echelon, kernel, solve_mod
+from linalg_oracle import Scalar
 
 FIELDS = [FieldDescriptor.rationals(), FieldDescriptor.prime_field(2),
           FieldDescriptor.prime_field(3)]
@@ -26,9 +27,7 @@ _SMALL = st.tuples(st.integers(-2, 2), st.integers(1, 3))
 
 def _entry(field, a, b):
     """a/b over Q, a mod p over F_p."""
-    if field.kind == "Q":
-        return field.from_fraction(Fraction(a, b))
-    return field.from_int(a)
+    return Scalar.of(field, Fraction(a, b) if field.kind == "Q" else a)
 
 
 @st.composite
@@ -45,13 +44,13 @@ def matrices(draw):
         return field, matrix(m, n)
     k = draw(st.integers(1, min(m, n) - 1))
     B, C = matrix(m, k), matrix(k, n)
-    return field, [[sum((B[i][l] * C[l][j] for l in range(k)), field.zero())
+    return field, [[sum((B[i][l] * C[l][j] for l in range(k)), Scalar.of(field, 0))
                     for j in range(n)] for i in range(m)]
 
 
 def _raw(vec):
-    """A FieldElem vector as a sparse column of raw payloads."""
-    return {i: x.value for i, x in enumerate(vec) if not x.is_zero()}
+    """A Scalar vector as a sparse column of raw payloads."""
+    return {i: x.v for i, x in enumerate(vec) if x}
 
 
 def _columns(mat):
@@ -61,10 +60,10 @@ def _columns(mat):
 
 
 def _dense(field, vec, n):
-    """A sparse raw column as a dense FieldElem vector."""
-    out = [field.zero()] * n
+    """A sparse raw column as a dense Scalar vector."""
+    out = linalg.zeros(field, n)
     for i, x in vec.items():
-        out[i] = FieldElem(field, x)
+        out[i] = Scalar.of(field, x)
     return out
 
 
@@ -98,14 +97,14 @@ def test_echelon_add_and_reduce_match_in_span(case, coeffs):
     labelled = Echelon(field)
     for j, col in enumerate(cols):
         labelled.add(dict(col), j)
-    target = [sum((_entry(field, *c) * v[i] for c, v in zip(coeffs, dense)), field.zero())
+    target = [sum((_entry(field, *c) * v[i] for c, v in zip(coeffs, dense)), Scalar.of(field, 0))
               for i in range(len(mat))]
     target[0] = target[0] + _entry(field, *coeffs[-1])  # sometimes leaves the span
     rest, coords = _raw(target), {}
     assert (labelled.reduce(rest, coords) is None) == linalg.in_span(field, dense, target)
     rebuilt = _dense(field, rest, len(mat))
     for j, c in coords.items():
-        rebuilt = [a + FieldElem(field, c) * b for a, b in zip(rebuilt, dense[j])]
+        rebuilt = [a + Scalar.of(field, c) * b for a, b in zip(rebuilt, dense[j])]
     assert rebuilt == target
 
 
@@ -128,17 +127,17 @@ def _solve_both(field, dense, cols, split, target):
 def test_solve_mod_matches_oracle(case, split, coeffs, outside):
     field, mat = case
     dense, cols = _columns(mat)
-    target = [sum((_entry(field, *c) * v[i] for c, v in zip(coeffs, dense)), field.zero())
+    target = [sum((_entry(field, *c) * v[i] for c, v in zip(coeffs, dense)), Scalar.of(field, 0))
               for i in range(len(mat))]
     if outside:
-        target[-1] = target[-1] + field.one()
+        target[-1] = target[-1] + 1
     expected, got = _solve_both(field, dense, cols, min(split, len(dense)), target)
     assert got == expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_solve_mod_raises_in_both_cases(field):
-    one, zero = field.one(), field.zero()
+    one, zero = Scalar.of(field, 1), Scalar.of(field, 0)
     e0, e1, e2 = ([one if i == j else zero for i in range(3)] for j in range(3))
     dense = [e0, e1, [one, one, zero]]  # the third generator is e0 + e1
     cols = [_raw(v) for v in dense]

@@ -11,7 +11,9 @@ is ``monodromy --builtin torus2 --group-quotient Z --field Q`` and
 ``decompose-trefoil-cyc6.json`` is
 ``decompose --builtin trefoil --field cyclotomic:6``, and
 ``alexander-lyndon6-Z.json`` is
-``alexander --builtin lyndon:6 --group-quotient Z``).  A refactor
+``alexander --builtin lyndon:6 --group-quotient Z``, and
+``universal-aomoto-torus2-Q-at2m1.json`` is
+``universal-aomoto --builtin torus2 --field Q --spec-at 2,-1``).  A refactor
 must leave every file unchanged; a change of behaviour re-records the
 affected files.
 """
@@ -57,6 +59,12 @@ CASES = {
                             # trefoil is not
                             ("universal-aomoto", ("torus2", "wedge2", "zxf2")))
        for space in spaces for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
+    # the universal complex specialised at a character z and a weight beta
+    **{f"universal-aomoto-{space}-{label}-at{tag}": ["universal-aomoto", "--builtin", space,
+                                                     "--field", field, "--spec-at", at]
+       for space, label, field, tag, at in (("torus2", "Q", "Q", "2m1", "2,-1"),
+                                            ("wedge2", "Q", "Q", "10", "1,0"),
+                                            ("zxf2", "Fp2", "Fp:2", "1", "1"))},
     **{f"aomoto-torus2-Z-{label}": ["aomoto", "--builtin", "torus2", "--group-quotient", "Z",
                                     "--field", field]
        for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},

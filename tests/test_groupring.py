@@ -1,16 +1,17 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
-from ess.coeffs import FieldDescriptor, FieldElem
-from ess.errors import InputError
-from ess.groupring import (GroupDescriptor, GroupRingElem, augmentation,
-                           cyclic_filtration, format_element, gr_dimension,
-                           j_valuation, monomials_of_degree, parse_element)
+from ess.coeffs import FieldDescriptor
+from ess.errors import CoefficientError, InputError
+from ess.groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration,
+                           format_element, gr_dimension, j_valuation,
+                           monomials_of_degree, parse_element)
 
 Q = FieldDescriptor.rationals()
 GZ = GroupDescriptor.free_abelian(1)
@@ -24,11 +25,11 @@ def t_pow(e, group=GZ, field=Q):
 
 def test_augmentation_of_group_element():
     a = GroupRingElem.monomial(G2, Q, (3, -2))
-    assert augmentation(a) == Q.one()
+    assert a.augmentation() == 1 and type(a.augmentation()) is Fraction
 
 
 def test_augmentation_t2_minus_t():
-    assert augmentation(t_pow(2) - t_pow(1)).is_zero()
+    assert not (t_pow(2) - t_pow(1)).augmentation()
 
 
 def test_augmentation_is_ring_map():
@@ -42,8 +43,8 @@ def test_augmentation_is_ring_map():
             (t_pow(rng.randint(-3, 3)) * rng.randint(-4, 4) for _ in range(3)),
             GroupRingElem.zero(GZ, Q),
         )
-        assert augmentation(a * b) == augmentation(a) * augmentation(b)
-        assert augmentation(a + b) == augmentation(a) + augmentation(b)
+        assert (a * b).augmentation() == a.augmentation() * b.augmentation()
+        assert (a + b).augmentation() == a.augmentation() + b.augmentation()
 
 
 def test_norm_element_augments_to_zero_mod_p():
@@ -54,7 +55,7 @@ def test_norm_element_augments_to_zero_mod_p():
             (GroupRingElem.monomial(Cp, Fp, j) for j in range(1, p)),
             GroupRingElem.one(Cp, Fp),
         )
-        assert augmentation(norm).is_zero()
+        assert not norm.augmentation()
         assert j_valuation(norm) == p - 1
 
 
@@ -99,7 +100,36 @@ def test_valuation_zero_iff_augmentation_nonzero():
         )
         if a.is_zero():
             continue
-        assert (j_valuation(a) == 0) == (not augmentation(a).is_zero())
+        assert (j_valuation(a) == 0) == bool(a.augmentation())
+
+
+def test_coefficients_are_payloads():
+    F5 = FieldDescriptor.prime_field(5)
+    a = GroupRingElem.monomial(GZ, F5, (1,), -1) * 3 + GroupRingElem.monomial(GZ, F5, (0,), 7)
+    assert a.terms == {(1,): 2, (0,): 2}
+    assert GroupRingElem.monomial(GZ, Q, (2,), Fraction(1, 2)).scale(4).terms == {(2,): 2}
+    assert (a - a).terms == {} and a.augmentation() == 4
+
+
+def test_monomial_and_scale_over_z_refuse_non_integral_rationals():
+    ZZ = FieldDescriptor.integers()
+    with pytest.raises(CoefficientError):
+        GroupRingElem.monomial(GZ, ZZ, (1,), Fraction(1, 2))
+    with pytest.raises(CoefficientError):
+        t_pow(1, field=ZZ).scale(Fraction(1, 2))
+    with pytest.raises(CoefficientError):
+        t_pow(1, field=ZZ) * Fraction(3, 2)
+    assert t_pow(1, field=ZZ).scale(Fraction(4, 2)).terms == {(1,): 2}
+
+
+def test_monomials_of_degree_lex_increasing_with_binomial_count():
+    for n in range(5):
+        for s in range(9):
+            monos = monomials_of_degree(n, s)
+            assert all(a < b for a, b in zip(monos, monos[1:])), (n, s)
+            assert all(len(m) == n and sum(m) == s and min(m, default=0) >= 0
+                       for m in monos), (n, s)
+            assert len(monos) == (math.comb(s + n - 1, n - 1) if n else int(s == 0)), (n, s)
 
 
 def test_gr_dimension_free_abelian_2():
@@ -125,7 +155,7 @@ def test_gr_dimension_free_abelian_random_subspace_oracle():
                 c = rng.randint(1, 3)
                 elem = elem * (g - one if not (g - one).is_zero() else t_pow((1, 0), G2) - one)
             mono = GroupRingElem.monomial(G2, Q, (rng.randint(-1, 1), rng.randint(-1, 1)))
-            samples.append([FieldElem(Q, x) for x in model.reduce(elem * mono)[lo:hi]])
+            samples.append(model.reduce(elem * mono)[lo:hi])
         rank = linalg.rank_of(Q, samples)
         assert rank == gr_dimension(G2, Q, s) == s + 1
 
@@ -179,7 +209,7 @@ def _power_spans(m, field):
         span = []
         for j in range(m):
             elem = power * GroupRingElem.monomial(G, field, j)
-            span.append([elem.terms.get(k, field.zero()) for k in range(m)])
+            span.append([elem.terms.get(k, 0) for k in range(m)])
         dims.append(linalg.rank_of(field, span))
         spans.append(linalg.rref(field, span)[0][:dims[-1]])  # cheap rank tests
         if len(dims) > 1 and dims[-1] == dims[-2]:
@@ -190,7 +220,7 @@ def _power_spans(m, field):
 def _brute_valuation(field, spans, dims, vec):
     """Largest s with vec in J^s by rank tests; INF inside the stable end of
     the chain (a nonzero J^s equal to all deeper powers)."""
-    if all(x.is_zero() for x in vec):
+    if not any(vec):
         return math.inf
     s = 0
     while s + 1 < len(spans) and linalg.rank_of(field, spans[s + 1] + [vec]) == dims[s + 1]:
@@ -215,9 +245,9 @@ def test_cyclic_filtration_against_spanning_sets(field):
         u = GroupRingElem.monomial(G, field, 1) - GroupRingElem.one(G, field)
         power, vecs = GroupRingElem.one(G, field), []
         for _ in range(m):
-            vecs.append([power.terms.get(j, field.zero()) for j in range(m)])
+            vecs.append([power.terms.get(j, 0) for j in range(m)])
             power = power * u
-        vecs += [[field.from_int(rng.randint(-2, 2)) for _ in range(m)] for _ in range(4)]
+        vecs += [[field.from_fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(4)]
         for i, vec in enumerate(vecs):
             expected = _brute_valuation(field, spans, dims, vec)
             if i < m:
@@ -234,7 +264,7 @@ def _cyclic_pairs(draw):
 
     def elem():
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
-        return GroupRingElem(G, field, {j: field.from_int(c) for j, c in enumerate(coeffs)})
+        return GroupRingElem(G, field, {j: field.from_fraction(c) for j, c in enumerate(coeffs)})
 
     return elem(), elem()
 

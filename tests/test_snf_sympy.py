@@ -17,6 +17,7 @@ from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from ess.coeffs import FieldDescriptor  # noqa: E402
 from ess.groupring import GroupDescriptor, GroupRingElem  # noqa: E402
 from ess.modz import smith_normal_form  # noqa: E402
+from linalg_oracle import Scalar  # noqa: E402
 
 Q = FieldDescriptor.rationals()
 GZ = GroupDescriptor.free_abelian(1)
@@ -50,17 +51,17 @@ def canonical(d):
     """The monic associate of d with nonzero constant term, as {degree:
     coefficient}: the normal form of a class of associates in Lambda."""
     lo, hi = min(d.terms)[0], max(d.terms)[0]
-    inv = d.terms[(hi,)].inverse()
-    return {k - lo: c * inv for (k,), c in d.terms.items()}
+    inv = Scalar.of(d.field, d.terms[(hi,)]).inverse()
+    return {k - lo: inv * c for (k,), c in d.terms.items()}
 
 
 def to_laurent(f, field):
     """The polynomial f in x as an element of field[t^{+-1}]."""
     if field.kind == "Q":
         poly = sympy.Poly(f, X, domain=sympy.QQ)
-        coeffs = [field.from_fraction(Fraction(int(c.p), int(c.q))) for c in poly.all_coeffs()]
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
     else:
-        coeffs = [field.from_int(int(c)) for c in sympy.Poly(f, X, modulus=field.p).all_coeffs()]
+        coeffs = [int(c) for c in sympy.Poly(f, X, modulus=field.p).all_coeffs()]
     out = GroupRingElem.zero(GZ, field)
     for k, c in enumerate(reversed(coeffs)):
         out = out + GroupRingElem.monomial(GZ, field, (k,), c)

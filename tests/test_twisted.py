@@ -210,7 +210,7 @@ def _evaluate_by_sympy_powers(C, q, d, power):
             acc = [0] * len(powers[0])
             for key, c in e.terms.items():
                 zk = powers[key[0] * power % d]
-                acc = [a + c.as_fraction() * x for a, x in zip(acc, zk)]
+                acc = [a + c * x for a, x in zip(acc, zk)]
             out[-1].append(tuple(acc))
     return out
 
