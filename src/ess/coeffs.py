@@ -6,12 +6,13 @@ over Q, so each invariant over Q(zeta_d) (ranks, pages E^r, Laurent invariant
 factors, which are quotients of gcds of minors) is Q(zeta_d) (x) the same
 invariant over Q.  The descriptor `cyclotomic:<d>` is therefore computed over
 Q and kept as a label.  The only arithmetic in Q(zeta_d) is
-`cyclotomic_rank`, the rank of a matrix of payloads in Q[s]/(Phi_d(s)) (Phi_d
-a tuple of ints, lowest degree first), taken at a d-th root of unity modulo
-primes ell = 1 (mod d) until a norm bound certifies the largest one; the
-twisted Betti numbers evaluate t at zeta_d into it.  `LaurentRing` is
-k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs on
-it and the Alexander polynomial takes its minors and gcds in it.
+`cyclotomic_rank`, the rank of a matrix whose entries are power sums
+sum_k c_k zeta_d^k, taken modulo primes ell = 1 (mod d) by sending zeta_d to
+a primitive d-th root of unity omega mod ell, until a norm bound certifies
+the largest rank seen; the twisted Betti numbers evaluate t at zeta_d into
+it, and Phi_d (`cyclotomic_polynomial`) is never formed there.  `LaurentRing`
+is k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs
+on it and the Alexander polynomial takes its minors and gcds in it.
 
 Every scalar is a raw payload of its descriptor (see `FieldDescriptor`);
 `rank_exact` runs fraction-free Bareiss on integer-scaled rows over Q and
@@ -74,22 +75,29 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+@lru_cache(maxsize=None)
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, increasing, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    return tuple(out + [n] if n > 1 else out)
+
+
 def prime_power(m: int):
     """Return (p, r) if m = p^r with p prime and r >= 1, else None."""
-    if m < 2:
+    factors = prime_factors(m)
+    if len(factors) != 1:
         return None
-    p = m
-    for f in range(2, m + 1):
-        if f * f > m:
-            break
-        if m % f == 0:
-            p = f
-            break
-    r = 0
-    while m % p == 0:
+    p, r = factors[0], 0
+    while m > 1:
         m //= p
         r += 1
-    return (p, r) if m == 1 else None
+    return p, r
 
 
 def format_poly(coeffs, var: str) -> str:
@@ -564,13 +572,9 @@ def _rank_mod(rows: list[list[int]], ell: int) -> int:
     return rank
 
 
-def _root_of_unity(d: int, ell: int) -> int:
-    """A primitive d-th root of unity mod the prime ell = 1 (mod d)."""
-    factors = [q for q in divisors(d) if q > 1 and is_prime(q)]
-    for g in itertools.count(2):
-        w = pow(g, (ell - 1) // d, ell)
-        if all(pow(w, d // q, ell) != 1 for q in factors):
-            return w
+# The largest character order: d factors by trial division up to 2^20, and
+# at least 2^22 candidates ell = 1 (mod d) lie below 2^62 for `_modulus`.
+MAX_ORDER_BITS = 40
 
 
 @lru_cache(maxsize=None)
@@ -580,44 +584,50 @@ def _modulus(d: int, i: int) -> tuple[int, int]:
     ell = _modulus(d, i - 1)[0] - d if i else (2**62 - 2) // d * d + 1
     while not is_prime(ell):
         ell -= d
-    return ell, _root_of_unity(d, ell)
+    for g in itertools.count(2):
+        w = pow(g, (ell - 1) // d, ell)
+        if all(pow(w, d // q, ell) != 1 for q in prime_factors(d)):
+            return ell, w
 
 
 def cyclotomic_rank(d: int, rows) -> int:
-    """Rank over Q(zeta_d) = Q[s]/(Phi_d) of a matrix of payloads: each entry
-    is a tuple of phi(d) rationals (ints or Fractions), the coefficients of
-    s^0..s^(phi(d)-1).  Certified from ranks at omega modulo primes ell.
+    """Rank over Q(zeta_d) of a matrix whose entries are dicts {k: c}, each
+    standing for sum_k c zeta_d^k (c an int or a Fraction, k any int), for
+    d <= 2^MAX_ORDER_BITS.  Certified from ranks modulo primes ell.
 
-    Each row is scaled to integer coefficient tuples, i.e. into Z[zeta].
-    Reduction modulo the degree-one prime ideal (ell, s - omega) is a ring
-    map, so the rank over F_ell is at most the true rank r.  If it is lower,
-    a fixed nonzero r-minor M lies in that ideal, and ell divides the norm
-    N(M).  Hadamard's bound in each complex embedding, with
-    |sigma(a)| <= ||a||_1, gives 0 < |N(M)| <= H^phi(d), where H is the
-    product of the min(m, n) largest row bounds
-    ceil((sum_j ||a_ij||_1^2)^(1/2)).  So once the product of the primes used
-    exceeds H^phi(d), some prime gave rank r, and the largest rank seen is r.
+    Each row is scaled to integer coefficients, i.e. into Z[zeta].  Reduction
+    modulo the degree-one prime (ell, zeta - omega) sends zeta^k to
+    omega^(k mod d): a ring map, so the rank over F_ell is at most the true
+    rank r.  If it is lower, a fixed nonzero r-minor M lies in that ideal, and
+    ell divides the norm N(M).  Hadamard's bound in each of the phi(d) complex
+    embeddings, with |sigma(a)| <= sum_k |c_k|, gives 0 < |N(M)| <= H^phi(d),
+    where H is the product of the min(m, n) largest row bounds
+    ceil((sum_j (sum_k |c_jk|)^2)^(1/2)).  H <= 2^b for b = (H - 1).bit_length(),
+    so once the product of the (odd) primes used has more than phi(d) * b bits
+    it exceeds H^phi(d) without forming it: some prime gave rank r, and the
+    largest rank seen is r.
     """
     if not rows or not rows[0]:
         return 0
     ints = []
     for r in rows:
-        den = math.lcm(*(c.denominator for x in r for c in x))
-        ints.append([tuple(c.numerator * (den // c.denominator) for c in x) for x in r])
-    degree = len(cyclotomic_polynomial(d)) - 1
+        den = math.lcm(*(c.denominator for x in r for c in x.values()))
+        ints.append([{k: c.numerator * (den // c.denominator) for k, c in x.items()} for x in r])
     full = min(len(ints), len(ints[0]))
-    squares = sorted((sum(sum(map(abs, a)) ** 2 for a in r) for r in ints), reverse=True)
+    squares = sorted((sum(sum(map(abs, a.values())) ** 2 for a in r) for r in ints), reverse=True)
     # Every factor is at least 1, so H also bounds the smaller minors.
     H = math.prod(math.isqrt(n - 1) + 1 if n else 1 for n in squares[:full])
-    bound = H**degree
+    phi = d // math.prod(prime_factors(d)) * math.prod(q - 1 for q in prime_factors(d))
+    bits = phi * (H - 1).bit_length()
+    keys = {k for r in ints for a in r for k in a}
     best, covered = 0, 1
     for i in itertools.count():
         ell, omega = _modulus(d, i)
-        powers = [pow(omega, k, ell) for k in range(degree)]
-        residues = [[sum(map(operator.mul, a, powers)) % ell for a in r] for r in ints]
+        powers = {k: pow(omega, k % d, ell) for k in keys}
+        residues = [[sum(c * powers[k] for k, c in a.items()) % ell for a in r] for r in ints]
         best = max(best, _rank_mod(residues, ell))
         covered *= ell
-        if best == full or covered > bound:
+        if best == full or covered.bit_length() > bits:
             return best
 
 

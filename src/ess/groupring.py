@@ -364,21 +364,24 @@ def pascal_row(k: int, M: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def expansion_coords(a: GroupRingElem, monomials, M: int) -> list:
-    """Raw coefficients of x^beta, beta in monomials (of degree < M), in the
-    image of a under t_i -> 1 + x_i: per term, a product of Pascal rows."""
+def expansion_coords(a: GroupRingElem, M: int) -> dict:
+    """The image of a under t_i -> 1 + x_i, cut at total degree M, as
+    {beta: nonzero raw payload}.  Per term, a product of Pascal rows over the
+    box where they are nonzero: b_i <= k_i where k_i >= 0, and b_i < M where
+    k_i < 0."""
     field = a.field
     add, mul, of_int = field._add, field._mul, field._of_int
-    out = [of_int(0)] * len(monomials)
+    out = {}
     for key, coeff in a.terms.items():
-        rows = [pascal_row(k, M) for k in key]
-        for idx, beta in enumerate(monomials):
-            n = 1
-            for row, b in zip(rows, beta):
-                n *= row[b]
-            if n:
-                out[idx] = add(out[idx], mul(coeff, of_int(n)))
-    return out
+        box = [((), 1)]
+        for k in key:
+            row = pascal_row(k, M if k < 0 else min(k + 1, M))
+            box = [(beta + (b,), n * x) for beta, n in box
+                   for b, x in enumerate(row[:M - sum(beta)])]
+        for beta, n in box:
+            x = mul(coeff, of_int(n))
+            out[beta] = add(out[beta], x) if beta in out else x
+    return {beta: x for beta, x in out.items() if x}
 
 
 class _CyclicFiltration:
@@ -452,15 +455,10 @@ def j_valuation(a: GroupRingElem):
     if a.group.kind == "free_abelian":
         # substitute t_i = x_i + 1; the valuation is the lowest total degree.
         # Shift by a unit monomial first so all exponents are nonnegative.
-        n = a.group.n
-        shift = tuple(-min((k[i] for k in a.terms), default=0) for i in range(n))
-        shifted = a.map_exponents(lambda k: tuple(x + s for x, s in zip(k, shift)), a.group)
+        shift = [min(k[i] for k in a.terms) for i in range(a.group.n)]
+        shifted = a.map_exponents(lambda k: tuple(x - s for x, s in zip(k, shift)), a.group)
         bound = max(sum(k) for k in shifted.terms)
-        for deg in range(bound + 1):
-            coords = expansion_coords(shifted, monomials_of_degree(n, deg), bound + 1)
-            if any(coords):
-                return deg
-        return INFINITY
+        return min(map(sum, expansion_coords(shifted, bound + 1)), default=INFINITY)
     if not a.field.is_field:
         raise DescriptorMismatch("cyclic j_valuation needs field coefficients")
     filt = cyclic_filtration(a.group.m, a.field)

@@ -186,7 +186,10 @@ class FiltrationModel:
     def reduce(self, elem: GroupRingElem):
         """Adapted coordinates of the image of elem in the model, as raw payloads."""
         if self.group.kind == "free_abelian":
-            return expansion_coords(elem, self.monomials, self.M)
+            out = [self.field._of_int(0)] * self.dim
+            for beta, x in expansion_coords(elem, self.M).items():
+                out[self.index[beta]] = x
+            return out
         return self._filt.coords(_cyclic_vector(elem))
 
     def mult_columns(self, elem: GroupRingElem):
@@ -196,10 +199,10 @@ class FiltrationModel:
         if self.group.kind == "free_abelian":
             # x^alpha * x^beta = x^(alpha + beta), cut at degree M
             cols = [{} for _ in range(self.dim)]
-            for b, x in enumerate(self.reduce(elem)):
-                if x:
-                    for a, ab in self._products(b):
-                        cols[a][ab] = x
+            coords = expansion_coords(elem, self.M)
+            for b, x in sorted((self.index[beta], x) for beta, x in coords.items()):
+                for a, ab in self._products(b):
+                    cols[a][ab] = x
             return cols
         # u^(s+1) * elem = u * (u^s * elem): shift up one, and fold the top
         # coefficient back in through u^m = sum of the fold terms
@@ -573,7 +576,7 @@ def reznikov_collapse(C, S_max: int | None = None):
     computed independently by plain k-linear rank arithmetic.
 
     The totals are checked over the whole filtration s < p^r; the returned
-    tables are then cut down to s <= S_max (default p^r - 1).
+    tables are then cut down to s <= S_max (default p^r - 1, no cut).
 
     Returns (tables, homology_dims).
     """
@@ -601,7 +604,7 @@ def reznikov_collapse(C, S_max: int | None = None):
             raise CrossCheckError(
                 f"E^infinity total {total} != dim H_{q} = {hom_dims[q]}"
             )
-    return [t.cut(S_max) for t in tables], hom_dims
+    return (tables if S_max == n - 1 else [t.cut(S_max) for t in tables]), hom_dims
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:

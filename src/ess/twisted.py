@@ -1,14 +1,13 @@
 """Twisted Betti numbers at roots of unity, Alexander polynomials, and
 machine-checked instances of the modular bound theorems.
 
-b_q(X, nu/d) is computed by evaluating the equivariant boundary matrices at
-the distinguished primitive d-th root of unity inside Q(zeta_d) and taking
-exact ranks; no floating point, no choice of embedding.  This is the only
-arithmetic in Q(zeta_d) that `ess` does (`--field cyclotomic:<d>` is computed
-over Q).  Evaluation is in closed form: an entry sum_k c_k t^k becomes
-sum_k c_k (s^(k*power) mod Phi_d), read from an integer table of the powers
-of s built once per d, and the rank is the certified multimodular
-`coeffs.cyclotomic_rank` of the resulting payload tuples.
+b_q(X, nu/d) is computed from exact ranks of the equivariant boundary
+matrices evaluated at the distinguished primitive d-th root of unity zeta_d;
+no floating point, no choice of embedding.  This is the only arithmetic in
+Q(zeta_d) that `ess` does (`--field cyclotomic:<d>` is computed over Q), and
+Phi_d is never formed: an entry sum_k c_k t^k becomes the power sum
+{k*power mod d: c_k}, which `coeffs.cyclotomic_rank` evaluates straight into
+F_ell at omega, a primitive d-th root of unity mod ell, with a certificate.
 
 The Alexander polynomial is the gcd over Z[t^{+-1}] of the (g-1)-minors of
 the Alexander matrix (Crowell and Fox).  Each minor is a fraction-free Bareiss
@@ -22,11 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 
 from .aomoto import aomoto_betti
-from .coeffs import (FieldDescriptor, cyclotomic_polynomial, cyclotomic_rank, format_poly,
-                     rank_exact)
+from .coeffs import MAX_ORDER_BITS, FieldDescriptor, cyclotomic_rank, format_poly, rank_exact
 from .complexes import EquivariantComplex, GroupHom, betti_numbers, change_field
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
@@ -36,43 +33,31 @@ from .modz import _LaurentCtx, integral_torsion_check
 _Z1 = GroupDescriptor.free_abelian(1)
 
 
-@lru_cache(maxsize=None)
-def _zeta_power_table(d: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients of s^k mod Phi_d(s) for k < d.  Phi_d is monic,
-    so each next power is a shift plus one multiple of Phi_d."""
-    phi = cyclotomic_polynomial(d)
-    deg = len(phi) - 1
-    cur = (1,) + (0,) * (deg - 1)
-    table = [cur]
-    for _ in range(d - 1):
-        top = cur[-1]
-        cur = tuple(a - top * c for a, c in zip((0,) + cur[:-1], phi))
-        table.append(cur)
-    return tuple(table)
-
-
-def _evaluate_at_zeta(elem: GroupRingElem, table, power: int) -> tuple:
-    """sum_k c_k zeta^(k*power) as a payload of Q[s]/(Phi_d): a tuple of
-    ints, or of Fractions where a coefficient is not integral."""
-    d = len(table)
-    acc = [0] * len(table[0])
-    for key, c in elem.terms.items():
-        if c.denominator == 1:
-            c = c.numerator
-        for i, x in enumerate(table[key[0] * power % d]):
-            if x:
-                acc[i] += c * x
-    return tuple(acc)
-
-
 def evaluated_boundary(C: EquivariantComplex, q: int, d: int, power: int = 1):
-    """The boundary matrix with t -> zeta_d^power, as rows of payload tuples
-    of Q(zeta_d) (see `_evaluate_at_zeta`)."""
+    """The boundary matrix with t -> zeta_d^power: each entry sum_k c_k t^k
+    becomes {k * power mod d: sum of those c_k}, zero sums dropped, the form
+    `coeffs.cyclotomic_rank` takes."""
     if not 1 <= q <= C.top:
         return []
-    table = _zeta_power_table(d)
     mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    return [[_evaluate_at_zeta(e, table, power) for e in row] for row in mats[q - 1]]
+    out = []
+    for row in mats[q - 1]:
+        out.append([])
+        for e in row:
+            acc = {}
+            for (k,), c in e.terms.items():
+                j = k * power % d
+                acc[j] = acc.get(j, 0) + c
+            out[-1].append({j: c for j, c in acc.items() if c})
+    return out
+
+
+def _check_order(p: int, r: int = 1):
+    """InputError unless the character order p^r is at most 2^MAX_ORDER_BITS,
+    decided from r * log2(p) before p^r is formed."""
+    if p > 1 and r * math.log2(p) > MAX_ORDER_BITS:
+        order = p if r == 1 else f"{p}^{r}"
+        raise InputError(f"character order {order} exceeds the limit 2^{MAX_ORDER_BITS}")
 
 
 def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
@@ -85,6 +70,7 @@ def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
         raise ValidationError("twisted_betti expects a complex over kZ; base change first")
     if d < 1:
         raise InputError("order d must be >= 1")
+    _check_order(d)
     if C.integral_boundaries is None and C.field.kind not in ("Q", "Z"):
         raise UnsupportedCoefficients("need integral or rational coefficients")
     if math.gcd(power, d) != 1:
@@ -257,6 +243,7 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
     """
     from .coeffs import is_prime
 
+    _check_order(p, r)  # first: is_prime on a huge p would run for ages
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if r < 1:
@@ -333,6 +320,7 @@ def minors_inequality(C: EquivariantComplex, p: int, r: int):
     C_int = integral_complex(C)
     if C_int.group != _Z1:
         raise ValidationError("minor inequality checked over kZ")
+    _check_order(p, r)
     d = p**r
     Fp = FieldDescriptor.prime_field(p)
     out = []

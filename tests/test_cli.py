@@ -200,6 +200,28 @@ def test_wrongly_typed_document_exits_2_without_traceback(doc, tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["twisted", "--builtin", "trefoil", "--d", "100000000000000000000"],
+    ["twisted", "--builtin", "trefoil", "--d", str(2**62)],
+    ["bounds", "--builtin", "trefoil", "--p", "2", "--r", "100"],
+    ["bounds", "--builtin", "trefoil", "--p", str(10**30 + 57)],
+], ids=["twisted-d-1e20", "twisted-d-2^62", "bounds-2^100", "bounds-p-1e30"])
+def test_huge_character_order_exits_2_without_traceback(argv):
+    # the order is refused above 2^40 before any arithmetic: no OverflowError,
+    # MemoryError or endless search for a prime = 1 (mod d) below 2^62
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "ess.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INPUT, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_twisted_at_order_one_million(capsys):
+    code, out, _ = run(["twisted", "--builtin", "trefoil", "--d", "1000000", "--json"], capsys)
+    assert (code, out) == (0, '{"d":1000000,"twisted_betti":[0,0,0]}\n')
+
+
 def test_pages_needs_field(capsys):
     code, _, err = run(["pages", "--builtin", "trefoil"], capsys)
     assert code == cli.EXIT_INPUT

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -37,23 +38,35 @@ def _phi_degree(d):
 
 def _payload(d, poly):
     """sympy's remainder of a polynomial in t by Phi_d, as the phi(d)
-    coefficients (Fractions, lowest degree first) of a payload of Q(zeta_d)."""
+    coefficients (Fractions, lowest degree first) of an element of Q(zeta_d)
+    in the power basis."""
     rem = sympy.rem(sympy.Poly(poly, T, domain=QQ), _phi(d))
     pay = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(rem.all_coeffs())]
     return tuple(pay) + (Fraction(0),) * (_phi_degree(d) - len(pay))
 
 
+def _entry(terms):
+    """The entry {k: c} of `cyclotomic_rank` standing for sum c zeta^k over
+    the (exponent, coefficient) pairs, repeated exponents summed."""
+    out = {}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return out
+
+
 def _block_rank(d, rows):
-    """phi(d) * rank over Q(zeta_d), independently of ess: the rank over Q of
-    the block matrix in which the entry a = sum a_i zeta^i becomes
-    a(Comp(Phi_d)) = sum a_i Comp(Phi_d)^i, Comp the companion matrix.  Column
-    j of a(Comp) holds the coefficients of a * t^j mod Phi_d (sympy.rem)."""
+    """phi(d) * rank over Q(zeta_d), independently of ess: each entry {k: c}
+    is reduced to the power basis (t^(k mod d), then sympy.rem by Phi_d), and
+    a = sum a_i zeta^i becomes a(Comp(Phi_d)) = sum a_i Comp(Phi_d)^i, Comp
+    the companion matrix; the rank is taken over Q of the block matrix.
+    Column j of a(Comp) holds the coefficients of a * t^j mod Phi_d."""
     deg = _phi_degree(d)
     blocks = []
     for row in rows:
         block_row = [[] for _ in range(deg)]
         for a in row:
-            poly = sum(sympy.Rational(c.numerator, c.denominator) * T**i for i, c in enumerate(a))
+            poly = sum((sympy.Rational(c.numerator, c.denominator) * T**(k % d)
+                        for k, c in a.items()), sympy.Integer(0))
             cols = [_payload(d, poly * T**j) for j in range(deg)]
             for i in range(deg):
                 block_row[i].extend(QQ(cols[j][i].numerator, cols[j][i].denominator)
@@ -162,7 +175,7 @@ def test_rank_identity_over_fields():
 def test_rank_zeta_column():
     # circle boundary evaluated at a root of unity: rank 1
     for d in (2, 3, 6):
-        col = [[_payload(d, T - 1)], [_payload(d, T - 1)]]
+        col = [[{1: 1, 0: -1}], [{1: 1, 0: -1}]]
         assert cyclotomic_rank(d, col) == 1
         assert _phi_degree(d) == _block_rank(d, col)
 
@@ -237,7 +250,7 @@ def test_minor_congruence_property():
             zrow, prow = [], []
             for j in range(m):
                 terms = [(rng.randint(-2, 2), rng.randint(-3, 3)) for _ in range(3)]
-                zrow.append(_payload(d, sum(c * T ** (e % d) for e, c in terms)))
+                zrow.append(_entry(terms))
                 prow.append(Fp.from_fraction(sum(c for _, c in terms)))
             zmat.append(zrow)
             pmat.append(prow)
@@ -247,32 +260,36 @@ def test_minor_congruence_property():
 
 
 # An entry of Q(zeta_d): terms (exponent, numerator, denominator).
-_ENTRY = st.lists(st.tuples(st.integers(0, 40), st.integers(-3, 3), st.integers(1, 3)),
+_ENTRY = st.lists(st.tuples(st.integers(-40, 40), st.integers(-3, 3), st.integers(1, 3)),
                   max_size=3)
 
 
 @st.composite
 def cyclotomic_matrices(draw):
-    """(d, payload rows): random matrices over Q(zeta_d), d <= 30, and
-    products B*C through an inner dimension k, whose rank is at most
-    k < min(m, n) when min(m, n) > 1.  Entries are sympy polynomials in t,
-    reduced mod Phi_d by sympy."""
+    """(d, rows of entries {k: c}): random matrices over Q(zeta_d), d <= 30,
+    with the exponents of each entry multiplied by a power prime to d (so
+    negative and >= d), and products B*C through an inner dimension k, whose
+    rank is at most k < min(m, n) when min(m, n) > 1.  Products are taken in
+    Q[t^+-1], before zeta^d = 1 is used."""
     d = draw(st.integers(1, 30))
+    power = draw(st.sampled_from([a for a in range(1, d + 1) if math.gcd(a, d) == 1]))
 
     def matrix(rows, cols):
         spec = draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
-        return [[sum((sympy.Rational(c, den) * T**e for e, c, den in entry), sympy.Integer(0))
+        return [[_entry((e * power, Fraction(c, den)) for e, c, den in entry)
                  for entry in row] for row in spec]
+
+    def product(a, b):
+        return _entry((k + l, x * y) for k, x in a.items() for l, y in b.items())
 
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     if draw(st.booleans()):
-        mat = matrix(m, n)
-    else:
-        k = draw(st.integers(1, max(1, min(m, n) - 1)))
-        B, C = matrix(m, k), matrix(k, n)
-        mat = [[sum(B[i][l] * C[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
-    return d, [[_payload(d, x) for x in row] for row in mat]
+        return d, matrix(m, n)
+    k = draw(st.integers(1, max(1, min(m, n) - 1)))
+    B, C = matrix(m, k), matrix(k, n)
+    return d, [[_entry((e, c) for l in range(k) for e, c in product(B[i][l], C[l][j]).items())
+                for j in range(n)] for i in range(m)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,15 +308,15 @@ def test_cyclotomic_rank_survives_unlucky_primes():
         assert (l1 - 1) % d == 0 and pow(w1, d, l1) == 1
 
         def c(v):
-            return (v,) + (0,) * (deg - 1)
+            return {0: v}
 
         unlucky = [
             [[c(l1)]],
             [[c(l1 * l2), c(0)], [c(0), c(1)]],
             [[c(1), c(1)], [c(1), c(1 + l1)]],
         ]
-        if deg > 1:  # zeta - omega_1 lies in the prime (l1, s - omega_1)
-            unlucky.append([[(-w1, 1) + (0,) * (deg - 2)]])
+        if deg > 1:  # zeta - omega_1 lies in the prime (l1, zeta - omega_1)
+            unlucky.append([[{0: -w1, 1: 1}]])
         for mat in unlucky:
             assert cyclotomic_rank(d, mat) == len(mat), (d, mat)
 

@@ -229,14 +229,46 @@ def _seeded_five_generator_complex(seed):
 
 
 def test_evaluated_boundary_matches_repeated_multiplication():
+    # each entry is {k * power mod d: c}, zero sums dropped; read in the power
+    # basis through sympy's powers of zeta, it is the entry evaluated there
     names = [n for n in builtin_names() if "<" not in n] + ["lyndon:6", "comm-p:3"]
     spaces = [to_z(n) for n in names] + [_seeded_five_generator_complex(7)]
     for d in (1, 2, 6, 12, 30, 210):
+        powers = _zeta_powers_by_sympy(d)
         for power in (a for a in range(1, d + 1) if math.gcd(a, d) == 1):
             for C in spaces:
                 for q in range(1, C.top + 1):
                     expected = _evaluate_by_sympy_powers(C, q, d, power)
-                    assert evaluated_boundary(C, q, d, power) == expected, (d, power, q)
+                    got = evaluated_boundary(C, q, d, power)
+                    assert all(0 <= k < d and c for row in got for e in row
+                               for k, c in e.items()), (d, power, q)
+                    assert [[tuple(sum(c * powers[k][i] for k, c in e.items())
+                                   for i in range(len(powers[0]))) for e in row]
+                            for row in got] == expected, (d, power, q)
+
+
+def test_twisted_and_bounds_never_build_a_cyclotomic_polynomial(monkeypatch):
+    # the ranks at zeta_d are taken at omega mod ell straight from the powers
+    # of zeta; Phi_d is never formed, at any order
+    import ess
+    from ess import builtins, coeffs, selftest
+
+    spaces = [builtin_complex(n) for n in ("trefoil", "figure8", "comm-p:3")]
+    spaces.append(to_z_complex(parse_document(lyndon_document(6))))
+
+    def refuse(d):
+        raise AssertionError(f"cyclotomic_polynomial({d}) called")
+
+    for module in (ess, builtins, coeffs, selftest, twisted):
+        if hasattr(module, "cyclotomic_polynomial"):
+            monkeypatch.setattr(module, "cyclotomic_polynomial", refuse)
+    for d in (6, 210, 1000000):
+        assert twisted_betti(spaces[0], d) == ([0, 1, 1] if d == 6 else [0, 0, 0])
+    for C in spaces:
+        for p, r in ((2, 1), (3, 2), (5, 1)):
+            bounds_report(C, [1] * C.group.num_generators, p, r)
+            if C.group == GZ:
+                minors_inequality(C, p, r)
 
 
 # ---------------------------------------------------------------------------
