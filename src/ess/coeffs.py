@@ -37,15 +37,16 @@ _MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below _MR_EXACT_BELOW,
-    trial division above it."""
+    """Exact primality by deterministic Miller-Rabin; CoefficientError for
+    n >= _MR_EXACT_BELOW, where those bases are not known to be exact."""
+    if n >= _MR_EXACT_BELOW:
+        raise CoefficientError(f"{n} is too large for an exact primality test "
+                               f"(the bound is {_MR_EXACT_BELOW})")
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
-    if n >= _MR_EXACT_BELOW:
-        return all(n % f for f in range(41, math.isqrt(n) + 1, 2))
     odd, s = n - 1, 0
     while odd % 2 == 0:
         odd //= 2
@@ -590,10 +591,12 @@ def _modulus(d: int, i: int) -> tuple[int, int]:
             return ell, w
 
 
-def cyclotomic_rank(d: int, rows) -> int:
+def cyclotomic_rank(d: int, rows, cap: int | None = None) -> int:
     """Rank over Q(zeta_d) of a matrix whose entries are dicts {k: c}, each
     standing for sum_k c zeta_d^k (c an int or a Fraction, k any int), for
-    d <= 2^MAX_ORDER_BITS.  Certified from ranks modulo primes ell.
+    d <= 2^MAX_ORDER_BITS.  Certified from ranks modulo primes ell.  A cap
+    the caller has certified, rank <= cap, lets it stop at the first prime
+    whose rank reaches min(rows, cols, cap).
 
     Each row is scaled to integer coefficients, i.e. into Z[zeta].  Reduction
     modulo the degree-one prime (ell, zeta - omega) sends zeta^k to
@@ -605,7 +608,8 @@ def cyclotomic_rank(d: int, rows) -> int:
     ceil((sum_j (sum_k |c_jk|)^2)^(1/2)).  H <= 2^b for b = (H - 1).bit_length(),
     so once the product of the (odd) primes used has more than phi(d) * b bits
     it exceeds H^phi(d) without forming it: some prime gave rank r, and the
-    largest rank seen is r.
+    largest rank seen is r.  Each modular rank is at most r, so one that
+    reaches the cap is r too.
     """
     if not rows or not rows[0]:
         return 0
@@ -620,6 +624,7 @@ def cyclotomic_rank(d: int, rows) -> int:
     phi = d // math.prod(prime_factors(d)) * math.prod(q - 1 for q in prime_factors(d))
     bits = phi * (H - 1).bit_length()
     keys = {k for r in ints for a in r for k in a}
+    most = full if cap is None else min(full, cap)
     best, covered = 0, 1
     for i in itertools.count():
         ell, omega = _modulus(d, i)
@@ -627,7 +632,7 @@ def cyclotomic_rank(d: int, rows) -> int:
         residues = [[sum(c * powers[k] for k, c in a.items()) % ell for a in r] for r in ints]
         best = max(best, _rank_mod(residues, ell))
         covered *= ell
-        if best == full or covered.bit_length() > bits:
+        if best == most or covered.bit_length() > bits:
             return best
 
 

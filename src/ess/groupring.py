@@ -10,7 +10,6 @@ always over sorted keys so every downstream matrix is reproducible.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -366,15 +365,17 @@ def pascal_row(k: int, M: int) -> tuple[int, ...]:
 
 def expansion_coords(a: GroupRingElem, M: int) -> dict:
     """The image of a under t_i -> 1 + x_i, cut at total degree M, as
-    {beta: nonzero raw payload}.  Per term, a product of Pascal rows over the
-    box where they are nonzero: b_i <= k_i where k_i >= 0, and b_i < M where
-    k_i < 0."""
+    {beta: nonzero raw payload}, beta an exponent tuple.  Per term, a product
+    of Pascal rows over the box where they are nonzero: b_i <= k_i where
+    k_i >= 0, and b_i < M where k_i < 0.  A Z_m key is the one exponent k in
+    [0, m), so with M = m nothing is cut: these are the Taylor coefficients at
+    t = 1, the coordinates in the basis u^b = (t - 1)^b, b < m."""
     field = a.field
     add, mul, of_int = field._add, field._mul, field._of_int
     out = {}
     for key, coeff in a.terms.items():
         box = [((), 1)]
-        for k in key:
+        for k in (key,) if a.group.kind == "cyclic" else key:
             row = pascal_row(k, M if k < 0 else min(k + 1, M))
             box = [(beta + (b,), n * x) for beta, n in box
                    for b, x in enumerate(row[:M - sum(beta)])]
@@ -390,61 +391,32 @@ class _CyclicFiltration:
     With u = t - 1, kZ_m = k[u]/((1 + u)^m - 1) has the basis u^0, ...,
     u^(m-1), and J^s = (u^min(s, e)), where e is the multiplicity of u in
     t^m - 1: e = p^a when char k = p and p^a exactly divides m, else e = 1.
-    The basis is adapted: the tail from u^offset(s) on spans J^s, so u^s has
+    The basis is adapted: the tail from u^min(s, e) on spans J^s, so u^s has
     valuation s for s < e and INFINITY from e on (J^e = J^{e+1} = ..., zero
     only in the Reznikov case e = m).  Since t^m = 1, u^m = -sum_{0<k<m}
     C(m, k) u^k; `fold` lists the nonzero terms of that sum as (k, raw
-    payload), none when e = m.  Coordinates are lists of raw payloads.
+    payload), none when e = m.  Coordinates in this basis are
+    expansion_coords(a, m).
     """
 
     def __init__(self, m: int, field: FieldDescriptor):
         self.m = m
-        self.field = field
         p = field.characteristic
         e = 1
         while p and m % (e * p) == 0:
             e *= p
         self.e = e
         self.vals = list(range(e)) + [INFINITY] * (m - e)
-        self.fold = [(k, x) for k in range(1, m) if (x := field._of_int(-math.comb(m, k)))]
+        self.fold = [(k, x) for k, c in enumerate(pascal_row(m, m))
+                     if k and (x := field._of_int(-c))]
 
     def dim(self, s: int) -> int:
         return self.m - min(s, self.e)
-
-    def offset(self, s: int) -> int:
-        """Index of the basis vector u^min(s, e) where J^s starts."""
-        return min(s, self.e)
-
-    def coords(self, vec):
-        """Coordinates in the basis u^k of a vector of monomial coordinates:
-        the Taylor coefficients at t = 1, left as the remainders of m
-        synthetic divisions by t - 1.  The quotient by t - 1 is the list of
-        suffix sums after the first; the remainder is the whole sum."""
-        rest, taylor = list(vec), []
-        while rest:
-            sums = list(itertools.accumulate(reversed(rest), self.field._add))
-            taylor.append(sums.pop())
-            rest = sums[::-1]
-        return taylor
-
-    def membership_val(self, vec) -> float:
-        for val, c in zip(self.vals, self.coords(vec)):
-            if c:
-                return val
-        return INFINITY
 
 
 @functools.lru_cache(maxsize=None)
 def cyclic_filtration(m: int, field: FieldDescriptor) -> _CyclicFiltration:
     return _CyclicFiltration(m, field)
-
-
-def _cyclic_vector(a: GroupRingElem):
-    """The raw monomial coordinates of an element of kZ_m."""
-    v = [a.field._of_int(0)] * a.group.m
-    for key, coeff in a.terms.items():
-        v[key] = coeff
-    return v
 
 
 def j_valuation(a: GroupRingElem):
@@ -461,8 +433,8 @@ def j_valuation(a: GroupRingElem):
         return min(map(sum, expansion_coords(shifted, bound + 1)), default=INFINITY)
     if not a.field.is_field:
         raise DescriptorMismatch("cyclic j_valuation needs field coefficients")
-    filt = cyclic_filtration(a.group.m, a.field)
-    return filt.membership_val(_cyclic_vector(a))
+    vals = cyclic_filtration(a.group.m, a.field).vals
+    return min((vals[b] for (b,) in expansion_coords(a, a.group.m)), default=INFINITY)
 
 
 def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:

@@ -15,7 +15,8 @@ reduced.  E^1 is checked against dim gr^s(kG) * b_q(X, k).  The truncated
 boundary is assembled as sparse columns straight from the sparse
 multiplication of FiltrationModel (on Z^n through a per-model cache of
 monomial products, on Z_m in the basis of powers of u = t - 1, one shift and
-fold per column); no dense matrix is stored.  Every elimination over k in the
+fold per column); on both, an element's coordinates are the one Pascal-row
+map groupring.expansion_coords, and no dense matrix is stored.  Every elimination over k in the
 package (the pairs, the homology bases and d^1) reduces such columns in the
 one sparse column echelon `Echelon`, which stores columns unscaled and
 divides out a pivot only when it uses the column.  All of it runs on raw
@@ -24,7 +25,8 @@ coordinates, d^1 matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
-whose E^oo totals are checked over the whole filtration.
+whose pages are computed over the requested window only and whose E^oo totals
+are checked over the whole filtration.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .coeffs import FieldDescriptor, rank_exact
 from .complexes import betti_numbers
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
-from .groupring import (GroupDescriptor, GroupRingElem, _cyclic_vector,
-                        cyclic_filtration, expansion_coords, gr_dimension,
-                        monomials_of_degree)
+from .groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration, expansion_coords,
+                        gr_dimension, monomials_of_degree)
 
 INF = math.inf
 
@@ -145,11 +146,11 @@ class FiltrationModel:
 
     The basis is ordered with valuations nondecreasing, so J^s corresponds to
     a suffix of the coordinates.  For Z^n this is kG/J^M with monomial basis
-    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M, and coordinates come from
-    products of Pascal rows (groupring.expansion_coords); for Z_m it is all
-    of kG with the basis u^s = (t - 1)^s, s < m, of valuation s below e and
-    INF from e on, and coordinates are the Taylor coefficients at t = 1 (see
-    groupring._CyclicFiltration).  Coordinates are raw payloads.
+    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M; for Z_m it is all of kG
+    (M = m) with the basis u^s = (t - 1)^s, s < m, written (s,), of valuation
+    s below e and INF from e on (see groupring._CyclicFiltration).  On both,
+    the coordinates of an element are groupring.expansion_coords cut at M,
+    as raw payloads.
 
     `mult_columns` gives multiplication by an element as sparse columns from
     one reduction of the element: on Z^n column alpha is its coordinates
@@ -164,20 +165,20 @@ class FiltrationModel:
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
         self.group = group
         self.field = field
-        self.M = M
         if group.kind == "free_abelian":
-            self.monomials = []
-            for deg in range(M):
-                self.monomials.extend(monomials_of_degree(group.n, deg))
-            self.index = {m: i for i, m in enumerate(self.monomials)}
-            self.vals = [sum(m) for m in self.monomials]
-            self.dim = len(self.monomials)
-            self.products = {}  # beta index -> [(alpha index, alpha + beta index)]
-            self._filt = None
+            self.M = M
+            self.monomials = [alpha for deg in range(M)
+                              for alpha in monomials_of_degree(group.n, deg)]
+            self.vals = [sum(alpha) for alpha in self.monomials]
         else:
-            self._filt = cyclic_filtration(group.m, field)
-            self.vals = list(self._filt.vals)
-            self.dim = group.m
+            filt = cyclic_filtration(group.m, field)
+            self.M = group.m
+            self.monomials = [(k,) for k in range(group.m)]
+            self.vals = list(filt.vals)
+            self.fold = filt.fold
+        self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
+        self.dim = len(self.monomials)
+        self.products = {}  # Z^n: beta index -> [(alpha index, alpha + beta index)]
 
     def offset(self, s: int) -> int:
         """First basis index with valuation >= s."""
@@ -185,12 +186,10 @@ class FiltrationModel:
 
     def reduce(self, elem: GroupRingElem):
         """Adapted coordinates of the image of elem in the model, as raw payloads."""
-        if self.group.kind == "free_abelian":
-            out = [self.field._of_int(0)] * self.dim
-            for beta, x in expansion_coords(elem, self.M).items():
-                out[self.index[beta]] = x
-            return out
-        return self._filt.coords(_cyclic_vector(elem))
+        out = [self.field._of_int(0)] * self.dim
+        for beta, x in expansion_coords(elem, self.M).items():
+            out[self.index[beta]] = x
+        return out
 
     def mult_columns(self, elem: GroupRingElem):
         """Sparse matrix of v -> v * elem in adapted coordinates: one
@@ -206,8 +205,8 @@ class FiltrationModel:
             return cols
         # u^(s+1) * elem = u * (u^s * elem): shift up one, and fold the top
         # coefficient back in through u^m = sum of the fold terms
-        m, fold = self.group.m, self._filt.fold
-        cols = [{k: x for k, x in enumerate(self.reduce(elem)) if x}]
+        m, fold = self.group.m, self.fold
+        cols = [{b: x for (b,), x in expansion_coords(elem, m).items()}]
         while len(cols) < m:
             top = cols[-1].get(m - 1)
             col = {k + 1: x for k, x in cols[-1].items() if k < m - 1}
@@ -240,13 +239,6 @@ class PageTable:
 
     def dim(self, s, q):
         return self.entries.get((s, q), 0)
-
-    def cut(self, S_max):
-        """The same page over the window s <= S_max."""
-        def keep(table):
-            return {k: v for k, v in table.items() if k[0] <= S_max}
-        return PageTable(self.r, keep(self.entries), keep(self.d_ranks),
-                         (S_max, self.window[1]))
 
     def row(self, q):
         return [self.dim(s, q) for s in range(self.window[0] + 1)]
@@ -364,11 +356,13 @@ class PageComputation:
         return pairs
 
     def _barcode(self):
-        """(entries, ranks) of the window s <= S_max, for every page in one
-        pass.  A class at (s, q) alive on pages 1..life (INF if never killed)
-        counts on E^r for r <= life, so entries[r - 1] = dims of E^r are
-        suffix sums over the lives, the last one serving every later page;
-        ranks[r][(s, q)] is the rank of d^r out of (s, q)."""
+        """(entries, ranks, unpaired) of the window s <= S_max, for every page
+        in one pass.  A class at (s, q) alive on pages 1..life (INF if never
+        killed) counts on E^r for r <= life, so entries[r - 1] = dims of E^r
+        are suffix sums over the lives, the last one serving every later page;
+        ranks[r][(s, q)] is the rank of d^r out of (s, q).  unpaired[q] counts
+        the vectors of V_q in no pair, in or out of the window: the dimension
+        of H_q of the truncated complex."""
         vals = self.model.vals
         S = self.S_max
         lives = {}  # life -> {(s, q): classes}
@@ -409,7 +403,7 @@ class PageComputation:
             for spot, n in lives.get(INF if r == top else r, {}).items():
                 acc[spot] = acc.get(spot, 0) + n
             entries.append(acc)
-        return entries[::-1], ranks
+        return entries[::-1], ranks, [self.vdim(q) - len(paired[q]) for q in range(self.Q + 1)]
 
     # -- pages -----------------------------------------------------------------
 
@@ -417,7 +411,7 @@ class PageComputation:
         """E^r over the window; every page is computed on the first call."""
         if self._pages is None:
             self._pages = self._barcode()
-        entries, ranks = self._pages
+        entries, ranks, _ = self._pages
         return PageTable(r, dict(entries[min(r, len(entries)) - 1]), dict(ranks.get(r, {})),
                          (self.S_max, self.Q))
 
@@ -572,11 +566,13 @@ def d1_closed_form(C):
 
 def reznikov_collapse(C, S_max: int | None = None):
     """All pages up to E^{p^r} = E^oo for G = Z_{p^r} over characteristic p,
-    with total graded dimensions checked against dim_k H_q(X, kZ_{p^r})
-    computed independently by plain k-linear rank arithmetic.
+    over the window s <= S_max (default p^r - 1, the whole filtration), with
+    total graded dimensions checked against dim_k H_q(X, kZ_{p^r}) computed
+    independently by plain k-linear rank arithmetic.
 
-    The totals are checked over the whole filtration s < p^r; the returned
-    tables are then cut down to s <= S_max (default p^r - 1, no cut).
+    The model is all of kZ_{p^r} whatever the window, and J^{p^r} = 0, so the
+    vectors of V_q in no pair count E^oo_q summed over every s: the totals
+    are checked over the whole filtration, not only inside the window.
 
     Returns (tables, homology_dims).
     """
@@ -589,30 +585,25 @@ def reznikov_collapse(C, S_max: int | None = None):
             f"field characteristic {C.field.characteristic} != p = {p}"
         )
     n = group.m  # p^r; J^n = 0
-    if S_max is None:
-        S_max = n - 1
-    if S_max < 0:
-        raise ValidationError("window needs S_max >= 0")
-    comp = PageComputation(C, R_max=n, S_max=n - 1)
+    comp = PageComputation(C, R_max=n, S_max=n - 1 if S_max is None else S_max)
     tables = comp.pages()
     ranks = [_k_rank(comp, q) for q in range(C.top + 2)]
     hom_dims = [comp.vdim(q) - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
-    last = tables[-1]
-    for q in range(C.top + 1):
-        total = sum(last.dim(s, q) for s in range(n))
+    _, _, unpaired = comp._pages
+    for q, total in enumerate(unpaired):
         if total != hom_dims[q]:
             raise CrossCheckError(
                 f"E^infinity total {total} != dim H_{q} = {hom_dims[q]}"
             )
-    return (tables if S_max == n - 1 else [t.cut(S_max) for t in tables]), hom_dims
+    return tables, hom_dims
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:
     """Rank over k of the truncated boundary d_q, by an elimination of its own
     (on the columns as rows), so that the E^oo totals are checked against
-    something the pairs of _pairs do not decide.  The field is F_p (the
-    Reznikov case) or Q: the raw payloads of boundary_matrix(q) go straight to
-    coeffs.rank_exact, which eliminates residues or integer-scaled rows."""
+    something the pairs of _pairs do not decide.  It is reached only from
+    reznikov_collapse, so the field is F_p: the residues of boundary_matrix(q)
+    go straight to coeffs.rank_exact, a dense elimination mod p."""
     if q < 1 or q > comp.Q or not comp.vdim(q - 1):
         return 0
     rows = []

@@ -62,6 +62,8 @@ def _check_order(p: int, r: int = 1):
 
 def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
     """b_q(X, nu/d) = dim C_q - rank d_q(zeta) - rank d_{q+1}(zeta).
+    Since d_{q-1} d_q = 0, rank d_q <= dim C_{q-1} - rank d_{q-1}, a cap that
+    lets cyclotomic_rank stop at the first prime that reaches it.
 
     C must live over Z (base change first); coefficients must embed in Q.
     d = 1 is the trivial character (Betti numbers over Q).
@@ -77,7 +79,8 @@ def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
         raise InputError("power must be prime to d")
     ranks = [0] * (C.top + 2)
     for q in range(1, C.top + 1):
-        ranks[q] = cyclotomic_rank(d, evaluated_boundary(C, q, d, power))
+        ranks[q] = cyclotomic_rank(d, evaluated_boundary(C, q, d, power),
+                                   cap=C.dims[q - 1] - ranks[q - 1])
     return [C.dims[q] - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
 
 
@@ -243,7 +246,7 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
     """
     from .coeffs import is_prime
 
-    _check_order(p, r)  # first: is_prime on a huge p would run for ages
+    _check_order(p, r)  # first: no arithmetic on a p^r past the order limit
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
     if r < 1:

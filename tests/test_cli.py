@@ -217,6 +217,26 @@ def test_huge_character_order_exits_2_without_traceback(argv):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("where", ["option", "document"])
+def test_prime_field_past_exact_primality_exits_2_fast(where, tmp_path):
+    # 10^30 + 57 is prime, but above the bound where 12-base Miller-Rabin is
+    # exact; the field is refused at once instead of trial-dividing to 10^15
+    field = f"Fp:{10**30 + 57}"
+    if where == "option":
+        argv = ["betti", "--builtin", "circle", "--field", field]
+    else:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"field": field, "group": "Z", "presentation": _ONE_GENERATOR}))
+        argv = ["betti", str(path)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "ess.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INPUT, "")
+    assert proc.stderr.startswith("error: ") and "primality" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_twisted_at_order_one_million(capsys):
     code, out, _ = run(["twisted", "--builtin", "trefoil", "--d", "1000000", "--json"], capsys)
     assert (code, out) == (0, '{"d":1000000,"twisted_betti":[0,0,0]}\n')

@@ -91,6 +91,12 @@ CASES = {
                               "Zmod:27", "--field", "Fp:3", "--S", "26"],
     "pages-comm-p5-Z25-Fp5": ["pages", "--builtin", "comm-p:5", "--group-quotient",
                               "Zmod:25", "--field", "Fp:5", "--S", "24"],
+    # the Reznikov path over a window: the default --S 3, and one past
+    # s = p^r - 1 that pads with zero columns
+    "pages-comm-p3-Z81-Fp3": ["pages", "--builtin", "comm-p:3", "--group-quotient",
+                              "Zmod:81", "--field", "Fp:3"],
+    "pages-comm-p3-Z27-Fp3-S40": ["pages", "--builtin", "comm-p:3", "--group-quotient",
+                                  "Zmod:27", "--field", "Fp:3", "--S", "40"],
     "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
                              "--field", "Fp:2"],
     # 1 < e = 5 < m = 30, so u^30 folds back onto nonzero lower powers mod 5

@@ -17,7 +17,7 @@ import page_oracle
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
-from ess.groupring import GroupDescriptor, GroupRingElem, cyclic_filtration, pascal_row
+from ess.groupring import GroupDescriptor, GroupRingElem, pascal_row
 from ess.pages import (Echelon, FiltrationModel, PageComputation, _apply, _k_rank,
                        d1_closed_form, homology_data)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
@@ -281,11 +281,19 @@ _CYCLIC_COORDS = [(4, "F2"), (8, "F2"), (3, "F3"), (9, "F3"), (6, "F2"), (12, "F
 @given(case=st.sampled_from(_CYCLIC_COORDS),
        entries=st.lists(st.integers(-3, 3), min_size=12, max_size=12))
 def test_raw_cyclic_coordinates_match_fieldelem_oracle(case, entries):
+    """The Z_m model reads an element's coordinates in the basis u^k, k < m,
+    through the Pascal rows of expansion_coords, as on Z^n."""
     m, fname = case
     field = FIELDS[fname]
-    filt = cyclic_filtration(m, field)
+    group = GroupDescriptor.cyclic(m)
+    model = FiltrationModel(group, field, m)
     zero, one = field._of_int(0), field._of_int(1)
+
+    def element(vec):
+        return GroupRingElem(group, field, dict(enumerate(vec)))
+
     for s, vec in enumerate(page_oracle.adapted_basis(field, m)):
-        assert filt.coords([x.v for x in vec]) == [one if k == s else zero for k in range(m)]
+        assert model.reduce(element([x.v for x in vec])) == [one if k == s else zero
+                                                             for k in range(m)]
     vec = [field.from_fraction(a) for a in entries[:m]]
-    assert filt.coords(vec) == page_oracle.cyclic_coords(field, vec)
+    assert model.reduce(element(vec)) == page_oracle.cyclic_coords(field, vec)

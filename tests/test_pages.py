@@ -1,13 +1,14 @@
 import pytest
 
+from ess import pages
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field
 from ess.errors import CrossCheckError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupDescriptor
 from ess.modz import einf_gr_module, homology_decomposition
-from ess.pages import (PageComputation, compute_pages, d1_closed_form, reznikov_collapse,
-                       window_collapse_page)
+from ess.pages import (PageComputation, PageTable, compute_pages, d1_closed_form,
+                       reznikov_collapse, window_collapse_page)
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
@@ -158,6 +159,46 @@ def test_reznikov_p2_and_p5():
         assert hom == [1, 1]
         last = tables[-1]
         assert [last.dim(s, 1) for s in range(p)] == [0] * (p - 1) + [1]
+
+
+def _reznikov_complex(name, m, p):
+    C = change_field(builtin_complex(name), FieldDescriptor.prime_field(p))
+    return base_change(C, GroupHom(C.group, GroupDescriptor.cyclic(m),
+                                   [1] * C.group.num_generators))
+
+
+def _cut(table, S):
+    """The page restricted to the window s <= S, padded with zero columns
+    when S is past the last nonzero one."""
+    def keep(cells):
+        return {k: v for k, v in cells.items() if k[0] <= S}
+    return PageTable(table.r, keep(table.entries), keep(table.d_ranks), (S, table.window[1]))
+
+
+def _page_data(table):
+    return table.r, table.entries, table.d_ranks, table.window
+
+
+@pytest.mark.parametrize("name, m, p", [("circle", 9, 3), ("comm-p:3", 27, 3),
+                                        ("comm-p:5", 25, 5)])
+def test_reznikov_window_is_the_whole_filtration_cut(name, m, p):
+    """Computed over s <= S only, the pages are the whole-filtration pages
+    cut to s <= S, inside, up to and past s = p^r - 1."""
+    C = _reznikov_complex(name, m, p)
+    full, full_hom = reznikov_collapse(C)
+    for S in (0, 1, 3, m - 2, m + 5):
+        tables, hom = reznikov_collapse(C, S)
+        assert hom == full_hom, S
+        assert [_page_data(t) for t in tables] == [_page_data(_cut(t, S)) for t in full], S
+
+
+def test_reznikov_einfinity_check_fires_on_a_small_window(monkeypatch):
+    """The E^oo totals are checked over every s even when the window stops
+    at s = 1: a k-rank one too large is caught."""
+    k_rank = pages._k_rank
+    monkeypatch.setattr(pages, "_k_rank", lambda comp, q: k_rank(comp, q) + 1)
+    with pytest.raises(CrossCheckError, match="E\\^infinity total"):
+        reznikov_collapse(_reznikov_complex("circle", 9, 3), 1)
 
 
 def test_page_table_report_shapes():

@@ -271,6 +271,20 @@ def test_twisted_and_bounds_never_build_a_cyclotomic_polynomial(monkeypatch):
                 minors_inequality(C, p, r)
 
 
+def test_twisted_rank_stops_at_the_certified_cap(monkeypatch, capsys):
+    # torus3 onto Z by (1, 0, 0): d_2 at zeta_d is 3 x 3 of rank 2, which the
+    # norm bound alone certifies only after hundreds of primes; the cap
+    # dim C_1 - rank d_1 = 2 certifies it at the first, as for d_1 and d_3
+    from ess import coeffs
+
+    calls, modulus = [], coeffs._modulus
+    monkeypatch.setattr(coeffs, "_modulus", lambda d, i: calls.append(i) or modulus(d, i))
+    code = cli.main(["twisted", "--builtin", "torus3", "--group-quotient", "Z",
+                     "--nu", "a=1,b=0,c=0", "--d", "100000", "--json"])
+    assert (code, capsys.readouterr().out) == (0, '{"d":100000,"twisted_betti":[0,0,0,0]}\n')
+    assert calls == [0, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Alexander polynomial against an independent sympy oracle
 # ---------------------------------------------------------------------------
