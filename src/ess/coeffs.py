@@ -1,5 +1,6 @@
 """Exact coefficient arithmetic over Q, F_p and Z, the one univariate
-polynomial type, and certified ranks over cyclotomic fields Q(zeta_d).
+polynomial type, the one sparse elimination, and certified ranks over
+cyclotomic fields Q(zeta_d).
 
 Every matrix built from an input has rational entries, and Q(zeta_d) is flat
 over Q, so each invariant over Q(zeta_d) (ranks, pages E^r, Laurent invariant
@@ -14,9 +15,11 @@ it, and Phi_d (`cyclotomic_polynomial`) is never formed there.  `LaurentRing`
 is k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs
 on it and the Alexander polynomial takes its minors and gcds in it.
 
-Every scalar is a raw payload of its descriptor (see `FieldDescriptor`);
-`rank_exact` runs fraction-free Bareiss on integer-scaled rows over Q and
-eliminates residues over F_p.  No floating point anywhere.
+Every scalar is a raw payload of its descriptor (see `FieldDescriptor`).
+`Echelon`, the sparse column echelon, is the one elimination over F_p:
+`rank_exact` over F_p, the rank at each prime of `cyclotomic_rank` and the
+page engine all reduce in it.  Over Q and Z, `rank_exact` runs fraction-free
+Bareiss on integer-scaled rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -515,14 +518,81 @@ class LaurentRing:
         return None if g in (0, den) else self._make(0, [den], g)
 
 
+# ---------------------------------------------------------------------------
+# Exact elimination and rank
+# ---------------------------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Exact rank
-# ---------------------------------------------------------------------------
+
+class Echelon:
+    """Sparse column echelon over a field: the one elimination over F_p (every
+    rank there, see `rank_exact`) and over k in the page engine.
+
+    Columns are {row: nonzero raw payload} dicts, combined through the
+    field's payload table; a column's pivot is its largest row.  Columns
+    passed in are reduced in place, and `add` stores the reduced column itself,
+    unscaled: its pivot entry is divided out only when `reduce` uses it.  A
+    column added with a label also records its combination of the labelled
+    inputs, and if it reduces to zero, the relation e_label - (that
+    combination) goes to `relations`.  Unlabelled columns record nothing:
+    added first, they make the combinations hold modulo their span.
+    """
+
+    def __init__(self, field: FieldDescriptor):
+        self.field = field
+        self.owner = {}      # pivot row -> stored column
+        self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
+        self.relations = []  # {label: coefficient}, one per dependent labelled column
+
+    def reduce(self, col, coords=None):
+        """Clear the pivots of col that stored columns own, adding the
+        multiples taken of their combinations into coords if given.  Returns
+        the pivot left, or None when col is zero: it lay in the span."""
+        owner, combo, field = self.owner, self.combo, self.field
+        add, mul = field._add, field._mul
+        while col:
+            low = max(col)
+            other = owner.get(low)
+            if other is None:
+                return low
+            f = mul(col[low], field._inv(other[low]))
+            nf = field._neg(f)
+            for k, y in other.items():
+                z = mul(nf, y)  # nonzero, a product of nonzeros in a field
+                if k in col:
+                    z = add(col[k], z)
+                    if not z:
+                        del col[k]
+                        continue
+                col[k] = z
+            if coords is not None:
+                for label, y in combo.get(low, {}).items():
+                    coords[label] = add(coords[label], mul(f, y)) if label in coords else mul(f, y)
+        return None
+
+    def add(self, col, label=None):
+        """Store col reduced (col itself, unscaled); return its pivot, or
+        None if it was dependent."""
+        field = self.field
+        coords = None if label is None else {}
+        low = self.reduce(col, coords)
+        if coords is not None:
+            coords = {k: field._neg(y) for k, y in coords.items() if y}
+            coords[label] = field._of_int(1)
+        if low is None:
+            if coords is not None:
+                self.relations.append(coords)
+            return None
+        self.owner[low] = col
+        if coords is not None:
+            self.combo[low] = coords
+        return low
 
 
 def _rank_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix."""
+    """Fraction-free Bareiss elimination on an integer matrix: the rank over
+    Q and Z.  It stays beside `Echelon` because the rows it gets are dense, and
+    there Echelon on Fractions was over 10x slower at n = 20 and at n = 80
+    (random dense integer matrices, in-process)."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -547,28 +617,6 @@ def _rank_bareiss_int(rows: list[list[int]]) -> int:
         pr += 1
         rank += 1
         if pr == nrows:
-            break
-    return rank
-
-
-def _rank_mod(rows: list[list[int]], ell: int) -> int:
-    """Rank over F_ell of a matrix of residues mod the prime ell."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    for pc in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][pc]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        inv = pow(top[pc], -1, ell)
-        for i in range(rank + 1, len(m)):
-            f = m[i][pc] * inv % ell
-            if f:
-                m[i] = [(x - f * y) % ell for x, y in zip(m[i], top)]
-        rank += 1
-        if rank == len(m):
             break
     return rank
 
@@ -630,18 +678,20 @@ def cyclotomic_rank(d: int, rows, cap: int | None = None) -> int:
         ell, omega = _modulus(d, i)
         powers = {k: pow(omega, k % d, ell) for k in keys}
         residues = [[sum(c * powers[k] for k, c in a.items()) % ell for a in r] for r in ints]
-        best = max(best, _rank_mod(residues, ell))
+        best = max(best, rank_exact(FieldDescriptor(_FP, p=ell), residues))
         covered *= ell
         if best == most or covered.bit_length() > bits:
             return best
 
 
 def rank_exact(field: FieldDescriptor, rows) -> int:
-    """Exact rank of dense rows of Q, Q(zeta_d), Z or F_p payloads: residues
-    are eliminated mod p; rational rows (Z through its fraction field) are
-    scaled to integers and eliminated fraction-free."""
+    """Exact rank of dense rows of Q, Q(zeta_d), Z or F_p payloads.  Over F_p
+    each row goes into an `Echelon` as a sparse dict and the pivots are
+    counted; rational rows (Z through its fraction field) are scaled to
+    integers and eliminated fraction-free."""
     if field.kind == _FP:
-        return _rank_mod(rows, field.p)
+        ech = Echelon(field)
+        return sum(ech.add({j: x for j, x in enumerate(r) if x}) is not None for r in rows)
     int_rows = []
     for r in rows:
         den = math.lcm(*(x.denominator for x in r))

@@ -16,17 +16,19 @@ boundary is assembled as sparse columns straight from the sparse
 multiplication of FiltrationModel (on Z^n through a per-model cache of
 monomial products, on Z_m in the basis of powers of u = t - 1, one shift and
 fold per column); on both, an element's coordinates are the one Pascal-row
-map groupring.expansion_coords, and no dense matrix is stored.  Every elimination over k in the
-package (the pairs, the homology bases and d^1) reduces such columns in the
-one sparse column echelon `Echelon`, which stores columns unscaled and
-divides out a pivot only when it uses the column.  All of it runs on raw
-payloads through the descriptor's payload table, and every result (bases,
-coordinates, d^1 matrices) is a dense list of payloads.
+map groupring.expansion_coords, and no dense matrix is stored.  Every
+elimination here (the pairs, the homology bases, d^1 and the k-rank of the
+Reznikov check) reduces sparse vectors in coeffs.Echelon, the one sparse
+column echelon, which stores columns unscaled and divides out a pivot only
+when it uses the column.  All of it runs on raw payloads through the
+descriptor's payload table, and every result (bases, coordinates, d^1
+matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
 whose pages are computed over the requested window only and whose E^oo totals
-are checked over the whole filtration.
+are checked over the whole filtration against the rank of each boundary's
+rows, a reduction of the transpose.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import bisect
 import math
 import operator
 
-from .coeffs import FieldDescriptor, rank_exact
+from .coeffs import Echelon, FieldDescriptor
 from .complexes import betti_numbers
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
@@ -43,70 +45,6 @@ from .groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration, expan
                         gr_dimension, monomials_of_degree)
 
 INF = math.inf
-
-
-class Echelon:
-    """Sparse column echelon over a field.
-
-    Columns are {row: nonzero raw payload} dicts, combined through the
-    field's payload table; a column's pivot is its largest row.  Columns
-    passed in are reduced in place, and `add` stores the reduced column itself,
-    unscaled: its pivot entry is divided out only when `reduce` uses it.  A
-    column added with a label also records its combination of the labelled
-    inputs, and if it reduces to zero, the relation e_label - (that
-    combination) goes to `relations`.  Unlabelled columns record nothing:
-    added first, they make the combinations hold modulo their span.
-    """
-
-    def __init__(self, field: FieldDescriptor):
-        self.field = field
-        self.owner = {}      # pivot row -> stored column
-        self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
-        self.relations = []  # {label: coefficient}, one per dependent labelled column
-
-    def reduce(self, col, coords=None):
-        """Clear the pivots of col that stored columns own, adding the
-        multiples taken of their combinations into coords if given.  Returns
-        the pivot left, or None when col is zero: it lay in the span."""
-        owner, combo, field = self.owner, self.combo, self.field
-        add, mul = field._add, field._mul
-        while col:
-            low = max(col)
-            other = owner.get(low)
-            if other is None:
-                return low
-            f = mul(col[low], field._inv(other[low]))
-            nf = field._neg(f)
-            for k, y in other.items():
-                z = mul(nf, y)  # nonzero, a product of nonzeros in a field
-                if k in col:
-                    z = add(col[k], z)
-                    if not z:
-                        del col[k]
-                        continue
-                col[k] = z
-            if coords is not None:
-                for label, y in combo.get(low, {}).items():
-                    coords[label] = add(coords[label], mul(f, y)) if label in coords else mul(f, y)
-        return None
-
-    def add(self, col, label=None):
-        """Store col reduced (col itself, unscaled); return its pivot, or
-        None if it was dependent."""
-        field = self.field
-        coords = None if label is None else {}
-        low = self.reduce(col, coords)
-        if coords is not None:
-            coords = {k: field._neg(y) for k, y in coords.items() if y}
-            coords[label] = field._of_int(1)
-        if low is None:
-            if coords is not None:
-                self.relations.append(coords)
-            return None
-        self.owner[low] = col
-        if coords is not None:
-            self.combo[low] = coords
-        return low
 
 
 def kernel(field: FieldDescriptor, columns):
@@ -599,17 +537,16 @@ def reznikov_collapse(C, S_max: int | None = None):
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:
-    """Rank over k of the truncated boundary d_q, by an elimination of its own
-    (on the columns as rows), so that the E^oo totals are checked against
-    something the pairs of _pairs do not decide.  It is reached only from
-    reznikov_collapse, so the field is F_p: the residues of boundary_matrix(q)
-    go straight to coeffs.rank_exact, a dense elimination mod p."""
-    if q < 1 or q > comp.Q or not comp.vdim(q - 1):
+    """Rank over k of the truncated boundary d_q, for the E^oo check of
+    reznikov_collapse.  The sparse columns of boundary_matrix(q) are turned
+    into sparse rows, and the rows go into an `Echelon`: a reduction of the
+    transpose, with other vectors, pivots and order than the column reduction
+    of _pairs, so the check does not repeat the computation it checks."""
+    if q < 1 or q > comp.Q:
         return 0
-    rows = []
-    for col in comp.boundary_matrix(q):
-        row = [0] * comp.vdim(q - 1)
+    rows = [{} for _ in range(comp.vdim(q - 1))]
+    for j, col in enumerate(comp.boundary_matrix(q)):
         for i, x in col.items():
-            row[i] = x
-        rows.append(row)
-    return rank_exact(comp.field, rows)
+            rows[i][j] = x
+    ech = Echelon(comp.field)
+    return sum(ech.add(row) is not None for row in rows)

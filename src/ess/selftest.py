@@ -13,7 +13,7 @@ import random
 
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
 from .builtins import builtin_complex, diagonal_quotient_images
-from .coeffs import (FieldDescriptor, LaurentRing, cyclotomic_polynomial, divisors,
+from .coeffs import (Echelon, FieldDescriptor, LaurentRing, cyclotomic_polynomial, divisors,
                      prime_power)
 from .complexes import (Epimorphism, FreeWord, GroupHom, base_change,
                         betti_numbers, change_field, fox_derivative)
@@ -21,7 +21,7 @@ from .errors import CoefficientError
 from .groupring import (GroupDescriptor, GroupRingElem, j_valuation)
 from .modz import (einf_gr_module, homology_decomposition, monodromy_report,
                    smith_normal_form)
-from .pages import Echelon, PageComputation, d1_closed_form, kernel, reznikov_collapse
+from .pages import PageComputation, d1_closed_form, kernel, reznikov_collapse
 from .twisted import (alexander_polynomial, bounds_report, minors_inequality,
                       twisted_betti)
 

@@ -36,9 +36,10 @@ from __future__ import annotations
 import math
 
 import linalg_oracle as linalg
+from ess.coeffs import Echelon
 from ess.errors import CrossCheckError
 from ess.groupring import GroupRingElem
-from ess.pages import Echelon, FiltrationModel
+from ess.pages import FiltrationModel
 from linalg_oracle import Scalar
 
 

@@ -217,7 +217,8 @@ def raw_matrices(draw):
 @given(case=raw_matrices())
 def test_rank_exact_matches_sympy(case):
     """rank_exact on raw payload rows against sympy: Matrix.rank() over Q, a
-    DomainMatrix over GF(p)."""
+    DomainMatrix over GF(p).  Over Z it gets the rational matrix times the
+    lcm of its denominators, integer-valued and of the same rank."""
     p, mat = case
     if p:
         F = FieldDescriptor.prime_field(p)
@@ -230,6 +231,8 @@ def test_rank_exact_matches_sympy(case):
         want = sympy.Matrix(mat).rank() if mat and mat[0] else 0
         for F in (Q, FieldDescriptor.cyclotomic(6)):
             assert rank_exact(F, [[F.from_fraction(x) for x in row] for row in mat]) == want
+        Z, den = FieldDescriptor.integers(), math.lcm(*(x.denominator for row in mat for x in row))
+        assert rank_exact(Z, [[Z.from_fraction(x * den) for x in row] for row in mat]) == want
 
 
 def test_rank_rational_entries():

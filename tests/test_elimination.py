@@ -1,4 +1,4 @@
-"""The sparse column echelon of `ess.pages` against the dense oracle.
+"""The sparse column echelon of `ess.coeffs` against the dense oracle.
 
 `kernel`, `Echelon.add`/`reduce` and `solve_mod` must give what
 `linalg_oracle`'s `kernel_basis`, `in_span` and `solve_mod_subspace` give: the
@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import Echelon, FieldDescriptor
 from ess.errors import CoefficientError
-from ess.pages import Echelon, kernel, solve_mod
+from ess.pages import kernel, solve_mod
 from linalg_oracle import Scalar
 
 FIELDS = [FieldDescriptor.rationals(), FieldDescriptor.prime_field(2),

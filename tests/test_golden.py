@@ -97,6 +97,12 @@ CASES = {
                               "Zmod:81", "--field", "Fp:3"],
     "pages-comm-p3-Z27-Fp3-S40": ["pages", "--builtin", "comm-p:3", "--group-quotient",
                                   "Zmod:27", "--field", "Fp:3", "--S", "40"],
+    # a small window on a large Z_{p^r}: the E^oo totals still rank the
+    # boundary over the whole model kZ_m
+    **{f"pages-comm-p{p}-Z{m}-Fp{p}-R3S4": ["pages", "--builtin", f"comm-p:{p}",
+                                            "--group-quotient", f"Zmod:{m}", "--field",
+                                            f"Fp:{p}"] + WINDOWS["R3S4"]
+       for p, m in ((3, 729), (5, 625))},
     "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
                              "--field", "Fp:2"],
     # 1 < e = 5 < m = 30, so u^30 folds back onto nonzero lower powers mod 5

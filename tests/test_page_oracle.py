@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 import linalg_oracle as linalg
 import page_oracle
 from ess.builtins import builtin_complex
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import Echelon, FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
 from ess.groupring import GroupDescriptor, GroupRingElem, pascal_row
-from ess.pages import (Echelon, FiltrationModel, PageComputation, _apply, _k_rank,
-                       d1_closed_form, homology_data)
+from ess.pages import (FiltrationModel, PageComputation, _apply, _k_rank, d1_closed_form,
+                       homology_data)
 from page_oracle import OraclePages, boundary_matrix, mult_matrix
 
 FIELDS = {
@@ -85,13 +85,23 @@ def _in_j(a):
 _GROUPS = [GroupDescriptor.free_abelian(1), GroupDescriptor.free_abelian(2),
            GroupDescriptor.cyclic(4), GroupDescriptor.cyclic(6)]
 
+# Z_{p^r} in characteristic p (e = m, no fold) and Z_m with e < m
+_REZNIKOV = [(2, "F2"), (4, "F2"), (8, "F2"), (3, "F3"), (9, "F3")]
+_NOT_NILPOTENT = [(6, "F2"), (12, "F2"), (6, "F3"), (3, "F2"), (4, "Q"), (6, "Q"),
+                  (18, "F3")]
+
 
 @st.composite
-def small_complexes(draw):
+def small_complexes(draw, reznikov=False):
     """A three-term complex kG -> kG^b -> kG^c with d_2 built from Koszul
-    syzygies of d_1, so d_1 d_2 = 0 holds for any random d_1."""
-    field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    group = draw(st.sampled_from(_GROUPS))
+    syzygies of d_1, so d_1 d_2 = 0 holds for any random d_1.  With
+    reznikov, G = Z_{p^r} and k has characteristic p (from _REZNIKOV)."""
+    if reznikov:
+        m, fname = draw(st.sampled_from(_REZNIKOV))
+        field, group = FIELDS[fname], GroupDescriptor.cyclic(m)
+    else:
+        field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+        group = draw(st.sampled_from(_GROUPS))
     width = group.n if group.kind == "free_abelian" else 1
     terms = st.lists(
         st.tuples(st.tuples(*[st.integers(-2, 2)] * width), st.integers(-2, 2)),
@@ -159,12 +169,6 @@ def _nonzero_columns(dense, ncols):
     return [{i: row[j].v for i, row in enumerate(dense) if row[j]} for j in range(ncols)]
 
 
-# Z_{p^r} in characteristic p (e = m, no fold) and Z_m with e < m
-_REZNIKOV = [(2, "F2"), (4, "F2"), (8, "F2"), (3, "F3"), (9, "F3")]
-_NOT_NILPOTENT = [(6, "F2"), (12, "F2"), (6, "F3"), (3, "F2"), (4, "Q"), (6, "Q"),
-                  (18, "F3")]
-
-
 @st.composite
 def models_and_elements(draw):
     kind = draw(st.sampled_from(["free_abelian", "reznikov", "not_nilpotent"]))
@@ -213,6 +217,18 @@ def test_sparse_boundary_and_rank_match_dense_oracle(C, R, S):
         dense = boundary_matrix(comp, q)
         assert comp.boundary_matrix(q) == _nonzero_columns(dense, comp.vdim(q))
         assert _k_rank(comp, q) == linalg.rank_of(C.field, dense)
+
+
+@settings(max_examples=40, deadline=None)
+@given(C=small_complexes(reznikov=True))
+def test_k_rank_matches_dense_oracle_on_reznikov_complexes(C):
+    """The rank behind the E^oo check of reznikov_collapse, over the whole
+    model kZ_{p^r}, against the oracle's own dense truncated boundary, which
+    linalg_oracle ranks with no Echelon."""
+    m = C.group.m
+    comp = PageComputation(C, R_max=m, S_max=m - 1)
+    for q in range(comp.Q + 2):
+        assert _k_rank(comp, q) == linalg.rank_of(C.field, boundary_matrix(comp, q)), q
 
 
 # Q(zeta_3) computes over Q, so cyc3 runs the descended route on every built-in.

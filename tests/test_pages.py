@@ -201,6 +201,17 @@ def test_reznikov_einfinity_check_fires_on_a_small_window(monkeypatch):
         reznikov_collapse(_reznikov_complex("circle", 9, 3), 1)
 
 
+@pytest.mark.parametrize("name, m, p", [("circle", 9, 3), ("comm-p:3", 27, 3)])
+def test_reznikov_einfinity_check_catches_a_dropped_pair(monkeypatch, name, m, p):
+    """The pairs and _k_rank both reduce in Echelon, yet a fault in the pairs
+    (here the last pair of every degree lost) still fails the E^oo check."""
+    pairs = PageComputation._pairs
+    monkeypatch.setattr(PageComputation, "_pairs",
+                        lambda self, q, cleared=(): pairs(self, q, cleared)[:-1])
+    with pytest.raises(CrossCheckError, match="E\\^infinity total"):
+        reznikov_collapse(_reznikov_complex(name, m, p))
+
+
 def test_page_table_report_shapes():
     C = change_field(builtin_complex("circle"), Q)
     tables = compute_pages(C, 2, 2)
