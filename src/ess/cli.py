@@ -29,7 +29,7 @@ from .complexes import (EquivariantComplex, GroupHom, base_change,
 from .errors import CrossCheckError, EssError, InputError
 from .groupring import GroupDescriptor
 from .modz import homology_decomposition, monodromy_report
-from .pages import PageComputation, reznikov_collapse, window_collapse_page
+from .pages import PageComputation, PageTable, reznikov_collapse, window_collapse_page
 from .twisted import alexander_polynomial, bounds_report, twisted_betti
 
 EXIT_OK = 0
@@ -146,6 +146,17 @@ def cmd_betti(args):
     return EXIT_OK
 
 
+def _distinct_pages(tables, encode):
+    """(r, encode(table)) per page, encoding each distinct page once: pages
+    that are equal share their dicts (see PageTable)."""
+    seen = {}
+    for t in tables:
+        key = id(t.entries), id(t.d_ranks)
+        if key not in seen:
+            seen[key] = encode(t)
+        yield t.r, seen[key]
+
+
 def cmd_pages(args):
     if args.R is not None and args.R < 1:
         raise InputError("--R must be >= 1")
@@ -162,13 +173,18 @@ def cmd_pages(args):
         collapse = window_collapse_page(tables)
         extra = {}
     if args.json:
-        doc = {"pages": [t.to_json() for t in tables], "window_collapse_page": collapse}
-        doc.update(extra)
-        sys.stdout.write(emit_json(doc))
+        # emit_json of the whole document, in pieces: the keys sort as
+        # "homology_dims" < "pages" < "window_collapse_page", and in a page
+        # "entries" < "page"
+        write = sys.stdout.write
+        write(emit_json(extra)[:-2] + ',"pages":[' if extra else '{"pages":[')
+        pages = _distinct_pages(tables, lambda t: emit_json(t.to_json()).rpartition(',"page":')[0])
+        for i, (r, body) in enumerate(pages):
+            write(f'{"," if i else ""}{body},"page":{r}}}')
+        write(f'],"window_collapse_page":{json.dumps(collapse)}}}\n')
     else:
-        for t in tables:
-            print(t.to_text())
-            print()
+        for r, body in _distinct_pages(tables, lambda t: t.to_text().partition("\n")[2]):
+            print(PageTable.TITLE.format(r), body, "", sep="\n")
         print(f"window collapse at page: {collapse}")
         if extra:
             print(f"homology dims (independent rank computation): {extra['homology_dims']}")

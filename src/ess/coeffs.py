@@ -530,7 +530,8 @@ class Echelon:
     Columns are {row: nonzero raw payload} dicts, combined through the
     field's payload table; a column's pivot is its largest row.  Columns
     passed in are reduced in place, and `add` stores the reduced column itself,
-    unscaled: its pivot entry is divided out only when `reduce` uses it.  A
+    unscaled: the negated inverse of its pivot entry is taken when `reduce`
+    first uses it and kept (stored columns are never written).  A
     column added with a label also records its combination of the labelled
     inputs, and if it reduces to zero, the relation e_label - (that
     combination) goes to `relations`.  Unlabelled columns record nothing:
@@ -540,6 +541,7 @@ class Echelon:
     def __init__(self, field: FieldDescriptor):
         self.field = field
         self.owner = {}      # pivot row -> stored column
+        self.ninv = {}       # pivot row -> -1 / (its pivot entry), once used
         self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
         self.relations = []  # {label: coefficient}, one per dependent labelled column
 
@@ -547,15 +549,17 @@ class Echelon:
         """Clear the pivots of col that stored columns own, adding the
         multiples taken of their combinations into coords if given.  Returns
         the pivot left, or None when col is zero: it lay in the span."""
-        owner, combo, field = self.owner, self.combo, self.field
+        owner, ninv, combo, field = self.owner, self.ninv, self.combo, self.field
         add, mul = field._add, field._mul
         while col:
             low = max(col)
             other = owner.get(low)
             if other is None:
                 return low
-            f = mul(col[low], field._inv(other[low]))
-            nf = field._neg(f)
+            inv = ninv.get(low)
+            if inv is None:
+                inv = ninv[low] = field._neg(field._inv(other[low]))
+            nf = mul(col[low], inv)
             for k, y in other.items():
                 z = mul(nf, y)  # nonzero, a product of nonzeros in a field
                 if k in col:
@@ -565,6 +569,7 @@ class Echelon:
                         continue
                 col[k] = z
             if coords is not None:
+                f = field._neg(nf)
                 for label, y in combo.get(low, {}).items():
                     coords[label] = add(coords[label], mul(f, y)) if label in coords else mul(f, y)
         return None

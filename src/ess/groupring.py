@@ -407,8 +407,9 @@ class _CyclicFiltration:
             e *= p
         self.e = e
         self.vals = list(range(e)) + [INFINITY] * (m - e)
+        # e = m: p divides every C(m, k), 0 < k < m, so no row of exact binomials
         self.fold = [(k, x) for k, c in enumerate(pascal_row(m, m))
-                     if k and (x := field._of_int(-c))]
+                     if k and (x := field._of_int(-c))] if e < m else []
 
     def dim(self, s: int) -> int:
         return self.m - min(s, self.e)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from types import MappingProxyType
 
 from .coeffs import Echelon, FieldDescriptor
 from .complexes import betti_numbers
@@ -45,6 +46,7 @@ from .groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration, expan
                         gr_dimension, monomials_of_degree)
 
 INF = math.inf
+_NO_RANKS = MappingProxyType({})  # the d_ranks of every page with no d^r
 
 
 def kernel(field: FieldDescriptor, columns):
@@ -167,7 +169,12 @@ class FiltrationModel:
 
 
 class PageTable:
-    """Dimensions and d^r ranks of one page over a window of (s, q)."""
+    """Dimensions and d^r ranks of one page over a window of (s, q).
+
+    `entries` and `d_ranks` are read-only: equal pages of one computation
+    share the same two dicts, which `cli.cmd_pages` encodes once."""
+
+    TITLE = "page E^{}  (rows q, columns filtration s; dim/d-rank)"
 
     def __init__(self, r, entries, d_ranks, window):
         self.r = r
@@ -194,7 +201,7 @@ class PageTable:
 
     def to_text(self):
         S, Q = self.window
-        lines = [f"page E^{self.r}  (rows q, columns filtration s; dim/d-rank)"]
+        lines = [self.TITLE.format(self.r)]
         header = "q\\s " + " ".join(f"{s:>7}" for s in range(S + 1))
         lines.append(header)
         for q in range(Q, -1, -1):
@@ -297,10 +304,10 @@ class PageComputation:
         """(entries, ranks, unpaired) of the window s <= S_max, for every page
         in one pass.  A class at (s, q) alive on pages 1..life (INF if never
         killed) counts on E^r for r <= life, so entries[r - 1] = dims of E^r
-        are suffix sums over the lives, the last one serving every later page;
-        ranks[r][(s, q)] is the rank of d^r out of (s, q).  unpaired[q] counts
-        the vectors of V_q in no pair, in or out of the window: the dimension
-        of H_q of the truncated complex."""
+        are suffix sums over the lives, one dict per distinct page, the last
+        one serving every later page; ranks[r][(s, q)] is the rank of d^r out
+        of (s, q).  unpaired[q] counts the vectors of V_q in no pair, in or
+        out of the window: the dimension of H_q of the truncated complex."""
         vals = self.model.vals
         S = self.S_max
         lives = {}  # life -> {(s, q): classes}
@@ -337,9 +344,11 @@ class PageComputation:
         top = max((life for life in lives if life < INF), default=0) + 1
         entries, acc = [], {}
         for r in range(top, 0, -1):
-            acc = dict(acc)
-            for spot, n in lives.get(INF if r == top else r, {}).items():
-                acc[spot] = acc.get(spot, 0) + n
+            born = lives.get(INF if r == top else r)
+            if born:
+                acc = dict(acc)
+                for spot, n in born.items():
+                    acc[spot] = acc.get(spot, 0) + n
             entries.append(acc)
         return entries[::-1], ranks, [self.vdim(q) - len(paired[q]) for q in range(self.Q + 1)]
 
@@ -350,7 +359,7 @@ class PageComputation:
         if self._pages is None:
             self._pages = self._barcode()
         entries, ranks, _ = self._pages
-        return PageTable(r, dict(entries[min(r, len(entries)) - 1]), dict(ranks.get(r, {})),
+        return PageTable(r, entries[min(r, len(entries)) - 1], ranks.get(r, _NO_RANKS),
                          (self.S_max, self.Q))
 
     def pages(self) -> list[PageTable]:
@@ -418,14 +427,12 @@ def window_collapse_page(tables: list[PageTable]):
     """First page index r such that from r on, all windowed differentials
     vanish and the entries stay constant (necessary-only evidence for E^oo;
     the authoritative answer for G = Z is the SNF route)."""
-    for i, tab in enumerate(tables):
-        stable = all(
-            not later.d_ranks and later.entries == tab.entries
-            for later in tables[i:]
-        )
-        if stable:
-            return tab.r
-    return None
+    collapse, last = None, tables[-1].entries if tables else None
+    for tab in reversed(tables):  # the stable pages are a tail
+        if tab.d_ranks or (tab.entries is not last and tab.entries != last):
+            break
+        collapse = tab.r
+    return collapse
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pages_output_oracle
 from ess import cli
 from ess.builtins import builtin_names
+from ess.pages import PageTable
 
 
 def run(args, capsys):
@@ -100,6 +107,63 @@ def test_pages_honours_R_on_the_reznikov_path(capsys):
         code, out, err = run(argv, capsys)
         assert code == cli.EXIT_INPUT and not out, argv
         assert err.startswith("error: ")
+
+
+_T_MINUS_1_POWERS = {2: "t^2 - 2*t + 1", 3: "t^3 - 3*t^2 + 3*t - 1"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=st.sampled_from(["circle", "trefoil", "comm-p:2", "comm-p:3", "torus2", 2, 3]),
+       m=st.sampled_from([4, 8, 9, 16, 25, 27]), prime_field=st.booleans(),
+       S=st.integers(0, 30), R=st.none() | st.integers(1, 30))
+def test_pages_stdout_matches_the_one_page_at_a_time_encoder(space, m, prime_field, S, R,
+                                                            tmp_path_factory):
+    """Each distinct page encoded once and spliced under every page number
+    gives the stdout of encoding every page and the whole document at once,
+    for the very tables the command computed.  An integer space k is the
+    complex kG --(t - 1)^k--> kG, whose d^1 .. d^(k-1) vanish: equal pages
+    there differ in their d^r alone."""
+    p = next(q for q in (2, 3, 5) if m % q == 0)
+    if isinstance(space, int):
+        path = tmp_path_factory.getbasetemp() / f"power{space}.json"
+        path.write_text(json.dumps({"field": "Z", "group": "Z", "matrices": {
+            "dims": [1, 1], "boundaries": [[[_T_MINUS_1_POWERS[space]]]]}}))
+        source = [str(path)]
+    else:
+        source = ["--builtin", space]
+    argv = ["pages", *source, "--group-quotient", f"Zmod:{m}",
+            "--field", f"Fp:{p}" if prime_field else "Q", "--S", str(S)]
+    argv += [] if R is None else ["--R", str(R)]
+    for json_flag, oracle in (([], pages_output_oracle.pages_text),
+                              (["--json"], pages_output_oracle.pages_json)):
+        seen = {}
+        collapse, reznikov = cli.window_collapse_page, cli.reznikov_collapse
+
+        def keep_tables(tables):
+            seen["tables"] = tables
+            return collapse(tables)
+
+        def keep_homology(C, S_max):
+            tables, seen["hom"] = reznikov(C, S_max)
+            return tables, seen["hom"]
+
+        out = io.StringIO()
+        with mock.patch.object(cli, "window_collapse_page", keep_tables), \
+                mock.patch.object(cli, "reznikov_collapse", keep_homology), \
+                contextlib.redirect_stdout(out):
+            assert cli.main(argv + json_flag) == cli.EXIT_OK
+        assert out.getvalue() == oracle(seen["tables"], seen.get("hom"))
+
+
+def test_reznikov_pages_encode_each_distinct_page_once(monkeypatch, capsys):
+    calls, to_json = [], PageTable.to_json
+    monkeypatch.setattr(PageTable, "to_json", lambda self: calls.append(self.r) or to_json(self))
+    code, out, _ = run(["pages", "--builtin", "comm-p:3", "--group-quotient", "Zmod:729",
+                        "--field", "Fp:3", "--json"], capsys)
+    pages = json.loads(out)["pages"]
+    distinct = {json.dumps(page["entries"]) for page in pages}
+    assert code == cli.EXIT_OK and len(pages) == 729
+    assert len(calls) == len(distinct) < 10
 
 
 _EXTRA_CELL_WITHOUT_DEGREE = json.dumps({
