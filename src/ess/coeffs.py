@@ -16,10 +16,10 @@ is k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs
 on it and the Alexander polynomial takes its minors and gcds in it.
 
 Every scalar is a raw payload of its descriptor (see `FieldDescriptor`).
-`Echelon`, the sparse column echelon, is the one elimination over F_p:
+`Echelon`, the sparse column echelon, is the one sparse elimination:
 `rank_exact` over F_p, the rank at each prime of `cyclotomic_rank` and the
 page engine all reduce in it.  Over Q and Z, `rank_exact` runs fraction-free
-Bareiss on integer-scaled rows.  No floating point anywhere.
+Bareiss on integer-scaled dense rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -155,15 +155,15 @@ class FieldDescriptor:
     """One of: the rationals, a prime field F_p, a cyclotomic field Q(zeta_d),
     or the ring Z (not a field; accepted where SNF over Z is needed).
 
-    Instances are immutable; payloads are Fraction (Q and Q(zeta_d)), int in
-    [0,p) (F_p), or int (Z).  Every entry an input yields is rational, and
-    Q(zeta_d) is flat over Q, so `cyclotomic:<d>` binds exactly Q's payload
-    table: it is computed over Q and differs from Q only in its label.  The
-    payload table _add, _neg, _mul, _inv and _of_int (the payload of an int)
-    is bound once per kind: operator.* over Q and Z, residues mod p over F_p.
-    GroupRingElem and the page engine compute through it (LaurentRing
-    reduces int coefficients itself); every payload is a number, zero exactly
-    when it is falsy, and `from_fraction` is the one coercion into it.
+    Instances are immutable; payloads are ints (in [0,p) over F_p), and over
+    Q and Q(zeta_d) only a division (`ratio`) makes a Fraction.  Every entry
+    an input yields is rational, and Q(zeta_d) is flat over Q, so
+    `cyclotomic:<d>` binds Q's payload table and differs from Q only in its
+    label.  The payload table _add, _neg, _mul, _inv and _of_int (the payload
+    of an int) is bound once per kind: operator.* over Q and Z, residues mod p
+    over F_p.  GroupRingElem and the page engine compute through it
+    (LaurentRing reduces int coefficients itself); every payload is a number,
+    zero exactly when it is falsy, and `from_fraction` is the one coercion.
     """
 
     __slots__ = ("kind", "p", "d", "_add", "_neg", "_mul", "_inv", "_of_int")
@@ -175,7 +175,7 @@ class FieldDescriptor:
         self._add, self._neg, self._mul = operator.add, operator.neg, operator.mul
         self._inv, self._of_int = _z_inv, int
         if kind in (_Q, _CYC):
-            self._inv, self._of_int = lambda a: 1 / _nonzero(a), Fraction
+            self._inv = lambda a: ratio(1, a)
         elif kind == _FP:
             self._add = lambda a, b: (a + b) % p
             self._neg = lambda a: -a % p
@@ -524,42 +524,57 @@ class LaurentRing:
 
 
 class Echelon:
-    """Sparse column echelon over a field: the one elimination over F_p (every
-    rank there, see `rank_exact`) and over k in the page engine.
+    """Sparse column echelon over a field: the one sparse elimination (every
+    rank over F_p, see `rank_exact`, and the page engine).
 
-    Columns are {row: nonzero raw payload} dicts, combined through the
-    field's payload table; a column's pivot is its largest row.  Columns
-    passed in are reduced in place, and `add` stores the reduced column itself,
-    unscaled: the negated inverse of its pivot entry is taken when `reduce`
-    first uses it and kept (stored columns are never written).  A
-    column added with a label also records its combination of the labelled
-    inputs, and if it reduces to zero, the relation e_label - (that
-    combination) goes to `relations`.  Unlabelled columns record nothing:
-    added first, they make the combinations hold modulo their span.
+    Columns are {row >= 0: nonzero raw payload} dicts, reduced in place; a
+    column's pivot is its largest row.  Over F_p a stored column keeps the
+    negated inverse of its pivot entry from its first use.  Over Q (and
+    Q(zeta_d)) columns are made integral at their first step and reduced
+    fraction-free (Bareiss 1968), col <- a*col - b*other, a/b the pivot
+    entries in lowest terms, then made primitive; scaling moves no pivot.  A
+    column added with a label l >= 0 carries a 1 in row -2 - l: its negative
+    rows are its scale times its combination of the labelled inputs (modulo
+    the unlabelled columns added first), and if the rest reduces to zero,
+    e_l - (that combination) goes to `relations`.
     """
 
     def __init__(self, field: FieldDescriptor):
         self.field = field
         self.owner = {}      # pivot row -> stored column
-        self.ninv = {}       # pivot row -> -1 / (its pivot entry), once used
-        self.combo = {}      # pivot row -> {label: coefficient}, labelled columns
+        self.ninv = {}       # pivot row -> F_p: -1 / (its pivot entry); Q: True, once used
         self.relations = []  # {label: coefficient}, one per dependent labelled column
+        self._int = field.kind in (_Q, _CYC)
 
     def reduce(self, col, coords=None):
-        """Clear the pivots of col that stored columns own, adding the
-        multiples taken of their combinations into coords if given.  Returns
-        the pivot left, or None when col is zero: it lay in the span."""
-        owner, ninv, combo, field = self.owner, self.ninv, self.combo, self.field
+        """Clear the pivots of col that stored columns own.  coords (an empty
+        dict, if given) gets the multiples taken of their combinations, and col
+        is left as the input minus that combination (without coords, over Q, a
+        multiple of it).  Returns the pivot left, or None if col lay in the span."""
+        owner, ninv, field, integral = self.owner, self.ninv, self.field, self._int
         add, mul = field._add, field._mul
+        if coords is not None:
+            col[-1] = 1  # row -1 keeps the scale
+        stepped = False
         while col:
             low = max(col)
             other = owner.get(low)
             if other is None:
-                return low
-            inv = ninv.get(low)
-            if inv is None:
-                inv = ninv[low] = field._neg(field._inv(other[low]))
-            nf = mul(col[low], inv)
+                break
+            if integral:  # col and other integral from their first step on
+                stepped = stepped or self._integral(col)
+                if low not in ninv:
+                    ninv[low] = self._integral(other)
+                a, b = other[low], col[low]
+                g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+                a, nf = a // g, -b // g  # a > 0, and a*col + nf*other clears low
+                for k, x in col.items() if a != 1 else ():
+                    col[k] = a * x
+            else:
+                inv = ninv.get(low)
+                if inv is None:
+                    inv = ninv[low] = field._neg(field._inv(other[low]))
+                nf = mul(col[low], inv)
             for k, y in other.items():
                 z = mul(nf, y)  # nonzero, a product of nonzeros in a field
                 if k in col:
@@ -568,36 +583,52 @@ class Echelon:
                         del col[k]
                         continue
                 col[k] = z
-            if coords is not None:
-                f = field._neg(nf)
-                for label, y in combo.get(low, {}).items():
-                    coords[label] = add(coords[label], mul(f, y)) if label in coords else mul(f, y)
-        return None
+        else:
+            low = -1
+        g = math.gcd(*col.values()) if stepped else 1  # over Q: primitive
+        for k, x in col.items() if g != 1 else ():
+            col[k] = x // g
+        if coords is not None:
+            scale = col.pop(-1)
+            for k in [k for k in col if k < 0]:
+                coords[-2 - k] = ratio(field._neg(col.pop(k)), scale)
+            for k, x in col.items() if scale != 1 else ():
+                col[k] = ratio(x, scale)
+        return low if low >= 0 else None
 
     def add(self, col, label=None):
-        """Store col reduced (col itself, unscaled); return its pivot, or
-        None if it was dependent."""
-        field = self.field
-        coords = None if label is None else {}
-        low = self.reduce(col, coords)
-        if coords is not None:
-            coords = {k: field._neg(y) for k, y in coords.items() if y}
-            coords[label] = field._of_int(1)
-        if low is None:
-            if coords is not None:
-                self.relations.append(coords)
-            return None
-        self.owner[low] = col
-        if coords is not None:
-            self.combo[low] = coords
+        """Store col reduced; return its pivot, or None if it was dependent."""
+        if label is not None:
+            col[-2 - label] = 1
+        low = self.reduce(col)
+        if low is not None:
+            self.owner[low] = col
+        elif label is not None:
+            self.relations.append({-2 - k: ratio(x, col[-2 - label]) for k, x in col.items()})
         return low
+
+    @staticmethod
+    def _integral(vec):
+        """True, once vec is scaled in place to integers (if a Fraction is in it)."""
+        if type(sum(vec.values())) is not int:
+            den = math.lcm(*[x.denominator for x in vec.values()])
+            for k, x in vec.items():
+                vec[k] = x.numerator * (den // x.denominator)
+        return True
+
+
+def ratio(n, d):
+    """n/d over Q for rationals n and d != 0: an int when d divides n, else a
+    Fraction.  The one place in the package that makes a Fraction."""
+    q, r = divmod(n, _nonzero(d))
+    return Fraction(n, d) if r else q
 
 
 def _rank_bareiss_int(rows: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination on an integer matrix: the rank over
-    Q and Z.  It stays beside `Echelon` because the rows it gets are dense, and
-    there Echelon on Fractions was over 10x slower at n = 20 and at n = 80
-    (random dense integer matrices, in-process)."""
+    Q and Z.  It stays beside `Echelon` because the rows it gets are dense,
+    and there Echelon on integer columns was 1.4-2.4x slower at n = 20 and 40
+    and 2.4-5.5x at n = 80 (random dense integer matrices, in-process)."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -697,8 +728,5 @@ def rank_exact(field: FieldDescriptor, rows) -> int:
     if field.kind == _FP:
         ech = Echelon(field)
         return sum(ech.add({j: x for j, x in enumerate(r) if x}) is not None for r in rows)
-    int_rows = []
-    for r in rows:
-        den = math.lcm(*(x.denominator for x in r))
-        int_rows.append([int(x * den) for x in r])
-    return _rank_bareiss_int(int_rows)
+    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
+    return _rank_bareiss_int([[int(x * den) for x in r] for r, den in zip(rows, dens)])

@@ -369,7 +369,7 @@ def complex_from_matrices(field, group, dims, boundaries,
 def _integral_shadow(mats):
     """The same matrices over Z when every coefficient is an integer, else None."""
     for e in (e for mat in mats for row in mat for e in row):
-        kind = e.field.kind  # Q and cyclotomic:<d> payloads are Fractions
+        kind = e.field.kind  # Q and cyclotomic:<d> payloads are ints or Fractions
         if kind != "Z" and (kind == "Fp" or any(c.denominator != 1 for c in e.terms.values())):
             return None
     ZZ = FieldDescriptor.integers()

@@ -2,9 +2,9 @@
 
 Elements are sparse maps from exponent keys to nonzero coefficients; keys are
 length-n integer tuples for Z^n and residues in [0, m) for Z_m, and
-coefficients are the raw payloads of the field descriptor (Fraction over Q
-and Q(zeta_d), a residue in [0, p) over F_p, int over Z).  Iteration is
-always over sorted keys so every downstream matrix is reproducible.
+coefficients are the raw payloads of the field descriptor (int or Fraction
+over Q and Q(zeta_d), a residue in [0, p) over F_p, int over Z).  Iteration
+is always over sorted keys so every downstream matrix is reproducible.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> 
             if saw_sign:
                 raise InputError(f"dangling sign in {text!r}")
             break
-        coeff = Fraction(sign)
+        coeff = sign
         exps = [0] * nvars
         expect_factor = True
         while i < len(tokens) and (expect_factor or tokens[i] == "*"):
@@ -407,9 +407,15 @@ class _CyclicFiltration:
             e *= p
         self.e = e
         self.vals = list(range(e)) + [INFINITY] * (m - e)
-        # e = m: p divides every C(m, k), 0 < k < m, so no row of exact binomials
-        self.fold = [(k, x) for k, c in enumerate(pascal_row(m, m))
-                     if k and (x := field._of_int(-c))] if e < m else []
+        # C(m, k) mod p by Lucas' theorem in characteristic p, with no exact
+        # binomials: prod C(m_i, k_i) over the k whose base-p digits are <= m's
+        row, place, rest = [(0, 1)], 1, m if p else 0
+        while rest:
+            rest, d = divmod(rest, p)
+            row = [(k + j * place, c * math.comb(d, j) % p) for j in range(d + 1) for k, c in row]
+            place *= p
+        self.fold = [(k, x) for k, c in (row if p else enumerate(pascal_row(m, m)))
+                     if 0 < k < m and (x := field._of_int(-c))]
 
     def dim(self, s: int) -> int:
         return self.m - min(s, self.e)

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
-from .coeffs import LaurentRing
+from .coeffs import LaurentRing, ratio
 from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -119,14 +118,12 @@ class _LaurentCtx(LaurentRing):
         cs = [0] * (max(k for k, in a.terms) - lo + 1)
         for (k,), c in a.terms.items():
             cs[k - lo] = c
-        if not self._q:
-            return (lo, tuple(cs), 1)
         den = math.lcm(*(c.denominator for c in cs))
         return (lo, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def lift(self, a) -> GroupRingElem:
         s, cs, den = a
-        return GroupRingElem(_Z1, self.field, {(s + i,): Fraction(c, den) if self._q else c
+        return GroupRingElem(_Z1, self.field, {(s + i,): ratio(c, den)
                                                for i, c in enumerate(cs) if c})
 
 

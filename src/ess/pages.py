@@ -19,10 +19,9 @@ fold per column); on both, an element's coordinates are the one Pascal-row
 map groupring.expansion_coords, and no dense matrix is stored.  Every
 elimination here (the pairs, the homology bases, d^1 and the k-rank of the
 Reznikov check) reduces sparse vectors in coeffs.Echelon, the one sparse
-column echelon, which stores columns unscaled and divides out a pivot only
-when it uses the column.  All of it runs on raw payloads through the
-descriptor's payload table, and every result (bases, coordinates, d^1
-matrices) is a dense list of payloads.
+column echelon, fraction-free on integer columns over Q.  All of it runs on
+raw payloads (over Q ints until a division), and every result (bases,
+coordinates, d^1 matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,

@@ -150,8 +150,17 @@ def test_inverse_in_f5():
 def test_from_fraction_returns_payloads():
     F7 = FieldDescriptor.prime_field(7)
     assert F7.from_fraction(-1) == 6 and type(F7.from_fraction(-1)) is int
-    assert Q.from_fraction(3) == Fraction(3) and type(Q.from_fraction(3)) is Fraction
-    assert FieldDescriptor.cyclotomic(5).from_fraction(Fraction(2, 4)) == Fraction(1, 2)
+    # over Q an integral value is an int, and only a non-integral one a Fraction
+    assert Q.from_fraction(3) == 3 and type(Q.from_fraction(3)) is int
+    assert type(Q.from_fraction(Fraction(-6, 3))) is int
+    assert Q.from_fraction(Fraction(2, 4)) == Fraction(1, 2)
+    assert type(Q.from_fraction(Fraction(2, 4))) is Fraction
+    assert type(Q._of_int(5)) is int and Q._inv(-1) == -1 and type(Q._inv(-1)) is int
+    assert Q._inv(4) == Fraction(1, 4) and type(Q._inv(4)) is Fraction
+    cyc = FieldDescriptor.cyclotomic(5)
+    assert cyc.from_fraction(Fraction(2, 4)) == Fraction(1, 2)
+    assert type(cyc.from_fraction(Fraction(2, 4))) is Fraction
+    assert type(cyc.from_fraction(Fraction(4, 2))) is int
     ZZ = FieldDescriptor.integers()
     assert ZZ.from_fraction(Fraction(-6, 3)) == -2 and type(ZZ.from_fraction(Fraction(4))) is int
 

@@ -7,9 +7,11 @@ coordinates, and a CoefficientError in the same two cases.  The echelon works
 on raw payload columns, the oracle on `linalg_oracle.Scalar` vectors.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,3 +148,108 @@ def test_solve_mod_raises_in_both_cases(field):
     outside = _solve_both(field, dense[:2], cols[:2], 1, e2)
     assert outside == ["target not in span of generators + subspace"] * 2
     assert _solve_both(field, dense[:2], cols[:2], 1, [one, one + one, zero]) == [[one + one]] * 2
+
+
+# ---------------------------------------------------------------------------
+# The integer echelon over Q against sympy
+# ---------------------------------------------------------------------------
+
+QQ_FIELD = FieldDescriptor.rationals()
+
+
+def _payload_type_is_exact(x):
+    """An integral payload over Q is an int, and only a non-integral one a
+    Fraction."""
+    return type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+
+
+@st.composite
+def sparse_rational_columns(draw):
+    """(m, columns) over Q: sparse columns with int entries, or with some
+    non-integral ones, and now and then a column that is a rational
+    combination of earlier ones."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rational = draw(st.booleans())
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4) if rational else st.just(1))
+    cols = []
+    for _ in range(n):
+        if cols and draw(st.integers(0, 3)) == 0:
+            coeffs = [draw(entry) for _ in cols]
+            col = {i: sum(c * v.get(i, 0) for c, v in zip(coeffs, cols)) for i in range(m)}
+        else:
+            col = {i: draw(entry) if draw(st.integers(0, 2)) else 0 for i in range(m)}
+        cols.append({i: QQ_FIELD.from_fraction(x) for i, x in col.items() if x})
+    return m, cols
+
+
+def _sympy_value(x):
+    x = Fraction(x)
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sympy_matrix(m, cols):
+    return sympy.Matrix(m, len(cols), lambda i, j: _sympy_value(cols[j].get(i, 0)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=sparse_rational_columns())
+def test_integer_echelon_pivots_and_rank_match_sympy(case):
+    """Column j's pivot is the largest row i with rank A[i:, :j+1] >
+    rank A[i:, :j]; a stored column is its input, or, once a step reduced it,
+    a primitive integer column, and every stored column a step uses is
+    integral."""
+    m, cols = case
+    A = _sympy_matrix(m, cols)
+    ech, lows = Echelon(QQ_FIELD), []
+    for j, col in enumerate(cols):
+        lows.append(low := ech.add(dict(col)))
+        grows = [i for i in range(m) if A[i:, :j + 1].rank() > A[i:, :j].rank()]
+        assert low == (max(grows) if grows else None)
+        if low is not None:
+            stored = ech.owner[low]
+            assert low == max(stored)
+            assert stored == col or (all(type(x) is int for x in stored.values())
+                                     and math.gcd(*stored.values()) == 1)
+    assert sum(low is not None for low in lows) == A.rank()
+    assert all(ech.reduce(dict(col)) is None for col in cols)
+    for low in ech.ninv:  # the stored columns the second pass reduced with
+        assert all(type(x) is int for x in ech.owner[low].values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=sparse_rational_columns())
+def test_integer_echelon_kernel_is_sympys_nullspace(case):
+    """Each relation has coefficient 1 at its label, kills the matrix
+    exactly, and is sympy's free-column nullspace vector."""
+    m, cols = case
+    A = _sympy_matrix(m, cols)
+    rels = kernel(QQ_FIELD, cols)
+    null = A.nullspace()
+    assert len(rels) == len(null)
+    for rel, vec in zip(rels, null):
+        assert rel[max(rel)] == 1 and all(_payload_type_is_exact(x) for x in rel.values())
+        dense = sympy.Matrix([_sympy_value(rel.get(j, 0)) for j in range(len(cols))])
+        assert A * dense == sympy.zeros(m, 1)
+        assert dense == vec
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=sparse_rational_columns(), split=st.integers(0, 7),
+       coeffs=st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+                       min_size=7, max_size=7))
+def test_integer_echelon_solve_mod_matches_sympy(case, split, coeffs):
+    """The coordinates of a combination of gens + subspace are its
+    coefficients on the gens, whenever the gens are independent modulo the
+    subspace (sympy's ranks), and CoefficientError otherwise."""
+    m, cols = case
+    k = min(split, len(cols))
+    A = _sympy_matrix(m, cols)
+    target = {i: sum(c * Fraction(v.get(i, 0)) for c, v in zip(coeffs, cols)) for i in range(m)}
+    target = {i: QQ_FIELD.from_fraction(x) for i, x in target.items() if x}
+    if A.rank() != A[:, :k].rank() + len(cols) - k:
+        with pytest.raises(CoefficientError):
+            solve_mod(QQ_FIELD, cols[k:], cols[:k], [target])
+        return
+    (got,) = solve_mod(QQ_FIELD, cols[k:], cols[:k], [target])
+    assert got == coeffs[k:len(cols)]
+    assert all(_payload_type_is_exact(x) for x in got)

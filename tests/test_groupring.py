@@ -25,7 +25,9 @@ def t_pow(e, group=GZ, field=Q):
 
 def test_augmentation_of_group_element():
     a = GroupRingElem.monomial(G2, Q, (3, -2))
-    assert a.augmentation() == 1 and type(a.augmentation()) is Fraction
+    assert a.augmentation() == 1 and type(a.augmentation()) is int
+    half = GroupRingElem.monomial(G2, Q, (3, -2), Fraction(1, 2))
+    assert half.augmentation() == Fraction(1, 2) and type(half.augmentation()) is Fraction
 
 
 def test_augmentation_t2_minus_t():
@@ -226,6 +228,15 @@ def _brute_valuation(field, spans, dims, vec):
     while s + 1 < len(spans) and linalg.rank_of(field, spans[s + 1] + [vec]) == dims[s + 1]:
         s += 1
     return math.inf if s == len(spans) - 1 else s
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclic_fold_is_the_binomial_row_mod_p(p):
+    # u^m = -sum_{0<k<m} C(m, k) u^k, each coefficient reduced mod p
+    field = FieldDescriptor.prime_field(p)
+    for m in range(2, 201):
+        expected = [(k, -math.comb(m, k) % p) for k in range(1, m) if math.comb(m, k) % p]
+        assert cyclic_filtration(m, field).fold == expected, m
 
 
 @pytest.mark.parametrize("field", FILTRATION_FIELDS, ids=str)

@@ -97,7 +97,8 @@ def test_seeded_presentations_match_oracle(ngens, fname, tmp_path, capsys):
     label = DESCENT[fname]
     C = change_field(parse_document(doc), FieldDescriptor.parse(label))
     assert_routes_agree(C)
-    assert all(isinstance(c, Fraction)
+    # descent keeps Q's payloads: these boundaries are integral, so ints
+    assert all(type(c) is int
                for mat in C.boundaries for row in mat for e in row for c in e.terms.values())
     path = tmp_path / "space.json"
     path.write_text(json.dumps(doc))
