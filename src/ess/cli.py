@@ -10,9 +10,9 @@ the verbs and ``ess <verb> --help`` the options of one verb.  A usage error
 (unknown verb or option, missing or non-integer value, a second input) is an
 input error: exit 2 with an ``error:`` line.
 
-Exit codes: 0 success; 2 input/validation error; 3 hypothesis-not-met verdict
-under --strict; 4 internal cross-check failure (pipeline disagreement, always
-an implementation bug).
+Exit codes: 0 success; 2 input/validation error, or a request that runs out
+of memory; 3 hypothesis-not-met verdict under --strict; 4 internal
+cross-check failure (pipeline disagreement, always an implementation bug).
 """
 
 from __future__ import annotations
@@ -423,6 +423,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    args = None
     try:
         args = parse_args(argv)
         if isinstance(args, str):
@@ -434,6 +435,10 @@ def main(argv=None) -> int:
         return EXIT_CROSSCHECK
     except EssError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:  # args is None only if parsing itself ran out
+        what = " ".join(f"{k}={getattr(args, k)}" for k in ("verb", "R", "S") if hasattr(args, k))
+        print(f"error: out of memory ({what}); try a smaller window", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -34,8 +34,10 @@ from .errors import CoefficientError, InputError, UnsupportedCoefficients
 
 
 # Miller-Rabin on the first 12 primes as bases is exact for every n below
-# this bound (Sorenson and Webster, 2015).
+# this bound (Sorenson and Webster, 2015); below 2^64 so are Sinclair's seven
+# bases, by the Feitsma-Galway enumeration of base-2 pseudoprimes.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_EXACT_BELOW = 318665857834031151167461
 
 
@@ -54,9 +56,9 @@ def is_prime(n: int) -> bool:
     while odd % 2 == 0:
         odd //= 2
         s += 1
-    for b in _MR_BASES:
+    for b in _MR_BASES if n >> 64 else _MR_BASES_64:
         x = pow(b, odd, n)
-        if x == 1 or x == n - 1:
+        if x == 1 or x == n - 1 or not b % n:  # a base that is 0 mod n says nothing
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -536,31 +538,33 @@ class Echelon:
     column added with a label l >= 0 carries a 1 in row -2 - l: its negative
     rows are its scale times its combination of the labelled inputs (modulo
     the unlabelled columns added first), and if the rest reduces to zero,
-    e_l - (that combination) goes to `relations`.
+    e_l - (that combination) goes to `relations`.  An int in `owner` stands
+    for a column whose pivot its caller knew; `build` makes it when needed.
     """
 
-    def __init__(self, field: FieldDescriptor):
+    def __init__(self, field: FieldDescriptor, build=None):
         self.field = field
-        self.owner = {}      # pivot row -> stored column
+        self.build = build   # handle -> its column
+        self.owner = {}      # pivot row -> stored column, or a handle
         self.ninv = {}       # pivot row -> F_p: -1 / (its pivot entry); Q: True, once used
         self.relations = []  # {label: coefficient}, one per dependent labelled column
         self._int = field.kind in (_Q, _CYC)
 
-    def reduce(self, col, coords=None):
+    def reduce(self, col, coords=None, low=None):
         """Clear the pivots of col that stored columns own.  coords (an empty
         dict, if given) gets the multiples taken of their combinations, and col
         is left as the input minus that combination (without coords, over Q, a
-        multiple of it).  Returns the pivot left, or None if col lay in the span."""
+        multiple of it).  low, if given, is max(col).  Returns the pivot left,
+        or None if col lay in the span."""
         owner, ninv, field, integral = self.owner, self.ninv, self.field, self._int
-        add, mul = field._add, field._mul
+        p = 0 if integral else field.p
         if coords is not None:
             col[-1] = 1  # row -1 keeps the scale
         stepped = False
-        while col:
-            low = max(col)
-            other = owner.get(low)
-            if other is None:
-                break
+        low = (max(col) if col else -1) if low is None else low
+        while (other := owner.get(low)) is not None:
+            if type(other) is int:
+                other = owner[low] = self.build(other)
             if integral:  # col and other integral from their first step on
                 stepped = stepped or self._integral(col)
                 if low not in ninv:
@@ -574,17 +578,16 @@ class Echelon:
                 inv = ninv.get(low)
                 if inv is None:
                     inv = ninv[low] = field._neg(field._inv(other[low]))
-                nf = mul(col[low], inv)
+                nf = col[low] * inv % p
             for k, y in other.items():
-                z = mul(nf, y)  # nonzero, a product of nonzeros in a field
-                if k in col:
-                    z = add(col[k], z)
-                    if not z:
-                        del col[k]
-                        continue
-                col[k] = z
-        else:
-            low = -1
+                z = col.get(k, 0) + nf * y  # nf * y != 0, so z = 0 only if k in col
+                if p:
+                    z %= p
+                if z:
+                    col[k] = z
+                else:
+                    del col[k]
+            low = max(col) if col else -1
         g = math.gcd(*col.values()) if stepped else 1  # over Q: primitive
         for k, x in col.items() if g != 1 else ():
             col[k] = x // g
@@ -596,11 +599,12 @@ class Echelon:
                 col[k] = ratio(x, scale)
         return low if low >= 0 else None
 
-    def add(self, col, label=None):
-        """Store col reduced; return its pivot, or None if it was dependent."""
+    def add(self, col, label=None, low=None):
+        """Store col reduced (low, if given, is max(col)); return its pivot,
+        or None if it was dependent."""
         if label is not None:
             col[-2 - label] = 1
-        low = self.reduce(col)
+        low = self.reduce(col, low=low)
         if low is not None:
             self.owner[low] = col
         elif label is not None:

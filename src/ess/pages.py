@@ -11,17 +11,15 @@ Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
 (Zomorodian-Carlsson), run from the top degree down with clearing (Chen-Kerber):
 a pivot row of d_{q+1} is a column of d_q that reduces to zero, so it is never
-reduced.  E^1 is checked against dim gr^s(kG) * b_q(X, k).  The truncated
-boundary is assembled as sparse columns straight from the sparse
-multiplication of FiltrationModel (on Z^n through a per-model cache of
-monomial products, on Z_m in the basis of powers of u = t - 1, one shift and
-fold per column); on both, an element's coordinates are the one Pascal-row
-map groupring.expansion_coords, and no dense matrix is stored.  Every
-elimination here (the pairs, the homology bases, d^1 and the k-rank of the
-Reznikov check) reduces sparse vectors in coeffs.Echelon, the one sparse
-column echelon, fraction-free on integer columns over Q.  All of it runs on
-raw payloads (over Q ints until a division), and every result (bases,
-coordinates, d^1 matrices) is a dense list of payloads.
+reduced.  E^1 is checked against dim gr^s(kG) * b_q(X, k).  No boundary is
+stored: PageComputation._column builds any column from the expansion_coords of
+the entries.  Where multiplication is a shift (Z^n, Z_{p^r} in characteristic
+p) a pivot is read off without its column, which is built only if that pivot
+is taken: most columns are apparent pairs (Bauer, Ripser).  Every elimination
+here (the pairs, the homology bases, d^1 and the k-rank of the Reznikov check)
+reduces sparse vectors in coeffs.Echelon, fraction-free on integer columns
+over Q.  All of it runs on raw payloads (over Q ints until a division), and
+every result (bases, coordinates, d^1 matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -91,33 +89,35 @@ class FiltrationModel:
     the coordinates of an element are groupring.expansion_coords cut at M,
     as raw payloads.
 
-    `mult_columns` gives multiplication by an element as sparse columns from
-    one reduction of the element: on Z^n column alpha is its coordinates
-    shifted by alpha, cut at degree M, through `products`, which lists for
-    each beta met so far the pairs (alpha, alpha + beta) of basis indices; on
-    Z_m column s + 1 is column s shifted up by one, with the coefficient
-    shifted past u^(m-1) folded back through u^m = -sum_{0<k<m} C(m, k) u^k
-    (no fold when e = m, the Reznikov case, where the matrix is
-    lower-triangular Toeplitz).
+    `order` lists the basis by descending valuation, ties by index, and
+    `place` is its inverse: the page engine numbers rows and columns so, and
+    every F^s is a prefix.  `fold` lists u^m = sum of (k, payload) u^k on Z_m
+    (empty when e = m, and on Z^n).
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
-        self.group = group
-        self.field = field
+        self.group, self.field = group, field
         if group.kind == "free_abelian":
-            self.M = M
-            self.monomials = [alpha for deg in range(M)
-                              for alpha in monomials_of_degree(group.n, deg)]
-            self.vals = [sum(alpha) for alpha in self.monomials]
+            self.M, self.fold = M, []
+            by_deg = [monomials_of_degree(group.n, deg) for deg in range(M)]
+            self.monomials = [alpha for alphas in by_deg for alpha in alphas]
+            self.vals = [deg for deg, alphas in enumerate(by_deg) for _ in alphas]
+            # alpha as the integer sum a_i M^(n-1-i): lex order is integer
+            # order, and with |alpha + beta| < M the key of alpha + beta is a sum
+            weights = [M ** k for k in reversed(range(group.n))]
+            self.key = lambda alpha: sum(map(operator.mul, alpha, weights))
+            self.keys = [sum(map(operator.mul, alpha, weights)) for alpha in self.monomials]
+            self.index = dict(zip(self.keys, range(len(self.keys))))  # key -> basis index
         else:
             filt = cyclic_filtration(group.m, field)
-            self.M = group.m
+            self.M, self.fold = group.m, filt.fold
             self.monomials = [(k,) for k in range(group.m)]
             self.vals = list(filt.vals)
-            self.fold = filt.fold
-        self.index = {alpha: i for i, alpha in enumerate(self.monomials)}
+            self.key, self.keys = operator.itemgetter(0), range(group.m)
+            self.index = self.keys
         self.dim = len(self.monomials)
-        self.products = {}  # Z^n: beta index -> [(alpha index, alpha + beta index)]
+        self.order = sorted(range(self.dim), key=self.vals.__getitem__, reverse=True)  # stable
+        self.place = sorted(range(self.dim), key=self.order.__getitem__)
 
     def offset(self, s: int) -> int:
         """First basis index with valuation >= s."""
@@ -127,44 +127,8 @@ class FiltrationModel:
         """Adapted coordinates of the image of elem in the model, as raw payloads."""
         out = [self.field._of_int(0)] * self.dim
         for beta, x in expansion_coords(elem, self.M).items():
-            out[self.index[beta]] = x
+            out[self.index[self.key(beta)]] = x
         return out
-
-    def mult_columns(self, elem: GroupRingElem):
-        """Sparse matrix of v -> v * elem in adapted coordinates: one
-        {row: nonzero raw payload} dict per basis vector."""
-        add, mul = self.field._add, self.field._mul
-        if self.group.kind == "free_abelian":
-            # x^alpha * x^beta = x^(alpha + beta), cut at degree M
-            cols = [{} for _ in range(self.dim)]
-            coords = expansion_coords(elem, self.M)
-            for b, x in sorted((self.index[beta], x) for beta, x in coords.items()):
-                for a, ab in self._products(b):
-                    cols[a][ab] = x
-            return cols
-        # u^(s+1) * elem = u * (u^s * elem): shift up one, and fold the top
-        # coefficient back in through u^m = sum of the fold terms
-        m, fold = self.group.m, self.fold
-        cols = [{b: x for (b,), x in expansion_coords(elem, m).items()}]
-        while len(cols) < m:
-            top = cols[-1].get(m - 1)
-            col = {k + 1: x for k, x in cols[-1].items() if k < m - 1}
-            if top and fold:
-                for k, f in fold:
-                    col[k] = add(col[k], mul(top, f)) if k in col else mul(top, f)
-                col = {k: x for k, x in col.items() if x}
-            cols.append(col)
-        return cols
-
-    def _products(self, b):
-        """The pairs (alpha, alpha + beta) with |alpha + beta| < M for the
-        Z^n basis index b of beta, built the first time beta occurs."""
-        if b not in self.products:
-            beta = self.monomials[b]
-            self.products[b] = [(a, self.index[tuple(map(operator.add, alpha, beta))])
-                                for a, alpha in enumerate(
-                                    self.monomials[:self.offset(self.M - self.vals[b])])]
-        return self.products[b]
 
 
 class PageTable:
@@ -189,14 +153,9 @@ class PageTable:
 
     def to_json(self):
         S, Q = self.window
-        return {
-            "page": self.r,
-            "entries": [
-                {"s": s, "q": q, "dim": self.dim(s, q), "d_rank": self.d_ranks.get((s, q), 0)}
-                for q in range(Q + 1)
-                for s in range(S + 1)
-            ],
-        }
+        return {"page": self.r, "entries": [
+            {"s": s, "q": q, "dim": self.dim(s, q), "d_rank": self.d_ranks.get((s, q), 0)}
+            for q in range(Q + 1) for s in range(S + 1)]}
 
     def to_text(self):
         S, Q = self.window
@@ -218,85 +177,117 @@ class PageComputation:
 
     def __init__(self, C, R_max: int, S_max: int):
         if not C.field.is_field:
-            raise UnsupportedCoefficients(
-                "spectral sequence needs field coefficients; reduce Z "
-                "coefficients to a field first"
-            )
+            raise UnsupportedCoefficients("spectral sequence needs field coefficients; "
+                                          "reduce Z coefficients to a field first")
         if R_max < 1 or S_max < 0:
             raise ValidationError("window needs R_max >= 1 and S_max >= 0")
-        self.C = C
-        self.field = C.field
-        self.R_max = R_max
-        self.S_max = S_max
+        self.C, self.field, self.R_max, self.S_max = C, C.field, R_max, S_max
         self.M = S_max + R_max
-        self.model = FiltrationModel(C.group, C.field, self.M)
-        self.Q = C.top
-        self._bt = {}
-        self._pages = None
+        self.model, self.Q = FiltrationModel(C.group, C.field, self.M), C.top
+        self._entries, self._pages = {}, None
+        self.apparent = self.reduced = 0  # columns of the pairs paired as they stand / reduced
 
     # -- truncated complex ----------------------------------------------------
 
     def vdim(self, q: int) -> int:
-        if 0 <= q <= self.Q:
-            return self.model.dim * self.C.dims[q]
-        return 0
+        return self.model.dim * self.C.dims[q] if 0 <= q <= self.Q else 0
+
+    def _cells(self, q: int):
+        """Per cell j of V_q, the entries i of d_q e_j as (i, terms), terms the
+        (|beta|, key of beta, payload) of expansion_coords in order; with a
+        fold (Z_m, e < m) instead, for each s < m, the entries of u^s e_j as
+        (i, {k: payload})."""
+        if q not in self._entries:
+            model, add, mul, m = self.model, self.field._add, self.field._mul, self.model.M
+            nsrc, ndst = (self.C.dims[p] if self.vdim(p) else 0 for p in (q, q - 1))
+            self._entries[q] = cells = [[(i, terms) for i in range(ndst) if (terms := sorted(
+                (sum(beta), model.key(beta), x) for beta, x in
+                expansion_coords(self.C.boundary(q)[i][j], m).items()))] for j in range(nsrc)]
+            for j, entries in enumerate(cells) if model.fold else ():
+                cells[j] = shifted = [[] for _ in range(m)]
+                for i, terms in entries:
+                    c = {k: x for _, k, x in terms}
+                    for col in shifted:  # u^(s+1) e = u (u^s e): shift, fold u^m back
+                        col.append((i, c))
+                        top, c = c.get(m - 1), {k + 1: x for k, x in c.items() if k < m - 1}
+                        for k, f in model.fold if top else ():
+                            c[k] = add(c.get(k, 0), mul(top, f))
+                        c = {k: x for k, x in c.items() if x} if top else c
+        return self._entries[q]
+
+    def _column(self, q: int, g: int, rows):
+        """Column g = b * nsrc + j of d_q: basis vector b times the entries of
+        cell j, cut at degree M; cell i of basis vector b' is row rows[b'] * ndst + i."""
+        model, cells, ndst = self.model, self._cells(q), self.C.dims[q - 1]
+        b, j = divmod(g, len(cells))
+        if model.fold:
+            return {rows[k] * ndst + i: x for i, c in cells[j][b] for k, x in c.items()}
+        alpha, room, index, col = model.keys[b], model.M - model.vals[b], model.index, {}
+        for i, terms in cells[j]:
+            for deg, beta, x in terms:
+                if deg >= room:
+                    break
+                col[rows[index[alpha + beta]] * ndst + i] = x
+        return col
 
     def boundary_matrix(self, q: int):
-        """Truncated boundary V_q -> V_{q-1} as sparse columns: one
-        {global row: nonzero entry} dict per column, global index
-        b * ncells + c for model basis vector b and cell c."""
-        if q in self._bt:
-            return self._bt[q]
-        cols = [{} for _ in range(self.vdim(q))]
-        if cols and self.vdim(q - 1):
-            nsrc, ndst = self.C.dims[q], self.C.dims[q - 1]
-            bd = self.C.boundary(q)
-            for i in range(ndst):
-                for j in range(nsrc):
-                    if bd[i][j].is_zero():
-                        continue
-                    for b, col in enumerate(self.model.mult_columns(bd[i][j])):
-                        target = cols[b * nsrc + j]
-                        for bp, x in col.items():
-                            target[bp * ndst + i] = x
-        self._bt[q] = cols
-        return cols
+        """The columns of d_q as {global row: nonzero payload}, not stored."""
+        return [self._column(q, g, range(self.model.dim)) for g in range(self.vdim(q))]
 
     def _suffix_indices(self, q: int, s: int):
-        ncells = self.C.dims[q] if 0 <= q <= self.Q else 0
-        start = self.model.offset(s) * ncells
-        return range(start, self.model.dim * ncells)
+        return range(self.model.offset(s) * self.vdim(q) // self.model.dim, self.vdim(q))
 
     # -- persistence pairs -----------------------------------------------------
 
-    def _pairs(self, q: int, cleared=()):
-        """Persistence pairs (i, j) of the boundary V_q -> V_{q-1}: column j
-        reduces to pivot row i.
+    def _pivots(self, q: int, cleared):
+        """(g, pivot, column) for each column g of d_q not cleared, in the order
+        of _pairs: the pivot is its last row, -1 if it is zero.  With no fold
+        (Z^n, Z_{p^r} in characteristic p, where multiplication is a shift) the
+        column is None and the pivot of column (alpha, j) is alpha + beta_j at
+        cell i_j, beta_j the lex-largest least-degree term in cell j and i_j the
+        last entry carrying it (a shift by alpha keeps the lex order of one
+        degree), unless |alpha + beta_j| >= M."""
+        model, ndst, nsrc = self.model, self.C.dims[q - 1], self.C.dims[q]
+        if model.fold:  # columns built in bulk, pivots read off them
+            built = [self._column(q, g, model.place) for g in range(self.vdim(q))]
+            yield from ((g, max(built[g], default=-1), built[g]) for b in model.order
+                        for g in range(b * nsrc, b * nsrc + nsrc) if not cleared[g])
+            return
+        leads = [max(((-deg, beta, i) for i, terms in entries for deg, beta, _ in terms),
+                     default=(-model.M, 0, 0)) for entries in self._cells(q)]
+        place, index, keys, vals, M = model.place, model.index, model.keys, model.vals, model.M
+        for b in model.order:
+            alpha, room, base = keys[b], M - vals[b], b * nsrc
+            for j, (nd, beta, i) in enumerate(leads):
+                if not cleared[base + j]:
+                    yield (base + j, place[index[alpha + beta]] * ndst + i if nd + room > 0 else -1,
+                           None)
 
-        Both bases are ordered by descending valuation, ties by index, so every
-        F^s is a prefix; a column's pivot is its nonzero row that comes last.
-        The columns in `cleared`, pivot rows of d_{q+1}, are skipped: each one
-        reduces to zero (clearing).  If reduced column c of d_{q+1} has pivot
-        row i, then d_q c = 0 writes d_q e_i through the columns of d_q before
-        it, since V_q has the same order as rows of d_{q+1} and columns of d_q.
-        """
-        vals = self.model.vals
-        nsrc, ndst = self.C.dims[q], self.C.dims[q - 1]
-        rows, cols = self.vdim(q - 1), self.vdim(q)
-        if not rows or not cols:
+    def _pairs(self, q: int, cleared=None):
+        """Persistence pairs (i, j) of d_q: column j reduces to pivot row i.
+        Both bases are ordered by descending valuation, ties by index (so
+        model.place), and every F^s is a prefix.  Columns g with cleared[g]
+        set, pivot rows of d_{q+1}, reduce to zero and are skipped (clearing).
+        A column with a free pivot pairs as it stands (an apparent pair): it
+        is stored as its index, and built if a reduction uses it."""
+        ndst, order, place = self.C.dims[q - 1], self.model.order, self.model.place
+        if not self.vdim(q - 1) or not self.vdim(q):
             return []
-        row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
-        col_order = sorted((g for g in range(cols) if g not in cleared),
-                           key=lambda g: (-vals[g // nsrc], g))
-        pos = {i: k for k, i in enumerate(row_order)}
-        bt = self.boundary_matrix(q)
-        ech = Echelon(self.field)
-        pairs = []
-        for j in col_order:
-            # rows renumbered by position, so the pivot is the last nonzero row
-            low = ech.add({pos[i]: x for i, x in bt[j].items()})
-            if low is not None:
-                pairs.append((row_order[low], j))
+        ech = Echelon(self.field, lambda g: self._column(q, g, place))
+        owner, pairs, seen, reduced = ech.owner, [], 0, 0
+        for seen, (g, low, col) in enumerate(self._pivots(q, cleared or bytes(self.vdim(q))), 1):
+            if low not in owner:
+                if low < 0:
+                    continue
+                owner[low] = g if col is None else col
+            else:
+                reduced += 1
+                low = ech.add(ech.build(g) if col is None else col, low=low)
+                if low is None:
+                    continue
+            pairs.append((order[low // ndst] * ndst + low % ndst, g))
+        self.apparent += seen - reduced
+        self.reduced += reduced
         return pairs
 
     def _barcode(self):
@@ -304,42 +295,46 @@ class PageComputation:
         in one pass.  A class at (s, q) alive on pages 1..life (INF if never
         killed) counts on E^r for r <= life, so entries[r - 1] = dims of E^r
         are suffix sums over the lives, one dict per distinct page, the last
-        one serving every later page; ranks[r][(s, q)] is the rank of d^r out
-        of (s, q).  unpaired[q] counts the vectors of V_q in no pair, in or
-        out of the window: the dimension of H_q of the truncated complex."""
-        vals = self.model.vals
-        S = self.S_max
-        lives = {}  # life -> {(s, q): classes}
-        ranks = {}
+        serving every later page; ranks[r][(s, q)] is the rank of d^r out of
+        (s, q); unpaired[q] = dim H_q of the truncated complex."""
+        vals, dims, S, model = self.model.vals, self.C.dims, self.S_max, self.model
+        lives, ranks = {}, {}  # life -> {(s, q): classes}
+        unpaired = [self.vdim(q) for q in range(self.Q + 1)]
+        sizes = [model.offset(s + 1) - model.offset(s) for s in range(S + 1)]
+        free = [[n * dims[q] for n in sizes] for q in range(self.Q + 1)]  # (s, q) in no pair
 
-        def add(table, key, spot):
+        def add(table, key, spot, n):
             inner = table.setdefault(key, {})
-            inner[spot] = inner.get(spot, 0) + 1
+            inner[spot] = inner.get(spot, 0) + n
 
-        # top down, so paired[q] holds the pivot rows of d_{q+1} to clear
-        paired = [set() for _ in range(self.Q + 1)]
+        cleared = bytearray(self.vdim(self.Q))  # top down: the pivot rows of d_{q+1}
         for q in range(self.Q, 0, -1):
-            for i, j in self._pairs(q, paired[q]):
-                paired[q].add(j)
-                paired[q - 1].add(i)
-                # the interval piece x -> dx, column at b and pivot row at
-                # a >= b, lives on pages r <= a - b at both ends and carries
-                # rank 1 of d^{a-b}; a vector in no pair lives on every page
-                b = vals[j // self.C.dims[q]]
-                a = vals[i // self.C.dims[q - 1]]
-                if a > b:
-                    if b <= S:
-                        add(lives, a - b, (b, q))
+            below, bars = bytearray(self.vdim(q - 1)), {}
+            for i, j in self._pairs(q, cleared):
+                below[i] = 1
+                bar = vals[j // dims[q]], vals[i // dims[q - 1]]
+                bars[bar] = bars.get(bar, 0) + 1
+            cleared = below
+            # the interval piece x -> dx, column at b and pivot row at a >= b,
+            # lives on pages r <= a - b at both ends and carries rank 1 of
+            # d^{a-b}; a vector in no pair lives on every page
+            for (b, a), n in bars.items():
+                unpaired[q] -= n
+                unpaired[q - 1] -= n
+                if b <= S:
+                    free[q][b] -= n
+                    if a > b:
+                        add(lives, a - b, (b, q), n)
                         if a < INF:
-                            add(ranks, a - b, (b, q))
-                    if a <= S:
-                        add(lives, a - b, (a, q - 1))
-        for q in range(self.Q + 1):
-            ncells = self.C.dims[q]
-            for g in range(self.vdim(q)):
-                v = vals[g // ncells]
-                if v <= S and g not in paired[q]:
-                    add(lives, INF, (v, q))
+                            add(ranks, a - b, (b, q), n)
+                if a <= S:
+                    free[q - 1][a] -= n
+                    if a > b:
+                        add(lives, a - b, (a, q - 1), n)
+        for q, row in enumerate(free):
+            for s, n in enumerate(row):
+                if n:
+                    add(lives, INF, (s, q), n)
         top = max((life for life in lives if life < INF), default=0) + 1
         entries, acc = [], {}
         for r in range(top, 0, -1):
@@ -349,7 +344,7 @@ class PageComputation:
                 for spot, n in born.items():
                     acc[spot] = acc.get(spot, 0) + n
             entries.append(acc)
-        return entries[::-1], ranks, [self.vdim(q) - len(paired[q]) for q in range(self.Q + 1)]
+        return entries[::-1], ranks, unpaired
 
     # -- pages -----------------------------------------------------------------
 
@@ -525,9 +520,7 @@ def reznikov_collapse(C, S_max: int | None = None):
         raise ValidationError("Reznikov collapse needs G = Z_{p^r}")
     p, r = group.prime_power
     if C.field.characteristic != p:
-        raise ValidationError(
-            f"field characteristic {C.field.characteristic} != p = {p}"
-        )
+        raise ValidationError(f"field characteristic {C.field.characteristic} != p = {p}")
     n = group.m  # p^r; J^n = 0
     comp = PageComputation(C, R_max=n, S_max=n - 1 if S_max is None else S_max)
     tables = comp.pages()
@@ -536,19 +529,17 @@ def reznikov_collapse(C, S_max: int | None = None):
     _, _, unpaired = comp._pages
     for q, total in enumerate(unpaired):
         if total != hom_dims[q]:
-            raise CrossCheckError(
-                f"E^infinity total {total} != dim H_{q} = {hom_dims[q]}"
-            )
+            raise CrossCheckError(f"E^infinity total {total} != dim H_{q} = {hom_dims[q]}")
     return tables, hom_dims
 
 
 def _k_rank(comp: PageComputation, q: int) -> int:
     """Rank over k of the truncated boundary d_q, for the E^oo check of
-    reznikov_collapse.  The sparse columns of boundary_matrix(q) are turned
-    into sparse rows, and the rows go into an `Echelon`: a reduction of the
-    transpose, with other vectors, pivots and order than the column reduction
-    of _pairs, so the check does not repeat the computation it checks."""
-    if q < 1 or q > comp.Q:
+    reznikov_collapse.  The generated columns of d_q are turned into sparse
+    rows, and the rows go into an `Echelon`: a reduction of the transpose,
+    with other vectors, pivots and order than the column reduction of _pairs,
+    so the check does not repeat the computation it checks."""
+    if q < 1 or q > comp.Q or not any(comp._cells(q)):  # no entries: d_q = 0
         return 0
     rows = [{} for _ in range(comp.vdim(q - 1))]
     for j, col in enumerate(comp.boundary_matrix(q)):

@@ -22,7 +22,8 @@ Pascal rows, synthetic division and raw payloads, and multiplies by a shift
 and a fold.
 
 `uncleared_pairs` is the persistence reduction of one degree as `ess.pages`
-ran it before clearing: every column of d_q is reduced, none is skipped.
+ran it before clearing and apparent pairs: every column of the dense d_q is
+reduced, none is skipped.
 
 Last come the dense routes to the canonical d^1: `homology_data`,
 `d1_matrix` and `d1_closed_form` as `ess.pages` computed them on the dense
@@ -101,13 +102,14 @@ def mult_matrix(model, elem):
     out = [linalg.zeros(field, n) for _ in range(n)]
     if model.group.kind == "free_abelian":
         red = reduce(model, elem)
+        index = {alpha: i for i, alpha in enumerate(model.monomials)}
         for col, alpha in enumerate(model.monomials):
             da = sum(alpha)
             for i, beta in enumerate(model.monomials):
                 if model.vals[i] + da >= model.M:
                     continue
                 gamma = tuple(a + b for a, b in zip(alpha, beta))
-                out[model.index[gamma]][col] = red[i]
+                out[index[gamma]][col] = red[i]
         return out
     # cyclic: multiply in monomial coordinates, read adapted coordinates
     m = model.group.m
@@ -151,7 +153,9 @@ def boundary_matrix(comp, q: int):
 
 def uncleared_pairs(comp, q: int):
     """Persistence pairs (i, j) of d_q of a PageComputation with every column
-    reduced: column j reduces to pivot row i, in the order of _pairs."""
+    reduced: column j reduces to pivot row i, in the order of _pairs.  The
+    columns are those of the dense boundary_matrix above, and the order is
+    a sort, so no column or position code is shared with the engine."""
     vals = comp.model.vals
     nsrc, ndst = comp.C.dims[q], comp.C.dims[q - 1]
     rows, cols = comp.vdim(q - 1), comp.vdim(q)
@@ -160,11 +164,11 @@ def uncleared_pairs(comp, q: int):
     row_order = sorted(range(rows), key=lambda g: (-vals[g // ndst], g))
     col_order = sorted(range(cols), key=lambda g: (-vals[g // nsrc], g))
     pos = {i: k for k, i in enumerate(row_order)}
-    bt = comp.boundary_matrix(q)
+    dense = boundary_matrix(comp, q)
     ech = Echelon(comp.field)
     pairs = []
     for j in col_order:
-        low = ech.add({pos[i]: x for i, x in bt[j].items()})
+        low = ech.add({pos[i]: row[j].v for i, row in enumerate(dense) if row[j]})
         if low is not None:
             pairs.append((row_order[low], j))
     return pairs

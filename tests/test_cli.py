@@ -281,6 +281,23 @@ def test_huge_character_order_exits_2_without_traceback(argv):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["pages", "--builtin", "torus3", "--field", "Q", "--R", "5", "--S", "2"],
+     "(verb=pages R=5 S=2)"),
+    (["decompose", "--builtin", "zxf2", "--field", "Q"], "(verb=decompose)"),
+], ids=["pages", "decompose"])
+def test_memory_error_exits_2_naming_verb_and_window(argv, what, monkeypatch, capsys):
+    """A MemoryError out of a verb is an input error (exit 2) with an error:
+    line naming the verb and the window, and no traceback.  The verb is
+    replaced, so nothing large is allocated."""
+    def out_of_memory(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._VERBS, argv[0], (out_of_memory, cli._VERBS[argv[0]][1]))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: out of memory ") and what in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["option", "document"])
 def test_prime_field_past_exact_primality_exits_2_fast(where, tmp_path):
     # 10^30 + 57 is prime, but above the bound where 12-base Miller-Rabin is

@@ -11,8 +11,9 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 import linalg_oracle as linalg
-from ess.coeffs import (FieldDescriptor, LaurentRing, _modulus, cyclotomic_polynomial,
-                        cyclotomic_rank, divisors, prime_power, rank_exact)
+from ess.coeffs import (_MR_BASES, FieldDescriptor, LaurentRing, _modulus,
+                        cyclotomic_polynomial, cyclotomic_rank, divisors, is_prime, prime_power,
+                        rank_exact)
 from ess.errors import CoefficientError
 
 Q = FieldDescriptor.rationals()
@@ -132,6 +133,40 @@ def test_lemma_cyclo_property():
 def test_field_descriptor_parse_roundtrip():
     for text in ("Q", "Z", "Fp:5", "cyclotomic:6"):
         assert str(FieldDescriptor.parse(text)) == text
+
+
+def _is_prime_12_bases(n):
+    """Miller-Rabin on the first 12 primes, exact below 3.18e23."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd, s = odd // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, odd, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
+
+
+def test_is_prime_below_two_to_64_matches_twelve_bases():
+    """Sinclair's seven bases below 2^64 against the 12 prime bases: every
+    n < 10^6, the strong pseudoprimes to the first few prime bases, and
+    odd numbers near 2^62 (where _modulus searches) and 2^64."""
+    N = 10**6
+    sieve = bytearray([1]) * N
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(N) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, N, k)))
+    assert [n for n in range(N) if is_prime(n)] == [n for n in range(N) if sieve[n]]
+    assert all(map(_is_prime_12_bases, (2, 3, 37, 41, 999983))) and not _is_prime_12_bases(25)
+    pseudo = [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051]
+    rng = random.Random(64)
+    for n in pseudo + [rng.randrange(2**b - 2**20, 2**b) | 1 for b in (62, 64) for _ in range(300)]:
+        assert is_prime(n) == _is_prime_12_bases(n), n
+    assert not any(map(is_prime, pseudo))
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and not is_prime(2**64 + 1)
 
 
 def test_prime_field_rejects_composite():

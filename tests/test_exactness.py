@@ -10,6 +10,7 @@ import pytest
 import ess
 from ess import cli
 from ess.coeffs import Echelon
+from ess.pages import PageComputation
 
 SOURCES = sorted(pathlib.Path(ess.__file__).parent.glob("*.py"))
 
@@ -56,11 +57,19 @@ def test_the_guard_sees_both_forms(tmp_path):
     ["pages", "SEEDED", "--field", "cyclotomic:6", "--R", "3", "--S", "3"],
 ], ids=["torus3", "seeded-z2", "seeded-z2-cyclotomic"])
 def test_integral_pages_eliminate_on_ints(argv, monkeypatch, tmp_path, capsys):
+    """Every payload the page engine reads its columns and apparent pivots
+    from (PageComputation._cells) and every payload a reduction adds to an
+    Echelon is an int.  The seeded inputs reduce columns; torus3 needs no
+    reduction, so only the entries it pairs from are seen there."""
     doc = tmp_path / "z2.json"
     doc.write_text(json.dumps(SEEDED_Z2))
-    added, add = [], Echelon.add
-    monkeypatch.setattr(Echelon, "add", lambda self, col, label=None:
-                        added.extend(map(type, col.values())) or add(self, col, label))
+    read, added, cells, add = [], [], PageComputation._cells, Echelon.add
+    monkeypatch.setattr(PageComputation, "_cells", lambda self, q: read.extend(
+        type(x) for entries in cells(self, q) for _, terms in entries for *_, x in terms)
+        or cells(self, q))
+    monkeypatch.setattr(Echelon, "add", lambda self, col, label=None, low=None:
+                        added.extend(map(type, col.values())) or add(self, col, label, low))
     assert cli.main([str(doc) if a == "SEEDED" else a for a in argv] + ["--json"]) == 0
     capsys.readouterr()
-    assert added and set(added) == {int}
+    assert read and set(read) == {int} and set(added) <= {int}
+    assert added or "SEEDED" not in argv

@@ -132,12 +132,14 @@ def assert_clearing_keeps_pairs(comp):
     """Top down, each degree cleared by the pivot rows of the one above (as
     _barcode runs it), gives the uncleared pairs in every degree and the same
     barcode; returns how many columns clearing skipped."""
-    cleared, skipped = set(), 0
+    cleared, skipped = bytearray(comp.vdim(comp.Q)), 0
     for q in range(comp.Q, 0, -1):
         pairs = comp._pairs(q, cleared)
         assert set(pairs) == set(page_oracle.uncleared_pairs(comp, q)), q
-        skipped += len(cleared) if comp.vdim(q - 1) else 0
-        cleared = {i for i, _ in pairs}
+        skipped += cleared.count(1) if comp.vdim(q - 1) else 0
+        cleared = bytearray(comp.vdim(q - 1))
+        for i, _ in pairs:
+            cleared[i] = 1
     uncleared = PageComputation(comp.C, R_max=comp.R_max, S_max=comp.S_max)
     uncleared._pairs = lambda q, cleared=(): page_oracle.uncleared_pairs(uncleared, q)
     assert comp._barcode() == uncleared._barcode()
@@ -151,16 +153,23 @@ def test_clearing_keeps_pairs_and_barcode(C, R, S):
 
 
 def test_clearing_skips_columns_on_torus3(monkeypatch):
-    """Clearing skips columns, and the reduction stores or drops only the
-    others."""
-    comp = PageComputation(change_field(builtin_complex("torus3"), FIELDS["Q"]), 4, 4)
-    skipped = assert_clearing_keeps_pairs(comp)
+    """Clearing skips columns, and every other column is seen once: paired
+    as it stands (apparent, or zero) or reduced through Echelon.add.  On
+    torus3 no column needs a reduction."""
+    C = change_field(builtin_complex("torus3"), FIELDS["Q"])
+    skipped = assert_clearing_keeps_pairs(PageComputation(C, 4, 4))
+    comp = PageComputation(C, 4, 4)
     added, add = [], Echelon.add
-    monkeypatch.setattr(Echelon, "add", lambda self, col, label=None:
-                        added.append(col) or add(self, col, label))
+    monkeypatch.setattr(Echelon, "add", lambda self, col, label=None, low=None:
+                        added.append(col) or add(self, col, label, low))
     comp._barcode()
     reduced = sum(comp.vdim(q) for q in range(1, comp.Q + 1) if comp.vdim(q - 1))
-    assert skipped > 0 and len(added) == reduced - skipped
+    assert skipped > 0 and comp.apparent + comp.reduced == reduced - skipped
+    assert comp.reduced == len(added) == 0 and comp.apparent > 0
+    # on wedge2 the pivots x^alpha * x_a and x^beta * x_b collide
+    comp = PageComputation(change_field(builtin_complex("wedge2"), FIELDS["Q"]), 3, 3)
+    comp._barcode()
+    assert comp.reduced == len(added) > 0 and comp.apparent + comp.reduced == comp.vdim(1)
 
 
 def _nonzero_columns(dense, ncols):
@@ -186,11 +195,19 @@ def models_and_elements(draw):
     return FiltrationModel(group, field, M), _element(group, field, terms)
 
 
+def _mult_columns(model, elem):
+    """v -> v * elem in the model's coordinates, as the page engine generates
+    it: the columns of d_2 of kG --elem--> kG --0--> kG."""
+    zero = GroupRingElem.zero(model.group, model.field)
+    C = complex_from_matrices(model.field, model.group, [1, 1, 1], [[[zero]], [[elem]]])
+    return PageComputation(C, R_max=model.M, S_max=0).boundary_matrix(2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=models_and_elements())
 def test_sparse_multiplication_matches_dense_oracle(case):
     model, elem = case
-    cols = model.mult_columns(elem)
+    cols = _mult_columns(model, elem)
     assert all(x for col in cols for x in col.values())
     assert cols == _nonzero_columns(mult_matrix(model, elem), model.dim)
 
@@ -205,8 +222,41 @@ def test_cyclic_multiplication_composes(m_field, data):
     terms = st.lists(st.tuples(st.tuples(st.integers(0, m - 1)), st.integers(-2, 2)),
                      max_size=4)
     a, b = (_element(model.group, model.field, data.draw(terms)) for _ in range(2))
-    after_a, by_b = model.mult_columns(a), model.mult_columns(b)
-    assert model.mult_columns(a * b) == [_apply(model.field, by_b, col) for col in after_a]
+    after_a, by_b = _mult_columns(model, a), _mult_columns(model, b)
+    assert _mult_columns(model, a * b) == [_apply(model.field, by_b, col) for col in after_a]
+
+
+@st.composite
+def shift_boundaries(draw):
+    """d_2: kG^c -> kG^r (r, c <= 3) with random entries and d_1 = 0, for G =
+    Z^n (n <= 3) over Q, F_2 or F_3 truncated at M <= 6, or G = Z_{p^r} in
+    characteristic p, where multiplication is Z truncated at M = p^r."""
+    n, M = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    group, field = GroupDescriptor.free_abelian(n), FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    if draw(st.booleans()):
+        m, fname = draw(st.sampled_from(_REZNIKOV))
+        n, group, field = 1, GroupDescriptor.cyclic(m), FIELDS[fname]
+    r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-2, 2)),
+                     max_size=3)
+    matrix = [[_element(group, field, draw(terms)) for _ in range(c)] for _ in range(r)]
+    d1 = [[GroupRingElem.zero(group, field)] * r]
+    return PageComputation(complex_from_matrices(field, group, [1, r, c], [d1, matrix]), M, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(comp=shift_boundaries())
+def test_apparent_pivot_is_the_last_row_of_the_column(comp):
+    """The pivot read off the leads, without the column, is the last nonzero
+    row of the generated column in the engine's order (-1 where the cut at
+    degree M leaves the column zero), for every column once."""
+    place, seen = comp.model.place, []
+    assert not comp.model.fold
+    for g, low, col in comp._pivots(2, bytes(comp.vdim(2))):
+        assert col is None and low == max(comp._column(2, g, place), default=-1), g
+        seen.append(g)
+    assert sorted(seen) == list(range(comp.vdim(2)))
+    assert seen == sorted(seen, key=lambda g: (place[g // comp.C.dims[2]], g))
 
 
 @settings(max_examples=40, deadline=None)
