@@ -76,9 +76,8 @@ def lyndon_document(d: int) -> dict:
 
 def load_builtin_document(name: str) -> dict:
     if name in _FILES:
-        path = os.path.join(os.path.dirname(__file__), "data", _FILES[name])
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(os.path.join(os.path.dirname(__file__), "data", _FILES[name]), "rb") as fh:
+            return json.loads(fh.read())  # UTF-8 bytes, decoded by json
     family, _, arg = name.partition(":")
     make = {"lyndon": lyndon_document, "comm-p": comm_p_document}.get(family)
     if make:

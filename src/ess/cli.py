@@ -24,8 +24,8 @@ from types import SimpleNamespace
 from . import builtins as corpus
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
 from .coeffs import FieldDescriptor
-from .complexes import (EquivariantComplex, GroupHom, base_change,
-                        betti_numbers, change_field, parse_document)
+from .complexes import (EquivariantComplex, GroupHom, base_change, betti_numbers,
+                        parse_document)
 from .errors import CrossCheckError, EssError, InputError
 from .groupring import GroupDescriptor
 from .modz import homology_decomposition, monodromy_report
@@ -61,11 +61,7 @@ def _parse_nu(text: str, group: GroupDescriptor, target: GroupDescriptor):
         raise InputError(
             f"--nu needs {group.num_generators} images for {group}, got {len(values)}"
         )
-    if target.kind == "cyclic":
-        return values
-    if target.n == 1:
-        return [[v] for v in values]
-    raise InputError("--nu with inline integers only targets Z or Zmod")
+    return values if target.kind == "cyclic" else [[v] for v in values]
 
 
 def load_complex(args) -> EquivariantComplex:
@@ -83,19 +79,20 @@ def load_complex(args) -> EquivariantComplex:
             raise InputError(f"{args.input} is not valid JSON: {exc}") from None
     else:
         raise InputError("an input path or --builtin is required")
-    C = parse_document(doc)
+    C, hom = parse_document(doc), None
     if args.group_quotient:
         target = GroupDescriptor.parse(args.group_quotient)
+        if target.kind == "free_abelian" and target.n != 1:
+            raise InputError(f"--group-quotient takes Z or Zmod:<m>, got {args.group_quotient!r}")
         if args.nu:
             images = _parse_nu(args.nu, C.group, target)
         elif target.kind == "cyclic":
             images = [1] * C.group.num_generators
         else:
             images = corpus.diagonal_quotient_images(C.group)
-        C = base_change(C, GroupHom(C.group, target, images))
-    if args.field:
-        C = change_field(C, FieldDescriptor.parse(args.field))
-    return C
+        hom = GroupHom(C.group, target, images)
+    # one ring map from the document's kG to the requested one
+    return base_change(C, hom, FieldDescriptor.parse(args.field) if args.field else None)
 
 
 def require_field(C: EquivariantComplex) -> EquivariantComplex:
@@ -126,7 +123,7 @@ def cmd_validate(args):
         "dims": C.dims,
         "provenance": C.provenance,
         "minimal": C.is_minimal(),
-        "integral_shadow": C.integral_boundaries is not None,
+        "integral_shadow": C.raw_integral is not None,
         "valid": True,
     }
     if args.json:
@@ -322,7 +319,8 @@ _COMMON = (
     ("--builtin", str, None, "named built-in input (see README)"),
     ("--field", str, None, "coefficients: Q, Fp:<p>, cyclotomic:<d>, Z"),
     ("--group-quotient", str, None,
-     "base change the deck group along a surjection onto Z or Zmod:<m>"),
+     "base change the deck group along a surjection onto Z or Zmod:<m> (no other "
+     "target); without --nu, every generator goes to 1"),
     ("--nu", str, None, "images for the quotient, e.g. 'a=2,b=1,c=1' or '2,1,1'"),
     ("--json", bool, False, "emit canonical JSON"),
     ("--strict", bool, False, "exit 3 when a requested hypothesis is not met"),

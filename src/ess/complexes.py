@@ -1,10 +1,14 @@
 """Equivariant chain complexes over kG: construction from group presentations
 via Fox calculus or from explicit boundary matrices, base change along
 epimorphisms, and ordinary Betti numbers via the augmentation specialization.
+
+Boundaries are raw payload maps {key: payload} (GroupRingElem.terms), built
+once where data enters and once per ring map (keys and payloads in one pass).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -12,7 +16,6 @@ import re
 from .coeffs import FieldDescriptor, rank_exact
 from .errors import InputError, UnsupportedCoefficients, ValidationError
 from .groupring import GroupDescriptor, GroupRingElem, parse_element
-from .modz import smith_normal_form
 
 _WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
 
@@ -133,8 +136,8 @@ class Epimorphism:
 
     def fox_columns(self, word: FreeWord) -> list[dict]:
         """The Fox derivatives of word by every generator, pushed to ZG, as
-        {key: int} maps in one walk along the word: x_i adds +1 at the key of
-        the prefix before it, x_i^-1 adds -1 at the key of the prefix after it."""
+        {key: nonzero int} maps in one walk along the word: x_i adds +1 at the
+        key of the prefix before it, x_i^-1 -1 at the key of the prefix after."""
         cols = [{} for _ in self.images]
         key = self.target.identity_key()
         for letter in word.letters:
@@ -144,7 +147,7 @@ class Epimorphism:
             key = self.step(key, letter)
             if letter < 0:
                 col[key] = col.get(key, 0) - 1
-        return cols
+        return [{k: c for k, c in col.items() if c} for col in cols]
 
     def validate(self, presentation: Presentation):
         if len(self.images) != len(presentation.generators):
@@ -156,13 +159,21 @@ class Epimorphism:
             raise ValidationError("images do not generate the target group")
 
     def is_surjective(self) -> bool:
+        """Onto Z_m iff gcd(m, images) = 1; onto Z^n iff Euclid down each
+        column of the image rows (row operations over Z) leaves pivots +-1."""
         if self.target.kind == "cyclic":
             return math.gcd(self.target.m, *self.images) == 1
-        n = self.target.n
-        if n <= 1:
-            return n == 0 or math.gcd(*(img[0] for img in self.images)) == 1
-        # onto Z^n iff the image matrix has n invariant factors, all 1
-        return smith_normal_form(self.images).nonzero() == [1] * n
+        rows = [list(img) for img in self.images]
+        for c in range(self.target.n):
+            while len(live := sorted((r for r in rows if r[c]), key=lambda r: abs(r[c]))) > 1:
+                pivot = live[0]
+                for r in live[1:]:
+                    q = r[c] // pivot[c]
+                    r[c:] = [x - q * y for x, y in zip(r[c:], pivot[c:])]
+            if not live or abs(live[0][c]) != 1:
+                return False
+            rows.remove(live[0])
+        return True
 
 
 class GroupHom:
@@ -171,10 +182,8 @@ class GroupHom:
     def __init__(self, source: GroupDescriptor, target: GroupDescriptor, images):
         self.source = source
         self.target = target
-        if target.kind == "free_abelian":
-            self.images = [tuple(int(x) for x in img) for img in images]
-        else:
-            self.images = [int(img) % target.m for img in images]
+        epi = Epimorphism(target, images)  # the images, normalized
+        self.images = epi.images
         if len(self.images) != source.num_generators:
             raise ValidationError("one image per source generator required")
         if source.kind == "cyclic":
@@ -185,21 +194,15 @@ class GroupHom:
                     raise ValidationError("no nontrivial map from a finite cyclic group to Z^n")
             elif (source.m * img) % target.m != 0:
                 raise ValidationError("map not well-defined on Z_m")
-        if not Epimorphism(target, self.images).is_surjective():
+        if not epi.is_surjective():
             raise ValidationError("group map is not surjective")
 
     def map_key(self, key):
-        if self.source.kind == "cyclic":
-            exps = (key,)
-        else:
-            exps = key
-        out = self.target.identity_key()
-        for e, img in zip(exps, self.images):
-            if self.target.kind == "cyclic":
-                out = (out + e * img) % self.target.m
-            else:
-                out = tuple(o + e * x for o, x in zip(out, img))
-        return out
+        exps = (key,) if self.source.kind == "cyclic" else key
+        if self.target.kind == "cyclic":
+            return sum(map(operator.mul, exps, self.images)) % self.target.m
+        return tuple(sum(e * img[i] for e, img in zip(exps, self.images))
+                     for i in range(self.target.n))
 
     def compose_epi(self, nu: Epimorphism) -> Epimorphism:
         return Epimorphism(self.target, [self.map_key(img) for img in nu.images])
@@ -208,29 +211,36 @@ class GroupHom:
 class EquivariantComplex:
     """A finite chain complex of free kG-modules given by boundary matrices.
 
-    boundaries[q] (for q = 1..top) has shape dims[q-1] x dims[q] with
-    GroupRingElem entries.  When the input coefficients are integral, the same
-    matrices over Z are retained as the integral shadow (used for torsion
-    checks).  The constructor checks the structure only: one 0-cell, shapes,
-    rings and degree-1 entries augmenting to 0.  d o d = 0 is checked where
-    new data enters (presentation_complex, complex_from_matrices,
-    extend_with_cells); ring maps (base_change, change_field) carry it along.
+    raw[q - 1] (q = 1..top) is d_q: dims[q-1] rows of dims[q] raw payload maps,
+    canonical as GroupRingElem.terms, which `boundaries` wraps on first use.
+    With integral input coefficients the matrices over Z are kept as the
+    integral shadow raw_integral (for torsion checks), the very same maps when
+    k has characteristic 0 and every payload is an int.  The constructor checks
+    shapes only; d o d = 0 and the augmentation of d_1 are checked where new
+    data enters (presentation_complex, complex_from_matrices,
+    extend_with_cells), and ring maps (base_change, change_field) keep them.
     """
 
-    def __init__(self, field, group, dims, boundaries, provenance="matrices",
-                 presentation=None, nu=None, integral_boundaries=None):
+    def __init__(self, field, group, dims, raw, provenance="matrices",
+                 presentation=None, nu=None, raw_integral=None):
         self.field = field
         self.group = group
         self.dims = list(dims)
-        self.boundaries = boundaries
+        self.raw = raw
         self.provenance = provenance
         self.presentation = presentation
         self.nu = nu
-        self.integral_boundaries = integral_boundaries
-        _check_shapes(field, group, self.dims, boundaries)
-        for entry in (boundaries[0][0] if self.top >= 1 else []):
-            if entry.augmentation():
-                raise ValidationError("degree-1 boundary entries must augment to 0")
+        self.raw_integral = raw_integral
+        _check_shapes(self.dims, raw)
+
+    @functools.cached_property
+    def boundaries(self):
+        return _wrap(self.group, self.field, self.raw)
+
+    @functools.cached_property
+    def integral_boundaries(self):
+        if self.raw_integral is not None:
+            return _wrap(self.group, FieldDescriptor.integers(), self.raw_integral)
 
     @property
     def top(self) -> int:
@@ -238,13 +248,10 @@ class EquivariantComplex:
 
     def boundary(self, q: int):
         """Boundary matrix in degree q (dims[q-1] x dims[q]); zero-shaped
-        outside 1..top."""
+        outside 1..top, where only d_{top+1} has rows (and no column)."""
         if 1 <= q <= self.top:
             return self.boundaries[q - 1]
-        rows = self.dims[q - 1] if 0 < q <= self.top + 1 else 0
-        cols = self.dims[q] if 0 <= q <= self.top else 0
-        zero = GroupRingElem.zero(self.group, self.field)
-        return [[zero for _ in range(cols)] for _ in range(rows)]
+        return [[] for _ in range(self.dims[-1])] if q == self.top + 1 else []
 
     # -- specializations ------------------------------------------------------
 
@@ -255,14 +262,11 @@ class EquivariantComplex:
 
     def epsilon_boundary_int(self, q: int):
         """Integral specialization from the shadow, as plain int matrix."""
-        if self.integral_boundaries is None:
+        if self.raw_integral is None:
             raise UnsupportedCoefficients("complex has no integral shadow")
         if 1 <= q <= self.top:
-            mat = self.integral_boundaries[q - 1]
-            return [[e.augmentation() for e in row] for row in mat]
-        rows = self.dims[q - 1] if 0 < q <= self.top + 1 else 0
-        cols = self.dims[q] if 0 <= q <= self.top else 0
-        return [[0] * cols for _ in range(rows)]
+            return [[sum(terms.values()) for terms in row] for row in self.raw_integral[q - 1]]
+        return [[] for _ in range(self.dims[-1])] if q == self.top + 1 else []
 
     def is_minimal(self) -> bool:
         """Minimal = every epsilon-specialized boundary vanishes, checked on
@@ -272,7 +276,7 @@ class EquivariantComplex:
     def nonminimal_entries(self):
         out = []
         for q in range(1, self.top + 1):
-            mat = (self.epsilon_boundary_int(q) if self.integral_boundaries is not None
+            mat = (self.epsilon_boundary_int(q) if self.raw_integral is not None
                    else self.epsilon_boundary(q))
             for i, row in enumerate(mat):
                 for j, x in enumerate(row):
@@ -281,34 +285,39 @@ class EquivariantComplex:
         return out
 
 
-def _check_shapes(field, group, dims, boundaries):
+def _wrap(group, field, mats):
+    return [[[GroupRingElem(group, field, terms, canonical=True) for terms in row]
+             for row in mat] for mat in mats]
+
+
+def _check_shapes(dims, mats, ring=None, first=1):
+    """Raise unless mats has one dims[q-1] x dims[q] matrix per degree
+    1..top over one 0-cell; with ring = (k, G), the matrices of degrees from
+    `first` on hold GroupRingElem entries, each checked to be over kG."""
     if not dims or dims[0] != 1:
         raise ValidationError("complex must have a single 0-cell")
-    if len(boundaries) != len(dims) - 1:
+    if len(mats) != len(dims) - 1:
         raise ValidationError("need one boundary matrix per degree 1..top")
-    for q, mat in enumerate(boundaries, 1):
+    for q, mat in enumerate(mats, 1):
         if len(mat) != dims[q - 1] or any(len(row) != dims[q] for row in mat):
             raise ValidationError(f"boundary {q} has wrong shape")
-        for row in mat:
-            for entry in row:
-                if (entry.group is not group and entry.group != group
-                        or entry.field is not field and entry.field != field):
-                    raise ValidationError(f"boundary {q} entry over wrong ring")
+        if ring and q >= first and any((e.field, e.group) != ring for row in mat for e in row):
+            raise ValidationError(f"boundary {q} entry over wrong ring")
 
 
-def _check_composition(field, group, a, b, q: int):
-    """Raise unless the product of d_q = a and d_{q+1} = b over kG vanishes.
-    Products are summed per key on raw payloads, through the descriptor's
-    payload table."""
-    add, mul, zero = field._add, field._mul, field._of_int(0)
+def _check_composition(ring, group, a, b, q: int):
+    """Raise unless the product of d_q = a and d_{q+1} = b over kG vanishes,
+    both matrices of raw payload maps over `ring`: products are summed per key
+    through the descriptor's payload table."""
+    add, mul, zero = ring._add, ring._mul, ring._of_int(0)
     m = group.m
     cols = list(zip(*b))
     for row in a:
         for col in cols:
             acc = {}
             for x, y in zip(row, col):
-                for k1, c1 in x.terms.items():
-                    for k2, c2 in y.terms.items():
+                for k1, c1 in x.items():
+                    for k2, c2 in y.items():
                         key = (k1 + k2) % m if m else tuple(map(operator.add, k1, k2))
                         acc[key] = add(acc.get(key, zero), mul(c1, c2))
             if any(acc.values()):
@@ -317,63 +326,61 @@ def _check_composition(field, group, a, b, q: int):
                 )
 
 
-def _new_complex(field, group, dims, boundaries, integral, first=1, **kw):
-    """Build a complex from new data, checking d_q o d_{q+1} = 0 for q >= first
-    on the integral shadow when there is one: zero over Z is zero over every k.
-    The products run after the shape checks and before the constructor's
-    augmentation check, so that each error keeps its precedence."""
-    _check_shapes(field, group, dims, boundaries)
-    ring, mats = (field, boundaries) if integral is None else (FieldDescriptor.integers(), integral)
+def _new_complex(field, group, dims, raw, integral, first=1, **kw):
+    """Build a complex from new data: the shapes, then d_q o d_{q+1} = 0 for
+    q >= first on the integral shadow when there is one (zero over Z is zero
+    over every k), then the augmentation of d_1, so that each error keeps its
+    precedence."""
+    C = EquivariantComplex(field, group, dims, raw, raw_integral=integral, **kw)
+    ring, mats = (field, raw) if integral is None else (FieldDescriptor.integers(), integral)
     for q in range(first, len(mats)):
         _check_composition(ring, group, mats[q - 1], mats[q], q)
-    return EquivariantComplex(field, group, dims, boundaries,
-                              integral_boundaries=integral, **kw)
+    zero = field._of_int(0)
+    if raw and any(functools.reduce(field._add, terms.values(), zero) for terms in raw[0][0]):
+        raise ValidationError("degree-1 boundary entries must augment to 0")
+    return C
 
 
 def presentation_complex(presentation: Presentation, nu: Epimorphism,
                          field: FieldDescriptor) -> EquivariantComplex:
     """The equivariant chain complex of the presentation 2-complex, base
     changed along nu.  d1 column entries are nu(x_i) - 1; d2 entries are Fox
-    derivatives pushed to kG."""
+    derivatives pushed to kG.  The {key: int} maps of the Fox walk are the
+    integral shadow, and over a field of characteristic 0 the entries too."""
     nu.validate(presentation)
     group = nu.target
-    ZZ = FieldDescriptor.integers()
     ngens = len(presentation.generators)
     one = group.identity_key()
     d1 = [{} if key == one else {key: 1, one: -1}
           for key in (nu.step(one, i) for i in range(1, ngens + 1))]
-    raw = [[d1]] if ngens else []
+    ints = [[d1]] if ngens else []
     if ngens and presentation.relators:
         cols = [nu.fox_columns(r) for r in presentation.relators]
-        raw.append([[col[i] for col in cols] for i in range(ngens)])
-    dims = [1] + [len(mat[0]) for mat in raw]
-
-    def lift(k):
-        return [[[GroupRingElem.from_ints(group, k, e) for e in row] for row in mat] for mat in raw]
-
-    int_mats = lift(ZZ)
-    return _new_complex(
-        field, group, dims, int_mats if field == ZZ else lift(field), int_mats,
-        provenance="presentation", presentation=presentation, nu=nu,
-    )
+        ints.append([[col[i] for col in cols] for i in range(ngens)])
+    dims = [1] + [len(mat[0]) for mat in ints]
+    raw = ints if field.characteristic == 0 else _ring_map(ints, coeff=field._of_int)
+    return _new_complex(field, group, dims, raw, ints, provenance="presentation",
+                        presentation=presentation, nu=nu)
 
 
 def complex_from_matrices(field, group, dims, boundaries,
                           provenance="matrices") -> EquivariantComplex:
     """Complex from explicit boundary matrices over kG, with every composition
     d_q o d_{q+1} checked."""
-    return _new_complex(field, group, dims, boundaries, _integral_shadow(boundaries),
+    _check_shapes(dims, boundaries, (field, group))
+    raw = [[[e.terms for e in row] for row in mat] for mat in boundaries]
+    return _new_complex(field, group, dims, raw, _integral_shadow(field, raw),
                         provenance=provenance)
 
 
-def _integral_shadow(mats):
-    """The same matrices over Z when every coefficient is an integer, else None."""
-    for e in (e for mat in mats for row in mat for e in row):
-        kind = e.field.kind  # Q and cyclotomic:<d> payloads are ints or Fractions
-        if kind != "Z" and (kind == "Fp" or any(c.denominator != 1 for c in e.terms.values())):
-            return None
-    ZZ = FieldDescriptor.integers()
-    return [[[e.map_coefficients(int, ZZ) for e in row] for row in mat] for mat in mats]
+def _integral_shadow(field, mats):
+    """The raw matrices over Z (mats itself if every payload is an int) when
+    every coefficient is an integer, else None; over F_p None if any entry."""
+    entries = [terms for mat in mats for row in mat for terms in row]
+    coeffs = [c for terms in entries for c in terms.values()]
+    if field.characteristic and entries or any(c.denominator != 1 for c in coeffs):
+        return None
+    return mats if all(type(c) is int for c in coeffs) else _ring_map(mats, coeff=int)
 
 
 def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> EquivariantComplex:
@@ -388,68 +395,68 @@ def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> Equiva
         raise ValidationError(
             f"extra-cell matrix needs {C.dims[C.top]} rows, got {len(matrix_rows)}"
         )
-    ncells = len(matrix_rows[0]) if matrix_rows else 0
-    shadow = _integral_shadow([matrix_rows]) if C.integral_boundaries is not None else None
-    integral = None if shadow is None else C.integral_boundaries + shadow
+    dims = C.dims + [len(matrix_rows[0]) if matrix_rows else 0]
+    _check_shapes(dims, C.raw + [matrix_rows], (C.field, C.group), first=degree)
+    block = [[e.terms for e in row] for row in matrix_rows]
+    shadow = _integral_shadow(C.field, [block]) if C.raw_integral is not None else None
+    integral = None if shadow is None else C.raw_integral + shadow
     return _new_complex(
-        C.field, C.group, C.dims + [ncells], list(C.boundaries) + [matrix_rows], integral,
+        C.field, C.group, dims, C.raw + [block], integral,
         first=C.top, provenance="hybrid", presentation=C.presentation, nu=C.nu,
     )
 
 
-def base_change(C: EquivariantComplex, f: GroupHom,
+def base_change(C: EquivariantComplex, f: GroupHom | None,
                 new_field: FieldDescriptor | None = None) -> EquivariantComplex:
-    """Apply the ring map induced by the group surjection f (and optionally a
-    coefficient change) to every boundary matrix.  A ring map carries
-    d o d = 0 along, so the compositions are not checked again."""
-    if f.source != C.group:
+    """The complex under the ring map kG -> k'G' of the group surjection f
+    (None: G' = G) and the coefficient change k -> k' (None: k' = k), in one
+    pass over the raw maps: keys through f summed in k, then payloads into k'.
+    The shadow goes through f alone, shared with the entries when they were.
+    A ring map carries d o d = 0 along: no composition is checked again."""
+    if f is not None and f.source != C.group:
         raise ValidationError("hom source does not match complex group")
     field = new_field if new_field is not None else C.field
-    coeff = _coefficient_map(C.field, field)
-
-    def convert(e):
-        out = e.map_exponents(f.map_key, f.target)
-        if field != C.field:
-            out = out.map_coefficients(coeff, field)
-        return out
-
-    boundaries = [[[convert(e) for e in row] for row in mat] for mat in C.boundaries]
-    integral = None
-    if C.integral_boundaries is not None:
-        integral = [
-            [[e.map_exponents(f.map_key, f.target) for e in row] for row in mat]
-            for mat in C.integral_boundaries
-        ]
-    nu = f.compose_epi(C.nu) if C.nu is not None else None
+    if field != C.field and C.field.kind not in ("Z", "Q"):
+        raise UnsupportedCoefficients(f"no coefficient map {C.field} -> {field}")
+    if f is None and field == C.field:
+        return C
+    key = functools.cache(f.map_key) if f is not None else None
+    integral = C.raw_integral
+    if key and integral is not None:
+        integral = _ring_map(integral, key)
+    if C.field.characteristic == 0 and C.raw == C.raw_integral:  # int payloads
+        raw = integral if field.characteristic == 0 else _ring_map(integral, coeff=field._of_int)
+    else:  # an int payload has a denominator too
+        coeff = None if field == C.field else field.from_fraction
+        raw = _ring_map(C.raw, key, C.field._add, coeff)
     return EquivariantComplex(
-        field, f.target, C.dims, boundaries, provenance=C.provenance,
-        presentation=C.presentation, nu=nu, integral_boundaries=integral,
+        field, C.group if f is None else f.target, C.dims, raw, provenance=C.provenance,
+        presentation=C.presentation, raw_integral=integral,
+        nu=f.compose_epi(C.nu) if f is not None and C.nu is not None else C.nu,
     )
 
 
 def change_field(C: EquivariantComplex, new_field: FieldDescriptor) -> EquivariantComplex:
-    """Coefficient change (Z -> k, Q -> Q(zeta), ...) leaving the group fixed.
-    A ring map, so the compositions are not checked again."""
-    if new_field == C.field:
-        return C
-    coeff = _coefficient_map(C.field, new_field)
-    boundaries = [
-        [[e.map_coefficients(coeff, new_field) for e in row] for row in mat]
-        for mat in C.boundaries
-    ]
-    return EquivariantComplex(
-        new_field, C.group, C.dims, boundaries, provenance=C.provenance,
-        presentation=C.presentation, nu=C.nu,
-        integral_boundaries=C.integral_boundaries,
-    )
+    """Coefficient change (Z -> k, Q -> Q(zeta), ...): base_change with no f."""
+    return base_change(C, None, new_field)
 
 
-def _coefficient_map(old: FieldDescriptor, new: FieldDescriptor):
-    if old == new:
-        return lambda c: c
-    if old.kind in ("Z", "Q"):
-        return new.from_fraction  # int payloads have a denominator too
-    raise UnsupportedCoefficients(f"no coefficient map {old} -> {new}")
+def _ring_map(mats, key=None, add=operator.add, coeff=None):
+    """The raw matrices under a ring map: each key through `key`, payloads
+    meeting at one key summed with `add`, then each payload through `coeff`;
+    zero payloads dropped."""
+    return [[[_map_terms(terms, key, add, coeff) for terms in row] for row in mat]
+            for mat in mats]
+
+
+def _map_terms(terms, key, add, coeff):
+    if key:
+        acc = {}
+        for k, c in terms.items():
+            k = key(k)
+            acc[k] = add(acc[k], c) if k in acc else c
+        terms = acc
+    return {k: x for k, c in terms.items() if (x := coeff(c) if coeff else c)}
 
 
 def betti_numbers(C: EquivariantComplex) -> list[int]:

@@ -101,13 +101,17 @@ class GroupRingElem:
     """Element of kG in canonical sparse form: {key: raw payload of k}, no
     zero coefficient stored, arithmetic through the descriptor's payload
     table.  A scalar operand (an int or Fraction) is coerced through
-    `FieldDescriptor.from_fraction`."""
+    `FieldDescriptor.from_fraction`.  With canonical=True the terms are taken
+    as they are (reduced keys, no zero payload): neither copied nor checked."""
 
     __slots__ = ("group", "field", "terms")
 
-    def __init__(self, group, field, terms):
+    def __init__(self, group, field, terms, canonical=False):
         self.group = group
         self.field = field
+        if canonical:
+            self.terms = terms
+            return
         add = field._add
         clean = {}
         for key, coeff in terms.items():
@@ -240,7 +244,8 @@ _TOKEN = re.compile(r"\s*([+-]|\d+|[A-Za-z]\w*|\^|\*)")
 
 
 def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> GroupRingElem:
-    """Parse "t1^-2*t2^3" style syntax (coefficient prefixes allowed)."""
+    """Parse "t1^-2*t2^3" style syntax (coefficient prefixes allowed); the
+    integer coefficients are summed per monomial, then mapped into k."""
     names = group.variable_names()
     name_index = {name: i for i, name in enumerate(names)}
     pos = 0
@@ -251,7 +256,7 @@ def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> 
             raise InputError(f"bad character in element {text!r} at {pos}")
         tokens.append(mt.group(1))
         pos = mt.end()
-    result = GroupRingElem.zero(group, field)
+    result = {}
     i = 0
     nvars = group.num_generators
 
@@ -304,9 +309,8 @@ def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> 
                 i += 1
                 expect_factor = True
         key = exps[0] if group.kind == "cyclic" else tuple(exps)
-        term = GroupRingElem.monomial(group, field, key, coeff)
-        result = result + term
-    return result
+        result[key] = result.get(key, 0) + coeff
+    return GroupRingElem.from_ints(group, field, result)
 
 
 def format_element(a: GroupRingElem) -> str:

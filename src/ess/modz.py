@@ -483,7 +483,7 @@ def integral_torsion_check(C) -> list[bool]:
     """Torsion-freeness of H_q(X, Z) per degree, from SNF over Z of the
     epsilon-specialized shadow boundaries: torsion-free iff all invariant
     factors of d_{q+1} are 0 or +-1."""
-    if C.integral_boundaries is None:
+    if C.raw_integral is None:
         raise UnsupportedCoefficients("integral shadow required for torsion check")
     flags = []
     for q in range(C.top + 1):

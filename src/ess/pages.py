@@ -535,15 +535,26 @@ def reznikov_collapse(C, S_max: int | None = None):
 
 def _k_rank(comp: PageComputation, q: int) -> int:
     """Rank over k of the truncated boundary d_q, for the E^oo check of
-    reznikov_collapse.  The generated columns of d_q are turned into sparse
-    rows, and the rows go into an `Echelon`: a reduction of the transpose,
-    with other vectors, pivots and order than the column reduction of _pairs,
-    so the check does not repeat the computation it checks."""
-    if q < 1 or q > comp.Q or not any(comp._cells(q)):  # no entries: d_q = 0
+    reznikov_collapse: the rows of d_q, built from _cells in one loop (the
+    arithmetic of _column), go into an `Echelon`.  A reduction of the transpose,
+    with other vectors, pivots and order than _pairs, it repeats nothing."""
+    cells = comp._cells(q) if 1 <= q <= comp.Q else ()
+    if not any(cells):  # no entries: d_q = 0
         return 0
+    model, ndst, index = comp.model, comp.C.dims[q - 1], comp.model.index
     rows = [{} for _ in range(comp.vdim(q - 1))]
-    for j, col in enumerate(comp.boundary_matrix(q)):
-        for i, x in col.items():
-            rows[i][j] = x
+    for b in range(model.dim):
+        alpha, room = model.keys[b], model.M - model.vals[b]
+        for g, entries in enumerate(cells, b * len(cells)):
+            if model.fold:
+                for i, c in entries[b]:
+                    for k, x in c.items():
+                        rows[k * ndst + i][g] = x
+                continue
+            for i, terms in entries:
+                for deg, beta, x in terms:
+                    if deg >= room:
+                        break
+                    rows[index[alpha + beta] * ndst + i][g] = x
     ech = Echelon(comp.field)
     return sum(ech.add(row) is not None for row in rows)

@@ -83,8 +83,7 @@ def check_c3_reznikov() -> str:
     for p in (2, 3, 5):
         Fp = FieldDescriptor.prime_field(p)
         Cp = GroupDescriptor.cyclic(p)
-        circ = base_change(change_field(builtin_complex("circle"), Fp),
-                           GroupHom(_Z1, Cp, [1]))
+        circ = base_change(builtin_complex("circle"), GroupHom(_Z1, Cp, [1]), Fp)
         tables, hom = reznikov_collapse(circ)
         assert hom == [1, 1], (p, hom)
         t = GroupRingElem.monomial(Cp, Fp, 1)
@@ -125,8 +124,8 @@ def check_c4_theorem_a() -> str:
             count += 1
     # cyclic instance
     F3 = FieldDescriptor.prime_field(3)
-    circ3 = base_change(change_field(builtin_complex("circle"), F3),
-                        GroupHom(_Z1, GroupDescriptor.cyclic(3), [1]))
+    circ3 = base_change(builtin_complex("circle"), GroupHom(_Z1, GroupDescriptor.cyclic(3), [1]),
+                        F3)
     comp = PageComputation(circ3, R_max=2, S_max=1)
     assert comp.d1_matrix(1, 0) == d1_closed_form(circ3)[1], "cyclic d1 mismatch"
     count += 1

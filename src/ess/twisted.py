@@ -23,8 +23,10 @@ import itertools
 import math
 
 from .aomoto import aomoto_betti
-from .coeffs import MAX_ORDER_BITS, FieldDescriptor, cyclotomic_rank, format_poly, rank_exact
-from .complexes import EquivariantComplex, GroupHom, betti_numbers, change_field
+from .coeffs import (MAX_ORDER_BITS, FieldDescriptor, cyclotomic_rank, format_poly, is_prime,
+                     rank_exact)
+from .complexes import (EquivariantComplex, GroupHom, _ring_map, base_change, betti_numbers,
+                        change_field)
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
@@ -36,20 +38,12 @@ _Z1 = GroupDescriptor.free_abelian(1)
 def evaluated_boundary(C: EquivariantComplex, q: int, d: int, power: int = 1):
     """The boundary matrix with t -> zeta_d^power: each entry sum_k c_k t^k
     becomes {k * power mod d: sum of those c_k}, zero sums dropped, the form
-    `coeffs.cyclotomic_rank` takes."""
+    `coeffs.cyclotomic_rank` takes: the raw ring map of the key map
+    (k,) -> k * power mod d."""
     if not 1 <= q <= C.top:
         return []
-    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    out = []
-    for row in mats[q - 1]:
-        out.append([])
-        for e in row:
-            acc = {}
-            for (k,), c in e.terms.items():
-                j = k * power % d
-                acc[j] = acc.get(j, 0) + c
-            out[-1].append({j: c for j, c in acc.items() if c})
-    return out
+    mats = C.raw_integral if C.raw_integral is not None else C.raw
+    return _ring_map([mats[q - 1]], lambda key: key[0] * power % d)[0]
 
 
 def _check_order(p: int, r: int = 1):
@@ -73,7 +67,7 @@ def twisted_betti(C: EquivariantComplex, d: int, power: int = 1) -> list[int]:
     if d < 1:
         raise InputError("order d must be >= 1")
     _check_order(d)
-    if C.integral_boundaries is None and C.field.kind not in ("Q", "Z"):
+    if C.raw_integral is None and C.field.kind not in ("Q", "Z"):
         raise UnsupportedCoefficients("need integral or rational coefficients")
     if math.gcd(power, d) != 1:
         raise InputError("power must be prime to d")
@@ -137,7 +131,7 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
         return AlexanderResult((1,))
     if ncols < g - 1:
         return AlexanderResult(())
-    if C.integral_boundaries is None and C.field.kind != "Q":
+    if C.raw_integral is None and C.field.kind != "Q":
         raise UnsupportedCoefficients(
             "Alexander polynomial needs integral or rational coefficients")
     ring = _LaurentCtx(FieldDescriptor.rationals())
@@ -172,12 +166,12 @@ def integral_complex(C: EquivariantComplex) -> EquivariantComplex:
     were checked when C was built."""
     if C.field.kind == "Z":
         return C
-    if C.integral_boundaries is None:
+    if C.raw_integral is None:
         raise UnsupportedCoefficients("integral shadow required")
     return EquivariantComplex(
-        FieldDescriptor.integers(), C.group, C.dims, C.integral_boundaries,
+        FieldDescriptor.integers(), C.group, C.dims, C.raw_integral,
         provenance=C.provenance, presentation=C.presentation, nu=C.nu,
-        integral_boundaries=C.integral_boundaries,
+        raw_integral=C.raw_integral,
     )
 
 
@@ -244,8 +238,6 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
     when integral torsion voids the Aomoto bound's hypothesis, the raw
     comparison is still reported with verdict "not-applicable".
     """
-    from .coeffs import is_prime
-
     _check_order(p, r)  # first: no arithmetic on a p^r past the order limit
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
@@ -264,11 +256,8 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
         b_twisted = betti_numbers(change_field(C_int, rationals))
         beta_fp = list(b_fp)
     else:
-        C_Z = (
-            C_int
-            if C.group == _Z1 and prim == [1]
-            else _base_change_to_z(C_int, prim)
-        )
+        C_Z = C_int if C.group == _Z1 and prim == [1] else \
+            base_change(C_int, GroupHom(C.group, _Z1, [[x] for x in prim]))
         b_twisted = twisted_betti(C_Z, d)
         if p_divides_m:
             beta_fp = list(b_fp)
@@ -308,13 +297,6 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
     if not all_torsion_free and not coho_ok:
         verdicts["cohobound"] = "not-applicable (raw comparison fails, as expected with torsion)"
     return BoundsReport(p, r, d, rows, torsion_free, verdicts)
-
-
-def _base_change_to_z(C: EquivariantComplex, prim: list[int]) -> EquivariantComplex:
-    from .complexes import base_change
-
-    hom = GroupHom(C.group, _Z1, [[x] for x in prim])
-    return base_change(C, hom)
 
 
 def minors_inequality(C: EquivariantComplex, p: int, r: int):

@@ -218,6 +218,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (None, ["betti", "{path}", "{path}", "--field", "Q"]),
     (None, ["validate", "--buil", "circle"]),
     (None, ["validate", "--builtin", "circle", "--json=yes"]),
+    (None, ["validate", "--builtin", "wedge2", "--group-quotient", "Z^2"]),
+    (None, ["pages", "--builtin", "torus2", "--group-quotient", "Z^0", "--field", "Q"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -228,7 +230,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "q-range-negative-high", "k-max-negative", "q-range-inverted",
         "alexander-2-cells-without-1-cells", "unknown-verb", "no-verb", "unknown-option",
         "missing-value", "option-as-value", "R-not-integer", "d-not-integer",
-        "two-inputs", "abbreviated-option", "flag-with-value"])
+        "two-inputs", "abbreviated-option", "flag-with-value", "quotient-Z^2",
+        "quotient-Z^0"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -450,6 +453,63 @@ def test_non_surjective_nu_is_input_error(group, nu, tmp_path, capsys):
     code, out, err = run(["validate", str(path)], capsys)
     assert (code, out) == (cli.EXIT_INPUT, "")
     assert "do not generate" in err
+
+
+def _two_generators(field="Z", group="Z", relators=("xyXY",), nu=None):
+    return {"field": field, "group": group, "presentation": {
+        "generators": ["x", "y"], "relators": list(relators), "nu": nu or {"x": 1, "y": 1}}}
+
+
+_QUOTIENT_AND_FIELD_ERRORS = ["--group-quotient", "Zmod:4", "--nu", "2,2", "--field", "Fp:4"]
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    # the document first, then --group-quotient and --nu, then --field
+    (_two_generators(field="Fp:4"), _QUOTIENT_AND_FIELD_ERRORS, "4 is not prime"),
+    (_two_generators(nu={"x": 2, "y": 4}), _QUOTIENT_AND_FIELD_ERRORS, "do not generate"),
+    (_two_generators(relators=["xy"]), _QUOTIENT_AND_FIELD_ERRORS,
+     "does not map to the identity"),
+    ({"field": "Z", "group": "Z",
+      "matrices": {"dims": [1, 1, 1], "boundaries": [[["t - 1"]], [["t - 1"]]]}},
+     _QUOTIENT_AND_FIELD_ERRORS, "composition d_1 o d_2"),
+    (_two_generators(nu={"x": 1, "y": 1.5}), _QUOTIENT_AND_FIELD_ERRORS,
+     "must be an integer or a list of integers"),
+    (_two_generators(nu={"x": 1, "y": True}), [], "must be an integer or a list of integers"),
+    (_two_generators(group="Z^2", nu={"x": [1, 0], "y": [0, "1"]}), [],
+     "must be an integer or a list of integers"),
+    (None, _QUOTIENT_AND_FIELD_ERRORS, "group map is not surjective"),
+    (None, ["--group-quotient", "Z", "--nu", "2,2"], "group map is not surjective"),
+    (None, ["--group-quotient", "Zmod:x", "--field", "Fp:4"], "unknown group descriptor"),
+    (None, ["--group-quotient", "Zmod:4", "--nu", "1", "--field", "Fp:4"],
+     "--nu needs 2 images"),
+    (None, ["--group-quotient", "Zmod:4", "--nu", "x", "--field", "Fp:4"],
+     "--nu expects an integer"),
+    (_two_generators(group="Zmod:4"), ["--group-quotient", "Z", "--field", "Fp:4"],
+     "no canonical quotient to Z"),
+    (None, ["--group-quotient", "Zmod:4", "--field", "Fp:4"], "4 is not prime"),
+    (None, ["--group-quotient", "Z^2", "--nu", "1,1", "--field", "Fp:4"],
+     "--group-quotient takes Z or Zmod:<m>, got 'Z^2'"),
+    (None, ["--group-quotient", "Z^0", "--field", "Q"],
+     "--group-quotient takes Z or Zmod:<m>, got 'Z^0'"),
+    (_two_generators(field="Fp:2"), ["--group-quotient", "Zmod:4", "--field", "Q"],
+     "no coefficient map Fp:2 -> Q"),
+], ids=["document-field", "document-nu-not-onto", "document-relator",
+        "document-composition", "document-nu-float", "document-nu-bool",
+        "document-nu-string-in-vector", "quotient-not-onto-before-field",
+        "nu-not-onto-Z", "quotient-descriptor-before-field", "nu-count-before-field",
+        "nu-not-integer-before-field", "no-quotient-of-a-cyclic-group", "field-after-quotient",
+        "quotient-Z^2", "quotient-Z^0", "no-coefficient-map"])
+def test_error_precedence_document_quotient_field(doc, argv, message, tmp_path, capsys):
+    """Each load reports its first error: every error of the document comes
+    before any of --group-quotient and --nu, and those before any of --field."""
+    source = ["--builtin", "torus2"]
+    if doc is not None:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        source = [str(path)]
+    code, out, err = run(["validate", *source, *argv], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and message in err, err
 
 
 @pytest.mark.parametrize("group, shown", [

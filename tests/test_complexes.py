@@ -1,8 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -207,11 +210,11 @@ def _brute_minor_gcd(rows, k):
                       for cols in itertools.combinations(range(k), k)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 3), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
 def test_surjectivity_onto_zn_is_minor_gcd_one(n, data):
     # onto Z^n iff the n x n minors of the image matrix have gcd 1
-    a = data.draw(st.integers(0, 5))
+    a = data.draw(st.integers(0, 6))
     rows = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                               min_size=a, max_size=a))
     onto = Epimorphism(GroupDescriptor.free_abelian(n), rows).is_surjective()
@@ -387,8 +390,9 @@ def test_raw_composition_check_matches_oracle(cyclic, field, data):
         v = elem()
         b = [[a[0][1] * v], [-(a[0][0] * v)]]
     zero = all(e.is_zero() for row in _oracle_matmul(a, b) for e in row)
+    raw = ([[e.terms for e in row] for row in m] for m in (a, b))  # the check reads raw maps
     try:
-        complexes._check_composition(k, G, a, b, 1)
+        complexes._check_composition(k, G, *raw, 1)
         assert zero
     except ValidationError:
         assert not zero
@@ -444,3 +448,119 @@ def test_each_block_is_checked_once(monkeypatch):
     assert calls == [1, 2]
     bounds_report(parse_document(load_builtin_document("comm-p:3")), [1], 3, 2)
     assert calls == [1, 2, 1]
+
+
+# -- the one-pass load against an element-level oracle ---------------------------
+
+_BUILTINS = ["circle", "wedge2", "torus2", "torus3", "trefoil", "figure8", "zxf2",
+             "torsfree", "minimal-check", "lyndon:6", "comm-p:3"]
+_LOAD_FIELDS = ["Z", "Q", "Fp:2", "Fp:3"]
+
+
+def _oracle_load(doc, quotient, field_text):
+    """What `ess --group-quotient quotient --field field_text` loads from doc,
+    built entry by entry with GroupRingElem.map_exponents/map_coefficients
+    from parse_document's entries, with its own key maps: every generator of
+    the deck group goes to 1 (the default images)."""
+    C = parse_document(doc)
+    group, key, nu = C.group, None, C.nu and C.nu.images
+    if quotient:
+        group = GroupDescriptor.parse(quotient)
+        m = group.m
+        key = (lambda k: sum(k) % m) if m else (lambda k: (sum(k),))
+        nu = nu and [key(img) for img in nu]
+    field = FieldDescriptor.parse(field_text) if field_text else C.field
+
+    def image(e, k):
+        e = e.map_exponents(key, group) if key else e
+        return e if e.field == k else e.map_coefficients(k.from_fraction, k)
+
+    def mats(source, k):
+        return source and [[[image(e, k) for e in row] for row in mat] for mat in source]
+
+    return SimpleNamespace(field=field, group=group, dims=C.dims, provenance=C.provenance,
+                           nu=nu, boundaries=mats(C.boundaries, field),
+                           integral_boundaries=mats(C.integral_boundaries, ZZ))
+
+
+def _load(source, quotient, field_text):
+    argv = ["validate", *source] + (["--group-quotient", quotient] if quotient else [])
+    return cli.load_complex(cli.parse_args(argv + (["--field", field_text] if field_text else [])))
+
+
+def assert_loads_like_oracle(doc, source, quotient, field_text):
+    C, want = _load(source, quotient, field_text), _oracle_load(doc, quotient, field_text)
+    assert (C.field, C.group, C.dims, C.provenance) == \
+        (want.field, want.group, want.dims, want.provenance)
+    assert (C.nu and C.nu.images) == want.nu
+    for got, expected in ((C.boundaries, want.boundaries),
+                          (C.integral_boundaries, want.integral_boundaries)):
+        assert (got is None) == (expected is None)
+        for mat, wmat in zip(got or [], expected or []):
+            assert [[(e.group, e.field, e.terms) for e in row] for row in mat] == \
+                [[(e.group, e.field, e.terms) for e in row] for row in wmat]
+
+
+@pytest.mark.parametrize("quotient", [None, "Z", "Zmod:4", "Zmod:6"])
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_one_pass_load_matches_element_oracle(name, quotient):
+    doc = load_builtin_document(name)
+    for field_text in [None] + _LOAD_FIELDS:
+        assert_loads_like_oracle(doc, ["--builtin", name], quotient, field_text)
+
+
+_letters = st.lists(st.sampled_from("abcABC"), min_size=1, max_size=5).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=st.sampled_from(["Z", "Z^2", "Zmod:4", "Zmod:9"]), data=st.data(),
+       field=st.sampled_from(["Z", "Q", "Fp:2", "Fp:3"]))
+def test_one_pass_load_matches_element_oracle_on_seeded_presentations(group, field, data):
+    """Commutator relators [u, v] map to 1 in every abelian group; a goes to a
+    generator, so nu is onto."""
+    relators = [u + v + u.swapcase()[::-1] + v.swapcase()[::-1]
+                for u, v in data.draw(st.lists(st.tuples(_letters, _letters), max_size=3))]
+    G = GroupDescriptor.parse(group)
+    c = data.draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+    nu = ({"a": [1, 0], "b": [0, 1], "c": c} if G.kind == "free_abelian" and G.n == 2
+          else {"a": 1, "b": c[0], "c": c[1]})
+    doc = {"field": field, "group": group, "presentation": {
+        "generators": ["a", "b", "c"], "relators": relators, "nu": nu}}
+    quotients = [None]
+    if G.kind == "free_abelian":
+        quotients += ["Z", f"Zmod:{data.draw(st.sampled_from([2, 3, 4, 6]))}"]
+    # no coefficient map leaves F_p
+    fields = [None, field] if field.startswith("Fp") else [None] + _LOAD_FIELDS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for quotient, field_text in itertools.product(quotients, fields):
+            assert_loads_like_oracle(doc, [path], quotient, field_text)
+
+
+def test_a_load_with_no_ring_map_is_the_parsed_complex(monkeypatch):
+    """No --group-quotient and no new --field: the ring map is the identity,
+    and the complex parse_document built is returned as it is."""
+    parsed = []
+    parse = cli.parse_document
+    monkeypatch.setattr(cli, "parse_document", lambda doc: parsed.append(parse(doc)) or parsed[-1])
+    for field_text in (None, "Z"):
+        assert _load(["--builtin", "torus3"], None, field_text) is parsed[-1]
+    C = parsed[-1]
+    assert change_field(C, C.field) is C and base_change(C, None) is C
+
+
+def test_loading_a_zn_builtin_runs_no_smith_normal_form(monkeypatch):
+    """Surjectivity onto Z^n is decided by integer elimination, not by SNF."""
+    from ess import modz
+
+    def snf(*args):
+        raise AssertionError("smith_normal_form called")
+
+    monkeypatch.setattr(modz, "smith_normal_form", snf)
+    monkeypatch.setattr(modz, "_snf_engine", snf)
+    for name in _BUILTINS:
+        assert load_builtin_document(name)["group"] in ("Z", "Z^2", "Z^3")
+        for quotient in (None, "Z", "Zmod:4"):
+            _load(["--builtin", name], quotient, "Q")

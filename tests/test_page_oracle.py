@@ -8,12 +8,16 @@ raw-payload coordinates are checked against the oracle's, which computes
 with `linalg_oracle.Scalar`.
 """
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linalg_oracle as linalg
 import page_oracle
+from ess import cli
 from ess.builtins import builtin_complex
 from ess.coeffs import Echelon, FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, complex_from_matrices
@@ -276,6 +280,43 @@ def test_k_rank_matches_dense_oracle_on_reznikov_complexes(C):
     model kZ_{p^r}, against the oracle's own dense truncated boundary, which
     linalg_oracle ranks with no Echelon."""
     m = C.group.m
+    comp = PageComputation(C, R_max=m, S_max=m - 1)
+    for q in range(comp.Q + 2):
+        assert _k_rank(comp, q) == linalg.rank_of(C.field, boundary_matrix(comp, q)), q
+
+
+# The pages ops of the cyclic-pr benchmark workload, on the built-ins: the
+# Reznikov case, and Z_12 over F_2 and Z_6 over Q, where kZ_m has a fold.
+CYCLIC_PR = [("circle", 9, "Fp:3"), ("trefoil", 9, "Fp:3"), ("comm-p:3", 9, "Fp:3"),
+             ("comm-p:2", 8, "Fp:2"), ("circle", 16, "Fp:2"), ("torus2", 12, "Fp:2"),
+             ("torus2", 6, "Q")]
+
+
+def _seeded_relator(rng, length):
+    """A word in a, b with exponent sum 0: onto Z with every generator to 1."""
+    letters = [rng.choice("abAB") for _ in range(length)]
+    excess = sum(1 if x.islower() else -1 for x in letters)
+    return "".join(letters) + ("A" if excess > 0 else "a") * abs(excess)
+
+
+@pytest.mark.parametrize("source", CYCLIC_PR + [(seed, m, f"Fp:{p}") for seed in range(4)
+                                                for m, p in ((8, 2), (9, 3), (27, 3))],
+                         ids=lambda s: f"{'seed' * isinstance(s[0], int)}{s[0]}-Z{s[1]}-{s[2]}")
+def test_k_rank_matches_dense_oracle_on_cyclic_inputs(source, tmp_path):
+    """_k_rank, rows built straight from _cells, against the rank of the
+    oracle's dense boundary, on the whole model kZ_m."""
+    space, m, field = source
+    if isinstance(space, int):
+        rng = random.Random(f"k-rank:{space}")
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"field": "Z", "group": "Z", "presentation": {
+            "generators": ["a", "b"], "relators": [_seeded_relator(rng, 6)],
+            "nu": {"a": 1, "b": 1}}}))
+        args = [str(path)]
+    else:
+        args = ["--builtin", space]
+    C = cli.load_complex(cli.parse_args(["pages", *args, "--group-quotient", f"Zmod:{m}",
+                                         "--field", field]))
     comp = PageComputation(C, R_max=m, S_max=m - 1)
     for q in range(comp.Q + 2):
         assert _k_rank(comp, q) == linalg.rank_of(C.field, boundary_matrix(comp, q)), q
