@@ -17,8 +17,8 @@ from .groupring import (GroupDescriptor, GroupRingElem, gr_dimension, j_valuatio
 from .modz import (LaurentModuleDecomp, SNFResult, einf_gr_module,
                    homology_decomposition, integral_torsion_check,
                    monodromy_report, smith_normal_form)
-from .pages import (PageComputation, PageTable, compute_pages, d1_closed_form,
-                    reznikov_collapse, window_collapse_page)
+from .pages import (PageComputation, PageTable, d1_closed_form, reznikov_collapse,
+                    window_collapse_page)
 from .twisted import (BoundsReport, alexander_polynomial, bounds_report,
                       minors_inequality, twisted_betti)
 

@@ -103,6 +103,15 @@ def require_field(C: EquivariantComplex) -> EquivariantComplex:
     return C
 
 
+def require_z(C: EquivariantComplex, verb: str) -> EquivariantComplex:
+    """C if its deck group is Z, else an InputError naming the way onto Z."""
+    if C.group.kind == "free_abelian" and C.group.n == 1:
+        return C
+    onto_z = C.group.kind == "free_abelian" and C.group.n
+    how = "pass --group-quotient Z to map it onto Z" if onto_z else "it has no quotient onto Z"
+    raise InputError(f"{verb} needs the deck group Z, and the input's group is {C.group}; {how}")
+
+
 def _q_range(args, C):
     if args.q_range:
         lo, _, hi = args.q_range.partition(":")
@@ -189,7 +198,7 @@ def cmd_pages(args):
 
 
 def cmd_decompose(args):
-    C = require_field(load_complex(args))
+    C = require_z(require_field(load_complex(args)), "decompose")
     rows = []
     snfs = {}  # d_q serves H_{q-1} and H_q
     for q in _q_range(args, C):
@@ -214,7 +223,7 @@ def cmd_decompose(args):
 def cmd_monodromy(args):
     if args.k_max is not None and args.k_max < 0:
         raise InputError("--k-max must be >= 0")
-    C = require_field(load_complex(args))
+    C = require_z(require_field(load_complex(args)), "monodromy")
     rep = monodromy_report(C, args.k_max if args.k_max is not None else C.top)
     if args.json:
         sys.stdout.write(emit_json(rep.to_json()))
@@ -261,7 +270,7 @@ def cmd_twisted(args):
     C = load_complex(args)  # twisted_betti validates coefficients itself
     if args.d is None:
         raise InputError("--d <order> is required")
-    b = twisted_betti(C, args.d)
+    b = twisted_betti(require_z(C, "twisted"), args.d)
     if args.json:
         sys.stdout.write(emit_json({"d": args.d, "twisted_betti": b}))
     else:
@@ -270,7 +279,7 @@ def cmd_twisted(args):
 
 
 def cmd_alexander(args):
-    C = load_complex(args)
+    C = require_z(load_complex(args), "alexander")
     res = alexander_polynomial(C)
     if args.json:
         doc = {"alexander_polynomial": str(res)}

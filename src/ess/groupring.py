@@ -217,11 +217,6 @@ class GroupRingElem:
         g - 1."""
         return functools.reduce(self.field._add, self.terms.values(), self.field._of_int(0))
 
-    def map_coefficients(self, fn, new_field):
-        """The element over new_field whose coefficients are fn of these
-        payloads."""
-        return GroupRingElem(self.group, new_field, {k: fn(v) for k, v in self.terms.items()})
-
     def map_exponents(self, fn, new_group):
         add = self.field._add
         out = {}

@@ -12,12 +12,12 @@ with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
 come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
 
 The SNF over Lambda runs on the raw Laurent polynomials of
-`coeffs.LaurentRing`; `_LaurentCtx` adds the conversions from and to
-GroupRingElem (both hold raw coefficient payloads), and only the diagonal is
-converted back.  A unit pivot clears its row and column with one fused
-y - q*x per entry; other pivots go through Bezout blocks.  Every SNF carries
-U and V and is verified (U A V = D and the divisibility chain) before it is
-returned.
+`coeffs.LaurentRing`; `_LaurentCtx` converts a boundary's payload maps (or
+GroupRingElem entries) once.  A unit pivot clears its row and column with
+one fused y - q*x per entry; other pivots go through Bezout blocks.  Every
+SNF carries P and Q, the inverses of its row and column operations, as
+sparse columns and rows, and is verified (A = P D Q and the divisibility
+chain) before it is returned.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ class _IntCtx:
     add = staticmethod(operator.add)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
     raw = lift = staticmethod(operator.pos)  # ints are their own raw form
 
     @staticmethod
@@ -110,13 +111,14 @@ class _LaurentCtx(LaurentRing):
     """The Laurent ring as the SNF engine's Euclidean context, with the
     conversions between its raw elements and GroupRingElem over kZ."""
 
-    def raw(self, a: GroupRingElem):
-        """The raw form of an element of kZ."""
-        if a.is_zero():
+    def raw(self, a):
+        """The raw form of an element of kZ: a GroupRingElem or its terms."""
+        terms = getattr(a, "terms", a)
+        if not terms:
             return self.zero
-        lo = min(k for k, in a.terms)
-        cs = [0] * (max(k for k, in a.terms) - lo + 1)
-        for (k,), c in a.terms.items():
+        lo = min(k for k, in terms)
+        cs = [0] * (max(k for k, in terms) - lo + 1)
+        for (k,), c in terms.items():
             cs[k - lo] = c
         den = math.lcm(*(c.denominator for c in cs))
         return (lo, tuple(c.numerator * (den // c.denominator) for c in cs), den)
@@ -136,120 +138,122 @@ class SNFResult:
         self.shape = shape
 
     def nonzero(self):
-        return [d for d in self.diagonal if d]  # ints and GroupRingElem: falsy iff 0
+        # ints and GroupRingElem are falsy iff 0, raw tuples iff no coefficient
+        return [d for d in self.diagonal if (d[1] if isinstance(d, tuple) else d)]
 
     def __repr__(self):
         return f"SNF(diagonal={self.diagonal})"
 
 
-def _identity(ctx, n):
-    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-
-
-def _mat_mul_ctx(ctx, a, b):
-    if not a or not b:
-        return []
-    out = [[ctx.zero] * len(b[0]) for _ in a]
-    is_zero, add, mul = ctx.is_zero, ctx.add, ctx.mul
-    for row, a_row in zip(out, a):
-        for x, b_row in zip(a_row, b):
-            if not is_zero(x):
-                for j, y in enumerate(b_row):
-                    if not is_zero(y):
-                        row[j] = add(row[j], mul(x, y))
-    return out
-
-
 def _snf_engine(ctx, matrix):
-    """Generic SNF over a Euclidean domain: (diagonal, U, V, D), U A V = D.
-    Deterministic: pivot = entry of minimal norm, ties broken by lowest row
-    then column index.  A unit pivot clears its column and row with one
-    `ctx.submul(y, q, x) = y - q*x` per entry, q = entry/pivot; any other
-    pivot meets each entry in a determinant-1 Bezout block."""
+    """Generic SNF over a Euclidean domain: (diagonal, P, Q) with A = P D Q.
+
+    P = U^-1 and Q = V^-1 for the operations U A V = D, kept as sparse
+    columns and rows {index: entry}: row operation E is recorded as
+    P <- P E^-1, column operation F as Q <- F^-1 Q.  Pivot: least norm, then
+    least Markowitz count (r-1)(c-1) (nonzeros of its row and column in the
+    remaining block), then lowest row and column.  A unit pivot clears its
+    column and row with one `ctx.submul(y, q, x) = y - q*x` per entry,
+    recording q = entry/pivot; any other pivot meets each entry in a Bezout
+    block [[sigma, tau], [-beta, alpha]], recorded as [[alpha, -tau],
+    [beta, sigma]]."""
     A = [list(row) for row in matrix]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
-    U = _identity(ctx, nrows)
-    V = _identity(ctx, ncols)
+    one, zero, is_zero, add, mul, neg = ctx.one, ctx.zero, ctx.is_zero, ctx.add, ctx.mul, ctx.neg
+    P = [{i: one} for i in range(nrows)]
+    Q = [{j: one} for j in range(ncols)]
 
-    def swap_rows(i, j):
-        if i != j:
-            A[i], A[j] = A[j], A[i]
-            U[i], U[j] = U[j], U[i]
+    def axpy(x, q, y):
+        # x += q*y on sparse vectors, in place
+        minus_q = neg(q)
+        for k, v in y.items():
+            s = ctx.submul(x.get(k, zero), minus_q, v)
+            if is_zero(s):
+                x.pop(k, None)
+            else:
+                x[k] = s
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in A:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+    def scaled(c, x):
+        return {k: mul(c, v) for k, v in x.items()} if not is_zero(c) else {}
 
     def content_fix_row(i):
         c = ctx.content_unit(A[i])
         if c is not None:
-            A[i] = [ctx.mul(c, x) for x in A[i]]
-            U[i] = [ctx.mul(c, x) for x in U[i]]
+            A[i] = [mul(c, x) for x in A[i]]
+            P[i] = scaled(ctx.unit_inverse(c), P[i])
 
     def content_fix_col(j):
         c = ctx.content_unit([row[j] for row in A])
         if c is not None:
             for row in A:
-                row[j] = ctx.mul(c, row[j])
-            for row in V:
-                row[j] = ctx.mul(c, row[j])
+                row[j] = mul(c, row[j])
+            Q[j] = scaled(ctx.unit_inverse(c), Q[j])
+
+    def record_block(X, i, sg, tu, al, be):
+        # X[t], X[i] <- al X[t] + be X[i], sg X[i] - tu X[t]
+        old_t, X[t] = X[t], scaled(al, X[t])
+        axpy(X[t], be, X[i])
+        X[i] = scaled(sg, X[i])
+        axpy(X[i], neg(tu), old_t)
 
     def row_block(i):
         # determinant-1 transform on rows (t, i) putting gcd(A[t][t], A[i][t])
         # in the pivot and 0 below it
         g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[i][t])
-        new_t = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(A[t], A[i])]
-        new_i = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(A[t], A[i])]
-        A[t], A[i] = new_t, new_i
-        new_tu = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(U[t], U[i])]
-        new_iu = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(U[t], U[i])]
-        U[t], U[i] = new_tu, new_iu
+        new_t = [add(mul(sg, x), mul(tu, y)) for x, y in zip(A[t], A[i])]
+        A[i] = [ctx.submul(mul(al, y), be, x) for x, y in zip(A[t], A[i])]
+        A[t] = new_t
+        record_block(P, i, sg, tu, al, be)
         content_fix_row(t)
         content_fix_row(i)
 
     def col_block(j):
         g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[t][j])
-        for row in A + V:
+        for row in A:
             x, y = row[t], row[j]
-            if not (ctx.is_zero(x) and ctx.is_zero(y)):
-                row[t] = ctx.add(ctx.mul(sg, x), ctx.mul(tu, y))
-                row[j] = ctx.submul(ctx.mul(al, y), be, x)
+            if not (is_zero(x) and is_zero(y)):
+                row[t] = add(mul(sg, x), mul(tu, y))
+                row[j] = ctx.submul(mul(al, y), be, x)
+        record_block(Q, j, sg, tu, al, be)
         content_fix_col(t)
         content_fix_col(j)
 
+    def divides(a, b):
+        try:
+            ctx.exact_div(b, a)
+        except CoefficientError:
+            return False
+        return True
+
     def clear_unit_pivot():
-        inv = ctx.unit_inverse(A[t][t])
-        for i in range(t + 1, nrows):
-            if not ctx.is_zero(A[i][t]):
-                q = ctx.mul(A[i][t], inv)
-                A[i] = [ctx.submul(y, q, x) for y, x in zip(A[i], A[t])]
-                U[i] = [ctx.submul(y, q, x) for y, x in zip(U[i], U[t])]
-        for j in range(t + 1, ncols):
-            if not ctx.is_zero(A[t][j]):
-                q = ctx.mul(A[t][j], inv)
-                A[t][j] = ctx.zero  # column t is clear below the pivot
-                for row in V:
-                    row[j] = ctx.submul(row[j], q, row[t])
+        inv, pivot_row = ctx.unit_inverse(A[t][t]), A[t]
+        cols = [j for j in range(t + 1, ncols) if not is_zero(pivot_row[j])]
+        for i, row in enumerate(A[t + 1:], t + 1):
+            if not is_zero(row[t]):
+                q, row[t] = mul(row[t], inv), zero
+                for j in cols:
+                    row[j] = ctx.submul(row[j], q, pivot_row[j])
+                axpy(P[t], q, P[i])
+        for j in cols:  # column t is clear below the pivot
+            axpy(Q[t], mul(pivot_row[j], inv), Q[j])
+            pivot_row[j] = zero
 
     t = 0
     while t < min(nrows, ncols):
-        # find minimal-norm nonzero entry in the remaining block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if not ctx.is_zero(A[i][j]):
-                    nm = ctx.norm(A[i][j])
-                    if best is None or nm < best[0]:
-                        best = (nm, i, j)
-        if best is None:
+        nz = [(ctx.norm(A[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols)
+              if not is_zero(A[i][j])]
+        if not nz:
             break
-        _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
+        in_row, in_col = [0] * nrows, [0] * ncols
+        for _, i, j in nz:
+            in_row[i] += 1
+            in_col[j] += 1
+        _, bi, bj = min(nz, key=lambda e: (e[0], (in_row[e[1]] - 1) * (in_col[e[2]] - 1)))
+        A[t], A[bi], P[t], P[bi] = A[bi], A[t], P[bi], P[t]
+        for row in A:
+            row[t], row[bj] = row[bj], row[t]
+        Q[t], Q[bj] = Q[bj], Q[t]
         if ctx.is_unit(A[t][t]):
             clear_unit_pivot()
             t += 1
@@ -258,11 +262,11 @@ def _snf_engine(ctx, matrix):
         # the column, so iterate until both are clear
         while True:
             for i in range(t + 1, nrows):
-                if not ctx.is_zero(A[i][t]):
+                if not is_zero(A[i][t]):
                     row_block(i)
             row_dirty = False
             for j in range(t + 1, ncols):
-                if not ctx.is_zero(A[t][j]):
+                if not is_zero(A[t][j]):
                     col_block(j)
                     row_dirty = True
             if not row_dirty:
@@ -270,70 +274,68 @@ def _snf_engine(ctx, matrix):
         if ctx.is_unit(A[t][t]):
             t += 1  # a unit pivot divides every remaining entry
             continue
-        # enforce divisibility: pivot must divide every remaining entry
-        fixed = False
-        for i in range(t + 1, nrows):
-            if fixed:
-                break
-            for j in range(t + 1, ncols):
-                if ctx.is_zero(A[i][j]):
-                    continue
-                try:
-                    ctx.exact_div(A[i][j], A[t][t])
-                except CoefficientError:
-                    # add offending row to row t and restart this pivot
-                    A[t] = [ctx.add(a, b) for a, b in zip(A[t], A[i])]
-                    U[t] = [ctx.add(a, b) for a, b in zip(U[t], U[i])]
-                    fixed = True
-                    break
-        if fixed:
-            continue
-        t += 1
+        # enforce divisibility: a row with an entry the pivot does not divide
+        # is added to row t (P: column i minus column t) and the pivot restarts
+        i = next((i for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                  if not is_zero(A[i][j]) and not divides(A[t][t], A[i][j])), None)
+        if i is None:
+            t += 1
+        else:
+            A[t] = [add(a, b) for a, b in zip(A[t], A[i])]
+            axpy(P[i], neg(one), P[t])
 
-    # normalize diagonal entries; absorb units into U rows
-    for i in range(min(nrows, ncols)):
-        if ctx.is_zero(A[i][i]):
-            continue
-        unit, canon = ctx.unit_normalize(A[i][i])
-        if not ctx.is_zero(ctx.sub(A[i][i], canon)):
-            inv = ctx.unit_inverse(unit)
-            A[i] = [ctx.mul(inv, x) for x in A[i]]
-            U[i] = [ctx.mul(inv, x) for x in U[i]]
+    # normalize the diagonal: D[i][i] = unit * canonical, the unit goes to P
     diag = [A[i][i] for i in range(min(nrows, ncols))]
-    return diag, U, V, A
+    for i, d in enumerate(diag):
+        if not is_zero(d):
+            unit, diag[i] = ctx.unit_normalize(d)
+            P[i] = scaled(unit, P[i])
+    return diag, P, Q
 
 
-def smith_normal_form(matrix) -> SNFResult:
-    """SNF of a matrix over Z (int entries) or Lambda (GroupRingElem over kZ).
+def smith_normal_form(matrix, field=None) -> SNFResult:
+    """SNF of a matrix over Z (int entries) or Lambda = k[t^{+-1}]:
+    GroupRingElem entries over kZ, or, given the field k, the raw payload
+    maps {(e,): c} of a boundary (`EquivariantComplex.raw`).
 
-    A Laurent matrix is converted once to the raw form of `_LaurentCtx` and
-    reduced; only the diagonal is converted back.  Postconditions U.A.V = D
-    and the divisibility chain are verified by multiplication on the raw
-    matrices before returning.
+    Each Laurent entry is converted once to the raw form of `_LaurentCtx`;
+    the diagonal comes back raw for payload maps and as GroupRingElem for
+    GroupRingElem entries.  The certificate A = P D Q and the divisibility
+    chain are verified on the raw matrices before returning.
     """
     rows = [list(r) for r in matrix]
     shape = (len(rows), len(rows[0]) if rows else 0)
-    if all(shape) and isinstance(rows[0][0], GroupRingElem):
-        ctx = _LaurentCtx(rows[0][0].field)
-    else:
-        ctx = _IntCtx()
+    lift = all(shape) and isinstance(rows[0][0], GroupRingElem)
+    if lift:
+        field = rows[0][0].field
+    ctx = _IntCtx() if field is None else _LaurentCtx(field)
     A = [[ctx.raw(x) for x in r] for r in rows]
-    diag, U, V, _ = _snf_engine(ctx, A)
-    _verify_snf(ctx, A, diag, U, V)
-    return SNFResult([ctx.lift(d) for d in diag], shape)
+    diag, P, Q = _snf_engine(ctx, A)
+    _verify_snf(ctx, A, diag, P, Q)
+    return SNFResult([ctx.lift(d) for d in diag] if lift else diag, shape)
 
 
-def _verify_snf(ctx, A, diagonal, U, V):
-    prod = _mat_mul_ctx(ctx, _mat_mul_ctx(ctx, U, A), V)
+def _verify_snf(ctx, A, diagonal, P, Q):
+    """CrossCheckError unless A = P D Q entry by entry and each nonzero
+    diagonal entry divides the next.  P and Q are products of elementary
+    matrices of unit determinant by construction, so this certifies D."""
     nrows, ncols = len(A), len(A[0]) if A else 0
     where = f"over {ctx.name} on a {nrows}x{ncols} matrix"
+    zero, submul = ctx.zero, ctx.submul
+    prod = [{} for _ in range(nrows)]  # the rows of P D Q
+    for d, col, row in zip(diagonal, P, Q):
+        if not ctx.is_zero(d):
+            for i, p in col.items():
+                minus_pd, out = ctx.neg(ctx.mul(p, d)), prod[i]
+                for j, q in row.items():
+                    out[j] = submul(out.get(j, zero), minus_pd, q)
     for i in range(nrows):
         for j in range(ncols):
-            expect = diagonal[i] if i == j and i < len(diagonal) else ctx.zero
-            if not ctx.is_zero(ctx.sub(prod[i][j], expect)):
+            got = prod[i].get(j, zero)
+            if got != A[i][j]:  # canonical forms: equal elements are equal
                 raise CrossCheckError(
-                    f"SNF verification failed {where}: (U A V)[{i}][{j}] = "
-                    f"{ctx.lift(prod[i][j])}, expected D[{i}][{j}] = {ctx.lift(expect)}"
+                    f"SNF verification failed {where}: (P D Q)[{i}][{j}] = "
+                    f"{ctx.lift(got)}, expected A[{i}][{j}] = {ctx.lift(A[i][j])}"
                 )
     nz = [d for d in diagonal if not ctx.is_zero(d)]
     for k, (a, b) in enumerate(zip(nz, nz[1:])):
@@ -398,11 +400,10 @@ def _boundary_invariants(C, q: int, ctx, memo: dict):
     if q not in memo:
         rank, factors = 0, []
         if 1 <= q <= C.top and C.dims[q - 1] and C.dims[q]:
-            for d in smith_normal_form(C.boundary(q)).nonzero():
+            for d in smith_normal_form(C.raw[q - 1], C.field).nonzero():
                 rank += 1
-                _, canon = ctx.unit_normalize(ctx.raw(d))
-                if not ctx.is_unit(canon):
-                    factors.append(canon)
+                if not ctx.is_unit(d):
+                    factors.append(d)
         memo[q] = rank, factors
     return memo[q]
 

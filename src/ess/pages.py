@@ -412,11 +412,6 @@ def _apply(field, columns, vec):
     return {i: x for i, x in out.items() if x}
 
 
-def compute_pages(C, R_max: int, S_max: int) -> list[PageTable]:
-    """Pages E^1..E^{R_max} with entries exact for all s <= S_max."""
-    return PageComputation(C, R_max, S_max).pages()
-
-
 def window_collapse_page(tables: list[PageTable]):
     """First page index r such that from r on, all windowed differentials
     vanish and the entries stay constant (necessary-only evidence for E^oo;

@@ -135,8 +135,8 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
         raise UnsupportedCoefficients(
             "Alexander polynomial needs integral or rational coefficients")
     ring = _LaurentCtx(FieldDescriptor.rationals())
-    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
-    A = [[ring.raw(e) for e in row] for row in mats[1]]  # dims[1] x dims[2]
+    mats = C.raw_integral if C.raw_integral is not None else C.raw
+    A = [[ring.raw(terms) for terms in row] for row in mats[1]]  # dims[1] x dims[2]
     content, gcd = 0, None
     minors = (_bareiss_det(ring, [[A[i][j] for j in cols] for i in rows])
               for rows in itertools.combinations(range(g), g - 1)

@@ -6,12 +6,17 @@ d_q, every image column of d_{q+1} solved in that basis (one more SNF per
 column), and the SNF of the resulting presentation matrix.  It is slow but
 builds ker d_q explicitly, so the two routes are compared on small inputs.
 
+Its SNF is `snf_uv`, the Euclidean elimination `ess.modz` ran before it
+recorded inverse transforms: dense U and V with U A V = D, every row and
+column operation applied to them.  The kernel bases and the solves read U
+and V, so this route shares no elimination code with `ess`.
+
 `_LaurentCtx` is the Euclidean context the SNF engine used before it ran on
 raw Laurent polynomials: the same pseudo-division, Bezout step, content
 step and normalisation, computed with `GroupRingElem`, whose leading
 coefficients are divided and multiplied as `linalg_oracle.Scalar`.  Run
 through `ess.modz._snf_engine`, it must give the same diagonal and
-transforms as `smith_normal_form`.
+transforms P and Q as the raw context.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from ess.coeffs import FieldDescriptor
 from ess.errors import CoefficientError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupRingElem
-from ess.modz import _Z1, LaurentModuleDecomp, _snf_engine, smith_normal_form
+from ess.modz import _Z1, LaurentModuleDecomp
 from linalg_oracle import Scalar
 
 
@@ -192,6 +197,154 @@ class _LaurentCtx:
         return GroupRingElem.monomial(_Z1, self.field, (0,), scale)
 
 
+def _identity(ctx, n):
+    return [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
+
+
+def snf_uv(ctx, matrix):
+    """The Euclidean SNF with its transforms: (diagonal, U, V, D), U A V = D.
+    U and V are dense and every row or column operation is applied to them.
+    Pivot = entry of minimal norm, ties broken by lowest row then column
+    index.  A unit pivot clears its column and row with one
+    `ctx.submul(y, q, x) = y - q*x` per entry, q = entry/pivot; any other
+    pivot meets each entry in a determinant-1 Bezout block."""
+    A = [list(row) for row in matrix]
+    nrows = len(A)
+    ncols = len(A[0]) if nrows else 0
+    U = _identity(ctx, nrows)
+    V = _identity(ctx, ncols)
+
+    def swap_rows(i, j):
+        if i != j:
+            A[i], A[j] = A[j], A[i]
+            U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in A:
+                row[i], row[j] = row[j], row[i]
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+
+    def content_fix_row(i):
+        c = ctx.content_unit(A[i])
+        if c is not None:
+            A[i] = [ctx.mul(c, x) for x in A[i]]
+            U[i] = [ctx.mul(c, x) for x in U[i]]
+
+    def content_fix_col(j):
+        c = ctx.content_unit([row[j] for row in A])
+        if c is not None:
+            for row in A:
+                row[j] = ctx.mul(c, row[j])
+            for row in V:
+                row[j] = ctx.mul(c, row[j])
+
+    def row_block(i):
+        # determinant-1 transform on rows (t, i) putting gcd(A[t][t], A[i][t])
+        # in the pivot and 0 below it
+        g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[i][t])
+        new_t = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(A[t], A[i])]
+        new_i = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(A[t], A[i])]
+        A[t], A[i] = new_t, new_i
+        new_tu = [ctx.add(ctx.mul(sg, x), ctx.mul(tu, y)) for x, y in zip(U[t], U[i])]
+        new_iu = [ctx.submul(ctx.mul(al, y), be, x) for x, y in zip(U[t], U[i])]
+        U[t], U[i] = new_tu, new_iu
+        content_fix_row(t)
+        content_fix_row(i)
+
+    def col_block(j):
+        g, sg, tu, al, be = ctx.gcd_bezout(A[t][t], A[t][j])
+        for row in A + V:
+            x, y = row[t], row[j]
+            if not (ctx.is_zero(x) and ctx.is_zero(y)):
+                row[t] = ctx.add(ctx.mul(sg, x), ctx.mul(tu, y))
+                row[j] = ctx.submul(ctx.mul(al, y), be, x)
+        content_fix_col(t)
+        content_fix_col(j)
+
+    def clear_unit_pivot():
+        inv = ctx.unit_inverse(A[t][t])
+        for i in range(t + 1, nrows):
+            if not ctx.is_zero(A[i][t]):
+                q = ctx.mul(A[i][t], inv)
+                A[i] = [ctx.submul(y, q, x) for y, x in zip(A[i], A[t])]
+                U[i] = [ctx.submul(y, q, x) for y, x in zip(U[i], U[t])]
+        for j in range(t + 1, ncols):
+            if not ctx.is_zero(A[t][j]):
+                q = ctx.mul(A[t][j], inv)
+                A[t][j] = ctx.zero  # column t is clear below the pivot
+                for row in V:
+                    row[j] = ctx.submul(row[j], q, row[t])
+
+    t = 0
+    while t < min(nrows, ncols):
+        # find minimal-norm nonzero entry in the remaining block
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if not ctx.is_zero(A[i][j]):
+                    nm = ctx.norm(A[i][j])
+                    if best is None or nm < best[0]:
+                        best = (nm, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        swap_rows(t, bi)
+        swap_cols(t, bj)
+        if ctx.is_unit(A[t][t]):
+            clear_unit_pivot()
+            t += 1
+            continue
+        # alternate clearing column t and row t; each col_block may disturb
+        # the column, so iterate until both are clear
+        while True:
+            for i in range(t + 1, nrows):
+                if not ctx.is_zero(A[i][t]):
+                    row_block(i)
+            row_dirty = False
+            for j in range(t + 1, ncols):
+                if not ctx.is_zero(A[t][j]):
+                    col_block(j)
+                    row_dirty = True
+            if not row_dirty:
+                break
+        if ctx.is_unit(A[t][t]):
+            t += 1  # a unit pivot divides every remaining entry
+            continue
+        # enforce divisibility: pivot must divide every remaining entry
+        fixed = False
+        for i in range(t + 1, nrows):
+            if fixed:
+                break
+            for j in range(t + 1, ncols):
+                if ctx.is_zero(A[i][j]):
+                    continue
+                try:
+                    ctx.exact_div(A[i][j], A[t][t])
+                except CoefficientError:
+                    # add offending row to row t and restart this pivot
+                    A[t] = [ctx.add(a, b) for a, b in zip(A[t], A[i])]
+                    U[t] = [ctx.add(a, b) for a, b in zip(U[t], U[i])]
+                    fixed = True
+                    break
+        if fixed:
+            continue
+        t += 1
+
+    # normalize diagonal entries; absorb units into U rows
+    for i in range(min(nrows, ncols)):
+        if ctx.is_zero(A[i][i]):
+            continue
+        unit, canon = ctx.unit_normalize(A[i][i])
+        if not ctx.is_zero(ctx.sub(A[i][i], canon)):
+            inv = ctx.unit_inverse(unit)
+            A[i] = [ctx.mul(inv, x) for x in A[i]]
+            U[i] = [ctx.mul(inv, x) for x in U[i]]
+    diag = [A[i][i] for i in range(min(nrows, ncols))]
+    return diag, U, V, A
+
+
 def _kernel_basis_pid(matrix, ctx, ncols: int) -> list[list]:
     """Basis of the kernel of `matrix` over the PID, via the SNF transforms:
     the columns of V matching zero diagonal entries."""
@@ -200,7 +353,7 @@ def _kernel_basis_pid(matrix, ctx, ncols: int) -> list[list]:
         return []
     if nrows == 0:
         return [[ctx.one if i == j else ctx.zero for i in range(ncols)] for j in range(ncols)]
-    diag, U, V, _ = _snf_engine(ctx, matrix)
+    diag, U, V, _ = snf_uv(ctx, matrix)
     kernel_cols = [j for j in range(ncols) if j >= len(diag) or ctx.is_zero(diag[j])]
     return [[V[i][j] for i in range(ncols)] for j in kernel_cols]
 
@@ -215,7 +368,7 @@ def _solve_in_column_span(K_cols, target, ctx):
             raise CoefficientError("target outside zero span")
         return []
     matrix = [[K_cols[j][i] for j in range(k)] for i in range(n)]
-    diag, U, V, _ = _snf_engine(ctx, matrix)
+    diag, U, V, _ = snf_uv(ctx, matrix)
     rhs = [_dot(ctx, U[i], target) for i in range(n)]
     z = []
     for i in range(n):
@@ -264,10 +417,7 @@ def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
     P, k = presentation_matrix(C, q)
     ctx = _LaurentCtx(C.field)
     field = C.field
-    if not P or not P[0]:
-        diag = []
-    else:
-        diag = smith_normal_form(P).diagonal
+    diag = snf_uv(ctx, P)[0] if P and P[0] else []
     tm1 = GroupRingElem.monomial(_Z1, field, (1,)) - GroupRingElem.one(_Z1, field)
     invariant_factors = []
     blocks = []

@@ -220,6 +220,13 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (None, ["validate", "--builtin", "circle", "--json=yes"]),
     (None, ["validate", "--builtin", "wedge2", "--group-quotient", "Z^2"]),
     (None, ["pages", "--builtin", "torus2", "--group-quotient", "Z^0", "--field", "Q"]),
+    (None, ["decompose", "--builtin", "torus2", "--field", "Q"]),
+    (None, ["monodromy", "--builtin", "torus2", "--field", "Q"]),
+    (None, ["alexander", "--builtin", "torus2"]),
+    (None, ["twisted", "--builtin", "torus2", "--d", "3"]),
+    (None, ["decompose", "--builtin", "torus2", "--group-quotient", "Zmod:4", "--field", "Q"]),
+    (json.dumps({"field": "Z", "group": "Zmod:3", "presentation": _ONE_CELL}),
+     ["alexander", "{path}"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -231,7 +238,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "alexander-2-cells-without-1-cells", "unknown-verb", "no-verb", "unknown-option",
         "missing-value", "option-as-value", "R-not-integer", "d-not-integer",
         "two-inputs", "abbreviated-option", "flag-with-value", "quotient-Z^2",
-        "quotient-Z^0"])
+        "quotient-Z^0", "decompose-on-Z^2", "monodromy-on-Z^2", "alexander-on-Z^2",
+        "twisted-on-Z^2", "decompose-on-Zmod:4", "alexander-on-Zmod:3"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -240,6 +248,29 @@ def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert not out
     assert err.startswith("error: ") and err[len("error: "):].strip()
+
+
+ONTO_Z = "pass --group-quotient Z to map it onto Z"
+
+
+@pytest.mark.parametrize("argv, group, how", [
+    (["decompose", "--builtin", "torus2", "--field", "Q"], "Z^2", ONTO_Z),
+    (["monodromy", "--builtin", "wedge2", "--field", "Fp:3"], "Z^2", ONTO_Z),
+    (["alexander", "--builtin", "torus3"], "Z^3", ONTO_Z),
+    (["twisted", "--builtin", "torus2", "--d", "3"], "Z^2", ONTO_Z),
+    (["decompose", "--builtin", "torus2", "--group-quotient", "Zmod:4", "--field", "Q"],
+     "Zmod:4", "it has no quotient onto Z"),
+    (["twisted", "--builtin", "circle", "--group-quotient", "Zmod:6", "--d", "3"],
+     "Zmod:6", "it has no quotient onto Z"),
+])
+def test_verbs_over_z_name_the_verb_the_group_and_the_way_onto_z(argv, group, how, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err == f"error: {argv[0]} needs the deck group Z, and the input's group is " \
+                  f"{group}; {how}\n"
+    # the option the message names reaches Z, where the verb runs
+    if how == ONTO_Z:
+        assert run(argv + ["--group-quotient", "Z"], capsys)[0] == cli.EXIT_OK
 
 
 _ONE_GENERATOR = dict(_ONE_CELL, nu={"x": 1})

@@ -459,8 +459,8 @@ _LOAD_FIELDS = ["Z", "Q", "Fp:2", "Fp:3"]
 
 def _oracle_load(doc, quotient, field_text):
     """What `ess --group-quotient quotient --field field_text` loads from doc,
-    built entry by entry with GroupRingElem.map_exponents/map_coefficients
-    from parse_document's entries, with its own key maps: every generator of
+    built entry by entry with GroupRingElem.map_exponents and a coefficient
+    map from parse_document's entries, with its own key maps: every generator of
     the deck group goes to 1 (the default images)."""
     C = parse_document(doc)
     group, key, nu = C.group, None, C.nu and C.nu.images
@@ -473,7 +473,9 @@ def _oracle_load(doc, quotient, field_text):
 
     def image(e, k):
         e = e.map_exponents(key, group) if key else e
-        return e if e.field == k else e.map_coefficients(k.from_fraction, k)
+        if e.field == k:
+            return e
+        return GroupRingElem(e.group, k, {x: k.from_fraction(c) for x, c in e.terms.items()})
 
     def mats(source, k):
         return source and [[[image(e, k) for e in row] for row in mat] for mat in source]

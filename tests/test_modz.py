@@ -199,15 +199,16 @@ def test_snf_postconditions_random_small():
 
 def test_snf_cross_check_names_ring_shape_and_cell():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    diag, U, V, _ = _snf_engine(_IntCtx(), A)
-    diag[2] += 1
+    diag, P, Q_ = _snf_engine(_IntCtx(), A)
+    assert diag == [2, 2, 156]
+    diag[2] += 1  # adds P[:, 2] Q[2, :] to the product, first nonzero at [1][1]
     with pytest.raises(CrossCheckError,
-                       match=r"over Z on a 3x3 matrix: \(U A V\)\[2\]\[2\] = 156, "
-                             r"expected D\[2\]\[2\] = 157"):
-        _verify_snf(_IntCtx(), A, diag, U, V)
+                       match=r"over Z on a 3x3 matrix: \(P D Q\)\[1\]\[1\] = 167, "
+                             r"expected A\[1\]\[1\] = 6"):
+        _verify_snf(_IntCtx(), A, diag, P, Q_)
     ctx = _LaurentCtx(Q)
     one, zero = ctx.one, ctx.zero
-    ident = [[one, zero], [zero, one]]
+    ident = [{0: one}, {1: one}]  # sparse columns of P, rows of Q
     D = [[ctx.raw(L("1 + t")), zero], [zero, ctx.raw(L("t - 1"))]]
     with pytest.raises(CrossCheckError,
                        match=r"over Q\[t\^\+-1\] on a 2x2 matrix: diagonal entry 0 "

@@ -185,18 +185,19 @@ def laurent_matrices(draw):
 @given(A=laurent_matrices())
 def test_raw_snf_matches_groupring_oracle(A):
     # the raw context runs the same pivot rule, content step and fix-up as
-    # the GroupRingElem context, so D, U and V agree exactly, not only the
+    # the GroupRingElem context, so D, P and Q agree exactly, not only the
     # canonical invariant factors
     res = smith_normal_form(A)
     ctx = modz_oracle._LaurentCtx(A[0][0].field)
-    diag, U, V, _ = _snf_engine(ctx, A)
+    diag, P, Q = _snf_engine(ctx, A)
     canonical = [ctx.unit_normalize(d)[1] for d in diag if not d.is_zero()]
     assert [ctx.unit_normalize(d)[1] for d in res.nonzero()] == canonical
     assert res.diagonal == diag
     raw = _LaurentCtx(A[0][0].field)
-    rdiag, rU, rV, _ = _snf_engine(raw, [[raw.raw(x) for x in row] for row in A])
+    rdiag, rP, rQ = _snf_engine(raw, [[raw.raw(x) for x in row] for row in A])
 
-    def lift(rows):
-        return [[raw.lift(x) for x in row] for row in rows]
+    def lift(vectors):
+        # sparse columns of P or rows of Q
+        return [{k: raw.lift(x) for k, x in v.items()} for v in vectors]
 
-    assert ([raw.lift(d) for d in rdiag], lift(rU), lift(rV)) == (diag, U, V)
+    assert ([raw.lift(d) for d in rdiag], lift(rP), lift(rQ)) == (diag, P, Q)

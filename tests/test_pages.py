@@ -7,14 +7,19 @@ from ess.complexes import GroupHom, base_change, change_field
 from ess.errors import CrossCheckError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupDescriptor
 from ess.modz import einf_gr_module, homology_decomposition
-from ess.pages import (PageComputation, PageTable, compute_pages, d1_closed_form,
-                       reznikov_collapse, window_collapse_page)
+from ess.pages import (PageComputation, PageTable, d1_closed_form, reznikov_collapse,
+                       window_collapse_page)
 
 Q = FieldDescriptor.rationals()
 F2 = FieldDescriptor.prime_field(2)
 F3 = FieldDescriptor.prime_field(3)
 GZ = GroupDescriptor.free_abelian(1)
 G2 = GroupDescriptor.free_abelian(2)
+
+
+def compute_pages(C, R_max, S_max):
+    """Pages E^1..E^{R_max} with entries exact for all s <= S_max."""
+    return PageComputation(C, R_max, S_max).pages()
 
 
 def circle_mod_p(p):
