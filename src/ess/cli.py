@@ -169,8 +169,7 @@ def cmd_pages(args):
     C = require_field(load_complex(args))
     if C.group.kind == "cyclic" and C.group.prime_power and \
             C.field.characteristic == C.group.prime_power[0]:
-        tables, hom = reznikov_collapse(C, S_max=args.S)
-        tables = tables[:args.R]  # all pages through E^{p^r} unless --R is given
+        tables, hom = reznikov_collapse(C, S_max=args.S, R_max=args.R)
         collapse = window_collapse_page(tables)
         extra = {"homology_dims": hom}
     else:

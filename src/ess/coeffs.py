@@ -42,11 +42,9 @@ _MR_EXACT_BELOW = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality by deterministic Miller-Rabin; CoefficientError for
-    n >= _MR_EXACT_BELOW, where those bases are not known to be exact."""
-    if n >= _MR_EXACT_BELOW:
-        raise CoefficientError(f"{n} is too large for an exact primality test "
-                               f"(the bound is {_MR_EXACT_BELOW})")
+    """Exact primality by deterministic Miller-Rabin.  A witness proves n
+    composite at any size; CoefficientError for n >= _MR_EXACT_BELOW that no
+    base witnesses, where those bases are not known to be exact."""
     if n < 2:
         return False
     for b in _MR_BASES:
@@ -66,6 +64,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_EXACT_BELOW:
+        raise CoefficientError(f"{n} is too large for an exact primality test "
+                               f"(the bound is {_MR_EXACT_BELOW})")
     return True
 
 
@@ -95,15 +96,16 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power(m: int):
-    """Return (p, r) if m = p^r with p prime and r >= 1, else None."""
-    factors = prime_factors(m)
-    if len(factors) != 1:
-        return None
-    p, r = factors[0], 0
-    while m > 1:
-        m //= p
-        r += 1
-    return p, r
+    """(p, r) if m = p^r with p prime and r >= 1, else None, from the integer
+    r-th roots of m (Newton's method from above) and is_prime, which refuses
+    a root past its exact bound."""
+    for r in range(1, m.bit_length()):
+        p = 1 << -(-m.bit_length() // r)
+        while (y := ((r - 1) * p + m // p ** (r - 1)) // r) < p:
+            p = y
+        if p ** r == m and is_prime(p):
+            return p, r
+    return None
 
 
 def format_poly(coeffs, var: str) -> str:

@@ -237,11 +237,6 @@ class EquivariantComplex:
     def boundaries(self):
         return _wrap(self.group, self.field, self.raw)
 
-    @functools.cached_property
-    def integral_boundaries(self):
-        if self.raw_integral is not None:
-            return _wrap(self.group, FieldDescriptor.integers(), self.raw_integral)
-
     @property
     def top(self) -> int:
         return len(self.dims) - 1

@@ -346,6 +346,8 @@ def monomials_of_degree(n: int, s: int) -> tuple[tuple, ...]:
     """Exponent tuples of total degree s in n variables, lexicographically
     increasing: the first exponent counts up, each followed by the tuples of
     the rest in order."""
+    if n == 1:  # the base case, O(1): the recursion below would be O(s)
+        return ((s,),)
     if n == 0:
         return ((),) if s == 0 else ()
     return tuple((first,) + rest for first in range(s + 1)
@@ -385,39 +387,20 @@ def expansion_coords(a: GroupRingElem, M: int) -> dict:
 
 
 class _CyclicFiltration:
-    """The chain J^0 >= J^1 >= ... inside kZ_m = k[t]/(t^m - 1), in closed form.
+    """The J-adic filtration of kZ_m = k[t]/(t^m - 1), in closed form.
 
-    With u = t - 1, kZ_m = k[u]/((1 + u)^m - 1) has the basis u^0, ...,
-    u^(m-1), and J^s = (u^min(s, e)), where e is the multiplicity of u in
+    With u = t - 1, J^s = (u^min(s, e)), where e is the multiplicity of u in
     t^m - 1: e = p^a when char k = p and p^a exactly divides m, else e = 1.
-    The basis is adapted: the tail from u^min(s, e) on spans J^s, so u^s has
-    valuation s for s < e and INFINITY from e on (J^e = J^{e+1} = ..., zero
-    only in the Reznikov case e = m).  Since t^m = 1, u^m = -sum_{0<k<m}
-    C(m, k) u^k; `fold` lists the nonzero terms of that sum as (k, raw
-    payload), none when e = m.  Coordinates in this basis are
-    expansion_coords(a, m).
+    So J^e is idempotent, kZ_m = kZ_m/J^e x J^e as filtered rings, and the
+    factor J^e adds nothing to gr: kZ_m/J^e = k[u]/u^e, the ring of Z cut at
+    degree e, with coordinates expansion_coords(a, e), carries all of it.
     """
 
     def __init__(self, m: int, field: FieldDescriptor):
-        self.m = m
-        p = field.characteristic
-        e = 1
+        p, e = field.characteristic, 1
         while p and m % (e * p) == 0:
             e *= p
         self.e = e
-        self.vals = list(range(e)) + [INFINITY] * (m - e)
-        # C(m, k) mod p by Lucas' theorem in characteristic p, with no exact
-        # binomials: prod C(m_i, k_i) over the k whose base-p digits are <= m's
-        row, place, rest = [(0, 1)], 1, m if p else 0
-        while rest:
-            rest, d = divmod(rest, p)
-            row = [(k + j * place, c * math.comb(d, j) % p) for j in range(d + 1) for k, c in row]
-            place *= p
-        self.fold = [(k, x) for k, c in (row if p else enumerate(pascal_row(m, m)))
-                     if 0 < k < m and (x := field._of_int(-c))]
-
-    def dim(self, s: int) -> int:
-        return self.m - min(s, self.e)
 
 
 @functools.lru_cache(maxsize=None)
@@ -426,8 +409,8 @@ def cyclic_filtration(m: int, field: FieldDescriptor) -> _CyclicFiltration:
 
 
 def j_valuation(a: GroupRingElem):
-    """Largest s with a in J^s (INFINITY for 0 and for stabilized-core
-    elements of non-nilpotent cyclic group rings)."""
+    """Largest s with a in J^s (INFINITY for 0 and for the elements of the
+    stable J^e of a non-nilpotent cyclic group ring)."""
     if a.is_zero():
         return INFINITY
     if a.group.kind == "free_abelian":
@@ -439,8 +422,8 @@ def j_valuation(a: GroupRingElem):
         return min(map(sum, expansion_coords(shifted, bound + 1)), default=INFINITY)
     if not a.field.is_field:
         raise DescriptorMismatch("cyclic j_valuation needs field coefficients")
-    vals = cyclic_filtration(a.group.m, a.field).vals
-    return min((vals[b] for (b,) in expansion_coords(a, a.group.m)), default=INFINITY)
+    e = cyclic_filtration(a.group.m, a.field).e
+    return min((b for (b,) in expansion_coords(a, e)), default=INFINITY)
 
 
 def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:
@@ -452,6 +435,5 @@ def gr_dimension(group: GroupDescriptor, field: FieldDescriptor, s: int) -> int:
         if n == 0:
             return 1 if s == 0 else 0
         return math.comb(s + n - 1, n - 1)
-    filt = cyclic_filtration(group.m, field)
-    return filt.dim(s) - filt.dim(s + 1)
+    return int(s < cyclic_filtration(group.m, field).e)
 

@@ -130,12 +130,10 @@ class _LaurentCtx(LaurentRing):
 
 
 class SNFResult:
-    """The diagonal of a Smith normal form, each entry dividing the next, and
-    the shape of the reduced matrix."""
+    """The diagonal of a Smith normal form, each entry dividing the next."""
 
-    def __init__(self, diagonal, shape):
+    def __init__(self, diagonal):
         self.diagonal = diagonal
-        self.shape = shape
 
     def nonzero(self):
         # ints and GroupRingElem are falsy iff 0, raw tuples iff no coefficient
@@ -304,15 +302,14 @@ def smith_normal_form(matrix, field=None) -> SNFResult:
     chain are verified on the raw matrices before returning.
     """
     rows = [list(r) for r in matrix]
-    shape = (len(rows), len(rows[0]) if rows else 0)
-    lift = all(shape) and isinstance(rows[0][0], GroupRingElem)
+    lift = bool(rows and rows[0]) and isinstance(rows[0][0], GroupRingElem)
     if lift:
         field = rows[0][0].field
     ctx = _IntCtx() if field is None else _LaurentCtx(field)
     A = [[ctx.raw(x) for x in r] for r in rows]
     diag, P, Q = _snf_engine(ctx, A)
     _verify_snf(ctx, A, diag, P, Q)
-    return SNFResult([ctx.lift(d) for d in diag] if lift else diag, shape)
+    return SNFResult([ctx.lift(d) for d in diag] if lift else diag)
 
 
 def _verify_snf(ctx, A, diagonal, P, Q):

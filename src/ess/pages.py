@@ -1,11 +1,14 @@
 """The spectral-sequence engine.
 
 Pages E^r_{-s,t} of the J-adic filtration on C_*(X, kG) are computed exactly
-on the filtered complex truncated at F^M with M = S_max + R_max.  This is
-sound on the window: quotienting by F^M changes no entry E^r_{-s} with
+on the filtered complex truncated at F^M.  On Z^n, M = S_max + R_max.  This
+is sound on the window: quotienting by F^M changes no entry E^r_{-s} with
 s + r <= M, because d preserves F^M and F^M lies inside every denominator in
 that range (checked as the window-stability invariant in the test suite, not
-assumed).
+assumed).  On Z_m, M = e and the quotient changes no page at all: J^e is an
+idempotent ideal, kZ_m = kZ_m/J^e x J^e as filtered rings, and the factor
+J^e, on which J is invertible, adds nothing to gr.  Every page over kZ_m is a
+page over kZ_m/J^e = k[u]/u^e, u = t - 1, the ring of Z cut at degree e.
 
 Over a field the truncated complex splits into interval pieces, so every page
 is read off the pairs of one persistence column reduction per degree
@@ -13,13 +16,13 @@ is read off the pairs of one persistence column reduction per degree
 a pivot row of d_{q+1} is a column of d_q that reduces to zero, so it is never
 reduced.  E^1 is checked against dim gr^s(kG) * b_q(X, k).  No boundary is
 stored: PageComputation._column builds any column from the expansion_coords of
-the entries.  Where multiplication is a shift (Z^n, Z_{p^r} in characteristic
-p) a pivot is read off without its column, which is built only if that pivot
-is taken: most columns are apparent pairs (Bauer, Ripser).  Every elimination
-here (the pairs, the homology bases, d^1 and the k-rank of the Reznikov check)
-reduces sparse vectors in coeffs.Echelon, fraction-free on integer columns
-over Q.  All of it runs on raw payloads (over Q ints until a division), and
-every result (bases, coordinates, d^1 matrices) is a dense list of payloads.
+the entries.  Multiplication is a shift on every model, so a pivot is read off
+without its column, which is built only if that pivot is taken: most columns
+are apparent pairs (Bauer, Ripser).  Every elimination here (the pairs, the
+homology bases, d^1 and the k-rank of the Reznikov check) reduces sparse
+vectors in coeffs.Echelon, fraction-free on integer columns over Q.  All of it
+runs on raw payloads (over Q ints until a division), and every result (bases,
+coordinates, d^1 matrices) is a dense list of payloads.
 
 Also here: the closed-form d^1 (lift a homology basis, apply the equivariant
 boundary once, read the gr^1 component), and the Reznikov-case full collapse,
@@ -37,12 +40,13 @@ from types import MappingProxyType
 
 from .coeffs import Echelon, FieldDescriptor
 from .complexes import betti_numbers
-from .errors import (CoefficientError, CrossCheckError, UnsupportedCoefficients,
+from .errors import (CoefficientError, CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration, expansion_coords,
                         gr_dimension, monomials_of_degree)
 
 INF = math.inf
+MAX_MODEL_DIM = 1 << 24  # basis vectors of one FiltrationModel, checked before any is built
 _NO_RANKS = MappingProxyType({})  # the d_ranks of every page with no d^r
 
 
@@ -82,39 +86,35 @@ class FiltrationModel:
     """A finite-dimensional k-model of kG adapted to the J-adic filtration.
 
     The basis is ordered with valuations nondecreasing, so J^s corresponds to
-    a suffix of the coordinates.  For Z^n this is kG/J^M with monomial basis
-    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M; for Z_m it is all of kG
-    (M = m) with the basis u^s = (t - 1)^s, s < m, written (s,), of valuation
-    s below e and INF from e on (see groupring._CyclicFiltration).  On both,
+    a suffix of the coordinates.  It is kZ^n/J^M with monomial basis
+    x^alpha = prod (t_i - 1)^{a_i}, |alpha| < M, of valuation |alpha|, and
     the coordinates of an element are groupring.expansion_coords cut at M,
-    as raw payloads.
+    as raw payloads.  Z_m is the case n = 1 cut at M = e, whatever the
+    window: kZ_m/J^e = k[u]/u^e with u = t - 1, the factor of kZ_m that
+    carries the whole filtration (see groupring._CyclicFiltration).  On both,
+    multiplication by a basis vector is a shift.
 
     `order` lists the basis by descending valuation, ties by index, and
     `place` is its inverse: the page engine numbers rows and columns so, and
-    every F^s is a prefix.  `fold` lists u^m = sum of (k, payload) u^k on Z_m
-    (empty when e = m, and on Z^n).
+    every F^s is a prefix.
     """
 
     def __init__(self, group: GroupDescriptor, field: FieldDescriptor, M: int):
         self.group, self.field = group, field
-        if group.kind == "free_abelian":
-            self.M, self.fold = M, []
-            by_deg = [monomials_of_degree(group.n, deg) for deg in range(M)]
-            self.monomials = [alpha for alphas in by_deg for alpha in alphas]
-            self.vals = [deg for deg, alphas in enumerate(by_deg) for _ in alphas]
-            # alpha as the integer sum a_i M^(n-1-i): lex order is integer
-            # order, and with |alpha + beta| < M the key of alpha + beta is a sum
-            weights = [M ** k for k in reversed(range(group.n))]
-            self.key = lambda alpha: sum(map(operator.mul, alpha, weights))
-            self.keys = [sum(map(operator.mul, alpha, weights)) for alpha in self.monomials]
-            self.index = dict(zip(self.keys, range(len(self.keys))))  # key -> basis index
-        else:
-            filt = cyclic_filtration(group.m, field)
-            self.M, self.fold = group.m, filt.fold
-            self.monomials = [(k,) for k in range(group.m)]
-            self.vals = list(filt.vals)
-            self.key, self.keys = operator.itemgetter(0), range(group.m)
-            self.index = self.keys
+        n, self.M = ((group.n, M) if group.kind == "free_abelian"
+                     else (1, cyclic_filtration(group.m, field).e))
+        if (dim := math.comb(self.M - 1 + n, n)) > MAX_MODEL_DIM:
+            raise InputError(f"the filtration model of k[{group}] cut at degree {self.M} has "
+                             f"{dim} basis vectors, past the limit {MAX_MODEL_DIM}")
+        by_deg = [monomials_of_degree(n, deg) for deg in range(self.M)]
+        self.monomials = [alpha for alphas in by_deg for alpha in alphas]
+        self.vals = [deg for deg, alphas in enumerate(by_deg) for _ in alphas]
+        # alpha as the integer sum a_i M^(n-1-i): lex order is integer
+        # order, and with |alpha + beta| < M the key of alpha + beta is a sum
+        weights = [self.M ** k for k in reversed(range(n))]
+        self.key = lambda alpha: sum(map(operator.mul, alpha, weights))
+        self.keys = [sum(map(operator.mul, alpha, weights)) for alpha in self.monomials]
+        self.index = dict(zip(self.keys, range(len(self.keys))))  # key -> basis index
         self.dim = len(self.monomials)
         self.order = sorted(range(self.dim), key=self.vals.__getitem__, reverse=True)  # stable
         self.place = sorted(range(self.dim), key=self.order.__getitem__)
@@ -194,25 +194,14 @@ class PageComputation:
 
     def _cells(self, q: int):
         """Per cell j of V_q, the entries i of d_q e_j as (i, terms), terms the
-        (|beta|, key of beta, payload) of expansion_coords in order; with a
-        fold (Z_m, e < m) instead, for each s < m, the entries of u^s e_j as
-        (i, {k: payload})."""
+        (|beta|, key of beta, payload) of expansion_coords cut at M, in order."""
         if q not in self._entries:
-            model, add, mul, m = self.model, self.field._add, self.field._mul, self.model.M
+            model = self.model
             nsrc, ndst = (self.C.dims[p] if self.vdim(p) else 0 for p in (q, q - 1))
-            self._entries[q] = cells = [[(i, terms) for i in range(ndst) if (terms := sorted(
+            self._entries[q] = [[(i, terms) for i in range(ndst) if (terms := sorted(
                 (sum(beta), model.key(beta), x) for beta, x in
-                expansion_coords(self.C.boundary(q)[i][j], m).items()))] for j in range(nsrc)]
-            for j, entries in enumerate(cells) if model.fold else ():
-                cells[j] = shifted = [[] for _ in range(m)]
-                for i, terms in entries:
-                    c = {k: x for _, k, x in terms}
-                    for col in shifted:  # u^(s+1) e = u (u^s e): shift, fold u^m back
-                        col.append((i, c))
-                        top, c = c.get(m - 1), {k + 1: x for k, x in c.items() if k < m - 1}
-                        for k, f in model.fold if top else ():
-                            c[k] = add(c.get(k, 0), mul(top, f))
-                        c = {k: x for k, x in c.items() if x} if top else c
+                expansion_coords(self.C.boundary(q)[i][j], model.M).items()))]
+                for j in range(nsrc)]
         return self._entries[q]
 
     def _column(self, q: int, g: int, rows):
@@ -220,8 +209,6 @@ class PageComputation:
         cell j, cut at degree M; cell i of basis vector b' is row rows[b'] * ndst + i."""
         model, cells, ndst = self.model, self._cells(q), self.C.dims[q - 1]
         b, j = divmod(g, len(cells))
-        if model.fold:
-            return {rows[k] * ndst + i: x for i, c in cells[j][b] for k, x in c.items()}
         alpha, room, index, col = model.keys[b], model.M - model.vals[b], model.index, {}
         for i, terms in cells[j]:
             for deg, beta, x in terms:
@@ -240,19 +227,14 @@ class PageComputation:
     # -- persistence pairs -----------------------------------------------------
 
     def _pivots(self, q: int, cleared):
-        """(g, pivot, column) for each column g of d_q not cleared, in the order
-        of _pairs: the pivot is its last row, -1 if it is zero.  With no fold
-        (Z^n, Z_{p^r} in characteristic p, where multiplication is a shift) the
-        column is None and the pivot of column (alpha, j) is alpha + beta_j at
-        cell i_j, beta_j the lex-largest least-degree term in cell j and i_j the
-        last entry carrying it (a shift by alpha keeps the lex order of one
-        degree), unless |alpha + beta_j| >= M."""
+        """(g, pivot) for each column g of d_q not cleared, in the order of
+        _pairs, without building the column: the pivot is its last row, -1 if
+        it is zero.  Multiplication is a shift, so the pivot of column
+        (alpha, j) is alpha + beta_j at cell i_j, beta_j the lex-largest
+        least-degree term in cell j and i_j the last entry carrying it (a shift
+        by alpha keeps the lex order of one degree), unless
+        |alpha + beta_j| >= M."""
         model, ndst, nsrc = self.model, self.C.dims[q - 1], self.C.dims[q]
-        if model.fold:  # columns built in bulk, pivots read off them
-            built = [self._column(q, g, model.place) for g in range(self.vdim(q))]
-            yield from ((g, max(built[g], default=-1), built[g]) for b in model.order
-                        for g in range(b * nsrc, b * nsrc + nsrc) if not cleared[g])
-            return
         leads = [max(((-deg, beta, i) for i, terms in entries for deg, beta, _ in terms),
                      default=(-model.M, 0, 0)) for entries in self._cells(q)]
         place, index, keys, vals, M = model.place, model.index, model.keys, model.vals, model.M
@@ -260,29 +242,30 @@ class PageComputation:
             alpha, room, base = keys[b], M - vals[b], b * nsrc
             for j, (nd, beta, i) in enumerate(leads):
                 if not cleared[base + j]:
-                    yield (base + j, place[index[alpha + beta]] * ndst + i if nd + room > 0 else -1,
-                           None)
+                    yield base + j, place[index[alpha + beta]] * ndst + i if nd + room > 0 else -1
 
     def _pairs(self, q: int, cleared=None):
         """Persistence pairs (i, j) of d_q: column j reduces to pivot row i.
         Both bases are ordered by descending valuation, ties by index (so
         model.place), and every F^s is a prefix.  Columns g with cleared[g]
         set, pivot rows of d_{q+1}, reduce to zero and are skipped (clearing).
-        A column with a free pivot pairs as it stands (an apparent pair): it
-        is stored as its index, and built if a reduction uses it."""
+        Every other column comes from _pivots as its index and pivot.  With a
+        free pivot it pairs as it stands (an apparent pair) and is stored as
+        its index; a column is built only when it is reduced or a reduction
+        uses it."""
         ndst, order, place = self.C.dims[q - 1], self.model.order, self.model.place
         if not self.vdim(q - 1) or not self.vdim(q):
             return []
         ech = Echelon(self.field, lambda g: self._column(q, g, place))
         owner, pairs, seen, reduced = ech.owner, [], 0, 0
-        for seen, (g, low, col) in enumerate(self._pivots(q, cleared or bytes(self.vdim(q))), 1):
+        for seen, (g, low) in enumerate(self._pivots(q, cleared or bytes(self.vdim(q))), 1):
             if low not in owner:
                 if low < 0:
                     continue
-                owner[low] = g if col is None else col
+                owner[low] = g
             else:
                 reduced += 1
-                low = ech.add(ech.build(g) if col is None else col, low=low)
+                low = ech.add(ech.build(g), low=low)
                 if low is None:
                     continue
             pairs.append((order[low // ndst] * ndst + low % ndst, g))
@@ -325,8 +308,7 @@ class PageComputation:
                     free[q][b] -= n
                     if a > b:
                         add(lives, a - b, (b, q), n)
-                        if a < INF:
-                            add(ranks, a - b, (b, q), n)
+                        add(ranks, a - b, (b, q), n)
                 if a <= S:
                     free[q - 1][a] -= n
                     if a > b:
@@ -498,15 +480,17 @@ def d1_closed_form(C):
 # ---------------------------------------------------------------------------
 
 
-def reznikov_collapse(C, S_max: int | None = None):
-    """All pages up to E^{p^r} = E^oo for G = Z_{p^r} over characteristic p,
-    over the window s <= S_max (default p^r - 1, the whole filtration), with
-    total graded dimensions checked against dim_k H_q(X, kZ_{p^r}) computed
-    independently by plain k-linear rank arithmetic.
+def reznikov_collapse(C, S_max: int | None = None, R_max: int | None = None):
+    """The pages E^1 .. E^min(R_max, p^r) for G = Z_{p^r} over characteristic
+    p (default: all of them, up to E^{p^r} = E^oo), over the window s <= S_max
+    (default p^r - 1, the whole filtration), with total graded dimensions
+    checked against dim_k H_q(X, kZ_{p^r}) computed independently by plain
+    k-linear rank arithmetic.
 
-    The model is all of kZ_{p^r} whatever the window, and J^{p^r} = 0, so the
-    vectors of V_q in no pair count E^oo_q summed over every s: the totals
-    are checked over the whole filtration, not only inside the window.
+    Here e = p^r: the model is all of kZ_{p^r} whatever the window, and
+    J^{p^r} = 0, so the vectors of V_q in no pair count E^oo_q summed over
+    every s: the totals are checked over the whole filtration, not only
+    inside the window or up to the last page built.
 
     Returns (tables, homology_dims).
     """
@@ -517,7 +501,8 @@ def reznikov_collapse(C, S_max: int | None = None):
     if C.field.characteristic != p:
         raise ValidationError(f"field characteristic {C.field.characteristic} != p = {p}")
     n = group.m  # p^r; J^n = 0
-    comp = PageComputation(C, R_max=n, S_max=n - 1 if S_max is None else S_max)
+    comp = PageComputation(C, R_max=n if R_max is None else min(R_max, n),
+                           S_max=n - 1 if S_max is None else S_max)
     tables = comp.pages()
     ranks = [_k_rank(comp, q) for q in range(C.top + 2)]
     hom_dims = [comp.vdim(q) - ranks[q] - ranks[q + 1] for q in range(C.top + 1)]
@@ -541,11 +526,6 @@ def _k_rank(comp: PageComputation, q: int) -> int:
     for b in range(model.dim):
         alpha, room = model.keys[b], model.M - model.vals[b]
         for g, entries in enumerate(cells, b * len(cells)):
-            if model.fold:
-                for i, c in entries[b]:
-                    for k, x in c.items():
-                        rows[k * ndst + i][g] = x
-                continue
             for i, terms in entries:
                 for deg, beta, x in terms:
                     if deg >= room:

@@ -17,9 +17,12 @@ The model coordinates come from here too, on `linalg_oracle.Scalar`: the
 expansion coefficients of Z^n one binomial at a time
 (`expansion_coefficient`), and on Z_m the Taylor coefficients at 1 in closed
 form (`cyclic_coords`), in the basis of powers of t - 1 that the oracle
-builds itself (`adapted_basis`) and multiplies in monomial coordinates.  `ess` reads the same coordinates off
-Pascal rows, synthetic division and raw payloads, and multiplies by a shift
-and a fold.
+builds itself (`adapted_basis`) and multiplies in monomial coordinates of
+kZ_m, t^m = 1.  `ess` reads the same coordinates off Pascal rows and raw
+payloads, and multiplies by a shift in k[u]/u^e.  The oracle also keeps the
+model of all of kZ_m (`CyclicModel`, `CyclicComputation`), where u^k has
+valuation infinity from e on, so that `OraclePages` can compute the pages of
+C (x) kZ_m with the factor J^e that `ess` drops.
 
 `uncleared_pairs` is the persistence reduction of one degree as `ess.pages`
 ran it before clearing and apparent pairs: every column of the dense d_q is
@@ -91,7 +94,8 @@ def reduce(model, elem):
     """Scalar coordinates of the image of elem in a FiltrationModel."""
     if model.group.kind == "free_abelian":
         return [expansion_coefficient(elem, beta) for beta in model.monomials]
-    return cyclic_coords(model.field, [elem.terms.get(j, 0) for j in range(model.group.m)])
+    return cyclic_coords(model.field, [elem.terms.get(j, 0)
+                                       for j in range(model.group.m)])[:model.dim]
 
 
 def mult_matrix(model, elem):
@@ -125,6 +129,38 @@ def mult_matrix(model, elem):
         for i in range(n):
             out[i][col] = img[i]
     return out
+
+
+class CyclicModel:
+    """All of kZ_m in the basis u^k = (t - 1)^k, k < m: u^k has valuation k
+    below e and infinity from e on, where e is the multiplicity of u in
+    t^m - 1 = (1 + u)^m - 1, the least k >= 1 with C(m, k) nonzero in the
+    field.  It has what mult_matrix and OraclePages read of a model."""
+
+    def __init__(self, group, field):
+        m = group.m
+        e = next(k for k in range(1, m + 1) if Scalar.of(field, math.comb(m, k)))
+        self.group, self.field, self.M, self.dim = group, field, m, m
+        self.vals = list(range(e)) + [math.inf] * (m - e)
+
+    def offset(self, s: int) -> int:
+        return next((b for b, v in enumerate(self.vals) if v >= s), self.dim)
+
+
+class CyclicComputation:
+    """The complex and window of a PageComputation on G = Z_m, over all of
+    kZ_m (CyclicModel): what boundary_matrix and OraclePages read of a
+    computation."""
+
+    def __init__(self, comp):
+        self.C, self.field, self.Q, self.S_max = comp.C, comp.field, comp.Q, comp.S_max
+        self.model = CyclicModel(comp.C.group, comp.field)
+
+    def vdim(self, q: int) -> int:
+        return self.model.dim * self.C.dims[q] if 0 <= q <= self.Q else 0
+
+    def _suffix_indices(self, q: int, s: int):
+        return range(self.model.offset(s) * self.vdim(q) // self.model.dim, self.vdim(q))
 
 
 def boundary_matrix(comp, q: int):

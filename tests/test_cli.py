@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import pages_output_oracle
 from ess import cli
 from ess.builtins import builtin_names
-from ess.pages import PageTable
+from ess.pages import PageComputation, PageTable
 
 
 def run(args, capsys):
@@ -143,8 +143,8 @@ def test_pages_stdout_matches_the_one_page_at_a_time_encoder(space, m, prime_fie
             seen["tables"] = tables
             return collapse(tables)
 
-        def keep_homology(C, S_max):
-            tables, seen["hom"] = reznikov(C, S_max)
+        def keep_homology(C, S_max, R_max):
+            tables, seen["hom"] = reznikov(C, S_max, R_max)
             return tables, seen["hom"]
 
         out = io.StringIO()
@@ -164,6 +164,41 @@ def test_reznikov_pages_encode_each_distinct_page_once(monkeypatch, capsys):
     distinct = {json.dumps(page["entries"]) for page in pages}
     assert code == cli.EXIT_OK and len(pages) == 729
     assert len(calls) == len(distinct) < 10
+
+
+def test_reznikov_pages_with_r_build_only_those_pages(monkeypatch, capsys):
+    """--R on the Reznikov path builds E^1 .. E^R, not the p^r pages."""
+    calls, page = [], PageComputation.page
+    monkeypatch.setattr(PageComputation, "page", lambda self, r: calls.append(r) or page(self, r))
+    code, out, _ = run(["pages", "--builtin", "comm-p:3", "--group-quotient", "Zmod:729",
+                        "--field", "Fp:3", "--R", "3", "--json"], capsys)
+    assert code == cli.EXIT_OK and calls == [1, 2, 3]
+    assert [page["page"] for page in json.loads(out)["pages"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("space", ["circle", "torus2"])
+def test_pages_on_a_huge_cyclic_group_over_q_run_on_e_equal_1(space, capsys):
+    """Over Q every Z_m has e = 1, so a modulus of 10^12 + 39 (prime) or 2^90
+    costs what Z_6 costs, and prints the same pages."""
+    def pages(m):
+        return run(["pages", "--builtin", space, "--group-quotient", f"Zmod:{m}", "--field", "Q",
+                    "--json"], capsys)
+    want = pages(6)
+    assert want[0] == cli.EXIT_OK and want[2] == ""
+    assert pages(1000000000039) == pages(2 ** 90) == want
+
+
+@pytest.mark.parametrize("group, field, message", [
+    ("Zmod:1099511627776", "Fp:2", "k[Zmod:1099511627776] cut at degree 1099511627776 has "
+                                   "1099511627776 basis vectors, past the limit 16777216"),
+    (f"Zmod:{3 ** 60}", "Fp:3", f"cut at degree {3 ** 60} has {3 ** 60} basis vectors"),
+    ("Zmod:618970019642690137449562111", "Q",
+     "618970019642690137449562111 is too large for an exact primality test"),
+], ids=["e=2^40", "reznikov-3^60", "prime-past-the-bound"])
+def test_oversized_cyclic_groups_exit_2_before_building(group, field, message, capsys):
+    code, out, err = run(["pages", "--builtin", "circle", "--group-quotient", group,
+                          "--field", field], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "") and err.startswith("error: ") and message in err
 
 
 _EXTRA_CELL_WITHOUT_DEGREE = json.dumps({

@@ -169,6 +169,51 @@ def test_is_prime_below_two_to_64_matches_twelve_bases():
     assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and not is_prime(2**64 + 1)
 
 
+def _prime_power_by_trial_division(m):
+    factors, n, f = [], m, 2
+    while f * f <= n:
+        while n % f == 0:
+            factors.append(f)
+            n //= f
+        f += 1
+    factors += [n] if n > 1 else []
+    return (factors[0], len(factors)) if len(set(factors)) == 1 else None
+
+
+def test_prime_power_from_exact_roots_matches_trial_division():
+    """Every m < 3 * 10^4 and seeded m below 10^10, then prime powers and
+    their multiples of every size up to the exact bound: the answer of
+    trial division, from r-th roots and is_prime alone."""
+    rng = random.Random(27)
+    for m in list(range(2, 30000)) + [rng.randrange(2, 10**10) for _ in range(300)]:
+        assert prime_power(m) == _prime_power_by_trial_division(m), m
+    for p in (2, 3, 5, 7, 101, 65537, 1000003, 999999999989):
+        for r in range(1, 80):
+            if p ** r < 318665857834031151167461:
+                assert prime_power(p ** r) == (p, r), (p, r)
+                assert prime_power(p ** r * 6) is None, (p, r)
+    # past the exact bound: a small or witnessed factor still decides, and 2^89 - 1,
+    # a prime no base proves composite, is refused
+    assert prime_power(2 ** 200) == (2, 200) and prime_power(41 ** 20) == (41, 20)
+    assert prime_power(6 ** 40) is None and prime_power(41 * 43 ** 15) is None
+    with pytest.raises(CoefficientError, match="too large for an exact primality test"):
+        prime_power(2 ** 89 - 1)
+    with pytest.raises(CoefficientError, match="too large for an exact primality test"):
+        prime_power((2 ** 89 - 1) ** 2)
+
+
+def test_is_prime_proves_compositeness_past_the_exact_bound():
+    """A witness is a proof at any size; a number no base witnesses is
+    refused past the bound, prime (2^127 - 1) or not (the bound itself is a
+    strong pseudoprime to all 12 bases)."""
+    big = 318665857834031151167461
+    assert not is_prime(2 ** 100) and not is_prime(3 * (2 ** 89 - 1))
+    assert not is_prime(big * 1000003) and not is_prime(big + 2)
+    for n in (2 ** 127 - 1, big):
+        with pytest.raises(CoefficientError, match="too large for an exact primality test"):
+            is_prime(n)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(CoefficientError):
         FieldDescriptor.prime_field(6)

@@ -106,7 +106,7 @@ CASES = {
        for p, m in ((3, 729), (5, 625))},
     "pages-torus2-Z12-Fp2": ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:12",
                              "--field", "Fp:2"],
-    # 1 < e = 5 < m = 30, so u^30 folds back onto nonzero lower powers mod 5
+    # 1 < e = 5 < m = 30: the pages of kZ_30 are those of its factor F_5[u]/u^5
     "pages-figure8-Z30-Fp5": ["pages", "--builtin", "figure8", "--group-quotient", "Zmod:30",
                               "--field", "Fp:5", "--S", "6"],
     # the page engine over Q(zeta_3), Z_m over Q (e = 1 < m), and Z_{p^r}
@@ -151,6 +151,15 @@ PINNED = {
          "74a9e825e9cf1b11603a9b8e9697ffd638abdd98665b33c5907b6905fb9e8249"),
         ("pages-comm-p3-Z81-Fp3", "6ecb9d25a4ed0b51c92add6ab20eae575c5a355f2cd9b68f03ae558ebca51639"),
     )},
+    # Z_m with e < m: over Q (e = 1) and in characteristic 2 with 8 | 3000
+    # (e = 8), recorded while the model still covered all of kZ_m
+    "pages-torus2-Z600-Q.json": (
+        ["pages", "--builtin", "torus2", "--group-quotient", "Zmod:600", "--field", "Q",
+         "--json"], "98b166e0327a58a084e36709dc07688e1f880556976d4316005106ac60260cc1"),
+    "pages-trefoil-Z3000-Fp2-S4.json": (
+        ["pages", "--builtin", "trefoil", "--group-quotient", "Zmod:3000", "--field", "Fp:2",
+         "--S", "4", "--json"],
+        "dc0a31ae75c9a7946bc9319bdae03adbc80b224a2788610698d1617c33dfe9b2"),
 }
 
 

@@ -139,7 +139,7 @@ def test_integral_torsion_needs_shadow():
     from ess.complexes import parse_document
 
     C = parse_document(doc_field_q)
-    assert C.integral_boundaries is not None  # integer entries keep the shadow
+    assert C.raw_integral is not None  # integer entries keep the shadow
     assert integral_torsion_check(C) == [True, True]
 
 

@@ -195,6 +195,23 @@ def test_reznikov_window_is_the_whole_filtration_cut(name, m, p):
         assert [_page_data(t) for t in tables] == [_page_data(_cut(t, S)) for t in full], S
 
 
+@pytest.mark.parametrize("name, m, p", [("circle", 9, 3), ("comm-p:3", 27, 3)])
+def test_reznikov_pages_through_r_are_the_first_pages(name, m, p, monkeypatch):
+    """With R_max the collapse builds E^1 .. E^min(R_max, p^r) only: the
+    first pages of the full run, with the same homology dims, and the E^oo
+    totals still checked when only E^1 is built."""
+    C = _reznikov_complex(name, m, p)
+    full, full_hom = reznikov_collapse(C, 3)
+    for R in (1, 2, m - 1, m, m + 4):
+        tables, hom = reznikov_collapse(C, 3, R)
+        assert hom == full_hom, R
+        assert [_page_data(t) for t in tables] == [_page_data(t) for t in full[:R]], R
+    k_rank = pages._k_rank
+    monkeypatch.setattr(pages, "_k_rank", lambda comp, q: k_rank(comp, q) + 1)
+    with pytest.raises(CrossCheckError, match="E\\^infinity total"):
+        reznikov_collapse(C, 3, 1)
+
+
 def test_reznikov_einfinity_check_fires_on_a_small_window(monkeypatch):
     """The E^oo totals are checked over every s even when the window stops
     at s = 1: a k-rank one too large is caught."""

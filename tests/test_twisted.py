@@ -202,13 +202,13 @@ def _evaluate_by_sympy_powers(C, q, d, power):
     """t -> zeta^power through the sympy powers of zeta, each scaled by its
     rational coefficient."""
     powers = _zeta_powers_by_sympy(d)
-    mats = C.integral_boundaries if C.integral_boundaries is not None else C.boundaries
+    mats = C.raw_integral if C.raw_integral is not None else C.raw
     out = []
     for row in mats[q - 1]:
         out.append([])
-        for e in row:
+        for terms in row:
             acc = [0] * len(powers[0])
-            for key, c in e.terms.items():
+            for key, c in terms.items():
                 zk = powers[key[0] * power % d]
                 acc = [a + c * x for a, x in zip(acc, zk)]
             out[-1].append(tuple(acc))
