@@ -96,16 +96,25 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def prime_power(m: int):
-    """(p, r) if m = p^r with p prime and r >= 1, else None, from the integer
-    r-th roots of m (Newton's method from above) and is_prime, which refuses
-    a root past its exact bound."""
-    for r in range(1, m.bit_length()):
-        p = 1 << -(-m.bit_length() // r)
-        while (y := ((r - 1) * p + m // p ** (r - 1)) // r) < p:
-            p = y
-        if p ** r == m and is_prime(p):
-            return p, r
-    return None
+    """(p, r) if m = p^r with p prime and r >= 1, else None.  A prime of
+    _MR_BASES dividing m decides at once.  Otherwise p > 37 > 2^5, and
+    m = p^r with r > 1 iff m = y^r for a prime r < log2(m) / 5 and y is a
+    prime power, and else iff m is prime (is_prime refuses past its exact
+    bound)."""
+    for b in _MR_BASES:
+        if m % b == 0:  # then m is a prime power iff it is a power of b
+            r = 0
+            while m % b == 0:
+                m, r = m // b, r + 1
+            return (b, r) if m == 1 else None
+    for r in filter(is_prime, range(2, m.bit_length() // 5 + 1)):
+        y = 1 << -(-m.bit_length() // r)  # Newton's r-th root from above
+        while (z := ((r - 1) * y + m // y ** (r - 1)) // r) < y:
+            y = z
+        if y ** r == m:  # m is a prime power iff y is
+            root = prime_power(y)
+            return root and (root[0], root[1] * r)
+    return (m, 1) if is_prime(m) else None
 
 
 def format_poly(coeffs, var: str) -> str:

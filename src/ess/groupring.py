@@ -55,7 +55,12 @@ class GroupDescriptor:
             # isdecimal is the \d+ of re (Unicode Nd); isdigit would pass "²"
             rest = text[len(prefix):] if isinstance(text, str) and text.startswith(prefix) else ""
             if rest.isdecimal():
-                return make(int(rest))
+                try:
+                    n = int(rest)
+                except ValueError:  # past the digit limit of int(str)
+                    raise InputError(f"group descriptor {prefix}{rest[:12]}... has "
+                                     f"{len(rest)} digits, too many for an integer") from None
+                return make(n)
         raise InputError(f"unknown group descriptor {text!r}")
 
     def __str__(self):

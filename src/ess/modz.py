@@ -10,14 +10,16 @@ of d_q is free, so ker d_q is a direct summand of C_q, and
 
 with e_i the non-unit invariant factors of d_{q+1}.  Both ranks and the e_i
 come from one verified SNF per boundary, and d_q serves H_{q-1} and H_q.
+Since d_{q-1} d_q = 0, an entry w_j of d_{q-1} that divides its row makes
+row j of d_q redundant, and it is dropped before the SNF.
 
 The SNF over Lambda runs on the raw Laurent polynomials of
 `coeffs.LaurentRing`; `_LaurentCtx` converts a boundary's payload maps (or
-GroupRingElem entries) once.  A unit pivot clears its row and column with
-one fused y - q*x per entry; other pivots go through Bezout blocks.  Every
-SNF carries P and Q, the inverses of its row and column operations, as
-sparse columns and rows, and is verified (A = P D Q and the divisibility
-chain) before it is returned.
+GroupRingElem entries) once.  A pivot that divides its row and column (a
+unit does) clears them with one fused y - q*x per entry; other pivots go
+through Bezout blocks.  Every SNF carries P and Q, the inverses of its row
+and column operations, as sparse columns and rows, and is verified
+(A = P D Q and the divisibility chain) before it is returned.
 """
 
 from __future__ import annotations
@@ -150,11 +152,11 @@ def _snf_engine(ctx, matrix):
     columns and rows {index: entry}: row operation E is recorded as
     P <- P E^-1, column operation F as Q <- F^-1 Q.  Pivot: least norm, then
     least Markowitz count (r-1)(c-1) (nonzeros of its row and column in the
-    remaining block), then lowest row and column.  A unit pivot clears its
-    column and row with one `ctx.submul(y, q, x) = y - q*x` per entry,
-    recording q = entry/pivot; any other pivot meets each entry in a Bezout
-    block [[sigma, tau], [-beta, alpha]], recorded as [[alpha, -tau],
-    [beta, sigma]]."""
+    remaining block), then lowest row and column.  A pivot that divides its
+    column and row (a unit does) clears them with one `ctx.submul(y, q, x) =
+    y - q*x` per entry, recording the exact quotient q = entry/pivot; any
+    other pivot meets each entry in a Bezout block [[sigma, tau],
+    [-beta, alpha]], recorded as [[alpha, -tau], [beta, sigma]]."""
     A = [list(row) for row in matrix]
     nrows = len(A)
     ncols = len(A[0]) if nrows else 0
@@ -224,18 +226,26 @@ def _snf_engine(ctx, matrix):
             return False
         return True
 
-    def clear_unit_pivot():
-        inv, pivot_row = ctx.unit_inverse(A[t][t]), A[t]
-        cols = [j for j in range(t + 1, ncols) if not is_zero(pivot_row[j])]
-        for i, row in enumerate(A[t + 1:], t + 1):
-            if not is_zero(row[t]):
-                q, row[t] = mul(row[t], inv), zero
-                for j in cols:
-                    row[j] = ctx.submul(row[j], q, pivot_row[j])
-                axpy(P[t], q, P[i])
-        for j in cols:  # column t is clear below the pivot
-            axpy(Q[t], mul(pivot_row[j], inv), Q[j])
+    def clear_dividing_pivot():
+        # False, changing nothing, unless the pivot divides every entry of
+        # its column and row; then one y - q*x per entry, q = entry/pivot
+        pivot, pivot_row = A[t][t], A[t]
+        try:
+            col_q = {i: ctx.exact_div(A[i][t], pivot) for i in range(t + 1, nrows)
+                     if not is_zero(A[i][t])}
+            row_q = {j: ctx.exact_div(x, pivot) for j, x in enumerate(pivot_row[t + 1:], t + 1)
+                     if not is_zero(x)}
+        except CoefficientError:
+            return False
+        for i, q in col_q.items():
+            A[i][t] = zero
+            for j in row_q:
+                A[i][j] = ctx.submul(A[i][j], q, pivot_row[j])
+            axpy(P[t], q, P[i])
+        for j, q in row_q.items():  # column t is clear below the pivot
+            axpy(Q[t], q, Q[j])
             pivot_row[j] = zero
+        return True
 
     t = 0
     while t < min(nrows, ncols):
@@ -252,13 +262,10 @@ def _snf_engine(ctx, matrix):
         for row in A:
             row[t], row[bj] = row[bj], row[t]
         Q[t], Q[bj] = Q[bj], Q[t]
-        if ctx.is_unit(A[t][t]):
-            clear_unit_pivot()
-            t += 1
-            continue
-        # alternate clearing column t and row t; each col_block may disturb
-        # the column, so iterate until both are clear
-        while True:
+        row_dirty = not clear_dividing_pivot()
+        # otherwise alternate clearing column t and row t; each col_block may
+        # disturb the column, so iterate until both are clear
+        while row_dirty:
             for i in range(t + 1, nrows):
                 if not is_zero(A[i][t]):
                     row_block(i)
@@ -267,8 +274,6 @@ def _snf_engine(ctx, matrix):
                 if not is_zero(A[t][j]):
                     col_block(j)
                     row_dirty = True
-            if not row_dirty:
-                break
         if ctx.is_unit(A[t][t]):
             t += 1  # a unit pivot divides every remaining entry
             continue
@@ -390,14 +395,35 @@ class LaurentModuleDecomp:
         )
 
 
+def _redundant_row(ring, prev, integral=False):
+    """An index j such that row j of d_q lies in the span of its other rows,
+    read off the payload maps prev of d_{q-1}, or None.  It rests on
+    d_{q-1} d_q = 0, which `parse_document` checks on every input: if an
+    entry w_j != 0 of a row w of d_{q-1} divides every w_i (in Z[t^{+-1}]
+    with `integral`), row_j(d_q) = -sum_{i != j} (w_i / w_j) row_i(d_q)."""
+    for w in prev:
+        w = [ring.raw(x) for x in w]
+        for j, d in enumerate(w):
+            try:  # exact_div raises unless d divides x; [2] is the denominator
+                if not ring.is_zero(d) and all(ring.exact_div(x, d)[2] == 1 or not integral
+                                               for x in w):
+                    return j
+            except CoefficientError:
+                pass
+    return None
+
+
 def _boundary_invariants(C, q: int, ctx, memo: dict):
     """(rank, canonical non-unit invariant factors in raw form) of d_q over
     Lambda, from one verified SNF kept in `memo`; (0, []) for a boundary
-    without rows or columns."""
+    without rows or columns.  A row that `_redundant_row` finds is deleted
+    first, a unimodular row operation: rank and nonzero diagonal stay."""
     if q not in memo:
         rank, factors = 0, []
         if 1 <= q <= C.top and C.dims[q - 1] and C.dims[q]:
-            for d in smith_normal_form(C.raw[q - 1], C.field).nonzero():
+            rows, j = C.raw[q - 1], _redundant_row(ctx, C.raw[q - 2] if q > 1 else [])
+            for d in smith_normal_form(rows if j is None else rows[:j] + rows[j + 1:],
+                                       C.field).nonzero():
                 rank += 1
                 if not ctx.is_unit(d):
                     factors.append(d)

@@ -10,11 +10,15 @@ Phi_d is never formed: an entry sum_k c_k t^k becomes the power sum
 F_ell at omega, a primitive d-th root of unity mod ell, with a certificate.
 
 The Alexander polynomial is the gcd over Z[t^{+-1}] of the (g-1)-minors of
-the Alexander matrix (Crowell and Fox).  Each minor is a fraction-free Bareiss
-determinant in `coeffs.LaurentRing` over Q, so it costs polynomial time; each
-Bareiss step is one exact division in a single pass of long division.  The
-gcd is the minors' integer content times their primitive gcd over
-Q[t^{+-1}], and the minors stop as soon as that is 1.
+the Alexander matrix A = d_2 (Crowell and Fox).  Each minor is a fraction-free
+Bareiss determinant in `coeffs.LaurentRing` over Q, so it costs polynomial
+time; each Bareiss step is one exact division in a single pass of long
+division.  The gcd is the minors' integer content times their primitive gcd
+over Q[t^{+-1}], and the minors stop as soon as that is 1.  Since d_1 A = 0
+(Fox's fundamental formula), the minors of a block of g-1 columns satisfy
+m_i v_j = +-m_j v_i (m_i without row i, v a row of d_1); so when v_j divides
+every v_i in Z[t^{+-1}] (as when some generator has nu = +-1), m_j alone is
+the gcd of the block: one determinant instead of g.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .complexes import (EquivariantComplex, GroupHom, _ring_map, base_change, be
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
 from .groupring import GroupDescriptor, GroupRingElem
-from .modz import _LaurentCtx, integral_torsion_check
+from .modz import _LaurentCtx, _redundant_row, integral_torsion_check
 
 _Z1 = GroupDescriptor.free_abelian(1)
 
@@ -115,11 +119,13 @@ class AlexanderResult:
 
 def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
     """gcd over Z[t^{+-1}] of the codimension-1 minors of the degree-2
-    boundary (the Alexander matrix), normalized to lowest exponent 0 and
+    boundary (the Alexander matrix A), normalized to lowest exponent 0 and
     positive leading coefficient.  By Gauss's lemma it is the gcd of the
     minors' integer contents times the primitive form of their gcd over
-    Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}].  The
-    minors stop once the content is 1 and the gcd a unit: Delta = 1."""
+    Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}], one
+    per column block when `_redundant_row` finds a row of A that d_1 A = 0
+    (checked on every complex when it is built) makes redundant.  The minors
+    stop once the content is 1 and the gcd a unit: Delta = 1."""
     if C.group != _Z1:
         raise ValidationError("Alexander polynomial needs group Z")
     if C.top < 2 or C.dims[2] == 0:
@@ -137,9 +143,12 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
     ring = _LaurentCtx(FieldDescriptor.rationals())
     mats = C.raw_integral if C.raw_integral is not None else C.raw
     A = [[ring.raw(terms) for terms in row] for row in mats[1]]  # dims[1] x dims[2]
+    j = _redundant_row(ring, mats[0], integral=True)
+    row_sets = itertools.combinations(range(g), g - 1) if j is None else [
+        [i for i in range(g) if i != j]]  # the minors without row j divide the rest
     content, gcd = 0, None
-    minors = (_bareiss_det(ring, [[A[i][j] for j in cols] for i in rows])
-              for rows in itertools.combinations(range(g), g - 1)
+    minors = (_bareiss_det(ring, [[A[i][c] for c in cols] for i in rows])
+              for rows in row_sets
               for cols in itertools.combinations(range(ncols), g - 1))
     for det in minors:
         if not ring.is_zero(det):

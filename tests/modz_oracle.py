@@ -453,3 +453,34 @@ def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
     return LaurentModuleDecomp(
         free_rank, invariant_factors, blocks, sorted(others.values(), key=lambda t: str(t[0])), field
     )
+
+
+# ---------------------------------------------------------------------------
+# Seeded inputs for the row rule of `ess.modz._redundant_row`
+# ---------------------------------------------------------------------------
+
+
+def spell_in_kernel(word, nu, gens):
+    """A relator in the kernel of the character nu (images of `gens` in
+    order) from a word of letters +-(index + 1) with as many positive as
+    negative letters: its k-th positive letter x and k-th negative letter y
+    are spelt x^nu(y) and y^-nu(x), so the image is
+    sum_k nu(x) nu(y) - nu(y) nu(x) = 0."""
+    partners = {1: [-x - 1 for x in word if x < 0], -1: [x - 1 for x in word if x > 0]}
+    letters = []
+    for x in word:
+        sign = 1 if x > 0 else -1
+        e = sign * nu[partners[sign].pop(0)]
+        letter = gens[abs(x) - 1]
+        letters.append((letter if e > 0 else letter.upper()) * abs(e))
+    return "".join(letters)
+
+
+def undivided_row(ring, prev, integral=False):
+    """A mutant of `ess.modz._redundant_row` without the divisibility test:
+    the first entry of least norm in the first nonzero row."""
+    for w in prev:
+        nz = [(ring.norm(x), j) for j, x in enumerate(map(ring.raw, w)) if not ring.is_zero(x)]
+        if nz:
+            return min(nz)[1]
+    return None

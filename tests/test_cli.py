@@ -201,6 +201,25 @@ def test_oversized_cyclic_groups_exit_2_before_building(group, field, message, c
     assert (code, out) == (cli.EXIT_INPUT, "") and err.startswith("error: ") and message in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int(str) has no digit limit on this Python")
+@pytest.mark.parametrize("prefix", ["Zmod:", "Z^"])
+@pytest.mark.parametrize("source", ["argv", "document"])
+def test_group_descriptor_past_the_int_digit_limit_exits_2(source, prefix, tmp_path, capsys):
+    """A descriptor of 5000 digits is past what int(str) converts: an input
+    error that names it, from --group-quotient and from a document's "group"."""
+    group = prefix + "9" * 5000
+    if source == "argv":
+        argv = ["pages", "--builtin", "circle", "--group-quotient", group, "--field", "Q"]
+    else:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"field": "Q", "group": group, "presentation": _ONE_CELL}))
+        argv = ["pages", str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "") and err.startswith("error: ")
+    assert f"group descriptor {prefix}999" in err and "5000 digits" in err
+
+
 _EXTRA_CELL_WITHOUT_DEGREE = json.dumps({
     "field": "Z", "group": "Z",
     "presentation": {"generators": ["x", "y"], "relators": ["xyXY"], "nu": {"x": 1, "y": 1}},

@@ -202,6 +202,36 @@ def test_prime_power_from_exact_roots_matches_trial_division():
         prime_power((2 ** 89 - 1) ** 2)
 
 
+def _prime_power_over_all_exponents(m):
+    """prime_power as it was before small primes and prime exponents: one
+    Newton root from 2^ceil(log2(m) / r) for every r < log2 m."""
+    for r in range(1, m.bit_length()):
+        p = 1 << -(-m.bit_length() // r)
+        while (y := ((r - 1) * p + m // p ** (r - 1)) // r) < p:
+            p = y
+        if p ** r == m and is_prime(p):
+            return p, r
+    return None
+
+
+def test_prime_power_from_small_primes_and_prime_exponents_matches_all_exponents():
+    """Every m < 5000, and powers of primes near 2^61 (2^61 - 1 and the next
+    two) with r up to 7, (p^2)^3 and products of two of them: the same
+    answer as a root for every exponent."""
+    for m in range(1, 5000):
+        assert prime_power(m) == _prime_power_over_all_exponents(m), m
+    near = [2 ** 61 - 1] + [n for n in range(2 ** 61, 2 ** 61 + 200) if is_prime(n)][:2]
+    assert len(near) == 3
+    for p in near:
+        cases = [p ** r for r in range(1, 8)] + [(p ** 2) ** 3] + \
+            [p * q for q in near if q != p] + [p ** 3 * q ** 2 for q in near if q != p]
+        for m in cases:
+            assert prime_power(m) == _prime_power_over_all_exponents(m), (p, m)
+        assert prime_power((p ** 2) ** 3) == (p, 6)
+    # a prime of _MR_BASES dividing m decides at once: 17 | 10^1000 + 1
+    assert prime_power(10 ** 1000 + 1) is None and prime_power(7 ** 1000) == (7, 1000)
+
+
 def test_is_prime_proves_compositeness_past_the_exact_bound():
     """A witness is a proof at any size; a number no base witnesses is
     refused past the bound, prime (2^127 - 1) or not (the bound itself is a

@@ -13,9 +13,12 @@ is ``monodromy --builtin torus2 --group-quotient Z --field Q`` and
 ``alexander-lyndon6-Z.json`` is
 ``alexander --builtin lyndon:6 --group-quotient Z``, and
 ``universal-aomoto-torus2-Q-at2m1.json`` is
-``universal-aomoto --builtin torus2 --field Q --spec-at 2,-1``).  A refactor
-must leave every file unchanged; a change of behaviour re-records the
-affected files.
+``universal-aomoto --builtin torus2 --field Q --spec-at 2,-1``); a name
+without a built-in reads its input from ``golden/inputs/``
+(``alexander-nontrivial-delta-g10.json`` is
+``alexander golden/inputs/nontrivial-delta-g10.json``).  A refactor must
+leave every file unchanged; a change of behaviour re-records the affected
+files.
 """
 
 import hashlib
@@ -26,6 +29,9 @@ import pytest
 from ess import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+# a seeded presentation onto Z with 10 generators and 10 relators (9 random,
+# the 10th the product of the first two) and a nontrivial Delta of degree 20
+G10 = str(GOLDEN / "inputs" / "nontrivial-delta-g10.json")
 
 SPACES = ("trefoil", "figure8", "zxf2")
 MODULE_VERBS = ("decompose", "monodromy")
@@ -51,6 +57,8 @@ CASES = {
     **{f"alexander-{space.replace(':', '')}-Z": ["alexander", "--builtin", space,
                                                  "--group-quotient", "Z"]
        for space in ("torus2", "torus3", "lyndon:6", "wedge2")},
+    "alexander-nontrivial-delta-g10": ["alexander", G10],
+    "decompose-nontrivial-delta-g10-Q": ["decompose", G10, "--field", "Q"],
     **{f"decompose-comm-p3-{label}": ["decompose", "--builtin", "comm-p:3", "--field", field]
        for label, field in (("Q", "Q"), ("Fp2", "Fp:2"))},
     **{f"{verb}-{space}-{label}": [verb, "--builtin", space, "--field", field]

@@ -5,6 +5,7 @@ other primary parts of H_q(X, kZ_nu) in every degree.
 """
 
 import json
+import math
 import random
 import string
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modz_oracle
-from ess import cli
+from ess import cli, modz
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import (GroupHom, base_change, change_field, complex_from_matrices,
@@ -57,16 +58,35 @@ def test_builtin_decompositions_match_oracle(name, fname):
     assert_routes_agree(onto_z(change_field(builtin_complex(name), FIELDS[fname])))
 
 
-def _balanced_relator(rng, ngens, length):
-    """A cyclically reduced word with exponent sum 0 on at least two letters."""
+def _kernel_relator(rng, nu, length):
+    """A relator in the kernel of nu on at least two letters, spelt from a
+    cyclically reduced word with as many positive as negative letters."""
+    ngens = len(nu)
     while True:
         word = [rng.randint(1, ngens) for _ in range(length // 2)]
         word += [-rng.randint(1, ngens) for _ in range(length - length // 2)]
         rng.shuffle(word)
         if all(x != -y for x, y in zip(word, word[1:] + word[:1])) and \
                 len({abs(x) for x in word}) >= 2:
-            return "".join(string.ascii_lowercase[x - 1] if x > 0
-                           else string.ascii_uppercase[-x - 1] for x in word)
+            return modz_oracle.spell_in_kernel(word, nu, string.ascii_lowercase)
+
+
+def _seeded_document(ngens):
+    """ngens generators and ngens - 1 relators onto Z.  The images of the
+    generators are 2 and 3 for even ngens, so no entry of d_1 divides the
+    others, and include +-1 for odd ngens, so one does and a row of d_2 is
+    dropped before its SNF."""
+    rng = random.Random(f"modz-oracle:{ngens}")
+    images = (2, 3) if ngens % 2 == 0 else (1, -1, 2, 3)
+    while True:
+        nu = [rng.choice(images) for _ in range(ngens)]
+        if math.gcd(*nu) == 1 and any(abs(x) == 1 for x in nu) == bool(ngens % 2):
+            break
+    gens = list(string.ascii_lowercase[:ngens])
+    return {"field": "Z", "group": "Z",
+            "presentation": {"generators": gens,
+                             "relators": [_kernel_relator(rng, nu, 6) for _ in range(ngens - 1)],
+                             "nu": dict(zip(gens, nu))}}
 
 
 # Q(zeta_d) is flat over Q, so over these fields every verb prints what it
@@ -84,13 +104,7 @@ def _stdout(argv, capsys):
 @pytest.mark.parametrize("fname", ["Q", "F2", *DESCENT])
 @pytest.mark.parametrize("ngens", [4, 5, 6, 7])
 def test_seeded_presentations_match_oracle(ngens, fname, tmp_path, capsys):
-    rng = random.Random(f"modz-oracle:{ngens}")
-    gens = list(string.ascii_lowercase[:ngens])
-    doc = {"field": "Z", "group": "Z",
-           "presentation": {"generators": gens,
-                            "relators": [_balanced_relator(rng, ngens, 6)
-                                         for _ in range(ngens - 1)],
-                            "nu": {g: 1 for g in gens}}}
+    doc = _seeded_document(ngens)
     if fname not in DESCENT:
         assert_routes_agree(change_field(parse_document(doc), FIELDS[fname]))
         return
@@ -109,6 +123,20 @@ def test_seeded_presentations_match_oracle(ngens, fname, tmp_path, capsys):
             assert json.loads(over_k) == dict(json.loads(over_q), field=label), verb
         else:
             assert over_k == over_q, verb
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_dropping_a_row_without_the_divisibility_test_is_caught(fname, monkeypatch):
+    # on the documents whose images are 2 and 3, a row of d_2 that d_1 does
+    # not make redundant changes the decomposition of some H_q
+    complexes = [change_field(parse_document(_seeded_document(n)), FIELDS[fname])
+                 for n in (4, 6)]
+    want = [[summary(homology_decomposition(C, q)) for q in range(C.top + 1)]
+            for C in complexes]
+    monkeypatch.setattr(modz, "_redundant_row", modz_oracle.undivided_row)
+    got = [[summary(homology_decomposition(C, q)) for q in range(C.top + 1)]
+           for C in complexes]
+    assert got != want
 
 
 def _element(field, terms):

@@ -118,10 +118,9 @@ def run(field, A):
     return ctx, raw, diag, P, Q
 
 
-@settings(max_examples=150, deadline=None)
-@given(case=matrices())
-def test_certificate_checked_in_sympy(case):
-    field, A = case
+def assert_certified(field, A):
+    """A = P D Q, det P and det Q units and D sympy's Smith form, all in
+    sympy; a mutant of P, Q or D fails `_verify_snf`."""
     ctx, raw, diag, P, Q = run(field, A)
     _verify_snf(ctx, raw, diag, P, Q)
     K = ring_of(field)
@@ -162,6 +161,43 @@ def test_certificate_checked_in_sympy(case):
         bad[-1] = ctx.add(bad[-1], ctx.one)
         with pytest.raises(CrossCheckError):
             _verify_snf(ctx, raw, bad, P, Q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=matrices())
+def test_certificate_checked_in_sympy(case):
+    assert_certified(*case)
+
+
+def _laurent(*coefficient_lists):
+    """Payload maps {(e,): c} from coefficient lists, lowest degree first."""
+    return [{(e,): c for e, c in enumerate(cs) if c} for cs in coefficient_lists]
+
+
+# t - 1 divides t^2 - 1 and t^3 - 1: the least-norm pivot is no unit but
+# divides its row and column, so exact quotients clear it with no Bezout
+# block.  In the 2 x 2 case t - 1 does not divide what is left,
+# t^2 (t^2 - t - 1), in any characteristic: the fix-up adds that row back
+# and Bezout blocks finish the pivot.
+DIVIDING_PIVOTS = {
+    "row": ([_laurent([-1, 1], [-1, 0, 1], [-1, 0, 0, 1])], False),
+    "column": ([[x] for x in _laurent([-1, 1], [-1, 0, 1], [-1, 0, 0, 1])], False),
+    "fix-up": ([_laurent([-1, 1], [-1, 0, 1]), _laurent([-1, 0, 1], [-1, -1, 0, 0, 1])], True),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=str)
+@pytest.mark.parametrize("name", DIVIDING_PIVOTS)
+def test_certificate_on_a_dividing_non_unit_pivot(name, field, monkeypatch):
+    A, fix_up = DIVIDING_PIVOTS[name]
+    if field.kind == "Fp":
+        A = [[{k: c % field.p for k, c in x.items() if c % field.p} for x in row] for row in A]
+    bezout = []
+    gcd_bezout = _LaurentCtx.gcd_bezout
+    monkeypatch.setattr(_LaurentCtx, "gcd_bezout",
+                        lambda self, a, b: bezout.append(a) or gcd_bezout(self, a, b))
+    assert_certified(field, A)
+    assert bool(bezout) == fix_up
 
 
 def _mutant(old, new):

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from sympy import Matrix, Poly
 from sympy.polys.matrices import DomainMatrix
 
+import modz_oracle
 from ess import cli, twisted
 from ess.builtins import builtin_complex, builtin_names, lyndon_document
 from ess.coeffs import FieldDescriptor, LaurentRing, cyclotomic_polynomial
@@ -290,6 +292,7 @@ def test_twisted_rank_stops_at_the_certified_cap(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 T = sympy.Symbol("t")
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def sympy_alexander(doc):
@@ -330,48 +333,99 @@ def _matches_oracle(coeffs, doc):
     return got in (want, -want)
 
 
-def seeded_presentation(rng, g):
-    """g generators onto Z by the all-ones character and g - 1 or g relators
-    of exponent sum 0, some of them proper powers, whose Fox columns are then
-    multiples of the power: a source of Alexander polynomials with content
-    > 1."""
+def seeded_presentation(rng, g, nu=None):
+    """g generators onto Z by the character nu (images in generator order,
+    all ones by default) and g - 1 or g relators in its kernel, some of them
+    proper powers, whose Fox columns are then multiples of the power: a
+    source of Alexander polynomials with content > 1."""
     gens = "abcdef"[:g]
+    nu = nu or [1] * g
     rels = []
     for _ in range(g - 1 + rng.randrange(2)):
         half = rng.choice((2, 3))
         word = [rng.randrange(g) + 1 for _ in range(half)] + [-rng.randrange(g) - 1
                                                               for _ in range(half)]
         rng.shuffle(word)
-        rels.append("".join(gens[x - 1] if x > 0 else gens[-x - 1].upper() for x in word)
-                    * rng.choice((1, 1, 1, 2, 3)))
+        rels.append(modz_oracle.spell_in_kernel(word, nu, gens) * rng.choice((1, 1, 1, 2, 3)))
     return {"field": "Z", "group": "Z",
             "presentation": {"generators": list(gens), "relators": rels,
-                             "nu": {x: 1 for x in gens}}}
+                             "nu": dict(zip(gens, nu))}}
 
 
-def test_alexander_matches_sympy_minors_on_seeded_presentations():
+def seeded_character(rng, g, images):
+    """Images of g generators drawn from `images`, with gcd 1: onto Z."""
+    while True:
+        nu = [rng.choice(images) for _ in range(g)]
+        if math.gcd(*nu) == 1:
+            return nu
+
+
+def test_alexander_matches_sympy_minors_on_seeded_presentations(monkeypatch):
+    # characters with images in {+-1, 2, 3}: with an image +-1 the entry
+    # t^+-1 - 1 of d_1 divides every other and one minor per column block
+    # decides; with images 2 and 3 only none does and every minor is computed
+    found = []
+    redundant_row = twisted._redundant_row
+    monkeypatch.setattr(twisted, "_redundant_row",
+                        lambda *a, **k: found.append(redundant_row(*a, **k)) or found[-1])
     rng = random.Random(20240611)
     with_content = 0
     for k in range(150):
-        doc = seeded_presentation(rng, 2 + k % 5)
+        g = 2 + k % 5
+        doc = seeded_presentation(rng, g, seeded_character(rng, g, (1, -1, 2, 3) if k % 2
+                                                           else (2, 3)))
         delta = alexander_polynomial(parse_document(doc)).polynomial
         assert _matches_oracle(delta, doc), (doc, delta)
         if delta and math.gcd(*delta) > 1:
             with_content += 1
     assert with_content >= 10, with_content
+    one_minor = sum(j is not None for j in found)
+    assert one_minor >= 50 and len(found) - one_minor >= 50, (one_minor, len(found))
 
 
-def test_alexander_stops_once_delta_is_one(monkeypatch):
-    # after the 4th of the 25 minors the content is 1 and the gcd a unit, so
-    # Delta = 1 and no later minor is computed
-    doc = seeded_presentation(random.Random("alexander-early-stop:1"), 5)
+def test_dropping_a_row_without_the_divisibility_test_changes_delta(monkeypatch):
+    rng = random.Random("alexander-undivided-row")
+    docs = [seeded_presentation(rng, g, seeded_character(rng, g, (2, 3)))
+            for g in (2, 3, 4, 5) for _ in range(5)]
+    want = [alexander_polynomial(parse_document(doc)).polynomial for doc in docs]
+    monkeypatch.setattr(twisted, "_redundant_row", modz_oracle.undivided_row)
+    got = [alexander_polynomial(parse_document(doc)).polynomial for doc in docs]
+    assert sum(a != b for a, b in zip(want, got)) >= 5
+
+
+def _counting_bareiss(monkeypatch):
     calls = []
     bareiss = twisted._bareiss_det
     monkeypatch.setattr(twisted, "_bareiss_det",
                         lambda ring, m: calls.append(m) or bareiss(ring, m))
+    return calls
+
+
+def test_alexander_stops_once_delta_is_one(monkeypatch):
+    # one minor per column block: every generator goes to 1, so d_1 =
+    # (t - 1, ..., t - 1) makes row 0 of d_2 redundant and each minor drops
+    # it; after the 4th of the 5 blocks the content is 1 and the gcd a unit,
+    # so Delta = 1 and the last block is never reached
+    doc = seeded_presentation(random.Random("alexander-early-stop:1"), 5)
+    assert len(doc["presentation"]["relators"]) == 5
+    calls = _counting_bareiss(monkeypatch)
     delta = alexander_polynomial(parse_document(doc)).polynomial
     assert delta == (1,) and _matches_oracle(delta, doc)
-    assert len(calls) == 4 < math.comb(5, 4) ** 2
+    assert len(calls) == 4 < math.comb(5, 4)
+    assert len({repr(m) for m in calls}) == 4  # four different blocks
+
+
+def test_alexander_with_g_minus_1_relators_is_one_bareiss_call(monkeypatch):
+    # the seeded g = 10 golden input without its last relator: 9 columns,
+    # one block, one minor, and the same Delta as all 10 minors of the block
+    doc = json.loads((GOLDEN_INPUTS / "nontrivial-delta-g10.json").read_text())
+    del doc["presentation"]["relators"][-1]
+    calls = _counting_bareiss(monkeypatch)
+    delta = alexander_polynomial(parse_document(doc)).polynomial
+    assert len(calls) == 1 and len(delta) > 1
+    monkeypatch.setattr(twisted, "_redundant_row", lambda *a, **k: None)
+    assert alexander_polynomial(parse_document(doc)).polynomial == delta
+    assert len(calls) == 1 + 10
 
 
 # stdout of the CLI before the minors became Bareiss determinants
