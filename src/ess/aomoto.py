@@ -12,7 +12,8 @@ from __future__ import annotations
 from .coeffs import rank_exact
 from .errors import (InputError, MinimalityError, UnsupportedCoefficients,
                      ValidationError)
-from .groupring import GroupDescriptor, GroupRingElem
+from .complexes import _check_composition
+from .groupring import GroupDescriptor, GroupRingElem, format_element
 from .pages import FiltrationModel, PageComputation
 
 _Z1 = GroupDescriptor.free_abelian(1)
@@ -72,49 +73,18 @@ class UniversalAomoto:
         self._check_dd()
 
     def _check_dd(self):
-        for q in range(len(self.matrices) - 1):
-            a, b = self.matrices[q + 1], self.matrices[q]
-            if not a or not b:
-                continue
-            for i in range(len(a)):
-                for j in range(len(b[0])):
-                    acc = GroupRingElem.zero(self.sym, self.field)
-                    for l in range(len(b)):
-                        acc = acc + a[i][l] * b[l][j]
-                    if not acc.is_zero():
-                        raise ValidationError(
-                            f"universal Aomoto differential fails D o D = 0 at q={q}"
-                        )
-
-    def entry_strings(self, q: int):
-        return [[_format_linear(e, self.n) for e in row] for row in self.matrices[q]]
+        terms = [[[e.terms for e in row] for row in D] for D in self.matrices]
+        for q in range(len(terms) - 1):  # D^q is d_{q+1} linearized
+            _check_composition(self.field, self.sym, terms[q + 1], terms[q], q + 1)
 
     def to_json(self):
+        names = [f"e{i + 1}" for i in range(self.n)]
         return {
-            "variables": [f"e{i + 1}" for i in range(self.n)],
+            "variables": names,
             "dims": self.dims,
-            "differentials": [self.entry_strings(q) for q in range(len(self.matrices))],
+            "differentials": [[[format_element(e, names) for e in row] for row in D]
+                              for D in self.matrices],
         }
-
-
-def _format_linear(elem: GroupRingElem, n: int) -> str:
-    if elem.is_zero():
-        return "0"
-    parts = []
-    for key, coeff in elem.sorted_terms():
-        idx = [i for i, e in enumerate(key) if e]
-        if len(idx) != 1 or key[idx[0]] != 1:
-            raise ValidationError("entry is not a homogeneous linear form")
-        name = f"e{idx[0] + 1}"
-        cs = str(coeff)
-        neg = cs.startswith("-")
-        mag = cs[1:] if neg else cs
-        body = name if mag == "1" else f"{mag}*{name}"
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
 
 
 def universal_aomoto(C) -> UniversalAomoto:

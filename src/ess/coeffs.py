@@ -16,10 +16,10 @@ is k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs
 on it and the Alexander polynomial takes its minors and gcds in it.
 
 Every scalar is a raw payload of its descriptor (see `FieldDescriptor`).
-`Echelon`, the sparse column echelon, is the one sparse elimination:
-`rank_exact` over F_p, the rank at each prime of `cyclotomic_rank` and the
-page engine all reduce in it.  Over Q and Z, `rank_exact` runs fraction-free
-Bareiss on integer-scaled dense rows.  No floating point anywhere.
+`Echelon`, the sparse column echelon, is the one elimination behind every
+rank over a field: `rank_exact` over Q, Q(zeta_d), Z and F_p, the rank at
+each prime of `cyclotomic_rank` and the page engine all reduce in it.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -537,29 +537,30 @@ class LaurentRing:
 
 
 class Echelon:
-    """Sparse column echelon over a field: the one sparse elimination (every
-    rank over F_p, see `rank_exact`, and the page engine).
+    """Sparse column echelon over a field: the one elimination (every rank,
+    see `rank_exact`, and the page engine).
 
     Columns are {row >= 0: nonzero raw payload} dicts, reduced in place; a
     column's pivot is its largest row.  Over F_p a stored column keeps the
-    negated inverse of its pivot entry from its first use.  Over Q (and
-    Q(zeta_d)) columns are made integral at their first step and reduced
-    fraction-free (Bareiss 1968), col <- a*col - b*other, a/b the pivot
-    entries in lowest terms, then made primitive; scaling moves no pivot.  A
-    column added with a label l >= 0 carries a 1 in row -2 - l: its negative
-    rows are its scale times its combination of the labelled inputs (modulo
-    the unlabelled columns added first), and if the rest reduces to zero,
-    e_l - (that combination) goes to `relations`.  An int in `owner` stands
-    for a column whose pivot its caller knew; `build` makes it when needed.
+    negated inverse of its pivot entry from its first use.  In characteristic
+    0 (Q, Q(zeta_d), and Z through its fraction field) columns are made
+    integral at their first step and reduced fraction-free (Bareiss 1968),
+    col <- a*col - b*other, a/b the pivot entries in lowest terms, then made
+    primitive; scaling moves no pivot.  A column added with a label l >= 0
+    carries a 1 in row -2 - l: its negative rows are its scale times its
+    combination of the labelled inputs (modulo the unlabelled columns added
+    first), and if the rest reduces to zero, e_l - (that combination) goes to
+    `relations`.  An int in `owner` stands for a column whose pivot its caller
+    knew; `build` makes it when needed.
     """
 
     def __init__(self, field: FieldDescriptor, build=None):
         self.field = field
         self.build = build   # handle -> its column
         self.owner = {}      # pivot row -> stored column, or a handle
-        self.ninv = {}       # pivot row -> F_p: -1 / (its pivot entry); Q: True, once used
+        self.ninv = {}       # pivot row -> F_p: -1 / (its pivot entry); char 0: True, once used
         self.relations = []  # {label: coefficient}, one per dependent labelled column
-        self._int = field.kind in (_Q, _CYC)
+        self._int = field.characteristic == 0
 
     def reduce(self, col, coords=None, low=None):
         """Clear the pivots of col that stored columns own.  coords (an empty
@@ -639,39 +640,6 @@ def ratio(n, d):
     return Fraction(n, d) if r else q
 
 
-def _rank_bareiss_int(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination on an integer matrix: the rank over
-    Q and Z.  It stays beside `Echelon` because the rows it gets are dense,
-    and there Echelon on integer columns was 1.4-2.4x slower at n = 20 and 40
-    and 2.4-5.5x at n = 80 (random dense integer matrices, in-process)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(ncols):
-        piv = None
-        for i in range(pr, nrows):
-            if m[i][pc] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        for i in range(pr + 1, nrows):
-            for j in range(pc + 1, ncols):
-                m[i][j] = (m[pr][pc] * m[i][j] - m[i][pc] * m[pr][j]) // prev
-            m[i][pc] = 0
-        prev = m[pr][pc]
-        pr += 1
-        rank += 1
-        if pr == nrows:
-            break
-    return rank
-
-
 # The largest character order: d factors by trial division up to 2^20, and
 # at least 2^22 candidates ell = 1 (mod d) lie below 2^62 for `_modulus`.
 MAX_ORDER_BITS = 40
@@ -736,12 +704,8 @@ def cyclotomic_rank(d: int, rows, cap: int | None = None) -> int:
 
 
 def rank_exact(field: FieldDescriptor, rows) -> int:
-    """Exact rank of dense rows of Q, Q(zeta_d), Z or F_p payloads.  Over F_p
-    each row goes into an `Echelon` as a sparse dict and the pivots are
-    counted; rational rows (Z through its fraction field) are scaled to
-    integers and eliminated fraction-free."""
-    if field.kind == _FP:
-        ech = Echelon(field)
-        return sum(ech.add({j: x for j, x in enumerate(r) if x}) is not None for r in rows)
-    dens = [math.lcm(*(x.denominator for x in r)) for r in rows]
-    return _rank_bareiss_int([[int(x * den) for x in r] for r, den in zip(rows, dens)])
+    """Exact rank of dense rows of Q, Q(zeta_d), Z or F_p payloads: each row
+    goes into one `Echelon` as a sparse dict, and the pivots are counted.  Z
+    is ranked over its fraction field, fraction-free like Q."""
+    ech = Echelon(field)
+    return sum(ech.add({j: x for j, x in enumerate(r) if x}) is not None for r in rows)

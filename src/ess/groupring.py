@@ -313,10 +313,12 @@ def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> 
     return GroupRingElem.from_ints(group, field, result)
 
 
-def format_element(a: GroupRingElem) -> str:
+def format_element(a: GroupRingElem, names=None) -> str:
+    """a in the monomial syntax, its variables named by `names` (by default
+    the group's)."""
     if a.is_zero():
         return "0"
-    names = a.group.variable_names()
+    names = names or a.group.variable_names()
     parts = []
     for key, coeff in a.sorted_terms():
         exps = (key,) if a.group.kind == "cyclic" else key

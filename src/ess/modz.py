@@ -546,8 +546,7 @@ def monodromy_report(C, k_max: int) -> MonodromyReport:
     betti = aomoto_betti(C).beta
     snfs = {}
     rows = []
-    cond1_all = True
-    cond2_all = True
+    cond1_all = cond2_all = cond3_all = True
     verdicts = []
     for q in range(k_max + 1):
         if q <= C.top:
@@ -565,7 +564,7 @@ def monodromy_report(C, k_max: int) -> MonodromyReport:
         rows.append(row)
         cond1_all = cond1_all and cond1
         cond2_all = cond2_all and cond2
-        cond3_all = all(r["beta"] == 0 for r in rows)
+        cond3_all = cond3_all and row["beta"] == 0
         if not (cond1_all == cond2_all == cond3_all):
             raise CrossCheckError(
                 f"trivial-monodromy conditions disagree through degree {q}: "

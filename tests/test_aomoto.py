@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ess.aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
+from ess.aomoto import UniversalAomoto, aomoto_betti, aomoto_specialize, universal_aomoto
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, betti_numbers, change_field
@@ -79,6 +79,17 @@ def test_universal_aomoto_torus2():
     mats = U.to_json()["differentials"]
     assert mats[0] == [["e1"], ["e2"]]
     assert mats[1] == [["-e2", "e1"]]
+
+
+def test_universal_rejects_d_squared_nonzero():
+    """Doubling an entry of D^1 of torus2 breaks D^1 D^0 = 0 (e1 e2 - e2 e1):
+    the constructor names d_1 o d_2, whose linearizations D^0 and D^1 are."""
+    U = universal_aomoto(change_field(builtin_complex("torus2"), Q))
+    mats = [[list(row) for row in D] for D in U.matrices]
+    mats[1][0][1] = mats[1][0][1] * 2
+    with pytest.raises(ValidationError, match="d_1 o d_2"):
+        UniversalAomoto(U.n, U.field, mats, U.dims)
+    UniversalAomoto(U.n, U.field, U.matrices, U.dims)
 
 
 def test_universal_d0_row_is_variable_vector():

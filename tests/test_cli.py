@@ -441,6 +441,26 @@ def test_monodromy_torus2(capsys):
     assert doc["trivial_through_degree"] == [True, True, True]
 
 
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--builtin", "torus2", "--field", "Q", "--group-quotient", "Z"],
+    ["monodromy", "--builtin", "zxf2", "--field", "Fp:2"],
+])
+def test_monodromy_far_past_the_top(argv, capsys):
+    """Degrees past the top are zero rows and keep the last verdict."""
+    _, out, _ = run(argv + ["--json"], capsys)
+    base = json.loads(out)
+    top, k_max = len(base["degrees"]) - 1, 3000
+    code, out, _ = run(argv + ["--k-max", str(k_max), "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["degrees"][:top + 1] == base["degrees"]
+    zero = {"beta": 0, "condition_no_large_blocks": True, "condition_trivial_action": True,
+            "free_rank": 0, "other_primary": [], "t_minus_1_blocks": []}
+    assert doc["degrees"][top + 1:] == [dict(zero, q=q) for q in range(top + 1, k_max + 1)]
+    verdicts = base["trivial_through_degree"]
+    assert doc["trivial_through_degree"] == verdicts + verdicts[-1:] * (k_max - top)
+
+
 def test_aomoto_and_universal(capsys):
     code, out, _ = run(
         ["aomoto", "--builtin", "torus2", "--field", "Q", "--group-quotient", "Z", "--json"],

@@ -354,6 +354,41 @@ def test_rank_exact_matches_sympy(case):
         assert rank_exact(Z, [[Z.from_fraction(x * den) for x in row] for row in mat]) == want
 
 
+def test_rank_exact_on_dense_matrices_matches_sympy():
+    """rank_exact at the sizes of a dense elimination, 15-40 rows and
+    columns, against sympy's DomainMatrix over QQ: seeded full-rank and
+    rank-deficient products B*C, with int or Fraction entries, over Q,
+    Q(zeta_6) and (times the lcm of the denominators) Z."""
+    rng = random.Random(29)
+    Z, cyc6 = FieldDescriptor.integers(), FieldDescriptor.cyclotomic(6)
+    deficient = 0
+    for trial in range(24):
+        m, n = rng.randint(15, 40), rng.randint(15, 40)
+        frac = trial % 2
+
+        def entry():
+            x = rng.randint(-9, 9)
+            return Fraction(x, rng.randint(1, 4)) if frac else x
+
+        def matrix(rows, cols):
+            return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+        if trial % 3:
+            k = rng.randint(1, min(m, n) - 1)
+            B, C = matrix(m, k), matrix(k, n)
+            mat = [[sum(B[i][l] * C[l][j] for l in range(k)) for j in range(n)] for i in range(m)]
+        else:
+            mat = matrix(m, n)
+        want = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in mat],
+                            (m, n), QQ).rank()
+        deficient += want < min(m, n)
+        for F in (Q, cyc6):
+            assert rank_exact(F, [[F.from_fraction(x) for x in row] for row in mat]) == want
+        den = math.lcm(*(x.denominator for row in mat for x in row))
+        assert rank_exact(Z, [[Z.from_fraction(x * den) for x in row] for row in mat]) == want
+    assert deficient >= 16  # every product B*C
+
+
 def test_rank_rational_entries():
     mat = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
     assert rank_exact(Q, mat) == 1
