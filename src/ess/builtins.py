@@ -8,26 +8,17 @@ from __future__ import annotations
 import json
 import os
 
-from .coeffs import FieldDescriptor, cyclotomic_polynomial
+from .coeffs import FieldDescriptor, cyclotomic_polynomial, read_prefixed
 from .complexes import EquivariantComplex, parse_document
 from .errors import InputError
 from .groupring import GroupDescriptor, GroupRingElem, format_element
 
-_FILES = {
-    "circle": "circle.json",
-    "wedge2": "wedge2.json",
-    "torus2": "torus2.json",
-    "torus3": "torus3.json",
-    "trefoil": "trefoil.json",
-    "figure8": "figure8.json",
-    "zxf2": "zxf2.json",
-    "torsfree": "torsfree.json",
-    "minimal-check": "minimal-check.json",
-}
+_NAMES = ("circle", "wedge2", "torus2", "torus3", "trefoil", "figure8", "zxf2", "torsfree",
+          "minimal-check")
 
 
 def builtin_names() -> list[str]:
-    return sorted(_FILES) + ["lyndon:<d>", "comm-p:<p>"]
+    return sorted(_NAMES) + ["lyndon:<d>", "comm-p:<p>"]
 
 
 def comm_p_document(p: int) -> dict:
@@ -55,10 +46,7 @@ def lyndon_document(d: int) -> dict:
     t2 = GroupRingElem.monomial(G2, ZZ, (0, 1))
     one = GroupRingElem.one(G2, ZZ)
     phi = cyclotomic_polynomial(d)
-    phi_t1 = GroupRingElem.zero(G2, ZZ)
-    for i, c in enumerate(phi):
-        if c:
-            phi_t1 = phi_t1 + GroupRingElem.monomial(G2, ZZ, (i, 0), c)
+    phi_t1 = GroupRingElem.from_ints(G2, ZZ, {(i, 0): c for i, c in enumerate(phi)})
     v1 = phi_t1 * (t2 - one)
     v2 = phi_t1 * (one - t1)
     return {
@@ -75,20 +63,11 @@ def lyndon_document(d: int) -> dict:
 
 
 def load_builtin_document(name: str) -> dict:
-    if name in _FILES:
-        with open(os.path.join(os.path.dirname(__file__), "data", _FILES[name]), "rb") as fh:
+    if name in _NAMES:
+        with open(os.path.join(os.path.dirname(__file__), "data", f"{name}.json"), "rb") as fh:
             return json.loads(fh.read())  # UTF-8 bytes, decoded by json
-    family, _, arg = name.partition(":")
-    make = {"lyndon": lyndon_document, "comm-p": comm_p_document}.get(family)
-    if make:
-        try:
-            n = int(arg)
-        except ValueError:
-            raise InputError(f"{family}:<n> needs an integer, got {arg!r}") from None
-        return make(n)
-    raise InputError(
-        f"unknown built-in {name!r}; available: {', '.join(builtin_names())}"
-    )
+    return read_prefixed(name, (("lyndon:", lyndon_document), ("comm-p:", comm_p_document)),
+                         "built-in", f"; available: {', '.join(builtin_names())}")
 
 
 def builtin_complex(name: str) -> EquivariantComplex:

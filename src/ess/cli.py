@@ -7,11 +7,12 @@ an option is ``--opt value`` or ``--opt=value`` (a value may start with a
 single "-", as in ``--k-max -1``), names must be spelled out in full (no
 abbreviations), and the last of a repeated option wins.  ``ess --help`` lists
 the verbs and ``ess <verb> --help`` the options of one verb.  A usage error
-(unknown verb or option, missing or non-integer value, a second input) is an
-input error: exit 2 with an ``error:`` line.
+(unknown verb or option, missing or non-integer value, a second input, --nu
+without --group-quotient outside bounds) is an input error: exit 2 with an
+``error:`` line.
 
 Exit codes: 0 success; 2 input/validation error, or a request that runs out
-of memory; 3 hypothesis-not-met verdict under --strict; 4 internal
+of memory; 3 hypothesis-not-met verdict under bounds --strict; 4 internal
 cross-check failure (pipeline disagreement, always an implementation bug).
 """
 
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from . import builtins as corpus
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
-from .coeffs import FieldDescriptor
+from .coeffs import FieldDescriptor, read_int
 from .complexes import (EquivariantComplex, GroupHom, base_change, betti_numbers,
                         parse_document)
 from .errors import CrossCheckError, EssError, InputError
@@ -43,25 +44,25 @@ def emit_json(doc) -> str:
 
 
 def _int(text: str, option: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError(f"{option} expects an integer, got {text!r}") from None
+    body = text.strip()
+    sign = body[:1] if body[:1] in ("+", "-") else ""
+    if not body[len(sign):].isdecimal():
+        raise InputError(f"{option} expects an integer, got {text!r:.40}")
+    return read_int(body[len(sign):], f"{option} {sign}") * (-1 if sign == "-" else 1)
 
 
-def _nu_values(text: str) -> list[int]:
-    """Inline images: either "a=2,b=1,c=1" (the names before '=' are
-    decorative; images go by position) or plain "2,1,1"."""
-    return [_int(p.split("=", 1)[-1].strip(), "--nu") for p in text.split(",") if p.strip()]
-
-
-def _parse_nu(text: str, group: GroupDescriptor, target: GroupDescriptor):
-    values = _nu_values(text)
+def _nu_images(text: str | None, group: GroupDescriptor) -> list[int]:
+    """The --nu images, one per generator of group, by position: either
+    "a=2,b=1,c=1" (the names before '=' are decorative) or plain "2,1,1";
+    without --nu, every generator goes to 1."""
+    if not text:
+        return [1] * group.num_generators
+    values = [_int(p.split("=", 1)[-1].strip(), "--nu") for p in text.split(",") if p.strip()]
     if len(values) != group.num_generators:
         raise InputError(
             f"--nu needs {group.num_generators} images for {group}, got {len(values)}"
         )
-    return values if target.kind == "cyclic" else [[v] for v in values]
+    return values
 
 
 def load_complex(args) -> EquivariantComplex:
@@ -84,10 +85,8 @@ def load_complex(args) -> EquivariantComplex:
         target = GroupDescriptor.parse(args.group_quotient)
         if target.kind == "free_abelian" and target.n != 1:
             raise InputError(f"--group-quotient takes Z or Zmod:<m>, got {args.group_quotient!r}")
-        if args.nu:
-            images = _parse_nu(args.nu, C.group, target)
-        elif target.kind == "cyclic":
-            images = [1] * C.group.num_generators
+        if args.nu or target.kind == "cyclic":
+            images = [v if target.kind == "cyclic" else [v] for v in _nu_images(args.nu, C.group)]
         else:
             images = corpus.diagonal_quotient_images(C.group)
         hom = GroupHom(C.group, target, images)
@@ -296,10 +295,8 @@ def cmd_bounds(args):
     C = load_complex(args)
     if args.p is None:
         raise InputError("--p <prime> is required")
-    if args.nu:
-        images = _nu_values(args.nu)
-    else:
-        images = [1] * C.group.num_generators
+    # --nu is the character unless --group-quotient read it
+    images = _nu_images(None if args.group_quotient else args.nu, C.group)
     rep = bounds_report(C, images, args.p, args.r)
     if args.json:
         sys.stdout.write(emit_json(rep.to_json()))
@@ -329,9 +326,9 @@ _COMMON = (
     ("--group-quotient", str, None,
      "base change the deck group along a surjection onto Z or Zmod:<m> (no other "
      "target); without --nu, every generator goes to 1"),
-    ("--nu", str, None, "images for the quotient, e.g. 'a=2,b=1,c=1' or '2,1,1'"),
+    ("--nu", str, None, "images for --group-quotient, e.g. 'a=2,b=1,c=1' or '2,1,1' "
+     "(bounds without --group-quotient: the character)"),
     ("--json", bool, False, "emit canonical JSON"),
-    ("--strict", bool, False, "exit 3 when a requested hypothesis is not met"),
 )
 
 _VERBS = {
@@ -354,6 +351,7 @@ _VERBS = {
     "bounds": (cmd_bounds, (
         ("--p", int, None, "prime"),
         ("--r", int, 1, "exponent (default 1)"),
+        ("--strict", bool, False, "exit 3 when the cohomology bound does not hold"),
     )),
     "selftest": (cmd_selftest, ()),
 }
@@ -423,6 +421,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
             if value is None or value.startswith("--"):
                 raise InputError(f"{name} needs a value")
         args[_dest(name)] = _int(value, name) if kind is int else value
+    if args["nu"] is not None and not args["group_quotient"] and verb != "bounds":
+        raise InputError(f"--nu gives the images of --group-quotient; {verb} reads it only "
+                         "with that option")
     return SimpleNamespace(**args)
 
 

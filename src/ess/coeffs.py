@@ -161,6 +161,30 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 # Field descriptors
 # ---------------------------------------------------------------------------
 
+
+def read_int(digits: str, lead: str) -> int:
+    """The integer written by `digits`, a run of Unicode decimal digits (re's
+    \\d+, str.isdecimal): the one conversion of input text to an integer.
+    More digits than int(str) converts (4300 by default) is an InputError
+    that shows `lead`, the text just before the run, and 12 of the digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(f"{lead}{digits[:12]}... has {len(digits)} digits, "
+                         "too many for an integer") from None
+
+
+def read_prefixed(text, makers, what: str, hint: str = ""):
+    """make(n) for the (prefix, make) of makers with text = prefix + the
+    Unicode decimal digits of n and nothing else (no sign or space); else
+    InputError "unknown <what> <text>", text cut to 50 characters, + hint."""
+    for prefix, make in makers:
+        digits = text[len(prefix):] if isinstance(text, str) and text.startswith(prefix) else ""
+        if digits.isdecimal():  # "²" is a digit, not a decimal
+            return make(read_int(digits, f"{what} {prefix}"))
+    raise InputError(f"unknown {what} {text!r:.50}{hint}")
+
+
 _Q, _FP, _CYC, _Z = "Q", "Fp", "cyclotomic", "Z"
 
 
@@ -218,18 +242,14 @@ class FieldDescriptor:
 
     @classmethod
     def parse(cls, text: str) -> "FieldDescriptor":
+        """Q, Z, Fp:<p> or cyclotomic:<d>, the argument read by read_prefixed:
+        "Fp:٧" is Fp:7, and "Fp: 7" and "Fp:+7" are unknown descriptors."""
         if text == "Q":
             return _RATIONALS
         if text == "Z":
             return _INTEGERS
-        for prefix, make in (("Fp:", cls.prime_field), ("cyclotomic:", cls.cyclotomic)):
-            if isinstance(text, str) and text.startswith(prefix):
-                try:
-                    n = int(text[len(prefix):])
-                except ValueError:
-                    raise InputError(f"{prefix}<n> needs an integer, got {text!r}") from None
-                return make(n)
-        raise InputError(f"unknown field descriptor {text!r}")
+        return read_prefixed(text, (("Fp:", cls.prime_field), ("cyclotomic:", cls.cyclotomic)),
+                             "field descriptor")
 
     def __str__(self):
         if self.kind == _FP:

@@ -13,11 +13,11 @@ import math
 import operator
 import re
 
-from .coeffs import FieldDescriptor, rank_exact
+from .coeffs import FieldDescriptor, rank_exact, read_int
 from .errors import InputError, UnsupportedCoefficients, ValidationError
 from .groupring import GroupDescriptor, GroupRingElem, parse_element
 
-_WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
+_WORD_TOKEN = re.compile(r"[xX](\d+)|([A-Za-z])")
 
 
 class FreeWord:
@@ -33,27 +33,20 @@ class FreeWord:
     @classmethod
     def parse(cls, text: str, generators: list[str]) -> "FreeWord":
         """Compact letter syntax: lowercase = generator, uppercase = inverse
-        ("abAB" = a b a^-1 b^-1); "x3"/"X3" tokens for wide alphabets."""
+        ("abAB" = a b a^-1 b^-1); "x3"/"X3" (x or X, then decimal digits read
+        by coeffs.read_int) name the third generator for wide alphabets."""
         index = {name: i + 1 for i, name in enumerate(generators)}
         letters = []
         pos = 0
         while pos < len(text):
             mt = _WORD_TOKEN.match(text, pos)
-            if not mt:
-                raise InputError(f"bad word token at {text[pos:]!r} in {text!r}")
-            ch, digits = mt.group(1), mt.group(2)
-            if digits:
-                i = int(digits)
-                if ch not in ("x", "X"):
-                    raise InputError(f"numbered letters use x<k>/X<k>, got {mt.group(0)!r}")
-                if not 1 <= i <= len(generators):
-                    raise InputError(f"generator index {i} out of range in {text!r}")
-                letters.append(i if ch == "x" else -i)
-            else:
-                name = ch.lower()
-                if name not in index:
-                    raise InputError(f"unknown generator {ch!r} in word {text!r}")
-                letters.append(index[name] if ch.islower() else -index[name])
+            if mt is None:
+                raise InputError(f"bad letter {text[pos]!r} in word {text!r:.60}")
+            letter = mt[0][0]
+            i = read_int(mt[1], f"generator index {letter}") if mt[1] else index.get(letter.lower())
+            if not 1 <= (i or 0) <= len(generators):
+                raise InputError(f"no generator {mt[0]!r:.20} in word {text!r:.60}")
+            letters.append(i if letter.islower() else -i)
             pos = mt.end()
         return cls(letters)
 
@@ -515,6 +508,8 @@ def parse_document(doc: dict) -> EquivariantComplex:
                 raise InputError(
                     f"nu image of {g!r} must be an integer or a list of integers, got {img!r}"
                 )
+            if group.kind == "cyclic" and len(vec) != 1:
+                raise InputError(f"nu image of {g!r} in {group} must be one integer, got {img!r}")
             images.append(vec if group.kind == "free_abelian" else vec[0])
         nu = Epimorphism(group, images)
         C = presentation_complex(presentation, nu, field)

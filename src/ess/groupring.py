@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .coeffs import FieldDescriptor, prime_power
+from .coeffs import FieldDescriptor, prime_power, read_int, read_prefixed
 from .errors import DescriptorMismatch, InputError
 
 INFINITY = math.inf
@@ -49,19 +49,12 @@ class GroupDescriptor:
 
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
+        """Z, Z^<n> or Zmod:<m>, the argument read by coeffs.read_prefixed:
+        "Zmod:٣" is Zmod:3, and "Z^-1", "Z^²" and "Zmod: 3" are unknown."""
         if text == "Z":
             return cls.free_abelian(1)
-        for prefix, make in (("Z^", cls.free_abelian), ("Zmod:", cls.cyclic)):
-            # isdecimal is the \d+ of re (Unicode Nd); isdigit would pass "²"
-            rest = text[len(prefix):] if isinstance(text, str) and text.startswith(prefix) else ""
-            if rest.isdecimal():
-                try:
-                    n = int(rest)
-                except ValueError:  # past the digit limit of int(str)
-                    raise InputError(f"group descriptor {prefix}{rest[:12]}... has "
-                                     f"{len(rest)} digits, too many for an integer") from None
-                return make(n)
-        raise InputError(f"unknown group descriptor {text!r}")
+        return read_prefixed(text, (("Z^", cls.free_abelian), ("Zmod:", cls.cyclic)),
+                             "group descriptor")
 
     def __str__(self):
         if self.kind == "cyclic":
@@ -240,77 +233,41 @@ class GroupRingElem:
 # Monomial text syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*([+-]|\d+|[A-Za-z]\w*|\^|\*)")
+_STEP = re.compile(r"\s*(?:(?P<signs>[+-][\s+-]*)|(?P<star>\*)\s*)?(?:(?P<int>\d+)"
+                   r"|(?P<name>[A-Za-z]\w*)(?:\s*\^\s*(?P<neg>-?)\s*(?P<exp>\d+))?)")
 
 
 def parse_element(text: str, group: GroupDescriptor, field: FieldDescriptor) -> GroupRingElem:
-    """Parse "t1^-2*t2^3" style syntax (coefficient prefixes allowed); the
-    integer coefficients are summed per monomial, then mapped into k."""
-    names = group.variable_names()
-    name_index = {name: i for i, name in enumerate(names)}
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        mt = _TOKEN.match(text, pos)
-        if not mt:
-            raise InputError(f"bad character in element {text!r} at {pos}")
-        tokens.append(mt.group(1))
+    """The element an entry such as "3*t1^2*t2^-1 - 1" writes: terms joined
+    by + or - (a run such as "--t" reads as the product of its signs; the
+    first sign is optional), each a *-product of integers and the group's
+    variables, t^k or t^-k for a power.  Spaces may surround and separate
+    tokens; a blank entry is 0.  Anything else, such as "2t", "t t", "**" or
+    a "*" without a factor on each side, and an integer past the digit limit
+    of coeffs.read_int, is an InputError.  Coefficients are summed per
+    monomial, then mapped into k."""
+    index = {name: i for i, name in enumerate(group.variable_names())}
+    terms, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        mt = _STEP.match(text, pos)
+        if mt is None or (mt["star"] if not terms else not (mt["star"] or mt["signs"])):
+            raise InputError(f"malformed entry {text!r:.60} at character {pos}")
+        if not mt["star"]:
+            terms.append([-1 if (mt["signs"] or "").count("-") % 2 else 1, [0] * len(index)])
+        term = terms[-1]
+        if mt["int"]:
+            term[0] *= read_int(mt["int"], "coefficient ")
+        elif mt["name"] in index:
+            e = read_int(mt["exp"], f"exponent {mt['name']}^{mt['neg']}") if mt["exp"] else 1
+            term[1][index[mt["name"]]] += -e if mt["neg"] else e
+        else:
+            raise InputError(f"unknown variable {mt['name']!r:.20} in entry {text!r:.60}")
         pos = mt.end()
-    result = {}
-    i = 0
-    nvars = group.num_generators
-
-    def parse_exponent(i):
-        if i < len(tokens) and tokens[i] == "^":
-            i += 1
-            sign = 1
-            if i < len(tokens) and tokens[i] == "-":
-                sign = -1
-                i += 1
-            if i >= len(tokens) or not tokens[i].isdigit():
-                raise InputError(f"missing exponent in {text!r}")
-            return sign * int(tokens[i]), i + 1
-        return 1, i
-
-    while i < len(tokens):
-        sign = 1
-        saw_sign = False
-        while i < len(tokens) and tokens[i] in "+-":
-            if tokens[i] == "-":
-                sign = -sign
-            saw_sign = True
-            i += 1
-        if i >= len(tokens):
-            if saw_sign:
-                raise InputError(f"dangling sign in {text!r}")
-            break
-        coeff = sign
-        exps = [0] * nvars
-        expect_factor = True
-        while i < len(tokens) and (expect_factor or tokens[i] == "*"):
-            if tokens[i] == "*":
-                i += 1
-                continue
-            tok = tokens[i]
-            if tok.isdigit():
-                num = int(tok)
-                i += 1
-                if i < len(tokens) and tokens[i] == "*" and i + 1 < len(tokens) and tokens[i + 1] == "*":
-                    raise InputError(f"bad token sequence in {text!r}")
-                coeff *= num
-            elif tok in name_index:
-                i += 1
-                e, i = parse_exponent(i)
-                exps[name_index[tok]] += e
-            else:
-                raise InputError(f"unknown variable {tok!r} in {text!r}")
-            expect_factor = False
-            if i < len(tokens) and tokens[i] == "*":
-                i += 1
-                expect_factor = True
+    ints = {}
+    for coeff, exps in terms:
         key = exps[0] if group.kind == "cyclic" else tuple(exps)
-        result[key] = result.get(key, 0) + coeff
-    return GroupRingElem.from_ints(group, field, result)
+        ints[key] = ints.get(key, 0) + coeff
+    return GroupRingElem.from_ints(group, field, ints)
 
 
 def format_element(a: GroupRingElem, names=None) -> str:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 import pages_output_oracle
 from ess import cli
-from ess.builtins import builtin_names
+from ess.builtins import builtin_complex, builtin_names
+from ess.complexes import GroupHom, base_change
+from ess.groupring import GroupDescriptor
 from ess.pages import PageComputation, PageTable
+from ess.twisted import bounds_report
 
 
 def run(args, capsys):
@@ -281,6 +284,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
     (None, ["decompose", "--builtin", "torus2", "--group-quotient", "Zmod:4", "--field", "Q"]),
     (json.dumps({"field": "Z", "group": "Zmod:3", "presentation": _ONE_CELL}),
      ["alexander", "{path}"]),
+    (json.dumps({"field": "Z", "group": "Zmod:5",
+                 "presentation": dict(_ONE_CELL, nu={"x": [1, 7]})}), ["validate", "{path}"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -293,7 +298,8 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "missing-value", "option-as-value", "R-not-integer", "d-not-integer",
         "two-inputs", "abbreviated-option", "flag-with-value", "quotient-Z^2",
         "quotient-Z^0", "decompose-on-Z^2", "monodromy-on-Z^2", "alexander-on-Z^2",
-        "twisted-on-Z^2", "decompose-on-Zmod:4", "alexander-on-Zmod:3"])
+        "twisted-on-Z^2", "decompose-on-Zmod:4", "alexander-on-Zmod:3",
+        "json-nu-list-of-two-on-Zmod"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:
@@ -302,6 +308,83 @@ def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     assert code == cli.EXIT_INPUT
     assert not out
     assert err.startswith("error: ") and err[len("error: "):].strip()
+
+
+def _entry_in_d3(entry):
+    """A complex with d_2 = 0, so that d o d = 0 holds whatever d_3 reads as."""
+    return {"field": "Z", "group": "Z", "matrices": {
+        "dims": [1, 1, 1, 1], "boundaries": [[["t - 1"]], [["0"]], [[entry]]]}}
+
+
+_HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("doc, argv", [
+    *[(_entry_in_d3(entry), ["validate"])
+      for entry in ["2t", "t t", "2 3", "t^2t", "t**2 + 1", "2*", "*t", "t*"]],
+    (_entry_in_d3(_HUGE + "*t"), ["validate"]),
+    (_entry_in_d3("t^" + _HUGE), ["validate"]),
+    ({"field": "Z", "group": "Z",
+      "presentation": {"generators": ["x"], "relators": ["x" + _HUGE], "nu": {"x": 1}}},
+     ["validate"]),
+    (None, ["betti", "--builtin", "circle", "--field", "Fp: 7"]),
+    (None, ["betti", "--builtin", "circle", "--field", "Fp:+7"]),
+    (None, ["validate", "--builtin", "lyndon: 6"]),
+], ids=["juxtaposed-integer-and-variable", "juxtaposed-variables", "juxtaposed-integers",
+        "juxtaposed-power-and-variable", "double-star", "dangling-star-after",
+        "dangling-star-before", "dangling-star-after-variable", "coefficient-5000-digits",
+        "exponent-5000-digits", "relator-letter-5000-digits", "field-space-before-digits",
+        "field-plus-before-digits", "family-space-before-digits"])
+def test_readers_refuse_what_their_grammar_does_not_write(doc, argv, tmp_path, capsys):
+    """Exit 2 with one error line, no traceback, and no long run of digits
+    echoed back."""
+    if doc is not None:
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [str(path)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "9" * 40 not in err, err
+
+
+def test_field_descriptor_reads_unicode_decimal_digits(capsys):
+    # an Arabic-Indic seven, as Zmod:\u0663 reads as Zmod:3
+    code, out, _ = run(["betti", "--builtin", "circle", "--field", "Fp:\u0667", "--json"], capsys)
+    assert code == cli.EXIT_OK and json.loads(out)["field"] == "Fp:7"
+
+
+def test_strict_is_an_option_of_bounds_only(capsys):
+    code, out, err = run(["pages", "--builtin", "torus2", "--field", "Q", "--strict"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "") and "unknown option '--strict' for pages" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pages", "--builtin", "torus2", "--field", "Q", "--json"],
+    ["betti", "--builtin", "torus2", "--field", "Q"],
+    ["aomoto", "--builtin", "torus3", "--field", "Fp:3"],
+])
+def test_nu_without_group_quotient_exits_2_outside_bounds(argv, capsys):
+    """Without --group-quotient only bounds reads --nu; elsewhere it used to
+    be ignored, with the output of a run without it."""
+    code, out, err = run(argv + ["--nu", "2,1"], capsys)
+    assert (code, out) == (cli.EXIT_INPUT, "")
+    assert "--nu gives the images of --group-quotient" in err
+
+
+@pytest.mark.parametrize("name, nu", [("torus2", "2,1"), ("torus3", "2,1,3")])
+@pytest.mark.parametrize("p, r", [(2, 1), (3, 2)])
+def test_bounds_reads_nu_through_the_quotient_or_as_its_character(name, nu, p, r, capsys):
+    """--nu is read once: by --group-quotient Z when it is given, else as the
+    character of bounds; the two reports agree."""
+    argv = ["bounds", "--builtin", name, "--p", str(p), "--r", str(r), "--nu", nu, "--json"]
+    direct = run(argv, capsys)
+    assert direct[0] == cli.EXIT_OK
+    assert run(argv + ["--group-quotient", "Z"], capsys) == direct
+    images = [int(v) for v in nu.split(",")]
+    C = builtin_complex(name)
+    onto_z = base_change(C, GroupHom(C.group, GroupDescriptor.free_abelian(1),
+                                     [[v] for v in images]))
+    assert bounds_report(onto_z, [1], p, r).to_json() == bounds_report(C, images, p, r).to_json()
 
 
 ONTO_Z = "pass --group-quotient Z to map it onto Z"

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -339,15 +341,55 @@ def test_gr_piece_sizes_match():
             power = power * u
 
 
-def test_parse_format_roundtrip():
-    rng = random.Random(77)
-    for _ in range(40):
-        elem = GroupRingElem.zero(G2, Q)
-        for _ in range(rng.randint(0, 4)):
-            key = (rng.randint(-3, 3), rng.randint(-3, 3))
-            elem = elem + GroupRingElem.monomial(G2, Q, key, rng.randint(-5, 5))
-        text = format_element(elem)
-        assert parse_element(text, G2, Q) == elem
+_GROUPS = [GroupDescriptor.free_abelian(n) for n in (1, 2, 3)] + \
+    [GroupDescriptor.cyclic(m) for m in (2, 6, 7)]
+
+
+@st.composite
+def _respaced(draw):
+    """(element, its text): format_element's text with 0-2 spaces or tabs
+    between tokens, each term sign made a run of signs of the same product,
+    and a leading "+"/"--" run before a first term without a sign."""
+    group = draw(st.sampled_from(_GROUPS))
+    keys = st.integers(0, group.m - 1) if group.kind == "cyclic" else \
+        st.tuples(*[st.integers(-4, 4)] * group.n)
+    elem = GroupRingElem.from_ints(group, Q, draw(st.dictionaries(keys, st.integers(-9, 9),
+                                                                  max_size=5)))
+    gap = st.sampled_from(["", " ", "  ", "\t"])
+
+    def run(negative):
+        signs = draw(st.lists(st.sampled_from("+-"), max_size=3))
+        signs.append("-" if (signs.count("-") % 2 == 0) == negative else "+")
+        return "".join(s + draw(gap) for s in signs)
+
+    tokens = re.findall(r"\d+|\w+|\S", format_element(elem))
+    text = run(False) if tokens[0] != "-" and draw(st.booleans()) else ""
+    for i, tok in enumerate(tokens):
+        term_sign = tok in "+-" and (i == 0 or tokens[i - 1] != "^")
+        text += (run(tok == "-") if term_sign else tok) + draw(gap)
+    return elem, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_respaced())
+def test_parse_format_roundtrip(case):
+    """The reader inverts the printer on Z^n (n <= 3) and Z_m, whatever the
+    spacing and however each term's sign is written."""
+    elem, text = case
+    assert parse_element(text, elem.group, Q) == elem, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet="t123\u0663\u00b2x +-*^\t", max_size=24),
+       group=st.sampled_from(_GROUPS))
+def test_any_text_over_the_alphabet_reads_or_is_an_input_error(text, group):
+    """Text over the entry grammar's alphabet (and a few characters near it)
+    is an element or an InputError, never another exception."""
+    try:
+        elem = parse_element(text, group, Q)
+    except InputError:
+        return
+    assert isinstance(elem, GroupRingElem) and elem.group == group
 
 
 def test_parse_examples():
@@ -360,3 +402,30 @@ def test_parse_examples():
 def test_parse_rejects_unknown_variable():
     with pytest.raises(InputError):
         parse_element("t3 + 1", G2, Q)
+
+
+@pytest.mark.parametrize("text, group, terms", [
+    ("--t", GZ, {(1,): 1}), ("- + -t^-2 - -3", GZ, {(-2,): 1, (0,): 3}),
+    (" 2 * t1 ^ - 1 * 3 * t2 * t1 ", G2, {(0, 1): 6}), ("", G2, {}),
+    ("t*t^6", GroupDescriptor.cyclic(7), {0: 1}), ("\u0663*t^\u0662", GZ, {(2,): 3}),
+])
+def test_parse_reads_sign_runs_spaces_and_products(text, group, terms):
+    assert parse_element(text, group, Q).terms == terms
+
+
+@pytest.mark.parametrize("text", ["2t", "t t", "2 3", "t^2t", "t**2 + 1", "2*", "*t", "t*",
+                                  "t +", "t^", "t^+2", "t^--2", "t2", "t^2^3", "1/2*t"])
+def test_parse_rejects_what_the_grammar_does_not_write(text):
+    with pytest.raises(InputError):
+        parse_element(text, GZ, Q)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int(str) has no digit limit on this Python")
+@pytest.mark.parametrize("text, lead", [("9" * 5000 + "*t", "coefficient 999999999999..."),
+                                        ("t^-" + "9" * 5000, "exponent t^-999999999999...")],
+                         ids=["coefficient", "exponent"])
+def test_parse_names_an_integer_past_the_digit_limit_without_its_digits(text, lead):
+    with pytest.raises(InputError) as err:
+        parse_element(text, GZ, Q)
+    assert str(err.value) == f"{lead} has 5000 digits, too many for an integer"
