@@ -14,8 +14,7 @@ from .complexes import (Epimorphism, EquivariantComplex, FreeWord, GroupHom,
                         presentation_complex)
 from .groupring import (GroupDescriptor, GroupRingElem, gr_dimension, j_valuation,
                         parse_element)
-from .modz import (LaurentModuleDecomp, SNFResult, einf_gr_module,
-                   homology_decomposition, integral_torsion_check,
+from .modz import (LaurentModuleDecomp, homology_decomposition, integral_torsion_check,
                    monodromy_report, smith_normal_form)
 from .pages import (PageComputation, PageTable, d1_closed_form, reznikov_collapse,
                     window_collapse_page)

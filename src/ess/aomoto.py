@@ -13,8 +13,8 @@ from .coeffs import rank_exact
 from .errors import (InputError, MinimalityError, UnsupportedCoefficients,
                      ValidationError)
 from .complexes import _check_composition
-from .groupring import GroupDescriptor, GroupRingElem, format_element
-from .pages import FiltrationModel, PageComputation
+from .groupring import GroupDescriptor, GroupRingElem, expansion_coords, format_element
+from .pages import PageComputation
 
 _Z1 = GroupDescriptor.free_abelian(1)
 
@@ -104,21 +104,15 @@ def universal_aomoto(C) -> UniversalAomoto:
         )
     n = C.group.n
     field = C.field
-    model = FiltrationModel(C.group, field, 2)
     sym = GroupDescriptor.free_abelian(n)
-    off1 = model.offset(1)
+    constant = (0,) * n
 
     def linear_form(elem: GroupRingElem) -> GroupRingElem:
-        coords = model.reduce(elem)
-        if coords[0]:
+        # the J/J^2 part: the coordinates of degree 1, x_i keyed as e_i
+        coords = expansion_coords(elem, 2)
+        if constant in coords:
             raise MinimalityError("entry does not lie in J")
-        terms = {}
-        for idx in range(off1, model.offset(2)):
-            c = coords[idx]
-            if c:
-                # the degree-1 monomial tuple for x_i is the exponent key of e_i
-                terms[model.monomials[idx]] = c
-        return GroupRingElem(sym, field, terms)
+        return GroupRingElem(sym, field, coords, canonical=True)
 
     matrices = []
     for q in range(1, C.top + 1):

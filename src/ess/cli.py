@@ -224,14 +224,14 @@ def cmd_monodromy(args):
     C = require_z(require_field(load_complex(args)), "monodromy")
     rep = monodromy_report(C, args.k_max if args.k_max is not None else C.top)
     if args.json:
-        sys.stdout.write(emit_json(rep.to_json()))
+        sys.stdout.write(emit_json(rep))
     else:
-        for row in rep.rows:
+        for row in rep["degrees"]:
             print(
                 f"q={row['q']}: free={row['free_rank']} blocks={row['t_minus_1_blocks']} "
                 f"beta={row['beta']} trivial-action={row['condition_trivial_action']}"
             )
-        for k, v in enumerate(rep.verdicts):
+        for k, v in enumerate(rep["trivial_through_degree"]):
             print(f"monodromy trivial through degree {k}: {v}")
     return EXIT_OK
 

@@ -197,9 +197,6 @@ class GroupHom:
         return tuple(sum(e * img[i] for e, img in zip(exps, self.images))
                      for i in range(self.target.n))
 
-    def compose_epi(self, nu: Epimorphism) -> Epimorphism:
-        return Epimorphism(self.target, [self.map_key(img) for img in nu.images])
-
 
 class EquivariantComplex:
     """A finite chain complex of free kG-modules given by boundary matrices.
@@ -214,15 +211,12 @@ class EquivariantComplex:
     extend_with_cells), and ring maps (base_change, change_field) keep them.
     """
 
-    def __init__(self, field, group, dims, raw, provenance="matrices",
-                 presentation=None, nu=None, raw_integral=None):
+    def __init__(self, field, group, dims, raw, provenance="matrices", raw_integral=None):
         self.field = field
         self.group = group
         self.dims = list(dims)
         self.raw = raw
         self.provenance = provenance
-        self.presentation = presentation
-        self.nu = nu
         self.raw_integral = raw_integral
         _check_shapes(self.dims, raw)
 
@@ -314,12 +308,12 @@ def _check_composition(ring, group, a, b, q: int):
                 )
 
 
-def _new_complex(field, group, dims, raw, integral, first=1, **kw):
+def _new_complex(field, group, dims, raw, integral, provenance, first=1):
     """Build a complex from new data: the shapes, then d_q o d_{q+1} = 0 for
     q >= first on the integral shadow when there is one (zero over Z is zero
     over every k), then the augmentation of d_1, so that each error keeps its
     precedence."""
-    C = EquivariantComplex(field, group, dims, raw, raw_integral=integral, **kw)
+    C = EquivariantComplex(field, group, dims, raw, provenance, integral)
     ring, mats = (field, raw) if integral is None else (FieldDescriptor.integers(), integral)
     for q in range(first, len(mats)):
         _check_composition(ring, group, mats[q - 1], mats[q], q)
@@ -347,8 +341,7 @@ def presentation_complex(presentation: Presentation, nu: Epimorphism,
         ints.append([[col[i] for col in cols] for i in range(ngens)])
     dims = [1] + [len(mat[0]) for mat in ints]
     raw = ints if field.characteristic == 0 else _ring_map(ints, coeff=field._of_int)
-    return _new_complex(field, group, dims, raw, ints, provenance="presentation",
-                        presentation=presentation, nu=nu)
+    return _new_complex(field, group, dims, raw, ints, "presentation")
 
 
 def complex_from_matrices(field, group, dims, boundaries,
@@ -357,8 +350,7 @@ def complex_from_matrices(field, group, dims, boundaries,
     d_q o d_{q+1} checked."""
     _check_shapes(dims, boundaries, (field, group))
     raw = [[[e.terms for e in row] for row in mat] for mat in boundaries]
-    return _new_complex(field, group, dims, raw, _integral_shadow(field, raw),
-                        provenance=provenance)
+    return _new_complex(field, group, dims, raw, _integral_shadow(field, raw), provenance)
 
 
 def _integral_shadow(field, mats):
@@ -388,10 +380,8 @@ def extend_with_cells(C: EquivariantComplex, degree: int, matrix_rows) -> Equiva
     block = [[e.terms for e in row] for row in matrix_rows]
     shadow = _integral_shadow(C.field, [block]) if C.raw_integral is not None else None
     integral = None if shadow is None else C.raw_integral + shadow
-    return _new_complex(
-        C.field, C.group, dims, C.raw + [block], integral,
-        first=C.top, provenance="hybrid", presentation=C.presentation, nu=C.nu,
-    )
+    return _new_complex(C.field, C.group, dims, C.raw + [block], integral, "hybrid",
+                        first=C.top)
 
 
 def base_change(C: EquivariantComplex, f: GroupHom | None,
@@ -417,11 +407,8 @@ def base_change(C: EquivariantComplex, f: GroupHom | None,
     else:  # an int payload has a denominator too
         coeff = None if field == C.field else field.from_fraction
         raw = _ring_map(C.raw, key, C.field._add, coeff)
-    return EquivariantComplex(
-        field, C.group if f is None else f.target, C.dims, raw, provenance=C.provenance,
-        presentation=C.presentation, raw_integral=integral,
-        nu=f.compose_epi(C.nu) if f is not None and C.nu is not None else C.nu,
-    )
+    return EquivariantComplex(field, C.group if f is None else f.target, C.dims, raw,
+                              provenance=C.provenance, raw_integral=integral)
 
 
 def change_field(C: EquivariantComplex, new_field: FieldDescriptor) -> EquivariantComplex:
@@ -493,11 +480,17 @@ def parse_document(doc: dict) -> EquivariantComplex:
         gens = _list_of(pres.get("generators", []), str, '"generators" must be a list of strings')
         if not gens:
             raise InputError("presentation needs at least one generator")
+        for k, g in enumerate(gens, 1):
+            if g in gens[:k - 1] or not (len(g) == 1 and "a" <= g <= "z" or g == f"x{k}"):
+                raise InputError(f"generator {k} is named {g!r:.20}: names must be distinct, "
+                                 f"each one lowercase letter or x{k}, so that words can use it")
         relators = _list_of(pres.get("relators", []), str, '"relators" must be a list of strings')
         presentation = Presentation(gens, [FreeWord.parse(w, gens) for w in relators])
         nu_spec = pres.get("nu")
         if not isinstance(nu_spec, dict):
             raise InputError(f'presentation requires "nu" generator images, got {nu_spec!r}')
+        if stray := sorted(set(nu_spec) - set(gens)):
+            raise InputError(f"nu names no generator {stray[0]!r:.20}")
         images = []
         for g in gens:
             if g not in nu_spec:

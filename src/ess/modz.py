@@ -1,7 +1,8 @@
 """Module theory over the PID Lambda = k[t^{+-1}] and over Z: Smith normal
 form, decomposition of H_q(X, kZ_nu) into free and primary parts, the
-associated-graded module of the (t-1)-adic filtration, and the
-monodromy-triviality report.
+dimensions of its (t-1)-adic associated graded module, and the
+monodromy-triviality report.  Each returns plain values: the raw diagonal,
+a list of dimensions, the dict `ess monodromy` prints.
 
 The decomposition needs no presentation of ker d_q.  Over a PID the image
 of d_q is free, so ker d_q is a direct summand of C_q, and
@@ -14,12 +15,12 @@ Since d_{q-1} d_q = 0, an entry w_j of d_{q-1} that divides its row makes
 row j of d_q redundant, and it is dropped before the SNF.
 
 The SNF over Lambda runs on the raw Laurent polynomials of
-`coeffs.LaurentRing`; `_LaurentCtx` converts a boundary's payload maps (or
-GroupRingElem entries) once.  A pivot that divides its row and column (a
-unit does) clears them with one fused y - q*x per entry; other pivots go
-through Bezout blocks.  Every SNF carries P and Q, the inverses of its row
-and column operations, as sparse columns and rows, and is verified
-(A = P D Q and the divisibility chain) before it is returned.
+`coeffs.LaurentRing`; `_LaurentCtx` converts a boundary's payload maps
+once.  A pivot that divides its row and column (a unit does) clears them
+with one fused y - q*x per entry; other pivots go through Bezout blocks.
+Every SNF carries P and Q, the inverses of its row and column operations,
+as sparse columns and rows, and is verified (A = P D Q and the
+divisibility chain) before it is returned.
 """
 
 from __future__ import annotations
@@ -110,12 +111,11 @@ class _IntCtx:
 
 
 class _LaurentCtx(LaurentRing):
-    """The Laurent ring as the SNF engine's Euclidean context, with the
-    conversions between its raw elements and GroupRingElem over kZ."""
+    """The Laurent ring as the SNF engine's Euclidean context: `raw` reads a
+    payload map {(e,): c} of kZ, `lift` gives a raw element back as a
+    GroupRingElem."""
 
-    def raw(self, a):
-        """The raw form of an element of kZ: a GroupRingElem or its terms."""
-        terms = getattr(a, "terms", a)
+    def raw(self, terms):
         if not terms:
             return self.zero
         lo = min(k for k, in terms)
@@ -129,20 +129,6 @@ class _LaurentCtx(LaurentRing):
         s, cs, den = a
         return GroupRingElem(_Z1, self.field, {(s + i,): ratio(c, den)
                                                for i, c in enumerate(cs) if c})
-
-
-class SNFResult:
-    """The diagonal of a Smith normal form, each entry dividing the next."""
-
-    def __init__(self, diagonal):
-        self.diagonal = diagonal
-
-    def nonzero(self):
-        # ints and GroupRingElem are falsy iff 0, raw tuples iff no coefficient
-        return [d for d in self.diagonal if (d[1] if isinstance(d, tuple) else d)]
-
-    def __repr__(self):
-        return f"SNF(diagonal={self.diagonal})"
 
 
 def _snf_engine(ctx, matrix):
@@ -296,25 +282,20 @@ def _snf_engine(ctx, matrix):
     return diag, P, Q
 
 
-def smith_normal_form(matrix, field=None) -> SNFResult:
-    """SNF of a matrix over Z (int entries) or Lambda = k[t^{+-1}]:
-    GroupRingElem entries over kZ, or, given the field k, the raw payload
-    maps {(e,): c} of a boundary (`EquivariantComplex.raw`).
+def smith_normal_form(matrix, field=None) -> list:
+    """The SNF diagonal, each nonzero entry dividing the next, of a matrix
+    over Z (int entries, field None) or over Lambda = k[t^{+-1}] (the raw
+    payload maps {(e,): c} of a boundary, `EquivariantComplex.raw`, with the
+    field k): ints, or raw elements of `_LaurentCtx`.
 
-    Each Laurent entry is converted once to the raw form of `_LaurentCtx`;
-    the diagonal comes back raw for payload maps and as GroupRingElem for
-    GroupRingElem entries.  The certificate A = P D Q and the divisibility
-    chain are verified on the raw matrices before returning.
+    Each Laurent entry is converted once to the raw form.  The certificate
+    A = P D Q and the divisibility chain are verified before returning.
     """
-    rows = [list(r) for r in matrix]
-    lift = bool(rows and rows[0]) and isinstance(rows[0][0], GroupRingElem)
-    if lift:
-        field = rows[0][0].field
     ctx = _IntCtx() if field is None else _LaurentCtx(field)
-    A = [[ctx.raw(x) for x in r] for r in rows]
+    A = [[ctx.raw(x) for x in r] for r in matrix]
     diag, P, Q = _snf_engine(ctx, A)
     _verify_snf(ctx, A, diag, P, Q)
-    return SNFResult([ctx.lift(d) for d in diag] if lift else diag)
+    return diag
 
 
 def _verify_snf(ctx, A, diagonal, P, Q):
@@ -363,17 +344,22 @@ class LaurentModuleDecomp:
     and are left unfactored beyond separating the (t-1) part.
     """
 
-    def __init__(self, free_rank, invariant_factors, tminus1_blocks, other_primary, field):
+    def __init__(self, free_rank, invariant_factors, tminus1_blocks, other_primary):
         self.free_rank = free_rank
         self.invariant_factors = invariant_factors
         self.tminus1_blocks = sorted(tminus1_blocks)
         self.other_primary = other_primary
-        self.field = field
 
     @property
     def separated(self) -> bool:
         """The J-adic filtration is separated iff there is no f(1) != 0 part."""
         return not self.other_primary
+
+    def gr_dims(self, s_max: int) -> list[int]:
+        """dim gr_J^s for s = 0..s_max, the E-infinity shape: gr_J is the
+        k[x]-module k[x]^free + sum k[x]/x^i over the (t-1)-blocks i."""
+        return [self.free_rank + sum(b > s for b in self.tminus1_blocks)
+                for s in range(s_max + 1)]
 
     def to_json(self, q=None):
         doc = {
@@ -423,10 +409,11 @@ def _boundary_invariants(C, q: int, ctx, memo: dict):
         if 1 <= q <= C.top and C.dims[q - 1] and C.dims[q]:
             rows, j = C.raw[q - 1], _redundant_row(ctx, C.raw[q - 2] if q > 1 else [])
             for d in smith_normal_form(rows if j is None else rows[:j] + rows[j + 1:],
-                                       C.field).nonzero():
-                rank += 1
-                if not ctx.is_unit(d):
-                    factors.append(d)
+                                       C.field):
+                if not ctx.is_zero(d):
+                    rank += 1
+                    if not ctx.is_unit(d):
+                        factors.append(d)
         memo[q] = rank, factors
     return memo[q]
 
@@ -477,30 +464,7 @@ def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModule
     other_primary = sorted(((ctx.lift(f), 1, m) for f, m in others.items()),
                            key=lambda t: str(t[0]))
     return LaurentModuleDecomp(free_rank, [ctx.lift(f) for f in invariant_factors], blocks,
-                               other_primary, C.field)
-
-
-class GrModule:
-    """The k[x]-module k[x]^r + sum (k[x]/x^i)^{e_i} (Einfinity shape)."""
-
-    def __init__(self, free_rank: int, block_sizes: list[int]):
-        self.free_rank = free_rank
-        self.block_sizes = sorted(block_sizes)
-
-    def dims(self, s_max: int) -> list[int]:
-        return [
-            self.free_rank + sum(1 for b in self.block_sizes if b > s)
-            for s in range(s_max + 1)
-        ]
-
-    def __repr__(self):
-        return f"GrModule(free={self.free_rank}, blocks={self.block_sizes})"
-
-
-def einf_gr_module(decomp: LaurentModuleDecomp) -> GrModule:
-    """gr_J H_q as a k[x]-module: the free rank survives in every degree and
-    each (t-1)-block of size i contributes k[x]/x^i."""
-    return GrModule(decomp.free_rank, decomp.tminus1_blocks)
+                               other_primary)
 
 
 def integral_torsion_check(C) -> list[bool]:
@@ -515,60 +479,42 @@ def integral_torsion_check(C) -> list[bool]:
         if not mat or not mat[0]:
             flags.append(True)
             continue
-        diag = smith_normal_form(mat).diagonal
-        flags.append(all(d in (0, 1) for d in diag))
+        flags.append(all(d in (0, 1) for d in smith_normal_form(mat)))
     return flags
 
 
-class MonodromyReport:
-    """Per-degree decomposition data plus the three equivalent
-    trivial-monodromy conditions, cross-checked against each other."""
+def monodromy_report(C, k_max: int) -> dict:
+    """The document `ess monodromy` prints: per degree q <= k_max the
+    free/(t-1)-primary structure of H_q, the Aomoto Betti number beta_q and
+    the trivial-monodromy conditions, then the verdict through each degree.
 
-    def __init__(self, rows, verdicts):
-        self.rows = rows          # q -> dict
-        self.verdicts = verdicts  # k -> bool (cumulative through degree k)
-
-    def to_json(self):
-        return {
-            "degrees": self.rows,
-            "trivial_through_degree": self.verdicts,
-        }
-
-
-def monodromy_report(C, k_max: int) -> MonodromyReport:
-    """Report free/(t-1)-primary structure, Aomoto Betti numbers, and the
-    equivalence of the three trivial-monodromy conditions; any disagreement
-    between the SNF pipeline and the spectral-sequence pipeline is fatal."""
+    Conditions (1) (no free part, every (t-1)-block of size <= 1) and (2)
+    (J acts trivially: gr^1 = 0) are one predicate on the decomposition.
+    Condition (3), beta_q = 0, comes from the E^2 page, an independent
+    pipeline: any disagreement is a CrossCheckError."""
     from .aomoto import aomoto_betti
 
     if C.group != _Z1:
         raise ValidationError("monodromy report requires group Z")
     betti = aomoto_betti(C).beta
     snfs = {}
-    rows = []
-    cond1_all = cond2_all = cond3_all = True
-    verdicts = []
+    rows, verdicts = [], []
+    trivial_all = beta_all = True
+    zero = LaurentModuleDecomp(0, [], [], [])  # H_q past the top degree
     for q in range(k_max + 1):
-        if q <= C.top:
-            decomp = homology_decomposition(C, q, snfs)
-            gr = einf_gr_module(decomp)
-            cond1 = decomp.free_rank == 0 and all(b <= 1 for b in decomp.tminus1_blocks)
-            cond2 = gr.dims(1)[1] == 0  # J-action trivial iff gr^1 vanishes
-        else:
-            decomp = LaurentModuleDecomp(0, [], [], [], C.field)
-            cond1 = cond2 = True
+        decomp = homology_decomposition(C, q, snfs) if q <= C.top else zero
+        trivial = decomp.gr_dims(1)[1] == 0
         row = decomp.to_json(q)
         del row["separated"]
         row.update(beta=betti[q] if q < len(betti) else 0,
-                   condition_no_large_blocks=cond1, condition_trivial_action=cond2)
+                   condition_no_large_blocks=trivial, condition_trivial_action=trivial)
         rows.append(row)
-        cond1_all = cond1_all and cond1
-        cond2_all = cond2_all and cond2
-        cond3_all = cond3_all and row["beta"] == 0
-        if not (cond1_all == cond2_all == cond3_all):
+        trivial_all = trivial_all and trivial
+        beta_all = beta_all and row["beta"] == 0
+        if trivial_all != beta_all:
             raise CrossCheckError(
                 f"trivial-monodromy conditions disagree through degree {q}: "
-                f"(1)={cond1_all} (2)={cond2_all} (3)={cond3_all}"
+                f"(1)=(2)={trivial_all} (3)={beta_all}"
             )
-        verdicts.append(cond1_all)
-    return MonodromyReport(rows, verdicts)
+        verdicts.append(trivial_all)
+    return {"degrees": rows, "trivial_through_degree": verdicts}

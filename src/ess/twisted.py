@@ -177,11 +177,8 @@ def integral_complex(C: EquivariantComplex) -> EquivariantComplex:
         return C
     if C.raw_integral is None:
         raise UnsupportedCoefficients("integral shadow required")
-    return EquivariantComplex(
-        FieldDescriptor.integers(), C.group, C.dims, C.raw_integral,
-        provenance=C.provenance, presentation=C.presentation, nu=C.nu,
-        raw_integral=C.raw_integral,
-    )
+    return EquivariantComplex(FieldDescriptor.integers(), C.group, C.dims, C.raw_integral,
+                              provenance=C.provenance, raw_integral=C.raw_integral)
 
 
 def reduce_direction(nu_images: list[int], p: int, r: int):

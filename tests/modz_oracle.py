@@ -451,7 +451,7 @@ def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
                 others[key] = (rem, 1, 1)
     free_rank = k - nonzero
     return LaurentModuleDecomp(
-        free_rank, invariant_factors, blocks, sorted(others.values(), key=lambda t: str(t[0])), field
+        free_rank, invariant_factors, blocks, sorted(others.values(), key=lambda t: str(t[0]))
     )
 
 

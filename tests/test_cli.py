@@ -286,6 +286,14 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
      ["alexander", "{path}"]),
     (json.dumps({"field": "Z", "group": "Zmod:5",
                  "presentation": dict(_ONE_CELL, nu={"x": [1, 7]})}), ["validate", "{path}"]),
+    *[(json.dumps({"field": "Z", "group": "Z", "presentation": {
+        "generators": gens, "relators": [], "nu": dict.fromkeys(gens, 1)}}),
+       ["betti", "{path}", "--field", "Q"])
+      for gens in (["a", "a"], ["ab"], ["A"], ["a", "x1"], ["x1", "x1"])],
+    (json.dumps({"field": "Z", "group": "Z",
+                 "presentation": {"generators": ["a"], "relators": [],
+                                  "nu": {"a": 1, "zz": 5}}}),
+     ["betti", "{path}", "--field", "Q"]),
 ], ids=["malformed-json", "missing-path", "non-integer-family-argument",
         "extra-cell-without-degree", "betti-nu-not-integer", "bounds-nu-not-integer",
         "q-range-not-integer", "spec-at-not-integer", "json-nu-image-string",
@@ -299,7 +307,10 @@ _ONE_CELL = {"generators": ["x"], "relators": []}
         "two-inputs", "abbreviated-option", "flag-with-value", "quotient-Z^2",
         "quotient-Z^0", "decompose-on-Z^2", "monodromy-on-Z^2", "alexander-on-Z^2",
         "twisted-on-Z^2", "decompose-on-Zmod:4", "alexander-on-Zmod:3",
-        "json-nu-list-of-two-on-Zmod"])
+        "json-nu-list-of-two-on-Zmod", "generator-names-repeated",
+        "generator-name-two-letters", "generator-name-uppercase",
+        "generator-name-x1-at-position-2", "generator-names-x1-repeated",
+        "nu-key-names-no-generator"])
 def test_bad_input_exits_2_with_an_error_line(text, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     if text is not None:

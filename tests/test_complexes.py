@@ -471,12 +471,11 @@ def _oracle_load(doc, quotient, field_text):
     map from parse_document's entries, with its own key maps: every generator of
     the deck group goes to 1 (the default images)."""
     C = parse_document(doc)
-    group, key, nu = C.group, None, C.nu and C.nu.images
+    group, key = C.group, None
     if quotient:
         group = GroupDescriptor.parse(quotient)
         m = group.m
         key = (lambda k: sum(k) % m) if m else (lambda k: (sum(k),))
-        nu = nu and [key(img) for img in nu]
     field = FieldDescriptor.parse(field_text) if field_text else C.field
 
     def image(e, k):
@@ -489,7 +488,7 @@ def _oracle_load(doc, quotient, field_text):
         return source and [[[image(e, k) for e in row] for row in mat] for mat in source]
 
     return SimpleNamespace(field=field, group=group, dims=C.dims, provenance=C.provenance,
-                           nu=nu, boundaries=mats(C.boundaries, field),
+                           boundaries=mats(C.boundaries, field),
                            integral_boundaries=mats(_integral_boundaries(C), ZZ))
 
 
@@ -502,7 +501,6 @@ def assert_loads_like_oracle(doc, source, quotient, field_text):
     C, want = _load(source, quotient, field_text), _oracle_load(doc, quotient, field_text)
     assert (C.field, C.group, C.dims, C.provenance) == \
         (want.field, want.group, want.dims, want.provenance)
-    assert (C.nu and C.nu.images) == want.nu
     for got, expected in ((C.boundaries, want.boundaries),
                           (_integral_boundaries(C), want.integral_boundaries)):
         assert (got is None) == (expected is None)

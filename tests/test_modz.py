@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ess import aomoto, cli
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor, rank_exact
 from ess.complexes import GroupHom, base_change, change_field
 from ess.errors import CoefficientError, CrossCheckError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
-from ess.modz import (_IntCtx, _LaurentCtx, _snf_engine, _verify_snf, einf_gr_module,
+from ess.modz import (_IntCtx, _LaurentCtx, _snf_engine, _verify_snf, LaurentModuleDecomp,
                       homology_decomposition, integral_torsion_check, monodromy_report,
                       smith_normal_form)
 
@@ -25,6 +26,12 @@ def L(text):
     return parse_element(text, GZ, Q)
 
 
+def snf_strings(rows):
+    """The SNF diagonal of a matrix of elements of Q[t^{+-1}], as strings."""
+    ctx = _LaurentCtx(Q)
+    return [str(ctx.lift(d)) for d in smith_normal_form([[e.terms for e in r] for r in rows], Q)]
+
+
 def to_z(name, field=Q):
     C = change_field(builtin_complex(name), field)
     if C.group == GZ:
@@ -35,20 +42,16 @@ def to_z(name, field=Q):
 
 def test_snf_diagonal_input_unchanged():
     D = [[L("1"), L("0")], [L("0"), L("t - 1")]]
-    res = smith_normal_form(D)
-    assert [str(d) for d in res.diagonal] == ["1", "-1 + t"]
+    assert snf_strings(D) == ["1", "-1 + t"]
 
 
 def test_snf_column_elimination():
-    res = smith_normal_form([[L("t - 1")], [L("1 - t")]])
-    assert [str(d) for d in res.diagonal] == ["-1 + t"]
+    assert snf_strings([[L("t - 1")], [L("1 - t")]]) == ["-1 + t"]
 
 
 def test_snf_int_examples():
-    res = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert res.diagonal == [2, 2, 156]
-    res2 = smith_normal_form([[1, 0], [0, 0]])
-    assert res2.diagonal == [1, 0]
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+    assert smith_normal_form([[1, 0], [0, 0]]) == [1, 0]
 
 
 def test_snf_zxf2_invariant_factors():
@@ -73,11 +76,11 @@ def test_snf_rank_matches_fraction_field_rank():
             ]
             for _ in range(n)
         ]
-        res = smith_normal_form(mat)
+        diag = smith_normal_form([[e.terms for e in row] for row in mat], Q)
         # evaluate at a rational t = 7/3 avoiding roots of the diagonal
         ev = [[sum((c * Fraction(7, 3) ** k for (k,), c in e.terms.items()), Fraction(0))
                for e in row] for row in mat]
-        assert len(res.nonzero()) == rank_exact(Q, ev)
+        assert sum(not _LaurentCtx.is_zero(d) for d in diag) == rank_exact(Q, ev)
 
 
 def test_homology_circle():
@@ -114,14 +117,12 @@ def test_homology_needs_group_z():
 
 
 def test_einf_gr_module_dims():
-    from ess.modz import LaurentModuleDecomp
-
-    free2 = LaurentModuleDecomp(2, [], [], [], Q)
-    assert einf_gr_module(free2).dims(3) == [2, 2, 2, 2]
-    one_block = LaurentModuleDecomp(0, [], [1], [], Q)
-    assert einf_gr_module(one_block).dims(2) == [1, 0, 0]
-    blocks12 = LaurentModuleDecomp(0, [], [1, 2], [], Q)
-    assert einf_gr_module(blocks12).dims(2) == [2, 1, 0]
+    free2 = LaurentModuleDecomp(2, [], [], [])
+    assert free2.gr_dims(3) == [2, 2, 2, 2]
+    one_block = LaurentModuleDecomp(0, [], [1], [])
+    assert one_block.gr_dims(2) == [1, 0, 0]
+    blocks12 = LaurentModuleDecomp(0, [], [1, 2], [])
+    assert blocks12.gr_dims(2) == [2, 1, 0]
 
 
 def test_integral_torsion_check_examples():
@@ -145,27 +146,48 @@ def test_integral_torsion_needs_shadow():
 
 def test_monodromy_torus_trivial():
     rep = monodromy_report(to_z("torus2"), 2)
-    assert rep.verdicts == [True, True, True]
-    assert all(row["beta"] == 0 for row in rep.rows)
+    assert rep["trivial_through_degree"] == [True, True, True]
+    assert all(row["beta"] == 0 for row in rep["degrees"])
 
 
 def test_monodromy_wedge2_nontrivial():
     rep = monodromy_report(to_z("wedge2"), 1)
-    assert rep.rows[1]["free_rank"] == 1
-    assert rep.rows[1]["beta"] == 1
-    assert rep.verdicts == [True, False]
+    assert rep["degrees"][1]["free_rank"] == 1
+    assert rep["degrees"][1]["beta"] == 1
+    assert rep["trivial_through_degree"] == [True, False]
 
 
 def test_monodromy_zxf2_characteristics_differ():
     # char 0: blocks all size 1, the L/(1+t) part is outside the conditions,
     # so the monodromy verdict through degree 1 is trivial and beta_1 = 0
     rep = monodromy_report(change_field(builtin_complex("zxf2"), Q), 1)
-    assert rep.verdicts == [True, True]
-    assert rep.rows[1]["beta"] == 0
+    assert rep["trivial_through_degree"] == [True, True]
+    assert rep["degrees"][1]["beta"] == 0
     # char 2: a size-2 block appears, so the verdict flips and beta_1 = 1
     rep2 = monodromy_report(change_field(builtin_complex("zxf2"), F2), 1)
-    assert rep2.verdicts == [True, False]
-    assert rep2.rows[1]["beta"] == 1
+    assert rep2["trivial_through_degree"] == [True, False]
+    assert rep2["degrees"][1]["beta"] == 1
+
+
+@pytest.mark.parametrize("name, q", [("torus2", 1), ("torus2", 2), ("wedge2", 0), ("wedge2", 1)])
+def test_monodromy_cross_check_names_the_degree_of_a_flipped_beta(name, q, monkeypatch, capsys):
+    # conditions (1) and (2) are one predicate, so beta_q = 0 from the E^2
+    # page is the independent check; a wrong beta_q must be fatal at q
+    real = aomoto.aomoto_betti
+
+    def flipped(C, q_max=None):
+        data = real(C, q_max)
+        data.beta[q] = 0 if data.beta[q] else 1
+        return data
+
+    monkeypatch.setattr(aomoto, "aomoto_betti", flipped)
+    with pytest.raises(CrossCheckError, match=f"disagree through degree {q}:"):
+        monodromy_report(to_z(name), 2)
+    argv = ["monodromy", "--builtin", name, "--field", "Q", "--group-quotient", "Z", "--json"]
+    assert cli.main(argv) == cli.EXIT_CROSSCHECK
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("FATAL cross-check failure") and \
+        f"through degree {q}:" in err
 
 
 def test_separatedness_rule():
@@ -194,7 +216,7 @@ def test_snf_postconditions_random_small():
             ]
             for _ in range(n)
         ]
-        smith_normal_form(mat)  # verification is built in
+        smith_normal_form([[e.terms for e in row] for row in mat], Q)  # verification is built in
 
 
 def test_snf_cross_check_names_ring_shape_and_cell():
@@ -209,7 +231,7 @@ def test_snf_cross_check_names_ring_shape_and_cell():
     ctx = _LaurentCtx(Q)
     one, zero = ctx.one, ctx.zero
     ident = [{0: one}, {1: one}]  # sparse columns of P, rows of Q
-    D = [[ctx.raw(L("1 + t")), zero], [zero, ctx.raw(L("t - 1"))]]
+    D = [[ctx.raw(L("1 + t").terms), zero], [zero, ctx.raw(L("t - 1").terms)]]
     with pytest.raises(CrossCheckError,
                        match=r"over Q\[t\^\+-1\] on a 2x2 matrix: diagonal entry 0 "
                              r"\(1 \+ t\) does not divide entry 1 \(-1 \+ t\)"):
@@ -241,7 +263,7 @@ def laurent_pairs(draw):
 def test_raw_laurent_arithmetic(case):
     field, a, b = case
     ctx = _LaurentCtx(field)
-    ra, rb = ctx.raw(a), ctx.raw(b)
+    ra, rb = ctx.raw(a.terms), ctx.raw(b.terms)
     assert ctx.lift(ra) == a and ctx.lift(rb) == b
     # raw forms are canonical, so equal elements are equal tuples: the
     # denominator is reduced and no zero is kept at either end
@@ -251,12 +273,12 @@ def test_raw_laurent_arithmetic(case):
             assert x[2] >= 1 and math.gcd(x[2], *x[1]) == 1
         else:
             assert x[2] == 1
-    assert ctx.add(ra, rb) == ctx.raw(a + b)
-    assert ctx.sub(ra, rb) == ctx.raw(a - b)
-    assert ctx.mul(ra, rb) == ctx.raw(a * b)
+    assert ctx.add(ra, rb) == ctx.raw((a + b).terms)
+    assert ctx.sub(ra, rb) == ctx.raw((a - b).terms)
+    assert ctx.mul(ra, rb) == ctx.raw((a * b).terms)
     assert ctx.sub(ra, ra) == ctx.zero
-    assert ctx.submul(ra, rb, ra) == ctx.raw(a - b * a)
-    assert ctx.submul(rb, ra, rb) == ctx.raw(b - a * b)
+    assert ctx.submul(ra, rb, ra) == ctx.raw((a - b * a).terms)
+    assert ctx.submul(rb, ra, rb) == ctx.raw((b - a * b).terms)
     if b.is_zero():
         return
     scale, q = ctx.divstep(rb, ra)
@@ -269,7 +291,7 @@ def test_raw_laurent_arithmetic(case):
     # division by a unit (a scalar times a power of t) is one product
     assert ctx.is_unit(unit) and ctx.exact_div(ctx.mul(ra, unit), unit) == ra
     # a monomial operand scales the other operand's coefficients
-    assert ctx.mul(unit, ra) == ctx.mul(ra, unit) == ctx.raw(ctx.lift(unit) * a)
+    assert ctx.mul(unit, ra) == ctx.mul(ra, unit) == ctx.raw((ctx.lift(unit) * a).terms)
     if not ctx.is_unit(rb):
         # a non-multiple raises: a*b + 1 leaves a nonzero remainder, and a
         # divisor of longer span than the dividend fits no quotient
