@@ -6,7 +6,7 @@ over k[t^{+-1}]; Aomoto Betti numbers; twisted Betti numbers at roots of
 unity; and machine-checked instances of the modular bound theorems.
 """
 
-from .aomoto import AomotoData, aomoto_betti, aomoto_specialize, universal_aomoto
+from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
 from .coeffs import FieldDescriptor, LaurentRing, cyclotomic_polynomial, rank_exact
 from .complexes import (Epimorphism, EquivariantComplex, FreeWord, GroupHom,
                         Presentation, base_change, betti_numbers, change_field,
@@ -18,7 +18,6 @@ from .modz import (LaurentModuleDecomp, homology_decomposition, integral_torsion
                    monodromy_report, smith_normal_form)
 from .pages import (PageComputation, PageTable, d1_closed_form, reznikov_collapse,
                     window_collapse_page)
-from .twisted import (BoundsReport, alexander_polynomial, bounds_report,
-                      minors_inequality, twisted_betti)
+from .twisted import alexander_polynomial, bounds_report, minors_inequality, twisted_betti
 
 __version__ = "0.1.0"

@@ -19,41 +19,21 @@ from .pages import PageComputation
 _Z1 = GroupDescriptor.free_abelian(1)
 
 
-class AomotoData:
-    """Per-degree Aomoto Betti numbers with the route that produced them."""
+def aomoto_betti(C) -> dict:
+    """Aomoto Betti numbers of (H^*(X,k), .nu_k) via the E^2 page: the
+    document `ess aomoto --json` prints, {"beta", "diff_ranks", "route"}.
 
-    def __init__(self, beta, diff_ranks, route):
-        self.beta = list(beta)
-        self.diff_ranks = list(diff_ranks)
-        self.route = route
-
-    def to_json(self):
-        return {"beta": self.beta, "diff_ranks": self.diff_ranks, "route": self.route}
-
-    def __repr__(self):
-        return f"AomotoData(beta={self.beta}, route={self.route!r})"
-
-
-def aomoto_betti(C, q_max: int | None = None) -> AomotoData:
-    """Aomoto Betti numbers of (H^*(X,k), .nu_k) via the E^2 page.
-
-    C must be the complex over kZ (base change along nu first).  Degrees past
-    the complex dimension are zero-padded rather than an error.
+    C must be the complex over kZ (base change along nu first).
     """
     if C.group != _Z1:
         raise ValidationError("aomoto_betti expects a complex over kZ")
     if not C.field.is_field:
         raise UnsupportedCoefficients("field coefficients required")
     comp = PageComputation(C, R_max=2, S_max=2)
-    page2 = comp.page(2)
-    top = C.top
-    beta = [page2.dim(1, q) for q in range(top + 1)]
-    page1 = comp.page(1)
-    ranks = [page1.d_ranks.get((1, q), 0) for q in range(top + 1)]
-    if q_max is not None and q_max + 1 > len(beta):
-        beta += [0] * (q_max + 1 - len(beta))
-        ranks += [0] * (q_max + 1 - len(ranks))
-    return AomotoData(beta, ranks, route="E2")
+    page2, page1 = comp.page(2), comp.page(1)
+    return {"beta": [page2.dim(1, q) for q in range(C.top + 1)],
+            "diff_ranks": [page1.d_ranks.get((1, q), 0) for q in range(C.top + 1)],
+            "route": "E2"}
 
 
 class UniversalAomoto:
@@ -122,21 +102,17 @@ def universal_aomoto(C) -> UniversalAomoto:
     return UniversalAomoto(n, field, matrices, list(C.dims))
 
 
-def aomoto_specialize(U: UniversalAomoto, z) -> AomotoData:
-    """Evaluate the universal complex at e_i -> z_i (ints or Fractions) and
-    take Betti numbers."""
+def aomoto_specialize(U: UniversalAomoto, z) -> list[int]:
+    """The Betti numbers of the universal complex evaluated at e_i -> z_i
+    (ints or Fractions)."""
     if len(z) != U.n:
         raise InputError(f"direction vector needs length {U.n}")
     field = U.field
     zvals = [field.from_fraction(x) for x in z]
-    ranks = [rank_exact(field, [[_eval_linear(e, zvals, field) for e in row] for row in D])
-             for D in U.matrices]
-    beta = []
-    for q in range(len(U.dims)):
-        r_in = ranks[q - 1] if q >= 1 else 0
-        r_out = ranks[q] if q < len(ranks) else 0
-        beta.append(U.dims[q] - r_in - r_out)
-    return AomotoData(beta, ranks, route="linearization")
+    # ranks[q] = rank D^{q-1}, the map into H^q
+    ranks = [0] + [rank_exact(field, [[_eval_linear(e, zvals, field) for e in row] for row in D])
+                   for D in U.matrices] + [0]
+    return [U.dims[q] - ranks[q] - ranks[q + 1] for q in range(len(U.dims))]
 
 
 def _eval_linear(elem: GroupRingElem, zvals, field):

@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 from . import builtins as corpus
 from .aomoto import aomoto_betti, aomoto_specialize, universal_aomoto
-from .coeffs import FieldDescriptor, read_int
+from .coeffs import FieldDescriptor, format_poly, read_int
 from .complexes import (EquivariantComplex, GroupHom, base_change, betti_numbers,
                         parse_document)
 from .errors import CrossCheckError, EssError, InputError
@@ -237,12 +237,12 @@ def cmd_monodromy(args):
 
 
 def cmd_aomoto(args):
-    C = require_field(load_complex(args))
-    data = aomoto_betti(C)
+    C = require_z(require_field(load_complex(args)), "aomoto")
+    doc = aomoto_betti(C)
     if args.json:
-        sys.stdout.write(emit_json(data.to_json()))
+        sys.stdout.write(emit_json(doc))
     else:
-        print(f"beta_q(X, nu_{C.field}) = {tuple(data.beta)}  (E^2 route)")
+        print(f"beta_q(X, nu_{C.field}) = {tuple(doc['beta'])}  (E^2 route)")
     return EXIT_OK
 
 
@@ -252,7 +252,7 @@ def cmd_universal_aomoto(args):
     doc = U.to_json()
     if args.spec_at:
         z = [_int(x, "--spec-at") for x in args.spec_at.split(",")]
-        doc["specialization"] = {"z": z, "beta": aomoto_specialize(U, z).beta}
+        doc["specialization"] = {"z": z, "beta": aomoto_specialize(U, z)}
     if args.json:
         sys.stdout.write(emit_json(doc))
     else:
@@ -278,16 +278,17 @@ def cmd_twisted(args):
 
 def cmd_alexander(args):
     C = require_z(load_complex(args), "alexander")
-    res = alexander_polynomial(C)
+    delta = format_poly(alexander_polynomial(C), "t")
+    notice = "no 2-cells; Delta = 1 by convention" if C.top < 2 or not C.dims[2] else None
     if args.json:
-        doc = {"alexander_polynomial": str(res)}
-        if res.notice:
-            doc["notice"] = res.notice
+        doc = {"alexander_polynomial": delta}
+        if notice:
+            doc["notice"] = notice
         sys.stdout.write(emit_json(doc))
     else:
-        print(f"Delta = {res}")
-        if res.notice:
-            print(f"note: {res.notice}")
+        print(f"Delta = {delta}")
+        if notice:
+            print(f"note: {notice}")
     return EXIT_OK
 
 
@@ -298,11 +299,19 @@ def cmd_bounds(args):
     # --nu is the character unless --group-quotient read it
     images = _nu_images(None if args.group_quotient else args.nu, C.group)
     rep = bounds_report(C, images, args.p, args.r)
+    verdicts = rep["verdicts"]
     if args.json:
-        sys.stdout.write(emit_json(rep.to_json()))
+        sys.stdout.write(emit_json(rep))
     else:
-        print(rep.to_text())
-    if args.strict and rep.verdicts["cohobound"] != "holds":
+        print(f"bounds for p = {rep['p']}, r = {rep['r']} "
+              f"(effective character order {rep['effective_order']})")
+        print(f"{'q':>3} {'b_q(nu/p^r)':>12} {'beta_q(F_p)':>12} {'b_q(F_p)':>10} "
+              f"{'H_q(Z) free':>12}")
+        for row, free in zip(rep["rows"], rep["torsion_free"]):
+            print(f"{row['q']:>3} {row['b_twisted']:>12} {row['beta_fp']:>12} "
+                  f"{row['b_fp']:>10} {str(free):>12}")
+        print(f"modular bound: {verdicts['bettibound']}; Aomoto bound: {verdicts['cohobound']}")
+    if args.strict and verdicts["cohobound"] != "holds":
         return EXIT_STRICT
     return EXIT_OK
 

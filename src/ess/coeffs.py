@@ -13,7 +13,8 @@ a primitive d-th root of unity omega mod ell, until a norm bound certifies
 the largest rank seen; the twisted Betti numbers evaluate t at zeta_d into
 it, and Phi_d (`cyclotomic_polynomial`) is never formed there.  `LaurentRing`
 is k[t^{+-1}] on raw tuples (shift, coefficients, denominator): the SNF runs
-on it and the Alexander polynomial takes its minors and gcds in it.
+on it, the Alexander polynomial takes its minors and gcds in it, and
+`cyclotomic_polynomial` divides t^d - 1 in it.
 
 Every scalar is a raw payload of its descriptor (see `FieldDescriptor`).
 `Echelon`, the sparse column echelon, is the one elimination behind every
@@ -141,20 +142,15 @@ def format_poly(coeffs, var: str) -> str:
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial, integer coefficients lowest degree
-    first: t^d - 1 divided synthetically by each monic Phi_e, e | d, e < d."""
+    first: t^d - 1 divided exactly in `LaurentRing` over Q by each Phi_e,
+    e | d, e < d."""
     if d < 1:
         raise CoefficientError("d must be positive")
-    num = [-1] + [0] * (d - 1) + [1]
+    ring = LaurentRing(FieldDescriptor.rationals())
+    num = (0, (-1,) + (0,) * (d - 1) + (1,), 1)
     for e in divisors(d)[:-1]:
-        phi = cyclotomic_polynomial(e)
-        k = len(phi) - 1
-        for i in range(len(num) - 1, k - 1, -1):
-            c = num[i]
-            if c:
-                for j in range(k):
-                    num[i - k + j] -= c * phi[j]
-        num = num[k:]
-    return tuple(num)
+        num = ring.exact_div(num, (0, cyclotomic_polynomial(e), 1))
+    return num[1]
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,7 @@ def monodromy_report(C, k_max: int) -> dict:
 
     if C.group != _Z1:
         raise ValidationError("monodromy report requires group Z")
-    betti = aomoto_betti(C).beta
+    betti = aomoto_betti(C)["beta"]
     snfs = {}
     rows, verdicts = [], []
     trivial_all = beta_all = True

@@ -27,8 +27,7 @@ import itertools
 import math
 
 from .aomoto import aomoto_betti
-from .coeffs import (MAX_ORDER_BITS, FieldDescriptor, cyclotomic_rank, format_poly, is_prime,
-                     rank_exact)
+from .coeffs import MAX_ORDER_BITS, FieldDescriptor, cyclotomic_rank, is_prime, rank_exact
 from .complexes import (EquivariantComplex, GroupHom, _ring_map, base_change, betti_numbers,
                         change_field)
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
@@ -108,35 +107,28 @@ def _bareiss_det(ring, m):
     return m[-1][-1]
 
 
-class AlexanderResult:
-    def __init__(self, polynomial: tuple[int, ...], notice: str | None = None):
-        self.polynomial = polynomial  # integer coefficients, lowest degree first
-        self.notice = notice
-
-    def __str__(self):
-        return format_poly(self.polynomial, "t")
-
-
-def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
-    """gcd over Z[t^{+-1}] of the codimension-1 minors of the degree-2
-    boundary (the Alexander matrix A), normalized to lowest exponent 0 and
-    positive leading coefficient.  By Gauss's lemma it is the gcd of the
+def alexander_polynomial(C: EquivariantComplex) -> tuple[int, ...]:
+    """The integer coefficients, lowest degree first, of the gcd over
+    Z[t^{+-1}] of the codimension-1 minors of the degree-2 boundary (the
+    Alexander matrix A), normalized to lowest exponent 0 and positive
+    leading coefficient.  By Gauss's lemma it is the gcd of the
     minors' integer contents times the primitive form of their gcd over
     Q[t^{+-1}]; each minor is a Bareiss determinant over Q[t^{+-1}], one
     per column block when `_redundant_row` finds a row of A that d_1 A = 0
     (checked on every complex when it is built) makes redundant.  The minors
-    stop once the content is 1 and the gcd a unit: Delta = 1."""
+    stop once the content is 1 and the gcd a unit: Delta = 1.  With no
+    2-cells, Delta = 1 by convention."""
     if C.group != _Z1:
         raise ValidationError("Alexander polynomial needs group Z")
     if C.top < 2 or C.dims[2] == 0:
-        return AlexanderResult((1,), notice="no 2-cells; Delta = 1 by convention")
+        return (1,)
     g, ncols = C.dims[1], C.dims[2]
     if g == 0:
         raise ValidationError("Alexander polynomial needs at least one 1-cell")
     if g == 1:
-        return AlexanderResult((1,))
+        return (1,)
     if ncols < g - 1:
-        return AlexanderResult(())
+        return ()
     if C.raw_integral is None and C.field.kind != "Q":
         raise UnsupportedCoefficients(
             "Alexander polynomial needs integral or rational coefficients")
@@ -158,11 +150,11 @@ def alexander_polynomial(C: EquivariantComplex) -> AlexanderResult:
             if content == 1 and ring.is_unit(gcd):
                 break  # Delta = 1: no further minor can shrink it
     if gcd is None:
-        return AlexanderResult(())
+        return ()
     # monic over Q with gcd(coefficients, den) = 1: the coefficients are the
     # primitive integer form, leading coefficient positive
     _, (_, primitive, _) = ring.unit_normalize(gcd)
-    return AlexanderResult(tuple(content * c for c in primitive))
+    return tuple(content * c for c in primitive)
 
 
 # ---------------------------------------------------------------------------
@@ -195,50 +187,10 @@ def reduce_direction(nu_images: list[int], p: int, r: int):
     return prim, d, m % p == 0
 
 
-class BoundsReport:
-    """Side-by-side b_q(X, nu/p^r), b_q(X, F_p), beta_q(X, nu_{F_p}) with
-    hypothesis flags and theorem verdicts."""
-
-    def __init__(self, p, r, d_effective, rows, torsion_free, verdicts):
-        self.p = p
-        self.r = r
-        self.d_effective = d_effective
-        self.rows = rows                  # list of dicts per q
-        self.torsion_free = torsion_free  # list of flags per q
-        self.verdicts = verdicts          # dict
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "r": self.r,
-            "effective_order": self.d_effective,
-            "rows": self.rows,
-            "torsion_free": self.torsion_free,
-            "verdicts": self.verdicts,
-        }
-
-    def to_text(self):
-        lines = [
-            f"bounds for p = {self.p}, r = {self.r} "
-            f"(effective character order {self.d_effective})",
-            f"{'q':>3} {'b_q(nu/p^r)':>12} {'beta_q(F_p)':>12} {'b_q(F_p)':>10} {'H_q(Z) free':>12}",
-        ]
-        for row in self.rows:
-            q = row["q"]
-            lines.append(
-                f"{q:>3} {row['b_twisted']:>12} {row['beta_fp']:>12} "
-                f"{row['b_fp']:>10} {str(self.torsion_free[q]):>12}"
-            )
-        lines.append(
-            f"modular bound: {self.verdicts['bettibound']}; "
-            f"Aomoto bound: {self.verdicts['cohobound']}"
-        )
-        return "\n".join(lines)
-
-
-def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -> BoundsReport:
-    """Assemble the two bound-theorem comparisons for the character defined
-    by nu_images (the map from C's deck group to Z) at order p^r.
+def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -> dict:
+    """The document `ess bounds --json` prints: the two bound-theorem
+    comparisons for the character defined by nu_images (the map from C's
+    deck group to Z) at order p^r, with torsion flags and verdicts.
 
     Violations of an applicable bound are implementation errors and raise;
     when integral torsion voids the Aomoto bound's hypothesis, the raw
@@ -268,7 +220,7 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
         if p_divides_m:
             beta_fp = list(b_fp)
         else:
-            beta_fp = aomoto_betti(change_field(C_Z, Fp)).beta
+            beta_fp = aomoto_betti(change_field(C_Z, Fp))["beta"]
 
     rows = []
     betti_ok = True
@@ -302,7 +254,8 @@ def bounds_report(C: EquivariantComplex, nu_images: list[int], p: int, r: int) -
     }
     if not all_torsion_free and not coho_ok:
         verdicts["cohobound"] = "not-applicable (raw comparison fails, as expected with torsion)"
-    return BoundsReport(p, r, d, rows, torsion_free, verdicts)
+    return {"p": p, "r": r, "effective_order": d, "rows": rows, "torsion_free": torsion_free,
+            "verdicts": verdicts}
 
 
 def minors_inequality(C: EquivariantComplex, p: int, r: int):

@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 from ess import cli, complexes
 from ess.builtins import builtin_complex, load_builtin_document
-from ess.coeffs import FieldDescriptor
+from ess.coeffs import FieldDescriptor, format_poly
 from ess.complexes import (Epimorphism, FreeWord, GroupHom, Presentation,
                            base_change, betti_numbers, change_field,
                            complex_from_matrices, extend_with_cells, fox_derivative,
                            parse_document, presentation_complex)
 from ess.errors import InputError, ValidationError
 from ess.groupring import GroupDescriptor, GroupRingElem, parse_element
-from ess.twisted import bounds_report, integral_complex
+from ess.twisted import alexander_polynomial, bounds_report, integral_complex
 
 Q = FieldDescriptor.rationals()
 ZZ = FieldDescriptor.integers()
@@ -103,9 +103,7 @@ def test_presentation_complex_trefoil_matches_alexander():
     entry = C.boundary(2)[0][0]
     # equal up to sign and a power of t
     assert entry == delta or entry == -delta, str(entry)
-    from ess.twisted import alexander_polynomial
-
-    assert str(alexander_polynomial(builtin_complex("trefoil"))) == "t^2 - t + 1"
+    assert format_poly(alexander_polynomial(builtin_complex("trefoil")), "t") == "t^2 - t + 1"
 
 
 def test_fundamental_identity_is_composition():
@@ -255,6 +253,23 @@ def test_word_parse_errors():
 def test_wide_alphabet_tokens():
     w = FreeWord.parse("x1X2x1", ["g1", "g2"])
     assert w.letters == (1, -2, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(
+    st.text(alphabet="abcdxXABCQ 0123\u0663\u00b2+-", max_size=16),
+    st.lists(st.sampled_from(["a", "b", "c", "A", "C", "x1", "X2", "x\u0663", "x0", "x"]),
+             max_size=8).map("".join)),
+       gens=st.sampled_from([[], ["a"], ["a", "b"], ["a", "b", "c"], ["a", "x", "c"]]))
+def test_any_text_over_the_word_alphabet_reads_or_is_an_input_error(text, gens):
+    """Text over the word syntax's alphabet (letters, x/X with Unicode
+    digits, signs and spaces near it) is a word whose letters name
+    generators, or an InputError, never another exception."""
+    try:
+        w = FreeWord.parse(text, gens)
+    except InputError:
+        return
+    assert all(1 <= abs(i) <= len(gens) for i in w.letters), (text, w)
 
 
 def test_document_schema_errors():

@@ -27,6 +27,11 @@ from pathlib import Path
 import pytest
 
 from ess import cli
+from ess.aomoto import aomoto_betti
+from ess.builtins import builtin_complex
+from ess.coeffs import FieldDescriptor
+from ess.complexes import change_field
+from ess.twisted import bounds_report
 
 GOLDEN = Path(__file__).parent / "golden"
 # a seeded presentation onto Z with 10 generators and 10 relators (9 random,
@@ -168,6 +173,22 @@ PINNED = {
         ["pages", "--builtin", "trefoil", "--group-quotient", "Zmod:3000", "--field", "Fp:2",
          "--S", "4", "--json"],
         "dc0a31ae75c9a7946bc9319bdae03adbc80b224a2788610698d1617c33dfe9b2"),
+    # the text reports of bounds, alexander (wedge2 carries the notice) and
+    # the two Aomoto verbs, which the cli formats from plain values
+    **{f"{name}.txt": (CASES[name], digest) for name, digest in (
+        ("bounds-zxf2-p3-r2", "9e929a13332ea7bc26931f5c1bd19547ca576b83e37dde42752b15f48e214d55"),
+        ("bounds-trefoil-p2-r1",
+         "5cc7f0a710fc6794a2f44c508bf2fbdd2fa80a0b0cb33083d1b663c75b750f4a"),
+        ("alexander-wedge2-Z", "17f6e66f62d3f7d2e06e7a3e1fea884feb24ccacbc1678f2e50d4cdad3009452"),
+        ("alexander-comm-p3", "2b540fac7b757e9bf350b3ac4c9f8a40c5107050345bd88de173a7eb78e56653"),
+        ("aomoto-zxf2-Fp2", "de3dfc31e92fa417e19e4d44a50a2e12f93ad32b6af58f121c1b118d3d81009c"),
+        ("universal-aomoto-torus2-Q-at2m1",
+         "29759059a85b09b0c6345613cc0c35a4225568e55c124f0236681fd1309982cd"),
+    )},
+    # a False torsion flag and the "not-applicable" verdict
+    "bounds-torsfree-p2-r1.txt": (
+        ["bounds", "--builtin", "torsfree", "--p", "2"],
+        "c31ff0de17bfdb5abb8bce074f537fa83c5a157840bd1d78b517b59816715de5"),
 }
 
 
@@ -178,3 +199,13 @@ def test_stdout_matches_pinned_sha256(name, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (cli.EXIT_OK, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_returned_value_is_the_printed_document(capsys):
+    """bounds_report and aomoto_betti return the document their verbs print."""
+    zxf2 = builtin_complex("zxf2")
+    for name, doc in (
+            ("bounds-zxf2-p3-r2", bounds_report(zxf2, [1], 3, 2)),
+            ("aomoto-zxf2-Fp2", aomoto_betti(change_field(zxf2, FieldDescriptor.prime_field(2))))):
+        assert cli.main(CASES[name] + ["--json"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == cli.emit_json(doc), name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import linalg_oracle as linalg
 from ess.coeffs import FieldDescriptor
-from ess.errors import CoefficientError, InputError
+from ess.errors import CoefficientError, EssError, InputError
 from ess.groupring import (GroupDescriptor, GroupRingElem, cyclic_filtration,
                            format_element, gr_dimension, j_valuation,
                            monomials_of_degree, parse_element)
@@ -390,6 +390,24 @@ def test_any_text_over_the_alphabet_reads_or_is_an_input_error(text, group):
     except InputError:
         return
     assert isinstance(elem, GroupRingElem) and elem.group == group
+
+
+_DESCRIPTOR_PREFIXES = ("", "Q", "Z", "Fp:", "Fp", "cyclotomic:", "Z^", "Zmod:", "Zmod")
+
+
+@settings(max_examples=400, deadline=None)
+@given(reader=st.sampled_from([FieldDescriptor, GroupDescriptor]),
+       prefix=st.sampled_from(_DESCRIPTOR_PREFIXES),
+       rest=st.one_of(st.text(alphabet="0123789\u0663", max_size=6),
+                      st.text(alphabet="QZFpcyclotomd:^ 0123789\u0663\u00b2+-", max_size=10)))
+def test_any_descriptor_text_reads_and_round_trips_or_is_an_ess_error(reader, prefix, rest):
+    """Text over the descriptor alphabet is a descriptor that its printed
+    form reads back to, or an EssError, never another exception."""
+    try:
+        desc = reader.parse(prefix + rest)
+    except EssError:
+        return
+    assert isinstance(desc, reader) and reader.parse(str(desc)) == desc, prefix + rest
 
 
 def test_parse_examples():
