@@ -76,8 +76,8 @@ def universal_aomoto(C) -> UniversalAomoto:
         raise ValidationError("universal Aomoto needs the abelian-cover complex over kZ^n")
     if not C.field.is_field:
         raise UnsupportedCoefficients("field coefficients required")
-    if not C.is_minimal():
-        offenders = C.nonminimal_entries()
+    offenders = C.nonminimal_entries()
+    if offenders:
         raise MinimalityError(
             "complex is not minimal; nonzero specialized entries at "
             + ", ".join(f"(q={q}, row={i}, col={j}): {v}" for q, i, j, v in offenders[:8])

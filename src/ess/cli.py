@@ -200,8 +200,7 @@ def cmd_decompose(args):
     rows = []
     snfs = {}  # d_q serves H_{q-1} and H_q
     for q in _q_range(args, C):
-        dec = homology_decomposition(C, q, snfs)
-        rows.append(dec.to_json(q=q))
+        rows.append(homology_decomposition(C, q, snfs))
     if args.json:
         sys.stdout.write(emit_json({"decompositions": rows}))
     else:

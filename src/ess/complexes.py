@@ -79,13 +79,13 @@ class Presentation:
         return f"<{','.join(self.generators)} | {len(self.relators)} relators>"
 
 
-def fox_derivative(word: FreeWord, i: int, arity: int | None = None):
+def fox_derivative(word: FreeWord, i: int):
     """Fox derivative d(word)/d(x_i) as a list of (sign, prefix FreeWord).
 
     Satisfies dx_j/dx_i = delta_ij, d(x_i^-1)/dx_i = -x_i^-1, and the product
     rule d(uv)/dx_i = du/dx_i + u dv/dx_i.  No simplification is performed.
     """
-    if i < 1 or (arity is not None and i > arity):
+    if i < 1:
         raise InputError(f"generator index {i} out of range")
     out = []
     for pos, letter in enumerate(word.letters):
@@ -344,13 +344,12 @@ def presentation_complex(presentation: Presentation, nu: Epimorphism,
     return _new_complex(field, group, dims, raw, ints, "presentation")
 
 
-def complex_from_matrices(field, group, dims, boundaries,
-                          provenance="matrices") -> EquivariantComplex:
+def complex_from_matrices(field, group, dims, boundaries) -> EquivariantComplex:
     """Complex from explicit boundary matrices over kG, with every composition
     d_q o d_{q+1} checked."""
     _check_shapes(dims, boundaries, (field, group))
     raw = [[[e.terms for e in row] for row in mat] for mat in boundaries]
-    return _new_complex(field, group, dims, raw, _integral_shadow(field, raw), provenance)
+    return _new_complex(field, group, dims, raw, _integral_shadow(field, raw), "matrices")
 
 
 def _integral_shadow(field, mats):

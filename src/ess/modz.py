@@ -2,7 +2,8 @@
 form, decomposition of H_q(X, kZ_nu) into free and primary parts, the
 dimensions of its (t-1)-adic associated graded module, and the
 monodromy-triviality report.  Each returns plain values: the raw diagonal,
-a list of dimensions, the dict `ess monodromy` prints.
+the row `ess decompose` prints, a list of dimensions, the dict `ess
+monodromy` prints.
 
 The decomposition needs no presentation of ker d_q.  Over a PID the image
 of d_q is free, so ker d_q is a direct summand of C_q, and
@@ -336,49 +337,12 @@ def _verify_snf(ctx, A, diagonal, P, Q):
 # ---------------------------------------------------------------------------
 
 
-class LaurentModuleDecomp:
-    """Free rank plus primary-part data of a f.g. k[t^{+-1}]-module.
-
-    tminus1_blocks lists the sizes of (t-1)-primary Jordan blocks; the
-    other_primary entries (f, exponent, multiplicity) all satisfy f(1) != 0
-    and are left unfactored beyond separating the (t-1) part.
-    """
-
-    def __init__(self, free_rank, invariant_factors, tminus1_blocks, other_primary):
-        self.free_rank = free_rank
-        self.invariant_factors = invariant_factors
-        self.tminus1_blocks = sorted(tminus1_blocks)
-        self.other_primary = other_primary
-
-    @property
-    def separated(self) -> bool:
-        """The J-adic filtration is separated iff there is no f(1) != 0 part."""
-        return not self.other_primary
-
-    def gr_dims(self, s_max: int) -> list[int]:
-        """dim gr_J^s for s = 0..s_max, the E-infinity shape: gr_J is the
-        k[x]-module k[x]^free + sum k[x]/x^i over the (t-1)-blocks i."""
-        return [self.free_rank + sum(b > s for b in self.tminus1_blocks)
-                for s in range(s_max + 1)]
-
-    def to_json(self, q=None):
-        doc = {
-            "free_rank": self.free_rank,
-            "t_minus_1_blocks": list(self.tminus1_blocks),
-            "other_primary": [
-                {"poly": str(f), "exp": e, "mult": m} for f, e, m in self.other_primary
-            ],
-            "separated": self.separated,
-        }
-        if q is not None:
-            doc["q"] = q
-        return doc
-
-    def __repr__(self):
-        return (
-            f"LaurentModuleDecomp(free={self.free_rank}, "
-            f"blocks={self.tminus1_blocks}, other={self.other_primary})"
-        )
+def gr_dims(row: dict, s_max: int) -> list[int]:
+    """dim gr_J^s H_q for s = 0..s_max, the E-infinity shape, from a row of
+    `homology_decomposition`: gr_J is the k[x]-module k[x]^free + sum
+    k[x]/x^i over the (t-1)-blocks i."""
+    return [row["free_rank"] + sum(b > s for b in row["t_minus_1_blocks"])
+            for s in range(s_max + 1)]
 
 
 def _redundant_row(ring, prev, integral=False):
@@ -418,10 +382,12 @@ def _boundary_invariants(C, q: int, ctx, memo: dict):
     return memo[q]
 
 
-def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModuleDecomp:
-    """Structure data of H_q(X, kZ_nu) from the SNFs of the boundaries: the
-    free rank and the invariant factors, each split into its (t-1)-adic part
-    and an f(1) != 0 cofactor.
+def homology_decomposition(C, q: int, snfs: dict | None = None) -> dict:
+    """The row `ess decompose` prints for H_q(X, kZ_nu), from the SNFs of the
+    boundaries: the free rank, the sorted sizes of the (t-1)-primary blocks,
+    the f(1) != 0 cofactors of the invariant factors with their
+    multiplicities, and whether the J-adic filtration is separated (no such
+    cofactor).
 
     Over the PID Lambda, C_q / ker d_q = im d_q is a submodule of the free
     C_{q-1}, hence free of rank rk d_q, so ker d_q is a direct summand:
@@ -460,11 +426,10 @@ def homology_decomposition(C, q: int, snfs: dict | None = None) -> LaurentModule
         if not ctx.is_unit(rem):
             others[rem] = others.get(rem, 0) + 1
     n_q = C.dims[q] if 0 <= q <= C.top else 0
-    free_rank = n_q - rank_q - rank_q1
-    other_primary = sorted(((ctx.lift(f), 1, m) for f, m in others.items()),
-                           key=lambda t: str(t[0]))
-    return LaurentModuleDecomp(free_rank, [ctx.lift(f) for f in invariant_factors], blocks,
-                               other_primary)
+    other_primary = sorted(({"poly": str(ctx.lift(f)), "exp": 1, "mult": m}
+                            for f, m in others.items()), key=lambda o: o["poly"])
+    return {"q": q, "free_rank": n_q - rank_q - rank_q1, "t_minus_1_blocks": sorted(blocks),
+            "other_primary": other_primary, "separated": not other_primary}
 
 
 def integral_torsion_check(C) -> list[bool]:
@@ -500,12 +465,12 @@ def monodromy_report(C, k_max: int) -> dict:
     snfs = {}
     rows, verdicts = [], []
     trivial_all = beta_all = True
-    zero = LaurentModuleDecomp(0, [], [], [])  # H_q past the top degree
     for q in range(k_max + 1):
-        decomp = homology_decomposition(C, q, snfs) if q <= C.top else zero
-        trivial = decomp.gr_dims(1)[1] == 0
-        row = decomp.to_json(q)
-        del row["separated"]
+        # H_q = 0 past the top degree, where no SNF is run
+        row = (homology_decomposition(C, q, snfs) if q <= C.top
+               else {"q": q, "free_rank": 0, "t_minus_1_blocks": [], "other_primary": []})
+        row.pop("separated", None)
+        trivial = gr_dims(row, 1)[1] == 0
         row.update(beta=betti[q] if q < len(betti) else 0,
                    condition_no_large_blocks=trivial, condition_trivial_action=trivial)
         rows.append(row)

@@ -32,7 +32,7 @@ from .complexes import (EquivariantComplex, GroupHom, _ring_map, base_change, be
                         change_field)
 from .errors import (CrossCheckError, InputError, UnsupportedCoefficients,
                      ValidationError)
-from .groupring import GroupDescriptor, GroupRingElem
+from .groupring import GroupDescriptor
 from .modz import _LaurentCtx, _redundant_row, integral_torsion_check
 
 _Z1 = GroupDescriptor.free_abelian(1)

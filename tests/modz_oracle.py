@@ -27,7 +27,7 @@ from fractions import Fraction
 from ess.coeffs import FieldDescriptor
 from ess.errors import CoefficientError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupRingElem
-from ess.modz import _Z1, LaurentModuleDecomp
+from ess.modz import _Z1
 from linalg_oracle import Scalar
 
 
@@ -410,10 +410,12 @@ def presentation_matrix(C, q: int):
     return [[Y[j][i] for j in range(len(Y))] for i in range(len(K))], len(K)
 
 
-def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
+def homology_decomposition(C, q: int) -> tuple:
     """Eq-style structure data of H_q(X, kZ_nu): run SNF on a presentation
     matrix, strip units, and split each invariant factor into its (t-1)-adic
-    part and an f(1) != 0 cofactor."""
+    part and an f(1) != 0 cofactor.  Returns (free rank, invariant factors,
+    sorted (t-1)-block sizes, [(cofactor, 1, multiplicity)] sorted by
+    cofactor), every polynomial as its string."""
     P, k = presentation_matrix(C, q)
     ctx = _LaurentCtx(C.field)
     field = C.field
@@ -444,15 +446,9 @@ def homology_decomposition(C, q: int) -> LaurentModuleDecomp:
         _, rem = ctx.unit_normalize(rem)
         if not ctx.is_unit(rem):
             key = str(rem)
-            if key in others:
-                f, exp, mult = others[key]
-                others[key] = (f, exp, mult + 1)
-            else:
-                others[key] = (rem, 1, 1)
-    free_rank = k - nonzero
-    return LaurentModuleDecomp(
-        free_rank, invariant_factors, blocks, sorted(others.values(), key=lambda t: str(t[0]))
-    )
+            others[key] = others.get(key, 0) + 1
+    return (k - nonzero, [str(f) for f in invariant_factors], sorted(blocks),
+            [(f, 1, m) for f, m in sorted(others.items())])
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from ess.aomoto import aomoto_betti
 from ess.builtins import builtin_complex
 from ess.coeffs import FieldDescriptor
 from ess.complexes import change_field
+from ess.modz import homology_decomposition, monodromy_report
 from ess.twisted import bounds_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -185,6 +186,16 @@ PINNED = {
         ("universal-aomoto-torus2-Q-at2m1",
          "29759059a85b09b0c6345613cc0c35a4225568e55c124f0236681fd1309982cd"),
     )},
+    # the text reports of decompose and monodromy, which the cli formats from
+    # the rows homology_decomposition returns
+    **{f"{name}.txt": (CASES[name], digest) for name, digest in (
+        ("decompose-zxf2-Q", "80bfc728446cfc89eafaeacbe22715d2bca309d9fbf06b2ba525feb15294d7b6"),
+        ("decompose-zxf2-Fp2", "90021c05970a545e9b63be201ba77400815268ab54e9be86d4e7e03ea913ac32"),
+        ("decompose-trefoil-cyc6",
+         "7ed08c76cbafb7a5bf6bf3c8ec81effb8102a6ffe1b58e80d63adee6ac02a7ae"),
+        ("monodromy-zxf2-Q", "8c57c1f22828fd8c1c49c2048176be99bd24895397b5e7bbddf2e13f242b5a57"),
+        ("monodromy-torus2-Z-Q", "4c54af0a835af9a4beedb9365578deb5dc84f12e08981ed2dee89283d0d6fb12"),
+    )},
     # a False torsion flag and the "not-applicable" verdict
     "bounds-torsfree-p2-r1.txt": (
         ["bounds", "--builtin", "torsfree", "--p", "2"],
@@ -202,10 +213,15 @@ def test_stdout_matches_pinned_sha256(name, capsys):
 
 
 def test_returned_value_is_the_printed_document(capsys):
-    """bounds_report and aomoto_betti return the document their verbs print."""
+    """bounds_report, aomoto_betti, homology_decomposition (one row per
+    degree) and monodromy_report return the document their verbs print."""
     zxf2 = builtin_complex("zxf2")
+    zxf2_q = change_field(zxf2, FieldDescriptor.rationals())
     for name, doc in (
             ("bounds-zxf2-p3-r2", bounds_report(zxf2, [1], 3, 2)),
-            ("aomoto-zxf2-Fp2", aomoto_betti(change_field(zxf2, FieldDescriptor.prime_field(2))))):
+            ("aomoto-zxf2-Fp2", aomoto_betti(change_field(zxf2, FieldDescriptor.prime_field(2)))),
+            ("decompose-zxf2-Q", {"decompositions": [homology_decomposition(zxf2_q, q)
+                                                     for q in range(zxf2_q.top + 1)]}),
+            ("monodromy-zxf2-Q", monodromy_report(zxf2_q, zxf2_q.top))):
         assert cli.main(CASES[name] + ["--json"]) == cli.EXIT_OK
         assert capsys.readouterr().out == cli.emit_json(doc), name

@@ -1,3 +1,4 @@
+import math
 import random
 import string
 
@@ -11,7 +12,7 @@ from ess.coeffs import FieldDescriptor
 from ess.complexes import GroupHom, base_change, change_field, parse_document
 from ess.errors import CrossCheckError, UnsupportedCoefficients, ValidationError
 from ess.groupring import GroupDescriptor
-from ess.modz import homology_decomposition
+from ess.modz import gr_dims, homology_decomposition
 from ess.pages import (PageComputation, PageTable, d1_closed_form, reznikov_collapse,
                        window_collapse_page)
 
@@ -69,7 +70,7 @@ def test_zxf2_einfinity_row():
     assert tables[1].row(1) == [2, 0, 0, 0]
     assert tables[3].row(1) == [2, 0, 0, 0]
     assert window_collapse_page(tables) == 2
-    assert homology_decomposition(C, 1).gr_dims(3) == [2, 0, 0, 0]
+    assert gr_dims(homology_decomposition(C, 1), 3) == [2, 0, 0, 0]
 
 
 def test_e1_check_against_gr_times_betti():
@@ -111,6 +112,21 @@ def _random_word(rng, ngens, length):
     return [rng.randint(1, ngens) * rng.choice((1, -1)) for _ in range(length)]
 
 
+def _commutator(rng, ngens):
+    u, v = _random_word(rng, ngens, 2), _random_word(rng, ngens, 2)
+    return u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)]
+
+
+def _document(group, nu, rels):
+    """The JSON document over Z of the presentation with relators rels
+    (lists of signed generator indices) and generator images nu."""
+    gens = string.ascii_lowercase[:len(nu)]
+    words = ["".join(gens[x - 1] if x > 0 else gens[-x - 1].upper() for x in w) for w in rels]
+    return {"field": "Z", "group": group,
+            "presentation": {"generators": list(gens), "relators": words,
+                             "nu": dict(zip(gens, nu))}}
+
+
 def _seeded_presentation(seed, onto_z2):
     """A seeded presentation onto Z^2 or Z, as a JSON document over Z.  Onto
     Z^2: generators a, b, c with images (1, 0), (0, 1) and a seeded (+-1, +-1),
@@ -119,11 +135,8 @@ def _seeded_presentation(seed, onto_z2):
     and relators of exponent sum 0 on at least two generators."""
     rng = random.Random(f"d1:{seed}")
     if onto_z2:
-        ngens, nu = 3, [[1, 0], [0, 1], [rng.choice((-1, 1)), rng.choice((-1, 1))]]
-        rels = []
-        for _ in range(rng.randint(1, 3)):
-            u, v = _random_word(rng, 3, 2), _random_word(rng, 3, 2)
-            rels.append(u + v + [-x for x in reversed(u)] + [-x for x in reversed(v)])
+        nu = [[1, 0], [0, 1], [rng.choice((-1, 1)), rng.choice((-1, 1))]]
+        rels = [_commutator(rng, 3) for _ in range(rng.randint(1, 3))]
     else:
         ngens = rng.randint(2, 4)
         nu, rels = [1] * ngens, []
@@ -134,11 +147,18 @@ def _seeded_presentation(seed, onto_z2):
             rng.shuffle(word)
             if len({abs(x) for x in word}) >= 2:
                 rels.append(word)
-    gens = string.ascii_lowercase[:ngens]
-    words = ["".join(gens[x - 1] if x > 0 else gens[-x - 1].upper() for x in w) for w in rels]
-    return {"field": "Z", "group": "Z^2" if onto_z2 else "Z",
-            "presentation": {"generators": list(gens), "relators": words,
-                             "nu": dict(zip(gens, nu))}}
+    return _document("Z^2" if onto_z2 else "Z", nu, rels)
+
+
+def _commutator_presentation(seed):
+    """A seeded presentation onto Z: 2 or 3 generators with images drawn
+    from {1, 2, 3} with gcd 1, and 1 to 3 commutators [u, v] of random words
+    as relators, which every map onto an abelian group kills."""
+    rng = random.Random(f"einf:{seed}")
+    nu = [1]
+    while len(nu) < 2 or math.gcd(*nu) != 1:
+        nu = [rng.choice((1, 2, 3)) for _ in range(rng.randint(2, 3))]
+    return _document("Z", nu, [_commutator(rng, len(nu)) for _ in range(rng.randint(1, 3))])
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,6 +170,23 @@ def test_d1_engine_matches_closed_form_on_seeded_presentations(seed, onto_z2, fi
     closed = d1_closed_form(C)
     for q in range(1, C.top + 1):
         assert comp.d1_matrix(q, 0) == closed[q], q
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), commutators=st.booleans(),
+       field=st.sampled_from([Q, F2, F3]))
+def test_einfinity_window_matches_snf_gr_module_on_seeded_presentations(seed, commutators,
+                                                                       field):
+    # standing redundancy 2 away from the built-ins: a (t-1)-block of size a
+    # is a bar of length a, so E^R is E^infinity on the window once R > a
+    doc = _commutator_presentation(seed) if commutators else _seeded_presentation(seed, False)
+    C = change_field(parse_document(doc), field)
+    snfs = {}
+    rows = [homology_decomposition(C, q, snfs) for q in range(C.top + 1)]
+    R = max([2] + [b + 1 for row in rows for b in row["t_minus_1_blocks"]])
+    last = PageComputation(C, R, 3).page(R)
+    for row in rows:
+        assert [last.dim(s, row["q"]) for s in range(4)] == gr_dims(row, 3), (row, R)
 
 
 def test_torus_d1_matches_pinned_sign_convention():
