@@ -23,13 +23,16 @@ def aomoto_betti(C) -> dict:
     """Aomoto Betti numbers of (H^*(X,k), .nu_k) via the E^2 page: the
     document `ess aomoto --json` prints, {"beta", "diff_ranks", "route"}.
 
-    C must be the complex over kZ (base change along nu first).
+    C must be the complex over kZ (base change along nu first).  Only E^2 at
+    s = 1 and the rank of d^1 out of s = 1 are read, so the window stops at
+    S_max = 1: quotienting by F^M, M = S_max + R_max = 3, changes no
+    E^r_{-s} with s + r <= M (see pages).
     """
     if C.group != _Z1:
         raise ValidationError("aomoto_betti expects a complex over kZ")
     if not C.field.is_field:
         raise UnsupportedCoefficients("field coefficients required")
-    comp = PageComputation(C, R_max=2, S_max=2)
+    comp = PageComputation(C, R_max=2, S_max=1)
     page2, page1 = comp.page(2), comp.page(1)
     return {"beta": [page2.dim(1, q) for q in range(C.top + 1)],
             "diff_ranks": [page1.d_ranks.get((1, q), 0) for q in range(C.top + 1)],

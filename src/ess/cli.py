@@ -30,7 +30,7 @@ from .complexes import (EquivariantComplex, GroupHom, base_change, betti_numbers
 from .errors import CrossCheckError, EssError, InputError
 from .groupring import GroupDescriptor
 from .modz import homology_decomposition, monodromy_report
-from .pages import PageComputation, PageTable, reznikov_collapse, window_collapse_page
+from .pages import PageComputation, reznikov_collapse, window_collapse_page
 from .twisted import alexander_polynomial, bounds_report, twisted_betti
 
 EXIT_OK = 0
@@ -162,6 +162,31 @@ def _distinct_pages(tables, encode):
         yield t.r, seen[key]
 
 
+def _entries_json(t) -> str:
+    """The "entries" list of one page as emit_json writes it, q outer and s
+    inner, keys sorted: every value is an int."""
+    S, Q = t.window
+    dim, rank = t.entries.get, t.d_ranks.get
+    return "[" + ",".join(f'{{"d_rank":{rank((s, q), 0)},"dim":{dim((s, q), 0)},"q":{q},"s":{s}}}'
+                          for q in range(Q + 1) for s in range(S + 1)) + "]"
+
+
+def _rows_text(t) -> str:
+    """The table of one page without its title: a header of s, then a row
+    per q from the top down of dim, or dim/rank where d^r leaves that spot."""
+    S, Q = t.window
+    dim, rank = t.entries.get, t.d_ranks.get
+    lines = ["q\\s " + " ".join(f"{s:>7}" for s in range(S + 1))]
+    for q in range(Q, -1, -1):
+        cells = (f"{dim((s, q), 0)}/{rk}" if (rk := rank((s, q), 0)) else f"{dim((s, q), 0)}  "
+                 for s in range(S + 1))
+        lines.append(f"{q:>3} " + " ".join(f"{c:>7}" for c in cells))
+    return "\n".join(lines)
+
+
+PAGE_TITLE = "page E^{}  (rows q, columns filtration s; dim/d-rank)"
+
+
 def cmd_pages(args):
     if args.R is not None and args.R < 1:
         raise InputError("--R must be >= 1")
@@ -177,18 +202,18 @@ def cmd_pages(args):
         collapse = window_collapse_page(tables)
         extra = {}
     if args.json:
-        # emit_json of the whole document, in pieces: the keys sort as
-        # "homology_dims" < "pages" < "window_collapse_page", and in a page
-        # "entries" < "page"
+        # emit_json of the whole document, written a page at a time: the keys
+        # sort as "homology_dims" < "pages" < "window_collapse_page", and in a
+        # page "entries" < "page"; a distinct page's entries are encoded once
         write = sys.stdout.write
         write(emit_json(extra)[:-2] + ',"pages":[' if extra else '{"pages":[')
-        pages = _distinct_pages(tables, lambda t: emit_json(t.to_json()).rpartition(',"page":')[0])
-        for i, (r, body) in enumerate(pages):
-            write(f'{"," if i else ""}{body},"page":{r}}}')
+        for i, (r, entries) in enumerate(_distinct_pages(tables, _entries_json)):
+            write(f'{"," if i else ""}{{"entries":{entries},"page":{r}}}')
         write(f'],"window_collapse_page":{json.dumps(collapse)}}}\n')
     else:
-        for r, body in _distinct_pages(tables, lambda t: t.to_text().partition("\n")[2]):
-            print(PageTable.TITLE.format(r), body, "", sep="\n")
+        # a distinct page's rows are formatted once, under each page's title
+        for r, rows in _distinct_pages(tables, _rows_text):
+            print(PAGE_TITLE.format(r), rows, "", sep="\n")
         print(f"window collapse at page: {collapse}")
         if extra:
             print(f"homology dims (independent rank computation): {extra['homology_dims']}")

@@ -137,8 +137,6 @@ class PageTable:
     `entries` and `d_ranks` are read-only: equal pages of one computation
     share the same two dicts, which `cli.cmd_pages` encodes once."""
 
-    TITLE = "page E^{}  (rows q, columns filtration s; dim/d-rank)"
-
     def __init__(self, r, entries, d_ranks, window):
         self.r = r
         self.entries = entries  # (s, q) -> dim
@@ -150,26 +148,6 @@ class PageTable:
 
     def row(self, q):
         return [self.dim(s, q) for s in range(self.window[0] + 1)]
-
-    def to_json(self):
-        S, Q = self.window
-        return {"page": self.r, "entries": [
-            {"s": s, "q": q, "dim": self.dim(s, q), "d_rank": self.d_ranks.get((s, q), 0)}
-            for q in range(Q + 1) for s in range(S + 1)]}
-
-    def to_text(self):
-        S, Q = self.window
-        lines = [self.TITLE.format(self.r)]
-        header = "q\\s " + " ".join(f"{s:>7}" for s in range(S + 1))
-        lines.append(header)
-        for q in range(Q, -1, -1):
-            cells = []
-            for s in range(S + 1):
-                d = self.dim(s, q)
-                rk = self.d_ranks.get((s, q), 0)
-                cells.append(f"{d}/{rk}" if rk else f"{d}  ")
-            lines.append(f"{q:>3} " + " ".join(f"{c:>7}" for c in cells))
-        return "\n".join(lines)
 
 
 class PageComputation:

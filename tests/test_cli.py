@@ -16,7 +16,7 @@ from ess import cli
 from ess.builtins import builtin_complex, builtin_names
 from ess.complexes import GroupHom, base_change
 from ess.groupring import GroupDescriptor
-from ess.pages import PageComputation, PageTable
+from ess.pages import _NO_RANKS, PageComputation, PageTable
 from ess.twisted import bounds_report
 
 
@@ -115,18 +115,36 @@ def test_pages_honours_R_on_the_reznikov_path(capsys):
 _T_MINUS_1_POWERS = {2: "t^2 - 2*t + 1", 3: "t^3 - 3*t^2 + 3*t - 1"}
 
 
-@settings(max_examples=60, deadline=None)
-@given(space=st.sampled_from(["circle", "trefoil", "comm-p:2", "comm-p:3", "torus2", 2, 3]),
-       m=st.sampled_from([4, 8, 9, 16, 25, 27]), prime_field=st.booleans(),
-       S=st.integers(0, 30), R=st.none() | st.integers(1, 30))
-def test_pages_stdout_matches_the_one_page_at_a_time_encoder(space, m, prime_field, S, R,
-                                                            tmp_path_factory):
+@st.composite
+def _pages_command(draw):
+    """(space, options) of a pages command line: on Z_m (a cyclic quotient
+    over its characteristic or over Q), or on a Z^n or Z window."""
+    if draw(st.booleans()):
+        space, quotient = draw(st.sampled_from([("torus2", []), ("torus3", []), ("wedge2", []),
+                                                ("zxf2", ["--group-quotient", "Z"])]))
+        field, S = draw(st.sampled_from(["Q", "Fp:2", "Fp:3"])), draw(st.integers(0, 4))
+        R = draw(st.none() | st.integers(1, 4))
+    else:
+        space = draw(st.sampled_from(["circle", "trefoil", "comm-p:2", "comm-p:3", "torus2",
+                                      2, 3]))
+        m = draw(st.sampled_from([4, 8, 9, 16, 25, 27]))
+        p = next(q for q in (2, 3, 5) if m % q == 0)
+        quotient = ["--group-quotient", f"Zmod:{m}"]
+        field = draw(st.sampled_from([f"Fp:{p}", "Q"]))
+        S, R = draw(st.integers(0, 30)), draw(st.none() | st.integers(1, 30))
+    window = ["--S", str(S)] + ([] if R is None else ["--R", str(R)])
+    return space, quotient + ["--field", field] + window
+
+
+@settings(max_examples=90, deadline=None)
+@given(command=_pages_command())
+def test_pages_stdout_matches_the_one_page_at_a_time_encoder(command, tmp_path_factory):
     """Each distinct page encoded once and spliced under every page number
     gives the stdout of encoding every page and the whole document at once,
-    for the very tables the command computed.  An integer space k is the
-    complex kG --(t - 1)^k--> kG, whose d^1 .. d^(k-1) vanish: equal pages
-    there differ in their d^r alone."""
-    p = next(q for q in (2, 3, 5) if m % q == 0)
+    for the very tables the command computed, on Z_m and on Z^n and Z
+    windows.  An integer space k is the complex kG --(t - 1)^k--> kG, whose
+    d^1 .. d^(k-1) vanish: equal pages there differ in their d^r alone."""
+    space, options = command
     if isinstance(space, int):
         path = tmp_path_factory.getbasetemp() / f"power{space}.json"
         path.write_text(json.dumps({"field": "Z", "group": "Z", "matrices": {
@@ -134,9 +152,7 @@ def test_pages_stdout_matches_the_one_page_at_a_time_encoder(space, m, prime_fie
         source = [str(path)]
     else:
         source = ["--builtin", space]
-    argv = ["pages", *source, "--group-quotient", f"Zmod:{m}",
-            "--field", f"Fp:{p}" if prime_field else "Q", "--S", str(S)]
-    argv += [] if R is None else ["--R", str(R)]
+    argv = ["pages", *source, *options]
     for json_flag, oracle in (([], pages_output_oracle.pages_text),
                               (["--json"], pages_output_oracle.pages_json)):
         seen = {}
@@ -158,15 +174,53 @@ def test_pages_stdout_matches_the_one_page_at_a_time_encoder(space, m, prime_fie
         assert out.getvalue() == oracle(seen["tables"], seen.get("hom"))
 
 
-def test_reznikov_pages_encode_each_distinct_page_once(monkeypatch, capsys):
-    calls, to_json = [], PageTable.to_json
-    monkeypatch.setattr(PageTable, "to_json", lambda self: calls.append(self.r) or to_json(self))
-    code, out, _ = run(["pages", "--builtin", "comm-p:3", "--group-quotient", "Zmod:729",
-                        "--field", "Fp:3", "--json"], capsys)
-    pages = json.loads(out)["pages"]
+_VALUES = st.sampled_from([0, 1, 7]) | st.integers(0, 10 ** 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 10 ** 6), S=st.integers(0, 6), Q=st.integers(0, 3), data=st.data())
+def test_page_writers_match_the_plain_encoders(r, S, Q, data):
+    """On any page, the entries text cmd_pages writes is emit_json of the
+    plain entry dicts, and its titled rows are the plain text table: dims
+    and ranks zero, small or past 64 bits, ranks shared with the entries or
+    none at all, and spots outside the window ignored."""
+    spots = st.tuples(st.integers(0, S + 1), st.integers(0, Q + 1))
+    entries = data.draw(st.dictionaries(spots, _VALUES, max_size=(S + 2) * (Q + 2)))
+    ranks = data.draw(st.sampled_from(["none", "shared", "own"]))
+    d_ranks = (_NO_RANKS if ranks == "none" else entries if ranks == "shared"
+               else data.draw(st.dictionaries(spots, _VALUES, max_size=(S + 2) * (Q + 2))))
+    t = PageTable(r, entries, d_ranks, (S, Q))
+    oracle = pages_output_oracle
+    assert cli._entries_json(t) + "\n" == cli.emit_json(oracle.page_json(t)["entries"])
+    assert cli.PAGE_TITLE.format(r) + "\n" + cli._rows_text(t) == oracle.page_text(t)
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_reznikov_pages_encode_each_distinct_page_once(monkeypatch):
+    """The 729 pages of comm-p:3 on Z_729 are fewer than 10 distinct ones,
+    each encoded once, and the document is written a page at a time: at
+    least one write per page, none holding two pages."""
+    calls, encode = [], cli._entries_json
+    monkeypatch.setattr(cli, "_entries_json", lambda t: calls.append(t.r) or encode(t))
+    out = _CountingOut()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["pages", "--builtin", "comm-p:3", "--group-quotient", "Zmod:729",
+                         "--field", "Fp:3", "--json"])
+    pages = json.loads(out.getvalue())["pages"]
     distinct = {json.dumps(page["entries"]) for page in pages}
     assert code == cli.EXIT_OK and len(pages) == 729
     assert len(calls) == len(distinct) < 10
+    assert len(out.writes) >= len(pages)
+    assert max(w.count('"page":') for w in out.writes) == 1
 
 
 def test_reznikov_pages_with_r_build_only_those_pages(monkeypatch, capsys):

@@ -132,6 +132,21 @@ CASES = {
        for space, m, label, field in (("torus2", 6, "Q", "Q"), ("torus2", 12, "Q", "Q"),
                                       ("circle", 16, "Fp2", "Fp:2"),
                                       ("trefoil", 9, "Fp3", "Fp:3"))},
+    # the built-in pages operations of the pages-zn and cyclic-pr benchmark
+    # workloads that no case above covers (circle on Z_9 at --S 8 is
+    # pages-circle-Z9-Fp3)
+    **{f"pages-{space}-{label}-R{R}S{S}": ["pages", "--builtin", space, "--field", field,
+                                           "--R", str(R), "--S", str(S)]
+       for space, label, field, R, S in (("torus2", "Q", "Q", 3, 3),
+                                         ("torus2", "Fp2", "Fp:2", 3, 3),
+                                         ("torus3", "Q", "Q", 2, 1),
+                                         ("torus3", "Fp3", "Fp:3", 2, 2),
+                                         ("wedge2", "Q", "Q", 3, 3))},
+    **{f"pages-{space.replace(':', '')}-Z{m}-Fp{p}-S{m - 1}":
+       ["pages", "--builtin", space, "--group-quotient", f"Zmod:{m}", "--field", f"Fp:{p}",
+        "--S", str(m - 1)]
+       for space, m, p in (("trefoil", 9, 3), ("comm-p:3", 9, 3), ("comm-p:2", 8, 2),
+                           ("circle", 16, 2))},
 }
 
 
